@@ -7,6 +7,17 @@ analytic in a strip around the real t-axis and Gaussian-decaying, so the
 trapezoid rule converges spectrally; the Richardson difference between
 successive halvings is an honest (if slightly conservative) error estimate.
 
+One driver, ``_trapezoid_joint``, does every halving: the line, the two
+rays and the two arcs of the closed contour, and the Laplace cross-check.
+Its levels are nested -- nodes are ``origin + k*h`` over integer k, so
+halving keeps every old node at an even k and evaluates only the odd k --
+and ``evaluations`` counts each node once.  The Laplace integrand is cut
+off at +-T where it has not decayed, so its Euler-Maclaurin endpoint
+terms hold plain halving to O(h^2); that path extrapolates the level sums
+with a Romberg table instead, which removes h^2, h^4, ... in turn.  The
+contour rays keep plain halving (their residual must keep shrinking as
+``tol`` tightens).
+
 Summation uses ``math.fsum`` (exactly rounded), which has two consequences
 worth relying on: results are bit-reproducible regardless of evaluation
 order, and exactly antisymmetric node contributions cancel exactly.
@@ -25,7 +36,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Callable, NamedTuple, Sequence
 
@@ -109,7 +120,11 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class ContourLoopReport:
-    """The five segment integrals of the closed contour and their sum."""
+    """The five segment integrals of the closed contour and their sum.
+
+    ``converged`` is true only when every segment's quadrature and the
+    rays' analytic head series met their tolerance.
+    """
 
     i_ab: complex
     i_bc: complex
@@ -119,6 +134,7 @@ class ContourLoopReport:
     loop_sum: complex
     big_r: float
     big_theta: float
+    converged: bool
 
 
 class SegmentPath(enum.Enum):
@@ -208,58 +224,99 @@ def _fsum_trapezoid(values: np.ndarray, step: float) -> complex:
     return complex(step * fsum(re.tolist()), step * fsum(im.tolist()))
 
 
+class _Grid(NamedTuple):
+    """Level-0 nodes ``origin + k*step`` for the integers k in [k_lo, k_hi]."""
+
+    origin: float
+    k_lo: int
+    k_hi: int
+    step: float
+
+
+def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
+    """Next row of the Romberg table: eliminate h^2, h^4, ... in turn."""
+    row = [trapezoid]
+    for j, below in enumerate(previous, start=1):
+        row.append(row[-1] + (row[-1] - below) / (4.0 ** j - 1.0))
+    return row
+
+
 def _trapezoid_joint(
-    fs: Sequence[Callable[[np.ndarray], np.ndarray]], spec: ContourSpec
+    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
+    spec: ContourSpec,
+    *,
+    grid: _Grid | None = None,
+    romberg: bool = False,
 ) -> list[QuadratureResult]:
     """Trapezoid-with-halving on several integrands over shared nodes.
 
     All integrands see identical node sets each level and the refinement
     stops only when every one of them meets its effective tolerance; sharing
-    nodes lets ratio-type consumers (digamma) cancel common error.
+    nodes lets ratio-type consumers (digamma) cancel common error.  The
+    levels are nested: after the first, only the new odd-k nodes are
+    evaluated and interleaved with the kept values, so every node costs
+    one kernel evaluation however many halvings follow.  ``grid`` defaults
+    to the symmetric line [-T, T] of ``spec``.  ``romberg`` replaces each
+    level's trapezoid sum by the diagonal of a Romberg table, for
+    integrands whose interval ends carry Euler-Maclaurin terms in h^2.
     """
-    half_width = spec.half_width
-    n = max(2, math.ceil(half_width / spec.step))
+    if grid is None:
+        # Symmetric integer k about origin 0 make t and -t exact negatives,
+        # so conjugate symmetry survives bit-for-bit.
+        n = max(2, math.ceil(spec.half_width / spec.step))
+        grid = _Grid(0.0, -n, n, spec.half_width / n)
     count = len(fs)
+    values: list[np.ndarray] = []
     sums = [0j] * count
-    prev: list[complex | None] = [None] * count
+    rows: list[list[complex]] = [[] for _ in range(count)]
     diffs = [math.inf] * count
     abs_ints = [0.0] * count
     peaks = [0.0] * count
     tol_eff = [spec.tol] * count
-    evaluations = 0
-    step = half_width / n
+    step = grid.step
+    nodes = grid.origin + np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * step
 
-    for _ in range(spec.max_refinements + 1):
-        step = half_width / n
-        # Nodes are built as k*step over symmetric integer k, so t and -t
-        # are exact negatives and conjugate symmetry survives bit-for-bit.
-        nodes = np.arange(-n, n + 1, dtype=float) * step
-        evaluations += nodes.size
+    for level in range(spec.max_refinements + 1):
+        if level:
+            step *= 0.5
+            k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
+            nodes = grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * step
         for i, f in enumerate(fs):
-            values = np.asarray(f(nodes), dtype=complex)
-            finite = np.isfinite(values.real) & np.isfinite(values.imag)
+            new = np.asarray(f(nodes), dtype=complex)
+            finite = np.isfinite(new.real) & np.isfinite(new.imag)
             if not finite.all():
                 bad = float(nodes[np.argmin(finite)])
                 raise QuadratureNodeError(
                     f"integrand returned a non-finite value at node t={bad!r}",
                     node=bad,
                 )
-            sums[i] = _fsum_trapezoid(values, step)
-            magnitudes = np.abs(values)
+            if level:
+                merged = np.empty(2 * new.size + 1, dtype=complex)
+                merged[0::2] = values[i]
+                merged[1::2] = new
+                values[i] = merged
+            else:
+                values.append(new)
+            total = _fsum_trapezoid(values[i], step)
+            if romberg:
+                rows[i] = _romberg_row(rows[i], total)
+                total = rows[i][-1]
+            if level:
+                diffs[i] = abs(total - sums[i])
+            sums[i] = total
+            magnitudes = np.abs(values[i])
             peaks[i] = float(magnitudes.max())
             magnitudes[0] *= 0.5
             magnitudes[-1] *= 0.5
             abs_ints[i] = step * float(np.sum(magnitudes))
-        if all(p is not None for p in prev):
-            diffs = [abs(s - p) for s, p in zip(sums, prev)]
+        if level:
             tol_eff = [
                 max(spec.tol, _CANCEL_FLOOR * _EPS * a) for a in abs_ints
             ]
             if all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff)):
                 break
-        prev = list(sums)
-        n *= 2
 
+    evaluations = values[0].size
     results = []
     for i in range(count):
         err = max(diffs[i], _EPS * abs_ints[i])
@@ -283,23 +340,26 @@ def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: ContourSpec) -> 
     return _trapezoid_joint((f,), spec)[0]
 
 
-def _lower_gamma_series(a: complex, x: float) -> complex:
+def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
     """Lower incomplete gamma(a, x) via its power series; needs x <= ~1.
 
     gamma(a, x) = x^a * sum_k (-x)^k / (k! (a+k)); with x <= 1 the series is
-    alternating with rapidly shrinking terms, so ~40 terms reach eps.
+    alternating with rapidly shrinking terms, so ~40 terms reach eps.  The
+    flag is false when 120 terms did not get there.
     """
     total = 0j
     term = 1.0 + 0j
+    converged = False
     for k in range(120):
         total += term / (a + k)
         term *= -x / (k + 1)
         if abs(term) < 1e-18 * max(1.0, abs(total)):
+            converged = True
             break
-    return cmath.exp(a * math.log(x)) * total
+    return cmath.exp(a * math.log(x)) * total, converged
 
 
-def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> complex:
+def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult:
     """J(y, R) = int_0^R r^{-y} e^{-r^2} dr, shared by both rays.
 
     The endpoint r = 0 carries the r^{-y} weight, so a head cell [0, H] is
@@ -308,49 +368,67 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> complex:
     *fixed* at min(1, R/2) rather than shrinking with the step — a moving
     head cell reintroduces an O(h^2 * f'(H)) endpoint term that blows up for
     oscillatory pure-imaginary y.  The remaining smooth piece [H, R] gets the
-    usual trapezoid-with-halving treatment.
+    usual trapezoid-with-halving treatment; the result is converged only if
+    the head series converged too.
     """
     a = (1.0 - y) / 2.0
     head_end = min(1.0, 0.5 * big_r)
-    head = 0.5 * _lower_gamma_series(a, head_end * head_end)
-
+    head, head_ok = _lower_gamma_series(a, head_end * head_end)
     n = max(4, math.ceil((big_r - head_end) / spec.step))
-    prev = None
-    total = head
-    diff = math.inf
-    for _ in range(spec.max_refinements + 1):
-        h = (big_r - head_end) / n
-        r = head_end + np.arange(n + 1, dtype=float) * h
-        vals = np.exp(-y * np.log(r) - r * r)
-        total = head + _fsum_trapezoid(vals, h)
-        if prev is not None:
-            diff = abs(total - prev)
-            if diff <= _RICHARDSON_MARGIN * spec.tol:
-                break
-        prev = total
-        n *= 2
-    return total
+    grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
+    quad = _trapezoid_joint(
+        (lambda r: np.exp(-y * np.log(r) - r * r),), spec, grid=grid
+    )[0]
+    return replace(quad, value=0.5 * head + quad.value,
+                   converged=quad.converged and head_ok)
 
 
-def _arc(y: complex, big_r: float, theta0: float, theta1: float, spec: ContourSpec) -> complex:
+def _arc(y: complex, big_r: float, theta0: float, theta1: float,
+         spec: ContourSpec) -> QuadratureResult:
     """int f(w) dw over the arc w = R e^{i theta}, theta in [theta0, theta1]."""
     span = theta1 - theta0
     # e^{i R^2 sin 2theta} oscillates with frequency ~2R^2; start with about
     # one node per radian of that phase so refinement never aliases.
     n = max(8, math.ceil(span / spec.step), math.ceil(span * big_r * big_r))
     log_r = math.log(big_r)
-    prev = None
-    total = 0j
-    for _ in range(spec.max_refinements + 1):
-        theta = theta0 + np.arange(n + 1, dtype=float) * (span / n)
+
+    def f(theta):
         w_sq = (big_r * big_r) * np.exp(2j * theta)
-        vals = np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
-        total = _fsum_trapezoid(vals, span / n)
-        if prev is not None and abs(total - prev) <= _RICHARDSON_MARGIN * spec.tol:
-            break
-        prev = total
-        n *= 2
-    return total
+        return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
+
+    return _trapezoid_joint((f,), spec, grid=_Grid(theta0, 0, n, span / n))[0]
+
+
+def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:
+    """One segment integral and whether its quadrature converged."""
+    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
+        raise DomainError(f"y must be finite, got {y!r}")
+    big_r = math.hypot(spec.sigma, spec.half_width)
+    big_theta = math.acos(spec.sigma / big_r)
+
+    if path is SegmentPath.LINE_AB:
+        z_equiv = (y + 1.0) / 2.0
+        quad = trapezoid_line(
+            lambda t: integrands.g_integrand(z_equiv, spec.sigma, t), spec
+        )
+        return 1j * quad.value, quad.converged
+    if path is SegmentPath.ARC_BC:
+        quad = _arc(y, big_r, big_theta, 0.5 * math.pi, spec)
+        return quad.value, quad.converged
+    if path is SegmentPath.ARC_EA:
+        quad = _arc(y, big_r, -0.5 * math.pi, -big_theta, spec)
+        return quad.value, quad.converged
+
+    if y.real > 0.0:
+        raise DomainError(
+            f"ray through the origin requires Re(y) <= 0 for integrability, got y={y!r}"
+        )
+    radial = _ray_radial(y, big_r, spec)
+    if path is SegmentPath.RAY_CD:
+        phase = cmath.exp(-0.5j * math.pi * y)
+    else:
+        phase = cmath.exp(0.5j * math.pi * y)
+    return -1j * phase * radial.value, radial.converged
 
 
 def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
@@ -367,32 +445,7 @@ def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
     integrability there; the arcs and the vertical line have no such
     restriction.
     """
-    y = complex(y)
-    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-        raise DomainError(f"y must be finite, got {y!r}")
-    path = SegmentPath(path)
-    big_r = math.hypot(spec.sigma, spec.half_width)
-    big_theta = math.acos(spec.sigma / big_r)
-
-    if path is SegmentPath.LINE_AB:
-        z_equiv = (y + 1.0) / 2.0
-        quad = trapezoid_line(
-            lambda t: integrands.g_integrand(z_equiv, spec.sigma, t), spec
-        )
-        return 1j * quad.value
-    if path is SegmentPath.ARC_BC:
-        return _arc(y, big_r, big_theta, 0.5 * math.pi, spec)
-    if path is SegmentPath.ARC_EA:
-        return _arc(y, big_r, -0.5 * math.pi, -big_theta, spec)
-
-    if y.real > 0.0:
-        raise DomainError(
-            f"ray through the origin requires Re(y) <= 0 for integrability, got y={y!r}"
-        )
-    radial = _ray_radial(y, big_r, spec)
-    if path is SegmentPath.RAY_CD:
-        return -1j * cmath.exp(-0.5j * math.pi * y) * radial
-    return -1j * cmath.exp(0.5j * math.pi * y) * radial
+    return _segment(complex(y), SegmentPath(path), spec)[0]
 
 
 def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
@@ -407,11 +460,8 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
         raise DomainError(
             f"contour_loop requires Re(y) <= 0 (analyticity inside the loop), got y={y!r}"
         )
-    i_ab = integrate_segment(y, SegmentPath.LINE_AB, spec)
-    i_bc = integrate_segment(y, SegmentPath.ARC_BC, spec)
-    i_cd = integrate_segment(y, SegmentPath.RAY_CD, spec)
-    i_de = integrate_segment(y, SegmentPath.RAY_DE, spec)
-    i_ea = integrate_segment(y, SegmentPath.ARC_EA, spec)
+    parts = [_segment(y, path, spec) for path in SegmentPath]
+    i_ab, i_bc, i_cd, i_de, i_ea = (value for value, _ in parts)
     big_r = math.hypot(spec.sigma, spec.half_width)
     return ContourLoopReport(
         i_ab=i_ab,
@@ -422,4 +472,5 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
         loop_sum=i_ab + i_bc + i_cd + i_de + i_ea,
         big_r=big_r,
         big_theta=math.acos(spec.sigma / big_r),
+        converged=all(ok for _, ok in parts),
     )

@@ -1,6 +1,7 @@
 """Public special-function API: worked values, identities, pole behavior."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,24 @@ class TestLaplaceRecipGamma:
         a = laplace_recip_gamma(z).value
         b = recip_gamma(z).value
         assert abs(a - b) / abs(b) < 1e-8
+
+    # The benchmark's design points; their relative error is held to 1e-9.
+    DESIGN = (0.28 + 0.4j, 0.45 + 2.5j, 0.60 + 1.0j, 0.80 + 0.5j, 0.95 + 3.0j)
+
+    def test_err_estimate_bounds_true_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2506)
+        sample = [complex(rng.uniform(0.05, 12.0), rng.uniform(-12.0, 12.0))
+                  for _ in range(40)]
+        for z in sample + list(self.DESIGN):
+            res = laplace_recip_gamma(z)
+            with mpmath.workdps(30):
+                want = complex(mpmath.rgamma(mpmath.mpc(z.real, z.imag)))
+            err = abs(res.value - want)
+            if res.converged:
+                assert err <= res.err_estimate, z
+            if z in self.DESIGN:
+                assert res.converged and err <= 1e-9 * abs(want), z
 
     def test_rejects_left_half_plane(self):
         with pytest.raises(DomainError):

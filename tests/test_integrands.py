@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unigamma import (
@@ -17,6 +17,7 @@ from unigamma import (
 )
 
 E = math.e
+EPS = math.ulp(1.0)
 
 
 class TestPrincipalPower:
@@ -120,11 +121,20 @@ class TestGLogIntegrand:
         st.floats(0.1, 3),
         st.floats(-10, 10),
     )
+    @example(0j, 0.99999, 0.0)
     def test_is_log_weighted_g(self, z, sigma, t):
+        """The kernel is g_integrand times 2 Log w.
+
+        Near |w| = 1 the weight is ~0 while rounding sigma^2 + t^2 already
+        costs an ulp of |base|, so the bound has an absolute part in |base|.
+        """
+        mpmath = pytest.importorskip("mpmath")
         base = g_integrand(z, sigma, t)
-        weight = 2 * complex(math.log(math.hypot(sigma, t)), math.atan2(t, sigma))
+        with mpmath.workdps(30):
+            weight = complex(2 * mpmath.log(mpmath.mpc(sigma, t)))
         got = g_log_integrand(z, sigma, t)
-        assert got == pytest.approx(base * weight, rel=1e-13, abs=1e-290)
+        want = base * weight
+        assert abs(got - want) <= 1e-13 * abs(want) + 4 * EPS * abs(base)
 
 
 class TestLaplaceIntegrand:

@@ -21,6 +21,7 @@ from unigamma import (
     tail_bound,
     trapezoid_line,
 )
+from unigamma.quadrature import _trapezoid_joint
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -145,6 +146,43 @@ class TestTrapezoidLine:
         res = trapezoid_line(lambda t: np.exp(-(t * t)) * np.cos(5 * t), spec)
         assert not res.converged
 
+    def test_each_node_is_evaluated_once(self):
+        seen = []
+
+        def recording(t):
+            seen.extend(t.tolist())
+            return np.exp(-(t * t)) * np.cos(5 * t)
+
+        spec = ContourSpec(half_width=6.0, step=1.0, tol=1e-13)
+        res = trapezoid_line(recording, spec)
+        assert res.step_used < spec.step / 4
+        assert len(seen) == len(set(seen)) == res.evaluations
+
+    def test_equals_plain_trapezoid_at_final_step(self):
+        def f(t):
+            return g_integrand(0.5 + 3j, 1.0, t)
+
+        spec = ContourSpec(half_width=7.0, step=1.0, tol=1e-13)
+        res = trapezoid_line(f, spec)
+        n = round(spec.half_width / res.step_used)
+        values = f(np.arange(-n, n + 1, dtype=float) * res.step_used)
+        values[0] *= 0.5
+        values[-1] *= 0.5
+        plain = complex(res.step_used * math.fsum(values.real.tolist()),
+                        res.step_used * math.fsum(values.imag.tolist()))
+        assert res.step_used < spec.step / 4
+        assert res.value == plain
+
+    def test_romberg_removes_endpoint_error(self):
+        # cos does not vanish at +-T, so plain halving is stuck at O(h^2).
+        spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-12, max_refinements=6)
+        plain = trapezoid_line(np.cos, spec)
+        extrapolated = _trapezoid_joint((np.cos,), spec, romberg=True)[0]
+        assert not plain.converged
+        assert extrapolated.converged
+        assert extrapolated.evaluations < plain.evaluations
+        assert abs(extrapolated.value - 2 * math.sin(6.0)) <= 1e-12
+
     @given(st.floats(0.3, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_err_estimate_is_honest_for_gaussians(self, a):
@@ -203,6 +241,13 @@ class TestSegments:
     def test_loop_rejects_right_half_plane(self):
         with pytest.raises(DomainError):
             contour_loop(0.25, self.SPEC)
+
+    def test_loop_reports_convergence(self):
+        loose = ContourSpec(sigma=1.0, half_width=5.0, step=0.25, tol=1e-6)
+        starved = ContourSpec(sigma=1.0, half_width=5.0, step=0.25, tol=1e-14,
+                              max_refinements=1)
+        assert contour_loop(-1.0, loose).converged
+        assert not contour_loop(-1.0, starved).converged
 
     def test_loop_residual_shrinks_with_tol(self):
         base = ContourSpec(sigma=1.0, half_width=5.0, step=0.25, tol=1e-6)
