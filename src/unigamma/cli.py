@@ -4,17 +4,18 @@ Exit codes are a stable contract: 0 success, 1 usage/domain error, 2
 verification or convergence failure, 3 pole proximity.  All numeric output
 is deterministic — grid CSV uses 17-significant-digit formatting and the
 underlying summation is exactly rounded, so identical invocations produce
-byte-identical files regardless of UNIGAMMA_THREADS.
+byte-identical files.  A grid point that fails (a pole, a non-finite
+quadrature node, an oracle overflow) keeps its row with NaN columns; a
+failed value is written with ``converged=false``, and the scan goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import functions
@@ -113,19 +114,6 @@ def _complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("UNIGAMMA_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(
-            f"UNIGAMMA_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, n)
-
-
 def _engine_kwargs(args) -> dict:
     kwargs = {}
     if getattr(args, "sigma", None) is not None:
@@ -191,6 +179,12 @@ def _grid_oracle(function: str, z: complex) -> complex:
     return oracle_digamma(z)
 
 
+def _magnitude(z: complex) -> float:
+    # abs() of a NaN complex can raise a spurious OverflowError after a
+    # failed complex power: CPython reads an errno the NaN path never resets.
+    return math.nan if cmath.isnan(z) else abs(z)
+
+
 def _grid_row(req: GridRequest, z: complex) -> tuple[str, bool]:
     nan = float("nan")
     kwargs = {}
@@ -201,14 +195,15 @@ def _grid_row(req: GridRequest, z: complex) -> tuple[str, bool]:
     try:
         res = _FUNCTIONS[req.function](z, **kwargs)
         value, err, converged = res.value, res.err_estimate, res.converged
-    except PoleError:
+    except UnigammaError:
         value, err, converged = complex(nan, nan), nan, False
     try:
         ref = _grid_oracle(req.function, z)
-    except PoleError:
+    except ArithmeticError:
+        # A pole, or Lanczos overflow for |Re z| beyond about 143.
         ref = complex(nan, nan)
-    abs_err = abs(value - ref)
-    ref_mag = abs(ref)
+    abs_err = _magnitude(value - ref)
+    ref_mag = _magnitude(ref)
     rel_err = abs_err / ref_mag if ref_mag > 0.0 else nan
     fields = (
         _fmt17(z.real), _fmt17(z.imag),
@@ -239,12 +234,7 @@ def _cmd_grid(args) -> int:
         for im in _axis(req.im_min, req.im_max, req.im_steps)
         for re in _axis(req.re_min, req.re_max, req.re_steps)
     ]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda z: _grid_row(req, z), points))
-    else:
-        rows = [_grid_row(req, z) for z in points]
+    rows = [_grid_row(req, z) for z in points]
     text = "\n".join([_CSV_HEADER] + [row for row, _ in rows]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:

@@ -301,8 +301,9 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     Euler-Maclaurin endpoint terms in h^2, h^4, ..., so the halving levels
     are combined by Romberg extrapolation; a few thousand nodes then do
     what plain halving needed millions for.  ``err_estimate`` is the
-    difference of the last two Romberg diagonals, floored at eps * int |f|
-    like every other line integral, plus the tail-series remainder.
+    difference of the last two Romberg diagonals, floored at
+    16 * eps * int |f| like every other line integral, plus the tail-series
+    remainder.
     """
     z = _check_point(z)
     if z.real <= 0.0:

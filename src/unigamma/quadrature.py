@@ -22,13 +22,16 @@ Summation uses ``math.fsum`` (exactly rounded), which has two consequences
 worth relying on: results are bit-reproducible regardless of evaluation
 order, and exactly antisymmetric node contributions cancel exactly.
 
-Convergence bookkeeping distinguishes the requested tolerance from the
-*effective* tolerance ``max(tol, 16*eps*int |f|)``.  For heavily cancelling
-integrands (deep left half-plane z) the requested absolute tolerance may lie
-below what double precision can represent of the summand mass; converging to
-the roundoff floor is then reported as convergence against the recorded
-effective tolerance rather than a silent failure or a fake success at the
-unreachable one.
+One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
+and the error estimate: the gate enforces the *effective* tolerance
+``max(tol, floor)`` and ``err_estimate`` is ``max(Richardson difference,
+floor)``.  The floor covers the kernels' few-ulp pointwise error summed over
+the line, so an estimate below it would claim more than the nodes carry.
+For heavily cancelling integrands (deep left half-plane z) the requested
+absolute tolerance may lie below what double precision can represent of the
+summand mass; converging to the roundoff floor is then reported as
+convergence against the recorded effective tolerance rather than a silent
+failure or a fake success at the unreachable one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-# Multiplier on eps * int|f| when attributing summand mass to roundoff.
+# Multiplier on eps * int|f| when attributing summand mass to roundoff; the
+# one floor under both the convergence gate and err_estimate.
 _CANCEL_FLOOR = 16.0
 # Accept a halving when the Richardson difference sits comfortably below tol.
 _RICHARDSON_MARGIN = 0.75
@@ -270,7 +274,7 @@ def _trapezoid_joint(
     sums = [0j] * count
     rows: list[list[complex]] = [[] for _ in range(count)]
     diffs = [math.inf] * count
-    abs_ints = [0.0] * count
+    floors = [0.0] * count
     peaks = [0.0] * count
     tol_eff = [spec.tol] * count
     step = grid.step
@@ -308,18 +312,16 @@ def _trapezoid_joint(
             peaks[i] = float(magnitudes.max())
             magnitudes[0] *= 0.5
             magnitudes[-1] *= 0.5
-            abs_ints[i] = step * float(np.sum(magnitudes))
+            floors[i] = _CANCEL_FLOOR * _EPS * (step * float(np.sum(magnitudes)))
         if level:
-            tol_eff = [
-                max(spec.tol, _CANCEL_FLOOR * _EPS * a) for a in abs_ints
-            ]
+            tol_eff = [max(spec.tol, floor) for floor in floors]
             if all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff)):
                 break
 
     evaluations = values[0].size
     results = []
     for i in range(count):
-        err = max(diffs[i], _EPS * abs_ints[i])
+        err = max(diffs[i], floors[i])
         ok = diffs[i] <= _RICHARDSON_MARGIN * tol_eff[i]
         results.append(
             QuadratureResult(

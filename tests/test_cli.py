@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,16 +186,45 @@ class TestGrid:
         _, second = run_grid(capsys)
         assert first == second
 
-    def test_threaded_run_identical(self, capsys, monkeypatch):
-        _, serial = run_grid(capsys)
-        monkeypatch.setenv("UNIGAMMA_THREADS", "4")
-        _, threaded = run_grid(capsys)
-        assert serial == threaded
+    def test_oracle_overflow_keeps_rows(self, capsys):
+        # The Lanczos oracle overflows for Re z >= 143.5 while 1/Gamma
+        # itself is a tiny finite double there.
+        code = main([
+            "grid", "--function", "recip_gamma",
+            "--re-min", "148", "--re-max", "150", "--re-steps", "3",
+            "--im-min", "0", "--im-max", "0", "--im-steps", "1",
+        ])
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert code == 0
+        assert len(rows) == 3
+        for row in rows:
+            assert math.isfinite(float(row[2])) and row[9] == "true"
+            assert all(math.isnan(float(f)) for f in row[5:9])
 
-    def test_bad_thread_env_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNIGAMMA_THREADS", "many")
-        code, _ = run_grid(capsys)
-        assert code == 1
+    def test_failing_points_keep_rows(self, tmp_path):
+        # Far left the kernel overflows; each point becomes a NaN row with
+        # converged=false instead of losing the whole CSV.  A subprocess, so
+        # that the suite's RuntimeWarning-as-error filter does not apply.
+        target = tmp_path / "far_left.csv"
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([
+            sys.executable, "-m", "unigamma.cli", "grid",
+            "--function", "recip_gamma",
+            "--re-min", "-121", "--re-max", "-119", "--re-steps", "3",
+            "--im-min", "0", "--im-max", "0", "--im-steps", "1",
+            "--out", str(target),
+        ], capture_output=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        lines = target.read_text().strip().split("\n")
+        assert lines[0] == HEADER
+        assert len(lines) == 4
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert math.isnan(float(fields[2])) and fields[9] == "false"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"

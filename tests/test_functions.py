@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unigamma import (
@@ -72,13 +72,19 @@ class TestG:
             G(complex("inf"))
 
     @given(reasonable_z)
+    @example(-1 + 0j)
     @settings(max_examples=40, deadline=None)
     def test_recurrence(self, z):
-        """z G(z+1) = G(z), the recurrence driving the pole structure."""
-        lhs = z * G(z + 1).value
-        rhs = G(z).value
-        scale = max(abs(rhs), abs(G(z + 1).value), 1e-6)
-        assert abs(lhs - rhs) <= 1e-10 * scale
+        """z G(z+1) = G(z), the recurrence driving the pole structure.
+
+        At the zeros z = -1, -2, ... both sides vanish and the residual is
+        roundoff of size err_estimate, so each side's own estimate joins the
+        relative bound.
+        """
+        here, up = G(z), G(z + 1)
+        scale = max(abs(here.value), abs(up.value), 1e-6)
+        bound = 1e-10 * scale + abs(z) * up.err_estimate + here.err_estimate
+        assert abs(z * up.value - here.value) <= bound
 
     @given(reasonable_z)
     @settings(max_examples=40, deadline=None)
@@ -291,3 +297,35 @@ class TestDefaultSigma:
         res = recip_gamma(-10)
         assert res.converged
         assert abs(res.value) < 1e-9
+
+
+class TestContourErrEstimate:
+    """err_estimate on the contour path bounds the true error in the box."""
+
+    FUNCTIONS = {
+        "recip_gamma": (recip_gamma, lambda mp, w: mp.rgamma(w)),
+        "gamma_sin_pi": (gamma_sin_pi, lambda mp, w: mp.pi * mp.rgamma(1 - w)),
+        "gamma": (gamma, lambda mp, w: mp.gamma(w)),
+        "digamma": (digamma, lambda mp, w: mp.digamma(w)),
+    }
+
+    def test_err_estimate_bounds_true_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(4171)
+        names = sorted(self.FUNCTIONS)
+        converged = misses = 0
+        for k in range(400):
+            name = names[k % len(names)]
+            fn, exact = self.FUNCTIONS[name]
+            z = complex(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0))
+            res = fn(z)
+            if not res.converged:
+                continue
+            with mpmath.workdps(30):
+                want = complex(exact(mpmath, mpmath.mpc(z.real, z.imag)))
+            err = abs(res.value - want)
+            assert err <= 2.0 * res.err_estimate, (name, z, err, res.err_estimate)
+            converged += 1
+            misses += err > res.err_estimate
+        assert converged >= 390
+        assert misses <= 0.01 * converged
