@@ -115,6 +115,7 @@ def _complex_json(z: complex) -> dict:
 
 
 def _engine_kwargs(args) -> dict:
+    """Engine keywords from whichever of --sigma, --tol, --max-refine were given."""
     kwargs = {}
     if getattr(args, "sigma", None) is not None:
         kwargs["sigma"] = args.sigma
@@ -185,20 +186,15 @@ def _magnitude(z: complex) -> float:
     return math.nan if cmath.isnan(z) else abs(z)
 
 
-def _grid_row(req: GridRequest, z: complex) -> tuple[str, bool]:
+def _grid_row(function: str, z: complex, kwargs: dict) -> tuple[str, bool]:
     nan = float("nan")
-    kwargs = {}
-    if req.sigma is not None:
-        kwargs["sigma"] = req.sigma
-    if req.tol is not None:
-        kwargs["tol"] = req.tol
     try:
-        res = _FUNCTIONS[req.function](z, **kwargs)
+        res = _FUNCTIONS[function](z, **kwargs)
         value, err, converged = res.value, res.err_estimate, res.converged
     except UnigammaError:
         value, err, converged = complex(nan, nan), nan, False
     try:
-        ref = _grid_oracle(req.function, z)
+        ref = _grid_oracle(function, z)
     except ArithmeticError:
         # A pole, or Lanczos overflow for |Re z| beyond about 143.
         ref = complex(nan, nan)
@@ -234,7 +230,8 @@ def _cmd_grid(args) -> int:
         for im in _axis(req.im_min, req.im_max, req.im_steps)
         for re in _axis(req.re_min, req.re_max, req.re_steps)
     ]
-    rows = [_grid_row(req, z) for z in points]
+    kwargs = _engine_kwargs(args)
+    rows = [_grid_row(req.function, z, kwargs) for z in points]
     text = "\n".join([_CSV_HEADER] + [row for row, _ in rows]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
@@ -258,9 +255,7 @@ def _cmd_sweep_sigma(args) -> int:
         if not (0.0 < s <= 8.0):
             raise DomainError(f"sigma must lie in (0, 8], got {s!r}")
     fn = _FUNCTIONS[args.function]
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    kwargs = _engine_kwargs(args)
     results = [fn(z, sigma=s, **kwargs) for s in sigmas]
     values = [r.value for r in results]
     peak = max(abs(v) for v in values)
@@ -333,11 +328,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    kwargs = {}
-    if args.sigma is not None:
-        kwargs["sigma"] = args.sigma
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    kwargs = _engine_kwargs(args)
     euler = functions.euler_mascheroni(**kwargs)
     g_one = functions.G(1, **kwargs)
     ratio_residual = abs(math.pi / g_one.value - 1.0)

@@ -4,12 +4,14 @@ Every operation returns an :class:`EvalResult` carrying the value together
 with quadrature diagnostics: the ContourSpec actually used after refinement (sigma,
 half-width T, step h, effective tolerance), an error estimate combining the
 Richardson difference with the analytic truncation tail, and a ``converged``
-flag.  The flag is deliberately strict — it is true only when the engine both
-met its (possibly roundoff-floored) tolerance *and* that tolerance is small
-enough to honor the documented accuracy box (1e-9 relative, 1e-6 absolute
-near the zeros on Re z in [-15, 15], |Im z| <= 15).  The box says where
-accuracy is promised, not where the flag goes false: ``recip_gamma(30)``,
-outside it, is accurate and returns ``converged=True``.
+flag.  Every line integral of G, digamma and Euler's constant goes through
+one helper, ``_line``, and every ``converged`` flag comes from one rule,
+``_gate``: the flag is true only when the truncation was not capped, the
+refinement met its (possibly roundoff-floored) tolerance, *and* that
+tolerance is small enough to honor the documented accuracy box (1e-9
+relative, 1e-6 absolute near the zeros on Re z in [-15, 15], |Im z| <= 15).
+The box says where accuracy is promised, not where the flag goes false:
+``recip_gamma(30)``, outside it, is accurate and returns ``converged=True``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .quadrature import (
     QuadratureResult,
     select_truncation,
     tail_bound,
-    trapezoid_line,
+    trapezoid_line,  # unused here; bench/spans.py patches this attribute
     _trapezoid_joint,
 )
 
@@ -45,17 +47,18 @@ __all__ = [
     "laplace_recip_gamma",
 ]
 
-_EPS = math.ulp(1.0)
 POLE_TOL = 1e-12
 
 # Documented accuracy box: promises used by the convergence gate.
 _ABS_PROMISE = 1e-6
 _REL_PROMISE = 1e-9
-_IM_CLIFF = 30.0
 
 # Share of the tolerance given to the analytic truncation tail; the
 # discretization (Richardson-controlled) part receives the rest.
 _TAIL_SHARE = 0.25
+
+# Terms of the Laplace tail's integration-by-parts series.
+_LAPLACE_TAIL_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -103,56 +106,63 @@ def _check_point(z) -> complex:
     return z
 
 
-def _contour_spec(z: complex, sigma, tol: float, step, max_refinements: int,
-                  *, log_weight: bool = False) -> tuple[ContourSpec, bool]:
+def _gate(quad: QuadratureResult, capped: bool, tol: float,
+          magnitude: float) -> bool:
+    """The one convergence verdict for a line integral at the API level.
+
+    ``tol`` is the tolerance the quadrature ran to.  The effective
+    tolerance may sit above it on the roundoff floor; that is accepted only
+    while it stays inside the documented accuracy box around ``magnitude``.
+    """
+    return (not capped and quad.converged
+            and quad.tol_effective <= max(tol, _ABS_PROMISE,
+                                          _REL_PROMISE * magnitude))
+
+
+def _line(z: complex, kernels, sigma, tol: float, max_refinements: int
+          ) -> tuple[list[complex], list[float], ContourSpec, bool, int]:
+    """Integrate each ``(kernel, log_weight)`` pair along the G line at z.
+
+    The kernels share one spec (truncation sized for the heaviest tail, step
+    min(0.25, 1/(1+|Im z|))) and one node set.  Returns each integral's
+    value, its error estimate with the analytic tail added, the spec used,
+    the joint ``_gate`` verdict and the kernel evaluation count.
+    """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     sig = default_sigma(z) if sigma is None else float(sigma)
-    trunc = select_truncation(z, sig, _TAIL_SHARE * tol, log_weight=log_weight)
-    if step is None:
-        step = min(0.25, 1.0 / (1.0 + abs(z.imag)))
+    trunc = select_truncation(z, sig, _TAIL_SHARE * tol,
+                              log_weight=any(lw for _, lw in kernels))
     spec = ContourSpec(
         sigma=sig,
         half_width=trunc.half_width,
-        step=float(step),
+        step=min(0.25, 1.0 / (1.0 + abs(z.imag))),
         tol=(1.0 - _TAIL_SHARE) * tol,
         max_refinements=int(max_refinements),
     )
-    return spec, trunc.capped
+    quads = _trapezoid_joint(
+        [lambda t, kernel=kernel: kernel(z, sig, t) for kernel, _ in kernels], spec
+    )
+    errs = [quad.err_estimate + tail_bound(z, sig, spec.half_width, log_weight=lw)
+            for quad, (_, lw) in zip(quads, kernels)]
+    converged = all(_gate(quad, trunc.capped, spec.tol, abs(quad.value))
+                    for quad in quads)
+    spec_used = replace(spec, step=quads[0].step_used,
+                        tol=max(quad.tol_effective for quad in quads))
+    return ([quad.value for quad in quads], errs, spec_used, converged,
+            sum(quad.evaluations for quad in quads))
 
 
-def _gate(z: complex, quad: QuadratureResult, capped: bool, tol: float,
-          magnitude: float) -> bool:
-    """Convergence verdict for one line integral at the API level."""
-    if capped or not quad.converged:
-        return False
-    # The effective tolerance may sit above the request on the roundoff
-    # floor; accept that only while it stays inside the documented box.
-    if quad.tol_effective > max((1.0 - _TAIL_SHARE) * tol, _ABS_PROMISE,
-                                _REL_PROMISE * magnitude):
-        return False
-    # Known cliff: for huge |Im z| the integrand carries e^{pi |Im z|} while
-    # the result is exponentially small; flag when roundoff of the largest
-    # node swamps the requested tolerance.
-    if abs(z.imag) > _IM_CLIFF and quad.node_peak * _EPS > tol * max(1.0, magnitude):
-        return False
-    return True
-
-
-def G(z, *, sigma=None, tol: float = 1e-12, step=None,
+def G(z, *, sigma=None, tol: float = 1e-12,
       max_refinements: int = 12) -> EvalResult:
     """The unifying line integral: G(z) = int w^{1-2z} e^{w^2} dt, w = sigma+it.
 
     Defined for every finite z with no case split; equals pi/Gamma(z).
     """
     z = _check_point(z)
-    spec, capped = _contour_spec(z, sigma, tol, step, max_refinements)
-    quad = trapezoid_line(lambda t: integrands.g_integrand(z, spec.sigma, t), spec)
-    tail = tail_bound(z, spec.sigma, spec.half_width)
-    err = quad.err_estimate + tail
-    converged = _gate(z, quad, capped, tol, abs(quad.value))
-    spec_used = replace(spec, step=quad.step_used, tol=quad.tol_effective)
-    return EvalResult(z, quad.value, err, spec_used, converged, quad.evaluations)
+    (value,), (err,), spec_used, converged, evaluations = _line(
+        z, ((integrands.g_integrand, False),), sigma, tol, max_refinements)
+    return EvalResult(z, value, err, spec_used, converged, evaluations)
 
 
 def g_tilde(y, **kwargs) -> EvalResult:
@@ -173,37 +183,34 @@ def _nearest_pole(z: complex) -> int:
     return min(0, round(z.real))
 
 
-def _pole_guard(name: str, z: complex, mag: float, err: float,
-                pole_tol: float) -> None:
+def _pole_guard(name: str, z: complex, mag: float, err: float) -> None:
     """Raise when a G denominator is indistinguishable from an exact zero.
 
-    The literal |G| < pole_tol test catches poles where the quadrature
-    floor sits below pole_tol (integers down to about -5).  Deeper left the
+    The literal |G| < POLE_TOL test catches poles where the quadrature
+    floor sits below POLE_TOL (integers down to about -5).  Deeper left the
     computed |G| at an exact pole is pure roundoff residue that can exceed
     any fixed absolute tolerance, so we also treat the value as a pole when
     it is within a few error bars of zero: |G| <= 8 err.  Away from poles
     |G| grows like pi.n!.dist, so this wider net still only catches points
     within an ulp-scale distance of a true pole.
     """
-    if mag < pole_tol or mag <= 8.0 * err:
+    if mag < POLE_TOL or mag <= 8.0 * err:
         pole = _nearest_pole(z)
         raise PoleError(
             f"{name}({z}) is within pole tolerance: |G(z)| = {mag:.3e} is "
-            f"below {pole_tol:g} or indistinguishable from 0 at the "
+            f"below {POLE_TOL:g} or indistinguishable from 0 at the "
             f"achievable precision ({err:.3e}); nearest pole at z = {pole}",
             z=z, nearest_pole=pole,
         )
 
 
-def gamma(z, *, pole_tol: float = POLE_TOL, **kwargs) -> EvalResult:
-    """Gamma(z) = pi/G(z); refuses points within pole_tol of a pole."""
+def gamma(z, **kwargs) -> EvalResult:
+    """Gamma(z) = pi/G(z); raises PoleError where G(z) cannot be told from 0."""
     res = G(z, **kwargs)
     mag = abs(res.value)
-    _pole_guard("gamma", res.z, mag, res.err_estimate, pole_tol)
-    value = math.pi / res.value
-    err = math.pi * res.err_estimate / (mag * mag)
-    converged = res.converged and res.err_estimate <= 0.5 * mag
-    return replace(res, value=value, err_estimate=err, converged=converged)
+    _pole_guard("gamma", res.z, mag, res.err_estimate)
+    return replace(res, value=math.pi / res.value,
+                   err_estimate=math.pi * res.err_estimate / (mag * mag))
 
 
 def gamma_sin_pi(z, **kwargs) -> EvalResult:
@@ -213,8 +220,8 @@ def gamma_sin_pi(z, **kwargs) -> EvalResult:
     return replace(res, z=z)
 
 
-def digamma(z, *, sigma=None, tol: float = 1e-12, step=None,
-            max_refinements: int = 12, pole_tol: float = POLE_TOL) -> EvalResult:
+def digamma(z, *, sigma=None, tol: float = 1e-12,
+            max_refinements: int = 12) -> EvalResult:
     """psi(z) as a ratio of two line integrals over one shared node set.
 
     psi(z) = [int w^{1-2z} e^{w^2} (2 Log w) dt] / [int w^{1-2z} e^{w^2} dt];
@@ -222,48 +229,24 @@ def digamma(z, *, sigma=None, tol: float = 1e-12, step=None,
     coincide and common quadrature error partially cancels in the ratio.
     """
     z = _check_point(z)
-    spec, capped = _contour_spec(z, sigma, tol, step, max_refinements,
-                                 log_weight=True)
-    num, den = _trapezoid_joint(
-        (
-            lambda t: integrands.g_log_integrand(z, spec.sigma, t),
-            lambda t: integrands.g_integrand(z, spec.sigma, t),
-        ),
-        spec,
-    )
-    den_mag = abs(den.value)
-    err_num = num.err_estimate + tail_bound(z, spec.sigma, spec.half_width,
-                                            log_weight=True)
-    err_den = den.err_estimate + tail_bound(z, spec.sigma, spec.half_width)
-    _pole_guard("digamma", z, den_mag, err_den, pole_tol)
-    value = num.value / den.value
+    (num, den), (err_num, err_den), spec_used, converged, evaluations = _line(
+        z, ((integrands.g_log_integrand, True), (integrands.g_integrand, False)),
+        sigma, tol, max_refinements)
+    den_mag = abs(den)
+    _pole_guard("digamma", z, den_mag, err_den)
+    value = num / den
     err = (err_num + abs(value) * err_den) / den_mag
-    converged = (
-        _gate(z, den, capped, tol, den_mag)
-        and _gate(z, num, capped, tol, abs(num.value))
-        and err_den <= 0.5 * den_mag
-    )
-    spec_used = replace(spec, step=den.step_used,
-                        tol=max(num.tol_effective, den.tol_effective))
-    return EvalResult(z, value, err, spec_used, converged,
-                      num.evaluations + den.evaluations)
+    return EvalResult(z, value, err, spec_used, converged, evaluations)
 
 
-def euler_mascheroni(*, sigma=None, tol: float = 1e-12, step=None,
+def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
                      max_refinements: int = 12) -> EvalResult:
     """gamma = -(1/pi) int w^{-1} e^{w^2} (2 Log w) dt  (the z = 1 line)."""
     z = 1.0 + 0.0j
-    spec, capped = _contour_spec(z, sigma, tol, step, max_refinements,
-                                 log_weight=True)
-    quad = trapezoid_line(
-        lambda t: integrands.g_log_integrand(z, spec.sigma, t), spec
-    )
-    value = -quad.value / math.pi
-    tail = tail_bound(z, spec.sigma, spec.half_width, log_weight=True)
-    err = (quad.err_estimate + tail) / math.pi
-    converged = _gate(z, quad, capped, tol, abs(quad.value))
-    spec_used = replace(spec, step=quad.step_used, tol=quad.tol_effective)
-    return EvalResult(z, value, err, spec_used, converged, quad.evaluations)
+    (total,), (err,), spec_used, converged, evaluations = _line(
+        z, ((integrands.g_log_integrand, True),), sigma, tol, max_refinements)
+    return EvalResult(z, -total / math.pi, err / math.pi, spec_used, converged,
+                      evaluations)
 
 
 def _laplace_tail(z: complex, sigma: float, half_width: float, terms: int) -> complex:
@@ -288,7 +271,7 @@ def _laplace_tail(z: complex, sigma: float, half_width: float, terms: int) -> co
 
 
 def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
-                        max_refinements: int = 12, tail_terms: int = 12) -> EvalResult:
+                        max_refinements: int = 12) -> EvalResult:
     """Classical half-plane form 1/Gamma(z) = (1/2pi) int w^{-z} e^w dt.
 
     Valid only for Re(z) > 0 — the representation itself, not an engine
@@ -317,16 +300,17 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     if not (0.0 < sigma <= 8.0):
         raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
 
-    half_width = max(40.0, 2.5 * (abs(z) + tail_terms))
-    tail = _laplace_tail(z, sigma, half_width, tail_terms)
+    half_width = max(40.0, 2.5 * (abs(z) + _LAPLACE_TAIL_TERMS))
+    tail = _laplace_tail(z, sigma, half_width, _LAPLACE_TAIL_TERMS)
     # Remainder after the series: first omitted term, bounded crudely.
     rising = 1.0
-    for j in range(tail_terms):
+    for j in range(_LAPLACE_TAIL_TERMS):
         rising *= abs(z) + j
     remainder = (
         2.0 * rising
         * math.exp(sigma + 0.5 * math.pi * abs(z.imag))
-        * (sigma * sigma + half_width * half_width) ** (-0.5 * (z.real + tail_terms))
+        * (sigma * sigma + half_width * half_width)
+        ** (-0.5 * (z.real + _LAPLACE_TAIL_TERMS))
     )
 
     # Coarse pass to anchor the relative tolerance in absolute terms.
@@ -348,9 +332,7 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     two_pi = 2.0 * math.pi
     value = (quad.value + tail) / two_pi
     err = (quad.err_estimate + remainder) / two_pi
-    converged = quad.converged and quad.tol_effective <= max(
-        tol_abs, _ABS_PROMISE, _REL_PROMISE * abs(quad.value + tail)
-    )
+    converged = _gate(quad, False, tol_abs, abs(quad.value + tail))
     spec_used = replace(spec, step=quad.step_used, tol=quad.tol_effective)
     return EvalResult(z, value, err, spec_used, converged,
                       quad.evaluations + coarse_t.size)

@@ -108,9 +108,7 @@ class QuadratureResult:
 
     ``step_used`` and ``tol_effective`` record the step after refinement and
     the tolerance actually enforced (the requested one, raised to the
-    cancellation floor when roundoff dominates); ``node_peak`` is the largest
-    integrand magnitude seen on the final grid, the raw ingredient of the
-    cancellation estimate.
+    cancellation floor ``16*eps*int|f|`` when roundoff dominates).
     """
 
     value: complex
@@ -119,7 +117,6 @@ class QuadratureResult:
     converged: bool
     step_used: float
     tol_effective: float
-    node_peak: float
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,6 @@ def _trapezoid_joint(
     rows: list[list[complex]] = [[] for _ in range(count)]
     diffs = [math.inf] * count
     floors = [0.0] * count
-    peaks = [0.0] * count
     tol_eff = [spec.tol] * count
     step = grid.step
     nodes = grid.origin + np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * step
@@ -309,7 +305,6 @@ def _trapezoid_joint(
                 diffs[i] = abs(total - sums[i])
             sums[i] = total
             magnitudes = np.abs(values[i])
-            peaks[i] = float(magnitudes.max())
             magnitudes[0] *= 0.5
             magnitudes[-1] *= 0.5
             floors[i] = _CANCEL_FLOOR * _EPS * (step * float(np.sum(magnitudes)))
@@ -331,7 +326,6 @@ def _trapezoid_joint(
                 converged=ok,
                 step_used=step,
                 tol_effective=tol_eff[i],
-                node_peak=peaks[i],
             )
         )
     return results
@@ -425,12 +419,14 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
         raise DomainError(
             f"ray through the origin requires Re(y) <= 0 for integrability, got y={y!r}"
         )
-    radial = _ray_radial(y, big_r, spec)
-    if path is SegmentPath.RAY_CD:
-        phase = cmath.exp(-0.5j * math.pi * y)
-    else:
-        phase = cmath.exp(0.5j * math.pi * y)
-    return -1j * phase * radial.value, radial.converged
+    return _ray_value(y, path, _ray_radial(y, big_r, spec))
+
+
+def _ray_value(y: complex, path: SegmentPath,
+               radial: QuadratureResult) -> tuple[complex, bool]:
+    """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J."""
+    half_turn = -0.5j if path is SegmentPath.RAY_CD else 0.5j
+    return -1j * cmath.exp(half_turn * math.pi * y) * radial.value, radial.converged
 
 
 def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
@@ -455,16 +451,22 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
 
     The integrand is entire for Re(y) <= 0 (the origin is regular or an
     integrable singularity on the rays), so the exact loop sum is zero and
-    the reported ``loop_sum`` measures accumulated quadrature error.
+    the reported ``loop_sum`` measures accumulated quadrature error.  Both
+    rays share one radial integral J(y, R), computed once.
     """
     y = complex(y)
     if y.real > 0.0:
         raise DomainError(
             f"contour_loop requires Re(y) <= 0 (analyticity inside the loop), got y={y!r}"
         )
-    parts = [_segment(y, path, spec) for path in SegmentPath]
-    i_ab, i_bc, i_cd, i_de, i_ea = (value for value, _ in parts)
     big_r = math.hypot(spec.sigma, spec.half_width)
+    parts = [_segment(y, SegmentPath.LINE_AB, spec),
+             _segment(y, SegmentPath.ARC_BC, spec)]
+    radial = _ray_radial(y, big_r, spec)
+    parts += [_ray_value(y, SegmentPath.RAY_CD, radial),
+              _ray_value(y, SegmentPath.RAY_DE, radial),
+              _segment(y, SegmentPath.ARC_EA, spec)]
+    i_ab, i_bc, i_cd, i_de, i_ea = (value for value, _ in parts)
     return ContourLoopReport(
         i_ab=i_ab,
         i_bc=i_bc,

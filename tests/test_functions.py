@@ -1,5 +1,6 @@
 """Public special-function API: worked values, identities, pole behavior."""
 
+import inspect
 import math
 import random
 
@@ -71,6 +72,11 @@ class TestG:
         with pytest.raises(DomainError):
             G(complex("inf"))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError):
+            G(1, tol=tol)
+
     @given(reasonable_z)
     @example(-1 + 0j)
     @settings(max_examples=40, deadline=None)
@@ -99,6 +105,9 @@ class TestG:
         # degrading.
         res = G(0.5 + 40j)
         assert not res.converged
+
+    def test_refinement_exhausted_is_unconverged(self):
+        assert G(0.5 + 3j, max_refinements=1).converged is False
 
 
 class TestGTilde:
@@ -266,6 +275,14 @@ class TestLaplaceRecipGamma:
             if z in self.DESIGN:
                 assert res.converged and err <= 1e-9 * abs(want), z
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
+        {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": 8.5},
+    ])
+    def test_rejects_bad_tol_and_sigma(self, kwargs):
+        with pytest.raises(DomainError):
+            laplace_recip_gamma(1.5, **kwargs)
+
     def test_rejects_left_half_plane(self):
         with pytest.raises(DomainError):
             laplace_recip_gamma(0)
@@ -329,3 +346,48 @@ class TestContourErrEstimate:
             misses += err > res.err_estimate
         assert converged >= 390
         assert misses <= 0.01 * converged
+
+
+class TestHighImaginaryVerdict:
+    """Above |Im z| = 30 the flag follows the same rule as everywhere else.
+
+    Converged means the roundoff floor sits inside the accuracy promise;
+    it is not withheld for the size of Im z alone.
+    """
+
+    def _exact(self, mpmath, fn, z):
+        with mpmath.workdps(30):
+            return complex(fn(mpmath.mpc(z.real, z.imag)))
+
+    @pytest.mark.parametrize("name, z", [
+        ("digamma", 7 - 40j),
+        ("gamma", 9.473117389423265 + 47.84051029763282j),
+    ])
+    def test_accurate_points_converge(self, name, z):
+        mpmath = pytest.importorskip("mpmath")
+        fn, exact = {"digamma": (digamma, mpmath.digamma),
+                     "gamma": (gamma, mpmath.gamma)}[name]
+        res = fn(z)
+        assert res.converged
+        assert abs(res.value - self._exact(mpmath, exact, z)) <= res.err_estimate
+
+    def test_roundoff_floor_still_flags(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = 0.5 + 40j
+        res = recip_gamma(z)
+        want = self._exact(mpmath, mpmath.rgamma, z)
+        assert not res.converged
+        assert abs(res.value - want) > 1e-9 * abs(want)
+
+
+def test_public_keyword_surface():
+    """The options the public functions take; adding one is a visible change."""
+    surface = {
+        G: ["z", "sigma", "tol", "max_refinements"],
+        digamma: ["z", "sigma", "tol", "max_refinements"],
+        euler_mascheroni: ["sigma", "tol", "max_refinements"],
+        gamma: ["z", "kwargs"],
+        laplace_recip_gamma: ["z", "sigma", "tol", "max_refinements"],
+    }
+    for fn, names in surface.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
