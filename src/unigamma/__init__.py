@@ -13,6 +13,8 @@ Public surface:
 - :func:`G`, :func:`g_tilde` — the line integral itself (two parametrizations).
 - :func:`recip_gamma`, :func:`gamma`, :func:`gamma_sin_pi`,
   :func:`digamma`, :func:`euler_mascheroni` — derived functions.
+- :func:`evaluate_many` — one of the line functions at many points, with
+  their kernel calls shared.
 - :func:`laplace_recip_gamma` — an independent Hankel-style cross-check,
   valid only for ``Re z > 0``.
 - :mod:`unigamma.quadrature` — the trapezoid engine, truncation logic and
@@ -35,6 +37,7 @@ from .functions import (
     default_sigma,
     digamma,
     euler_mascheroni,
+    evaluate_many,
     g_tilde,
     gamma,
     gamma_sin_pi,
@@ -102,6 +105,7 @@ __all__ = [
     "EvalResult",
     "POLE_TOL",
     "default_sigma",
+    "evaluate_many",
     "G",
     "g_tilde",
     "recip_gamma",

@@ -186,13 +186,12 @@ def _magnitude(z: complex) -> float:
     return math.nan if cmath.isnan(z) else abs(z)
 
 
-def _grid_row(function: str, z: complex, kwargs: dict) -> tuple[str, bool]:
+def _grid_row(function: str, z: complex, outcome) -> tuple[str, bool]:
     nan = float("nan")
-    try:
-        res = _FUNCTIONS[function](z, **kwargs)
-        value, err, converged = res.value, res.err_estimate, res.converged
-    except UnigammaError:
+    if isinstance(outcome, UnigammaError):
         value, err, converged = complex(nan, nan), nan, False
+    else:
+        value, err, converged = outcome.value, outcome.err_estimate, outcome.converged
     try:
         ref = _grid_oracle(function, z)
     except ArithmeticError:
@@ -230,8 +229,9 @@ def _cmd_grid(args) -> int:
         for im in _axis(req.im_min, req.im_max, req.im_steps)
         for re in _axis(req.re_min, req.re_max, req.re_steps)
     ]
-    kwargs = _engine_kwargs(args)
-    rows = [_grid_row(req.function, z, kwargs) for z in points]
+    outcomes = functions.evaluate_many(req.function, points, **_engine_kwargs(args))
+    rows = [_grid_row(req.function, z, outcome)
+            for z, outcome in zip(points, outcomes)]
     text = "\n".join([_CSV_HEADER] + [row for row, _ in rows]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:

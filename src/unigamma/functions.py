@@ -5,7 +5,9 @@ with quadrature diagnostics: the ContourSpec actually used after refinement (sig
 half-width T, step h, effective tolerance), an error estimate combining the
 Richardson difference with the analytic truncation tail, and a ``converged``
 flag.  Every line integral of G, digamma and Euler's constant goes through
-one helper, ``_line``, and every ``converged`` flag comes from one rule,
+one helper, ``_lines``, which refines many points together (the public
+functions are its one-point case, ``evaluate_many`` its many-point one),
+and every ``converged`` flag comes from one rule,
 ``_gate``: the flag is true only when the truncation was not capped, the
 refinement met its (possibly roundoff-floored) tolerance, *and* that
 tolerance is small enough to honor the documented accuracy box (1e-9
@@ -19,17 +21,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import integrands
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, UnigammaError
 from .quadrature import (
     ContourSpec,
     QuadratureResult,
     select_truncation,
     tail_bound,
     trapezoid_line,  # unused here; bench/spans.py patches this attribute
+    _only,
     _trapezoid_joint,
 )
 
@@ -37,6 +41,7 @@ __all__ = [
     "EvalResult",
     "POLE_TOL",
     "default_sigma",
+    "evaluate_many",
     "G",
     "g_tilde",
     "recip_gamma",
@@ -119,64 +124,102 @@ def _gate(quad: QuadratureResult, capped: bool, tol: float,
                                           _REL_PROMISE * magnitude))
 
 
-def _line(z: complex, kernels, sigma, tol: float, max_refinements: int
-          ) -> tuple[list[complex], list[float], ContourSpec, bool, int]:
-    """Integrate each ``(kernel, log_weight)`` pair along the G line at z.
+class _Line(NamedTuple):
+    """The line integrals of one point, as ``_lines`` returns them."""
 
-    The kernels share one spec (truncation sized for the heaviest tail, step
-    min(0.25, 1/(1+|Im z|))) and one node set.  Returns each integral's
-    value, its error estimate with the analytic tail added, the spec used,
-    the joint ``_gate`` verdict and the kernel evaluation count.
+    values: list[complex]
+    errs: list[float]
+    spec: ContourSpec
+    converged: bool
+    evaluations: int
+
+
+def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
+               max_refinements: int) -> tuple[ContourSpec, bool]:
+    """The spec of the G line at z and whether its truncation was capped.
+
+    Truncation is sized for the heaviest tail; the step is
+    min(0.25, 1/(1+|Im z|)).
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     sig = default_sigma(z) if sigma is None else float(sigma)
-    trunc = select_truncation(z, sig, _TAIL_SHARE * tol,
-                              log_weight=any(lw for _, lw in kernels))
+    trunc = select_truncation(z, sig, _TAIL_SHARE * tol, log_weight=log_weight)
     spec = ContourSpec(
         sigma=sig,
         half_width=trunc.half_width,
         step=min(0.25, 1.0 / (1.0 + abs(z.imag))),
         tol=(1.0 - _TAIL_SHARE) * tol,
-        max_refinements=int(max_refinements),
+        max_refinements=max_refinements,
     )
-    quads = _trapezoid_joint(
-        [lambda t, kernel=kernel: kernel(z, sig, t) for kernel, _ in kernels], spec
-    )
-    errs = [quad.err_estimate + tail_bound(z, sig, spec.half_width, log_weight=lw)
-            for quad, (_, lw) in zip(quads, kernels)]
-    converged = all(_gate(quad, trunc.capped, spec.tol, abs(quad.value))
-                    for quad in quads)
-    spec_used = replace(spec, step=quads[0].step_used,
-                        tol=max(quad.tol_effective for quad in quads))
-    return ([quad.value for quad in quads], errs, spec_used, converged,
-            sum(quad.evaluations for quad in quads))
+    return spec, trunc.capped
 
 
-def G(z, *, sigma=None, tol: float = 1e-12,
-      max_refinements: int = 12) -> EvalResult:
-    """The unifying line integral: G(z) = int w^{1-2z} e^{w^2} dt, w = sigma+it.
+def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
+    """Integrate each ``(kernel name, log_weight)`` along the G line at each point.
 
-    Defined for every finite z with no case split; equals pi/Gamma(z).
+    ``points`` are the line's z values, or the UnigammaError a point has
+    already met, which is passed through.  The kernels of a point share
+    one spec and one node set; the points share ``_trapezoid_joint``'s kernel calls.
+    Returns per point a ``_Line``: each integral's value, its error
+    estimate with the analytic tail added, the spec used, the joint
+    ``_gate`` verdict and the kernel evaluation count.  A point that fails
+    gets its UnigammaError instead.
     """
-    z = _check_point(z)
-    (value,), (err,), spec_used, converged, evaluations = _line(
-        z, ((integrands.g_integrand, False),), sigma, tol, max_refinements)
-    return EvalResult(z, value, err, spec_used, converged, evaluations)
+    # Looked up on every call, where a tracer may have wrapped them.
+    fns = [getattr(integrands, name) for name, _ in kernels]
+    log_weight = any(lw for _, lw in kernels)
+    outcomes: list = list(points)
+    todo, zs, specs, capped = [], [], [], []
+    for index, z in enumerate(points):
+        if isinstance(z, UnigammaError):
+            continue
+        try:
+            spec, cap = _line_spec(z, log_weight, sigma, tol, max_refinements)
+        except UnigammaError as exc:
+            outcomes[index] = exc
+            continue
+        todo.append(index)
+        zs.append(z)
+        specs.append(spec)
+        capped.append(cap)
+    # ``rows`` is one point's index, or per-node indices for many points;
+    # lists hand a lone point its scalars without numpy scalar boxing.
+    z_of, sigma_of = zs, [spec.sigma for spec in specs]
+    if len(zs) > 1:
+        z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
+    quads_of = _trapezoid_joint(
+        [lambda t, rows, fn=fn: fn(z_of[rows], sigma_of[rows], t) for fn in fns],
+        specs)
+    for index, z, spec, cap, quads in zip(todo, zs, specs, capped, quads_of):
+        if isinstance(quads, UnigammaError):
+            outcomes[index] = quads
+            continue
+        errs = [quad.err_estimate + tail_bound(z, spec.sigma, spec.half_width,
+                                               log_weight=lw)
+                for quad, (_, lw) in zip(quads, kernels)]
+        converged = all(_gate(quad, cap, spec.tol, abs(quad.value))
+                        for quad in quads)
+        spec_used = replace(spec, step=quads[0].step_used,
+                            tol=max(quad.tol_effective for quad in quads))
+        outcomes[index] = _Line([quad.value for quad in quads], errs, spec_used,
+                                converged, sum(quad.evaluations for quad in quads))
+    return outcomes
 
 
-def g_tilde(y, **kwargs) -> EvalResult:
-    """Reparametrized line integral: g_tilde(y) = G((y+1)/2) = int w^{-y} e^{w^2} dt."""
-    y = _check_point(y)
-    res = G((y + 1.0) / 2.0, **kwargs)
-    return replace(res, z=y)
+_G_LINE = (("g_integrand", False),)
+_DIGAMMA_LINE = (("g_log_integrand", True), ("g_integrand", False))
 
 
-def recip_gamma(z, **kwargs) -> EvalResult:
-    """1/Gamma(z) = G(z)/pi — entire, zero (not singular) at 0, -1, -2, ..."""
-    res = G(z, **kwargs)
-    return replace(res, value=res.value / math.pi,
-                   err_estimate=res.err_estimate / math.pi)
+def _g_result(z: complex, line: _Line) -> EvalResult:
+    (value,), (err,) = line.values, line.errs
+    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+
+
+def _recip_gamma_result(z: complex, line: _Line) -> EvalResult:
+    (value,), (err,) = line.values, line.errs
+    return EvalResult(z, value / math.pi, err / math.pi, line.spec,
+                      line.converged, line.evaluations)
 
 
 def _nearest_pole(z: complex) -> int:
@@ -204,20 +247,105 @@ def _pole_guard(name: str, z: complex, mag: float, err: float) -> None:
         )
 
 
+def _gamma_result(z: complex, line: _Line) -> EvalResult:
+    (value,), (err,) = line.values, line.errs
+    mag = abs(value)
+    _pole_guard("gamma", z, mag, err)
+    return EvalResult(z, math.pi / value, math.pi * err / (mag * mag),
+                      line.spec, line.converged, line.evaluations)
+
+
+def _digamma_result(z: complex, line: _Line) -> EvalResult:
+    (num, den), (err_num, err_den) = line.values, line.errs
+    den_mag = abs(den)
+    _pole_guard("digamma", z, den_mag, err_den)
+    value = num / den
+    err = (err_num + abs(value) * err_den) / den_mag
+    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+
+
+# name: (the point of the G line for input z, its kernels, the result).
+_ENGINE = {
+    "G": (lambda z: z, _G_LINE, _g_result),
+    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result),
+    "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result),
+    "gamma": (lambda z: z, _G_LINE, _gamma_result),
+    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result),
+    "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result),
+}
+
+
+def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
+                  max_refinements: int = 12) -> list:
+    """One public function at many points, their kernel calls shared.
+
+    ``function`` names one of G, g_tilde, recip_gamma, gamma, gamma_sin_pi
+    and digamma; the options are theirs.  Returns, in input order, the
+    EvalResult of each point or the UnigammaError its one-point call
+    raises; a failing point does not stop the others.  The one-point
+    functions are this call on one point.  Points are refined together, in
+    chunks, one kernel call per halving level; values on more than one
+    point may differ in the last bits from the one-point values (see
+    ``integrands``) and stay within ``err_estimate`` of them.
+    """
+    if function not in _ENGINE:
+        raise DomainError(
+            f"function must be one of {', '.join(_ENGINE)}; got {function!r}")
+    line_point, kernels, result = _ENGINE[function]
+    checked = []
+    for z in zs:
+        try:
+            checked.append(_check_point(z))
+        except DomainError as exc:
+            checked.append(exc)
+    lines = _lines([z if isinstance(z, UnigammaError) else line_point(z)
+                    for z in checked],
+                   kernels, sigma, tol, int(max_refinements))
+    outcomes = []
+    for z, line in zip(checked, lines):
+        if not isinstance(line, UnigammaError):
+            try:
+                line = result(z, line)
+            except UnigammaError as exc:
+                line = exc
+        outcomes.append(line)
+    return outcomes
+
+
+def _one(function: str, z, **options) -> EvalResult:
+    (outcome,) = evaluate_many(function, (z,), **options)
+    if isinstance(outcome, UnigammaError):
+        raise outcome
+    return outcome
+
+
+def G(z, *, sigma=None, tol: float = 1e-12,
+      max_refinements: int = 12) -> EvalResult:
+    """The unifying line integral: G(z) = int w^{1-2z} e^{w^2} dt, w = sigma+it.
+
+    Defined for every finite z with no case split; equals pi/Gamma(z).
+    """
+    return _one("G", z, sigma=sigma, tol=tol, max_refinements=max_refinements)
+
+
+def g_tilde(y, **kwargs) -> EvalResult:
+    """Reparametrized line integral: g_tilde(y) = G((y+1)/2) = int w^{-y} e^{w^2} dt."""
+    return _one("g_tilde", y, **kwargs)
+
+
+def recip_gamma(z, **kwargs) -> EvalResult:
+    """1/Gamma(z) = G(z)/pi — entire, zero (not singular) at 0, -1, -2, ..."""
+    return _one("recip_gamma", z, **kwargs)
+
+
 def gamma(z, **kwargs) -> EvalResult:
     """Gamma(z) = pi/G(z); raises PoleError where G(z) cannot be told from 0."""
-    res = G(z, **kwargs)
-    mag = abs(res.value)
-    _pole_guard("gamma", res.z, mag, res.err_estimate)
-    return replace(res, value=math.pi / res.value,
-                   err_estimate=math.pi * res.err_estimate / (mag * mag))
+    return _one("gamma", z, **kwargs)
 
 
 def gamma_sin_pi(z, **kwargs) -> EvalResult:
     """Gamma(z) sin(pi z) = G(1-z) — entire; finite at every pole of Gamma."""
-    z = _check_point(z)
-    res = G(1.0 - z, **kwargs)
-    return replace(res, z=z)
+    return _one("gamma_sin_pi", z, **kwargs)
 
 
 def digamma(z, *, sigma=None, tol: float = 1e-12,
@@ -228,25 +356,21 @@ def digamma(z, *, sigma=None, tol: float = 1e-12,
     numerator and denominator use the same ContourSpec so their node sets
     coincide and common quadrature error partially cancels in the ratio.
     """
-    z = _check_point(z)
-    (num, den), (err_num, err_den), spec_used, converged, evaluations = _line(
-        z, ((integrands.g_log_integrand, True), (integrands.g_integrand, False)),
-        sigma, tol, max_refinements)
-    den_mag = abs(den)
-    _pole_guard("digamma", z, den_mag, err_den)
-    value = num / den
-    err = (err_num + abs(value) * err_den) / den_mag
-    return EvalResult(z, value, err, spec_used, converged, evaluations)
+    return _one("digamma", z, sigma=sigma, tol=tol,
+                max_refinements=max_refinements)
 
 
 def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
                      max_refinements: int = 12) -> EvalResult:
     """gamma = -(1/pi) int w^{-1} e^{w^2} (2 Log w) dt  (the z = 1 line)."""
     z = 1.0 + 0.0j
-    (total,), (err,), spec_used, converged, evaluations = _line(
-        z, ((integrands.g_log_integrand, True),), sigma, tol, max_refinements)
-    return EvalResult(z, -total / math.pi, err / math.pi, spec_used, converged,
-                      evaluations)
+    (line,) = _lines([z], (("g_log_integrand", True),), sigma, tol,
+                     int(max_refinements))
+    if isinstance(line, UnigammaError):
+        raise line
+    (total,), (err,) = line.values, line.errs
+    return EvalResult(z, -total / math.pi, err / math.pi, line.spec,
+                      line.converged, line.evaluations)
 
 
 def _laplace_tail(z: complex, sigma: float, half_width: float, terms: int) -> complex:
@@ -286,7 +410,8 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     what plain halving needed millions for.  ``err_estimate`` is the
     difference of the last two Romberg diagonals, floored at
     16 * eps * int |f| like every other line integral, plus the tail-series
-    remainder.
+    remainder; ``converged`` requires that sum to stay within
+    ``tol * |value|``.
     """
     z = _check_point(z)
     if z.real <= 0.0:
@@ -326,13 +451,16 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
 
     spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0,
                        tol=tol_abs, max_refinements=int(max_refinements))
-    quad = _trapezoid_joint(
-        (lambda t: integrands.laplace_integrand(z, sigma, t),), spec, romberg=True
-    )[0]
+    quad = _only(_trapezoid_joint(
+        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [spec], romberg=True
+    ))[0]
     two_pi = 2.0 * math.pi
     value = (quad.value + tail) / two_pi
     err = (quad.err_estimate + remainder) / two_pi
-    converged = _gate(quad, False, tol_abs, abs(quad.value + tail))
+    # The gate sees the quadrature only; the tail-series remainder must fit
+    # the requested relative tolerance as well.
+    converged = (_gate(quad, False, tol_abs, abs(quad.value + tail))
+                 and err <= tol * abs(value))
     spec_used = replace(spec, step=quad.step_used, tol=quad.tol_effective)
     return EvalResult(z, value, err, spec_used, converged,
                       quad.evaluations + coarse_t.size)

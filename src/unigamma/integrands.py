@@ -17,7 +17,15 @@ that the quadrature driver applies to both its convergence gate and
 four contour functions never exceeded that estimate.
 
 All kernels are pure, stateless, and accept ``t`` as a scalar or ndarray;
-scalars come back as built-in ``complex``.
+scalars come back as built-in ``complex``.  ``g_integrand`` and
+``g_log_integrand`` also take ``z`` and ``sigma`` as arrays broadcast
+against ``t``, so one call can carry the nodes of many points.  Scalar
+arguments keep the scalar arithmetic.  The two layouts give the same bits
+at every node except where numpy rounds a scalar exponent differently from
+an array one: ``np.power`` evaluates a scalar exponent of 0.5, 2 or -1 as
+``sqrt``, ``square`` or ``reciprocal``, an array exponent always as ``pow``
+(``exp``, ``log``, ``cos``, ``sin`` and ``arctan2`` agree bit for bit).  For
+``g_integrand`` those exponents are Re z = 0, -1.5 and 1.5.
 """
 
 from __future__ import annotations
@@ -38,14 +46,32 @@ __all__ = [
 _SIGMA_LIMIT = 26.0
 
 
-def _check_complex(name: str, value) -> complex:
+def _is_array(x) -> bool:
+    # np.ndim of a Python scalar costs microseconds, a visible share of a
+    # kernel call; numpy's scalars subclass float and complex.
+    return not isinstance(x, (float, complex, int)) and np.ndim(x) > 0
+
+
+def _check_complex(name: str, value):
+    if _is_array(value):
+        z = np.asarray(value, dtype=complex)
+        if not np.isfinite(z).all():
+            raise DomainError(f"{name} must be finite")
+        return z
     z = complex(value)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return z
 
 
-def _check_sigma(sigma) -> float:
+def _check_sigma(sigma):
+    if _is_array(sigma):
+        s = np.asarray(sigma, dtype=float)
+        if not (np.isfinite(s) & (s > 0.0)).all():
+            raise DomainError("sigma must be positive finite reals")
+        if (s > _SIGMA_LIMIT).any():
+            raise DomainError("sigma overflows exp(sigma**2) in double precision")
+        return s
     s = float(sigma)
     if not np.isfinite(s) or s <= 0.0:
         raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
@@ -61,17 +87,19 @@ def _check_t(t):
     return arr if arr.ndim else float(arr)
 
 
-def _wpow_parts(cr: float, ci: float, sigma, t):
+def _wpow_parts(cr, ci, sigma, t):
     """Magnitude and phase of w**c, w = sigma + i*t.
 
     The |w|**cr factor leans on the libm ``pow``, whose internal extended
-    precision beats any explicit exp(cr*log) assembly.
+    precision beats any explicit exp(cr*log) assembly.  ``cr`` and ``ci``
+    may be arrays; an array ``ci`` always takes the complex-exponent branch,
+    which is exact for its zero entries.
     """
     u = sigma * sigma + t * t
     theta = np.arctan2(t, sigma)
     mag = np.power(u, 0.5 * cr)
     ph = cr * theta
-    if ci != 0.0:
+    if isinstance(ci, np.ndarray) or ci != 0.0:
         mag = mag * np.exp(-ci * theta)
         ph = ph + 0.5 * ci * np.log(u)
     return mag, ph
@@ -97,14 +125,14 @@ def principal_power(w, a) -> complex:
 
 
 def g_integrand(z, sigma, t):
-    """w**(1-2z) * e^{w^2} with w = sigma + i*t; vectorized over t."""
+    """w**(1-2z) * e^{w^2} with w = sigma + i*t; z, sigma, t broadcast."""
     z = _check_complex("z", z)
     sigma = _check_sigma(sigma)
     t = _check_t(t)
     mag, ph = _wpow_parts(1.0 - 2.0 * z.real, -2.0 * z.imag, sigma, t)
     # e^{w^2}: magnitude e^{sigma^2 - t^2}, phase 2*sigma*t.
     out = _assemble(mag * np.exp(sigma * sigma - t * t), ph + 2.0 * sigma * t)
-    return out if np.ndim(t) else complex(out)
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
 def g_log_integrand(z, sigma, t):
@@ -115,12 +143,12 @@ def g_log_integrand(z, sigma, t):
     principal logarithm is the unambiguous reading.
     """
     base = g_integrand(z, sigma, t)
-    sigma = float(sigma)
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    sigma = np.asarray(sigma, dtype=float) if _is_array(sigma) else float(sigma)
+    t = np.asarray(t, dtype=float) if _is_array(t) else float(t)
     u = sigma * sigma + t * t
     log2w = np.log(u) + 2j * np.arctan2(t, sigma)
     out = base * log2w
-    return out if np.ndim(t) else complex(out)
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
 def laplace_integrand(z, sigma, t):

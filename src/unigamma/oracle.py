@@ -18,8 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
-from .functions import G, g_tilde, gamma_sin_pi, recip_gamma
+from .errors import DomainError, PoleError, UnigammaError
+from .functions import (
+    # G, recip_gamma and gamma_sin_pi are unused here; bench/spans.py
+    # patches these attributes.
+    G,
+    evaluate_many,
+    g_tilde,
+    gamma_sin_pi,
+    recip_gamma,
+)
 from .quadrature import ContourSpec, contour_loop, trapezoid_line
 
 __all__ = [
@@ -209,11 +217,19 @@ class _Worst:
         )
 
 
+def _evaluated(function: str, points: list) -> list:
+    """``evaluate_many`` results; a failed point raises, as its one-point call would."""
+    outcomes = evaluate_many(function, points)
+    for outcome in outcomes:
+        if isinstance(outcome, UnigammaError):
+            raise outcome
+    return outcomes
+
+
 def _check_recip_vs_oracle(grid, rel_tol: float, abs_tol: float) -> OracleReport:
     # Relative where the reciprocal is healthy, absolute in the deep zeros.
     worst = _Worst()
-    for z in grid:
-        res = recip_gamma(z)
+    for z, res in zip(grid, _evaluated("recip_gamma", grid)):
         ref = oracle_recip_gamma(z)
         abs_err = abs(res.value - ref)
         rel_err = abs_err / abs(ref) if abs(ref) > 0.0 else 0.0
@@ -228,12 +244,10 @@ def _check_recip_vs_oracle(grid, rel_tol: float, abs_tol: float) -> OracleReport
 
 def _check_sin_product_vs_oracle(grid, rel_tol: float, abs_tol: float) -> OracleReport:
     worst = _Worst()
-    for z in grid:
-        z = complex(z)
+    # The oracle side is an indeterminate 0 * inf at the poles of Gamma.
+    points = [z for z in map(complex, grid) if not _is_nonpositive_integer(z)]
+    for z, res in zip(points, _evaluated("gamma_sin_pi", points)):
         exact_integer = z.imag == 0.0 and float(z.real).is_integer()
-        if exact_integer and z.real <= 0.0:
-            continue  # oracle side is an indeterminate 0 * inf there
-        res = gamma_sin_pi(z)
         if exact_integer:
             abs_err = abs(res.value)  # sin(pi n) kills the product exactly
             excess = abs_err / abs_tol if res.converged else math.inf
@@ -250,9 +264,9 @@ def _check_sin_product_vs_oracle(grid, rel_tol: float, abs_tol: float) -> Oracle
 def _check_reflection(grid, rel_tol: float) -> OracleReport:
     # G(z) G(1-z) = pi sin(pi z), residual scaled by 1 + |pi sin(pi z)|.
     worst = _Worst()
-    for z in grid:
-        a = G(z)
-        b = G(1.0 - z)
+    points = [complex(z) for z in grid]
+    values = _evaluated("G", points + [1.0 - z for z in points])
+    for z, a, b in zip(points, values, values[len(points):]):
         rhs = math.pi * cmath.sin(math.pi * complex(z))
         abs_err = abs(a.value * b.value - rhs)
         scaled = abs_err / (1.0 + abs(rhs))

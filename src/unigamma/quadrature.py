@@ -9,9 +9,11 @@ successive halvings is an honest (if slightly conservative) error estimate.
 
 One driver, ``_trapezoid_joint``, does every halving: the line, the two
 rays and the two arcs of the closed contour, and the Laplace cross-check.
-Its levels are nested -- nodes are ``origin + k*h`` over integer k, so
-halving keeps every old node at an even k and evaluates only the odd k --
-and ``evaluations`` counts each node once.  The Laplace integrand is cut
+It takes many points at once and refines them in chunks, one kernel call
+per halving level for the whole chunk; the rays, arcs and Laplace are
+one-point calls.  Its levels are nested -- nodes are ``origin + k*h`` over
+integer k, so halving keeps every old node at an even k and evaluates only
+the odd k -- and ``evaluations`` counts each node once.  The Laplace integrand is cut
 off at +-T where it has not decayed, so its Euler-Maclaurin endpoint
 terms hold plain halving to O(h^2); that path extrapolates the level sums
 with a Romberg table instead, which removes h^2, h^4, ... in turn.  The
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 from math import fsum
@@ -215,14 +218,17 @@ def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False) 
     return Truncation(half_width, False)
 
 
+def _fsum_ends_halved(part: np.ndarray) -> float:
+    # One list of Python floats at a time: a million nodes cost 32 MB each.
+    terms = part.tolist()
+    terms[0] *= 0.5
+    terms[-1] *= 0.5
+    return fsum(terms)
+
+
 def _fsum_trapezoid(values: np.ndarray, step: float) -> complex:
-    re = values.real.copy()
-    im = values.imag.copy()
-    re[0] *= 0.5
-    re[-1] *= 0.5
-    im[0] *= 0.5
-    im[-1] *= 0.5
-    return complex(step * fsum(re.tolist()), step * fsum(im.tolist()))
+    return complex(step * _fsum_ends_halved(values.real),
+                   step * _fsum_ends_halved(values.imag))
 
 
 class _Grid(NamedTuple):
@@ -234,6 +240,13 @@ class _Grid(NamedTuple):
     step: float
 
 
+def _line_grid(spec: ContourSpec) -> _Grid:
+    # Symmetric integer k about origin 0 make t and -t exact negatives, so
+    # conjugate symmetry survives bit-for-bit.
+    n = max(2, math.ceil(spec.half_width / spec.step))
+    return _Grid(0.0, -n, n, spec.half_width / n)
+
+
 def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
     """Next row of the Romberg table: eliminate h^2, h^4, ... in turn."""
     row = [trapezoid]
@@ -242,98 +255,196 @@ def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
     return row
 
 
-def _trapezoid_joint(
-    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    spec: ContourSpec,
-    *,
-    grid: _Grid | None = None,
-    romberg: bool = False,
-) -> list[QuadratureResult]:
-    """Trapezoid-with-halving on several integrands over shared nodes.
+# Level-0 nodes one chunk of points may hold.  A chunk's kernel calls and
+# the node values it keeps grow with this budget; each halving level costs
+# one call per integrand whatever the number of points in the chunk.
+_CHUNK_NODES = 4096
 
-    All integrands see identical node sets each level and the refinement
-    stops only when every one of them meets its effective tolerance; sharing
-    nodes lets ratio-type consumers (digamma) cancel common error.  The
-    levels are nested: after the first, only the new odd-k nodes are
-    evaluated and interleaved with the kept values, so every node costs
-    one kernel evaluation however many halvings follow.  ``grid`` defaults
-    to the symmetric line [-T, T] of ``spec``.  ``romberg`` replaces each
-    level's trapezoid sum by the diagonal of a Romberg table, for
-    integrands whose interval ends carry Euler-Maclaurin terms in h^2.
-    """
-    if grid is None:
-        # Symmetric integer k about origin 0 make t and -t exact negatives,
-        # so conjugate symmetry survives bit-for-bit.
-        n = max(2, math.ceil(spec.half_width / spec.step))
-        grid = _Grid(0.0, -n, n, spec.half_width / n)
-    count = len(fs)
-    values: list[np.ndarray] = []
-    sums = [0j] * count
-    rows: list[list[complex]] = [[] for _ in range(count)]
-    diffs = [math.inf] * count
-    floors = [0.0] * count
-    tol_eff = [spec.tol] * count
-    step = grid.step
-    nodes = grid.origin + np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * step
 
-    for level in range(spec.max_refinements + 1):
-        if level:
-            step *= 0.5
-            k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
-            nodes = grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * step
-        for i, f in enumerate(fs):
-            new = np.asarray(f(nodes), dtype=complex)
-            finite = np.isfinite(new.real) & np.isfinite(new.imag)
+def _chunks(grids: Sequence[_Grid]):
+    """Consecutive runs of points within the level-0 node budget, one point at least."""
+    start = budget = 0
+    for index, grid in enumerate(grids):
+        size = grid.k_hi - grid.k_lo + 1
+        if index > start and budget + size > _CHUNK_NODES:
+            yield range(start, index)
+            start, budget = index, 0
+        budget += size
+    if start < len(grids):
+        yield range(start, len(grids))
+
+
+class _Point:
+    """Refinement state of one point: kept node values and sums per integrand."""
+
+    __slots__ = ("spec", "grid", "step", "values", "sums", "rows", "diffs",
+                 "floors", "tol_eff")
+
+    def __init__(self, spec: ContourSpec, grid: _Grid, count: int):
+        self.spec = spec
+        self.grid = grid
+        self.step = grid.step
+        self.values: list = [None] * count
+        self.sums = [0j] * count
+        self.rows: list[list[complex]] = [[] for _ in range(count)]
+        self.diffs = [math.inf] * count
+        self.floors = [0.0] * count
+        self.tol_eff = [spec.tol] * count
+
+    def next_nodes(self, level: int) -> np.ndarray:
+        """Halve the step for ``level`` and return the nodes it adds.
+
+        Level 0 is the whole grid; each later level adds the odd k.
+        """
+        grid = self.grid
+        if not level:
+            return grid.origin + np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * self.step
+        self.step *= 0.5
+        k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
+        return grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * self.step
+
+    def advance(self, nodes: np.ndarray, news, level: int, romberg: bool):
+        """Take the integrands' values at ``nodes``; the outcome once the point stops.
+
+        The outcome is one QuadratureResult per integrand, or the
+        QuadratureNodeError of the first non-finite value; None while the
+        point goes on refining.
+        """
+        for new in news:
+            finite = np.isfinite(new)
             if not finite.all():
                 bad = float(nodes[np.argmin(finite)])
-                raise QuadratureNodeError(
+                return QuadratureNodeError(
                     f"integrand returned a non-finite value at node t={bad!r}",
-                    node=bad,
-                )
+                    node=bad)
+        step = self.step
+        for i, new in enumerate(news):
             if level:
                 merged = np.empty(2 * new.size + 1, dtype=complex)
-                merged[0::2] = values[i]
+                merged[0::2] = self.values[i]
                 merged[1::2] = new
-                values[i] = merged
+                self.values[i] = merged
             else:
-                values.append(new)
-            total = _fsum_trapezoid(values[i], step)
+                self.values[i] = new
+            values = self.values[i]
+            total = _fsum_trapezoid(values, step)
             if romberg:
-                rows[i] = _romberg_row(rows[i], total)
-                total = rows[i][-1]
+                self.rows[i] = _romberg_row(self.rows[i], total)
+                total = self.rows[i][-1]
             if level:
-                diffs[i] = abs(total - sums[i])
-            sums[i] = total
-            magnitudes = np.abs(values[i])
+                self.diffs[i] = abs(total - self.sums[i])
+            self.sums[i] = total
+            magnitudes = np.abs(values)
             magnitudes[0] *= 0.5
             magnitudes[-1] *= 0.5
-            floors[i] = _CANCEL_FLOOR * _EPS * (step * float(np.sum(magnitudes)))
-        if level:
-            tol_eff = [max(spec.tol, floor) for floor in floors]
-            if all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff)):
-                break
-
-    evaluations = values[0].size
-    results = []
-    for i in range(count):
-        err = max(diffs[i], floors[i])
-        ok = diffs[i] <= _RICHARDSON_MARGIN * tol_eff[i]
-        results.append(
+            self.floors[i] = _CANCEL_FLOOR * _EPS * (step * float(np.add.reduce(magnitudes)))
+        if not level:
+            return None
+        spec = self.spec
+        self.tol_eff = [max(spec.tol, floor) for floor in self.floors]
+        done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(self.diffs, self.tol_eff))
+        if not done and level < spec.max_refinements:
+            return None
+        evaluations = self.values[0].size
+        return [
             QuadratureResult(
-                value=sums[i],
-                err_estimate=err,
+                value=total,
+                err_estimate=max(diff, floor),
                 evaluations=evaluations,
-                converged=ok,
+                converged=diff <= _RICHARDSON_MARGIN * tol_eff,
                 step_used=step,
-                tol_effective=tol_eff[i],
+                tol_effective=tol_eff,
             )
-        )
-    return results
+            for total, diff, floor, tol_eff in zip(
+                self.sums, self.diffs, self.floors, self.tol_eff)
+        ]
+
+
+def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list) -> None:
+    """Halve the step of every point of ``chunk`` until each one stops."""
+    if len(chunk) == 1:
+        # One point: its scalars go to the kernel, and none of the
+        # many-point bookkeeping, which costs about 5% of a small integral.
+        (p,) = chunk
+        point, level, outcome = _Point(specs[p], grids[p], len(fs)), 0, None
+        while outcome is None:
+            nodes = point.next_nodes(level)
+            news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
+            outcome = point.advance(nodes, news, level, romberg)
+            level += 1
+        outcomes[p] = outcome
+        return
+    points = {p: _Point(specs[p], grids[p], len(fs)) for p in chunk}
+    level = 0
+    while points:
+        active = list(points)
+        nodes = [points[p].next_nodes(level) for p in active]
+        sizes = [block.size for block in nodes]
+        t, rows = np.concatenate(nodes), np.repeat(active, sizes)
+        news = [np.asarray(f(t, rows), dtype=complex) for f in fs]
+        cuts = list(itertools.accumulate(sizes[:-1]))
+        parts = zip(*(np.split(new, cuts) for new in news))
+        for p, block, part in zip(active, nodes, parts):
+            outcome = points[p].advance(block, part, level, romberg)
+            if outcome is not None:
+                outcomes[p] = outcome
+                del points[p]
+        level += 1
+
+
+def _trapezoid_joint(
+    fs: Sequence[Callable],
+    specs: Sequence[ContourSpec],
+    *,
+    grids: Sequence[_Grid] | None = None,
+    romberg: bool = False,
+) -> list:
+    """Trapezoid-with-halving on several integrands at many points.
+
+    Point p integrates over ``grids[p]`` (default: the symmetric line
+    [-T, T] of ``specs[p]``) to ``specs[p].tol``.  Every integrand of a
+    point sees the same nodes each level, and the point stops only when
+    all of them meet their effective tolerance; sharing nodes lets
+    ratio-type consumers (digamma) cancel common error.  The levels are
+    nested: after the first, only the new odd-k nodes are evaluated and
+    interleaved with the kept values, so every node costs one kernel
+    evaluation however many halvings follow.  ``romberg`` replaces each
+    level's trapezoid sum by the diagonal of a Romberg table, for
+    integrands whose interval ends carry Euler-Maclaurin terms in h^2.
+
+    Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
+    nodes.  Each level calls each integrand once as ``f(t, rows)`` on the
+    new nodes of the chunk's points still refining, concatenated in point
+    order: ``rows`` is the point's index in a chunk of one point, else an
+    array naming the point of every node.  Each point keeps its own nodes,
+    ``fsum`` sums, roundoff floor and Richardson stop, so its result does
+    not depend on its chunk-mates beyond the bits of the kernel layout.
+
+    Returns, per point, one QuadratureResult per integrand, or the
+    QuadratureNodeError of its first non-finite node (its chunk-mates go
+    on).  Floating-point warnings are silenced: a non-finite node is
+    reported that way instead.
+    """
+    if grids is None:
+        grids = [_line_grid(spec) for spec in specs]
+    outcomes: list = [None] * len(specs)
+    with np.errstate(all="ignore"):
+        for chunk in _chunks(grids):
+            _refine_chunk(fs, specs, grids, chunk, romberg, outcomes)
+    return outcomes
+
+
+def _only(outcomes: list) -> list[QuadratureResult]:
+    """The results of a one-point ``_trapezoid_joint`` call; raises its node error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, QuadratureNodeError):
+        raise outcome
+    return outcome
 
 
 def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: ContourSpec) -> QuadratureResult:
     """Composite trapezoid over t in [-T, T] with step-halving refinement."""
-    return _trapezoid_joint((f,), spec)[0]
+    return _only(_trapezoid_joint((lambda t, _: f(t),), [spec]))[0]
 
 
 def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
@@ -372,9 +483,9 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     head, head_ok = _lower_gamma_series(a, head_end * head_end)
     n = max(4, math.ceil((big_r - head_end) / spec.step))
     grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
-    quad = _trapezoid_joint(
-        (lambda r: np.exp(-y * np.log(r) - r * r),), spec, grid=grid
-    )[0]
+    quad = _only(_trapezoid_joint(
+        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid]
+    ))[0]
     return replace(quad, value=0.5 * head + quad.value,
                    converged=quad.converged and head_ok)
 
@@ -388,11 +499,11 @@ def _arc(y: complex, big_r: float, theta0: float, theta1: float,
     n = max(8, math.ceil(span / spec.step), math.ceil(span * big_r * big_r))
     log_r = math.log(big_r)
 
-    def f(theta):
+    def f(theta, _):
         w_sq = (big_r * big_r) * np.exp(2j * theta)
         return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
 
-    return _trapezoid_joint((f,), spec, grid=_Grid(theta0, 0, n, span / n))[0]
+    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)]))[0]
 
 
 def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:

@@ -137,6 +137,39 @@ class TestGLogIntegrand:
         assert abs(got - want) <= 1e-13 * abs(want) + 4 * EPS * abs(base)
 
 
+class TestBroadcastArguments:
+    """z and sigma as arrays, one entry per node, as batched quadrature calls them."""
+
+    @pytest.mark.parametrize("kernel", [g_integrand, g_log_integrand])
+    def test_array_z_equals_scalar_calls(self, kernel):
+        rng = np.random.default_rng(3)
+        # Re z = 0, -1.5 and 1.5 are the exponents numpy rounds differently
+        # as a scalar (sqrt, square, reciprocal) than as an array (pow).
+        re = np.concatenate([rng.uniform(-12, 12, 300), [0.0, -1.5, 1.5] * 20])
+        z = re + 1j * rng.uniform(-12, 12, re.size)
+        z[::7] = z[::7].real
+        sigma = rng.uniform(0.1, 4.0, re.size)
+        t = rng.uniform(-10, 10, re.size)
+        batched = kernel(z, sigma, t)
+        assert batched.shape == t.shape
+        for k in range(t.size):
+            one = kernel(complex(z[k]), float(sigma[k]), float(t[k]))
+            assert abs(batched[k] - one) <= 4 * EPS * abs(one), (z[k], sigma[k], t[k])
+
+    def test_scalar_arguments_keep_scalar_type(self):
+        assert type(g_integrand(0.5 + 1j, 1.0, 0.3)) is complex
+        assert type(g_log_integrand(0.5 + 1j, 1.0, 0.3)) is complex
+        assert g_integrand(np.array([0.5 + 1j, 2.0]), 1.0, 0.3).shape == (2,)
+
+    def test_rejects_bad_array_entries(self):
+        with pytest.raises(DomainError):
+            g_integrand(np.array([1.0, complex("nan")]), 1.0, np.zeros(2))
+        with pytest.raises(DomainError):
+            g_integrand(np.ones(2), np.array([1.0, 0.0]), np.zeros(2))
+        with pytest.raises(DomainError):
+            g_integrand(np.ones(2), np.array([1.0, 30.0]), np.zeros(2))
+
+
 class TestLaplaceIntegrand:
     def test_at_origin_of_t(self):
         # z = 1, sigma = 1, t = 0: w^{-1} e^{w} = e.

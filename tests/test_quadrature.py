@@ -177,7 +177,8 @@ class TestTrapezoidLine:
         # cos does not vanish at +-T, so plain halving is stuck at O(h^2).
         spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-12, max_refinements=6)
         plain = trapezoid_line(np.cos, spec)
-        extrapolated = _trapezoid_joint((np.cos,), spec, romberg=True)[0]
+        extrapolated = _trapezoid_joint(
+            (lambda t, _: np.cos(t),), [spec], romberg=True)[0][0]
         assert not plain.converged
         assert extrapolated.converged
         assert extrapolated.evaluations < plain.evaluations
