@@ -13,12 +13,12 @@ It takes many points at once and refines them in chunks, one kernel call
 per halving level for the whole chunk; the rays, arcs and Laplace are
 one-point calls.  Its levels are nested -- nodes are ``origin + k*h`` over
 integer k, so halving keeps every old node at an even k and evaluates only
-the odd k -- and ``evaluations`` counts each node once.  The Laplace integrand is cut
-off at +-T where it has not decayed, so its Euler-Maclaurin endpoint
-terms hold plain halving to O(h^2); that path extrapolates the level sums
-with a Romberg table instead, which removes h^2, h^4, ... in turn.  The
-contour rays keep plain halving (their residual must keep shrinking as
-``tol`` tightens).
+the odd k -- and ``evaluations`` counts each node once.  The rays, the
+arcs and the Laplace integrand end where they have not decayed, so their
+Euler-Maclaurin endpoint terms hold plain halving to O(h^2); those paths
+extrapolate the level sums with a Romberg table instead, which removes
+h^2, h^4, ... in turn.  The G line keeps plain halving: its ends have
+decayed below the tolerance, and the trapezoid rule is spectral there.
 
 Summation uses ``math.fsum`` (exactly rounded), which has two consequences
 worth relying on: results are bit-reproducible regardless of evaluation
@@ -474,9 +474,10 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     int_0^H r^{-y} e^{-r^2} dr = (1/2) * lower_gamma((1-y)/2, H^2).  H is
     *fixed* at min(1, R/2) rather than shrinking with the step — a moving
     head cell reintroduces an O(h^2 * f'(H)) endpoint term that blows up for
-    oscillatory pure-imaginary y.  The remaining smooth piece [H, R] gets the
-    usual trapezoid-with-halving treatment; the result is converged only if
-    the head series converged too.
+    oscillatory pure-imaginary y.  The remaining smooth piece [H, R] is
+    summed by trapezoid halving with Romberg extrapolation, since neither
+    end has decayed; the result is converged only if the head series
+    converged too.
     """
     a = (1.0 - y) / 2.0
     head_end = min(1.0, 0.5 * big_r)
@@ -484,15 +485,19 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     n = max(4, math.ceil((big_r - head_end) / spec.step))
     grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
     quad = _only(_trapezoid_joint(
-        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid]
-    ))[0]
+        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid],
+        romberg=True))[0]
     return replace(quad, value=0.5 * head + quad.value,
                    converged=quad.converged and head_ok)
 
 
 def _arc(y: complex, big_r: float, theta0: float, theta1: float,
          spec: ContourSpec) -> QuadratureResult:
-    """int f(w) dw over the arc w = R e^{i theta}, theta in [theta0, theta1]."""
+    """int f(w) dw over the arc w = R e^{i theta}, theta in [theta0, theta1].
+
+    The arc's ends meet the line and a ray where the integrand has not
+    decayed, so the halving levels are combined by Romberg extrapolation.
+    """
     span = theta1 - theta0
     # e^{i R^2 sin 2theta} oscillates with frequency ~2R^2; start with about
     # one node per radian of that phase so refinement never aliases.
@@ -503,7 +508,8 @@ def _arc(y: complex, big_r: float, theta0: float, theta1: float,
         w_sq = (big_r * big_r) * np.exp(2j * theta)
         return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
 
-    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)]))[0]
+    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)],
+                                  romberg=True))[0]
 
 
 def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:

@@ -176,32 +176,29 @@ def test_06_laplace_cross_check():
 
 
 def test_07_contour_loop_residual():
-    """The closed loop integrates to zero, and more zero as tol tightens."""
+    """The closed loop integrates to zero, converged and within each tol."""
     combos = [
         (y, s, t)
         for y in (0, -1, -2 + 1j)
         for s in (1.0, 2.0)
         for t in (5.0, 8.0)
     ]
-    worst = 0.0
-    for y, s, t in combos:
-        spec = ContourSpec(sigma=s, half_width=t, step=0.25, tol=1e-10)
-        worst = max(worst, abs(contour_loop(y, spec).loop_sum))
-    loose = max(
-        abs(contour_loop(y, ContourSpec(sigma=s, half_width=t, step=0.25,
-                                        tol=1e-6)).loop_sum)
-        for y, s, t in combos
-    )
-    tight = max(
-        abs(contour_loop(y, ContourSpec(sigma=s, half_width=t, step=0.25,
-                                        tol=1e-8)).loop_sum)
-        for y, s, t in combos
-    )
-    ok = worst <= 1e-8 and tight < loose
+    worst_by_tol = {}
+    within = True
+    for tol in (1e-6, 1e-8, 1e-10):
+        worst_by_tol[tol] = 0.0
+        for y, s, t in combos:
+            rep = contour_loop(y, ContourSpec(sigma=s, half_width=t, step=0.25,
+                                              tol=tol))
+            residual = abs(rep.loop_sum)
+            worst_by_tol[tol] = max(worst_by_tol[tol], residual)
+            within = within and rep.converged and residual <= tol
+    worst = worst_by_tol[1e-10]
+    ok = within and worst <= 1e-8
     _report(
         "criterion 07 (contour loop residual)", ok,
-        f"12 combos, worst |loop| {worst:.2e} <= 1e-8; 100x tighter tol: "
-        f"{loose:.2e} -> {tight:.2e}",
+        f"12 combos converged and within tol: {within}; worst |loop| per tol: "
+        + ", ".join(f"{tol:g}: {w:.2e}" for tol, w in worst_by_tol.items()),
     )
 
 

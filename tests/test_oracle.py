@@ -1,7 +1,9 @@
 """Reference implementations and the identity-check suite."""
 
 import cmath
+import dataclasses
 import math
+import warnings
 
 import pytest
 
@@ -16,7 +18,10 @@ from unigamma import (
     oracle_recip_gamma,
     run_identity_suite,
 )
+from unigamma import evaluate_many, oracle
 from unigamma.oracle import SUITE_CHECKS
+
+LATTICE_CHECKS = ("recip_gamma_vs_oracle", "gamma_sin_pi_vs_oracle", "reflection")
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -168,3 +173,47 @@ class TestIdentitySuite:
     def test_impossible_threshold_fails_honestly(self):
         reports = run_identity_suite([0.5 + 0.5j, 2 - 1j], rel_tol=1e-17)
         assert any(not r.passed for r in reports)
+
+    @pytest.mark.parametrize("grid", [[-150.3 + 0j, 1 + 0j], [148 + 0j]])
+    @pytest.mark.parametrize("check", LATTICE_CHECKS)
+    def test_failed_point_is_reported_not_raised(self, grid, check):
+        # -150.3: G's integrand overflows at z (and at 1 - z); 148: G
+        # overflows at 1 - z and Lanczos at z.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rep,) = run_identity_suite(grid=grid, checks=(check,))
+        assert not rep.passed
+        assert rep.worst_point == grid[0]
+        assert rep.points_tested == len(grid)
+
+    def test_unconverged_contour_loop_fails(self, monkeypatch):
+        # The residual stays tiny; the unconverged segments alone must fail it.
+        real = oracle.contour_loop
+        monkeypatch.setattr(
+            oracle, "contour_loop",
+            lambda y, spec: dataclasses.replace(real(y, spec), converged=False))
+        (rep,) = run_identity_suite([1 + 0j], checks=("contour_loop",))
+        assert rep.max_abs_err < 1e-8
+        assert not rep.passed
+
+
+class TestSharedGPass:
+    """The lattice checks read recip_gamma and gamma_sin_pi off one G pass."""
+
+    def test_recip_gamma_and_gamma_sin_pi_are_g(self):
+        pts = default_verification_grid()
+        g = evaluate_many("G", pts)
+        g_mirror = evaluate_many("G", [1.0 - z for z in pts])
+        recip = evaluate_many("recip_gamma", pts)
+        sin_product = evaluate_many("gamma_sin_pi", pts)
+        for z, gz, gm, r, sp in zip(pts, g, g_mirror, recip, sin_product):
+            assert r.value == gz.value / math.pi, z
+            assert r.converged == gz.converged, z
+            assert sp.value == gm.value, z
+            assert sp.converged == gm.converged, z
+
+    def test_each_check_alone_matches_full_suite(self):
+        full = {rep.check_name: rep for rep in run_identity_suite()}
+        for name in LATTICE_CHECKS:
+            (alone,) = run_identity_suite(checks=(name,))
+            assert alone == full[name]
