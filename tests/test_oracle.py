@@ -12,13 +12,14 @@ from unigamma import (
     DomainError,
     PoleError,
     default_verification_grid,
+    evaluate_many,
     gaussian_moment_check,
     lanczos_gamma,
     oracle_digamma,
     oracle_recip_gamma,
     run_identity_suite,
 )
-from unigamma import evaluate_many, oracle
+from unigamma import oracle
 from unigamma.oracle import SUITE_CHECKS
 
 LATTICE_CHECKS = ("recip_gamma_vs_oracle", "gamma_sin_pi_vs_oracle", "reflection")
@@ -177,8 +178,8 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("grid", [[-150.3 + 0j, 1 + 0j], [148 + 0j]])
     @pytest.mark.parametrize("check", LATTICE_CHECKS)
     def test_failed_point_is_reported_not_raised(self, grid, check):
-        # -150.3: G's integrand overflows at z (and at 1 - z); 148: G
-        # overflows at 1 - z and Lanczos at z.
+        # At -150.3 G's integrand overflows, and Lanczos does for the sine
+        # product; at 148 Lanczos overflows, and G does at 1 - 148.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (rep,) = run_identity_suite(grid=grid, checks=(check,))
