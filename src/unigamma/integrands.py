@@ -159,4 +159,4 @@ def laplace_integrand(z, sigma, t):
     mag, ph = _wpow_parts(-z.real, -z.imag, sigma, t)
     # e^{w}: magnitude e^{sigma}, phase t.
     out = _assemble(mag * np.exp(sigma), ph + t)
-    return out if np.ndim(t) else complex(out)
+    return out if isinstance(out, np.ndarray) else complex(out)

@@ -20,9 +20,14 @@ extrapolate the level sums with a Romberg table instead, which removes
 h^2, h^4, ... in turn.  The G line keeps plain halving: its ends have
 decayed below the tolerance, and the trapezoid rule is spectral there.
 
-Summation uses ``math.fsum`` (exactly rounded), which has two consequences
-worth relying on: results are bit-reproducible regardless of evaluation
-order, and exactly antisymmetric node contributions cancel exactly.
+Summation is exactly rounded: each level's trapezoid sum is the float
+nearest the exact sum of its terms, which has two consequences worth
+relying on: results are bit-reproducible regardless of evaluation order,
+and exactly antisymmetric node contributions cancel exactly.  Short levels
+of a lone point go to ``math.fsum``; longer ones, and every level of a
+many-point chunk, to ``_exact_sums``, which bins mantissas by exponent into
+integer digits with numpy and keeps each point's exact running sum, so a
+halving adds only its new nodes.  Both give the same bits.
 
 One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
 and the error estimate: the gate enforces the *effective* tolerance
@@ -218,17 +223,98 @@ def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False) 
     return Truncation(half_width, False)
 
 
-def _fsum_ends_halved(part: np.ndarray) -> float:
-    # One list of Python floats at a time: a million nodes cost 32 MB each.
-    terms = part.tolist()
+# Exact summation (mantissas binned by exponent, as in R. Neal, "Fast exact
+# summation using small and large superaccumulators", arXiv:1505.05571).
+# frexp writes a finite double as m * 2^e with 0.5 <= |m| < 1 and e >= -1073.
+# e names a 32-bit digit, counted in units of 2^-1152, and a shift r < 32
+# within it; m * 2^r is cut into three integer pieces below 2^32, for that
+# digit and the two above it.  A float bincount adds each column of pieces;
+# with at most 2^17 values a block, every partial sum is an integer below
+# 2^49 and a digit's three columns stay below 2^51, so each digit is exact.
+# The digits of a row then make one Python integer, and one correctly rounded
+# division turns it into the float that math.fsum returns, subnormal or not,
+# raising OverflowError past the double range.
+_DIGIT_BIAS = 34          # e >= -1073 puts e >> 5 at -34 or above
+_DIGITS = 70              # e >> 5 spans 67 digits and the pieces two more; even
+_UNIT = 1 << (32 * _DIGIT_BIAS + 64)  # what digit 0 counts, as a divisor
+_BLOCK = 1 << 17          # complex values per bincount pass
+# Digits go to Python as 64-bit words of digit + 2^52, in two interleaved sets.
+_WORD_BIAS = sum(1 << (52 + 32 * k) for k in range(_DIGITS))
+
+
+def _exact_sums(values: np.ndarray, slots: np.ndarray | None = None,
+                count: int = 1) -> list[int]:
+    """Exact sums of finite complex ``values`` (1-D) per slot, in units of 1/_UNIT.
+
+    ``slots`` names the slot in ``range(count)`` of each value (slot 0 for
+    all when None).  Returns the real and then the imaginary sum of each
+    slot in turn; ``total / _UNIT`` rounds one to the nearest float.
+    """
+    size = 2 * count * _DIGITS
+    width = 4 * _DIGITS
+    sums = [0] * (2 * count)
+    for start in range(0, values.size, _BLOCK):
+        block = values[start:start + _BLOCK]
+        n = block.size
+        mantissa = np.empty(2 * n)
+        exponent = np.empty(2 * n, dtype=np.intc)
+        np.frexp(block.real, out=(mantissa[:n], exponent[:n]))
+        np.frexp(block.imag, out=(mantissa[n:], exponent[n:]))
+        # Row 2s of digits sums slot s's real parts, row 2s + 1 its imaginary ones.
+        digit = np.right_shift(exponent, 5, dtype=np.intp)
+        real, imag = digit[:n], digit[n:]
+        if slots is None:
+            real += _DIGIT_BIAS
+            imag += _DIGIT_BIAS + _DIGITS
+        else:
+            row = (2 * _DIGITS) * slots[start:start + _BLOCK] + _DIGIT_BIAS
+            real += row
+            row += _DIGITS
+            imag += row
+        exponent &= 31
+        # In place and freed early: a block's arrays are its peak memory.
+        piece = np.ldexp(mantissa, exponent, out=mantissa)  # |m * 2^r| < 2^31
+        del exponent
+        part = np.trunc(piece)
+        piece -= part
+        piece *= 2.0 ** 32
+        top = np.bincount(digit, part, size)
+        np.trunc(piece, out=part)
+        piece -= part
+        piece *= 2.0 ** 32
+        middle = np.bincount(digit, part, size)
+        digits = np.bincount(digit, piece, size)
+        by_row = digits.reshape(-1, _DIGITS)
+        by_row[:, 1:] += middle.reshape(-1, _DIGITS)[:, :-1]
+        by_row[:, 2:] += top.reshape(-1, _DIGITS)[:, :-2]
+        digits += 2.0 ** 52
+        words = digits.astype(np.int64).reshape(-1, _DIGITS // 2, 2)
+        even, odd = words[:, :, 0].tobytes(), words[:, :, 1].tobytes()
+        for row in range(2 * count):
+            cut = slice(row * width, (row + 1) * width)
+            sums[row] += (int.from_bytes(even[cut], "little")
+                          + (int.from_bytes(odd[cut], "little") << 32) - _WORD_BIAS)
+    return sums
+
+
+def _ends_halved(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` with the trapezoid's end weights applied."""
+    terms = values.copy()
     terms[0] *= 0.5
     terms[-1] *= 0.5
-    return fsum(terms)
+    return terms
 
 
-def _fsum_trapezoid(values: np.ndarray, step: float) -> complex:
-    return complex(step * _fsum_ends_halved(values.real),
-                   step * _fsum_ends_halved(values.imag))
+# Terms below which a lone point's level goes to math.fsum rather than the
+# bins.  A bin pass costs about 35 us whatever the length (some 30 numpy
+# calls) plus about 0.025 us a term; fsum about 0.3 us a term on the G line's
+# values, whose magnitudes span some 130 bits.  Measured on plane-mix's values
+# (2-core x86_64 VM, Python 3.11, numpy 2.4), a whole level, ends halved:
+# 200-250 terms take 61 us by fsum and 60 us binned, 600-800 terms 235 us
+# against 54 us.  Per plane-mix operation (600 of them, min of 5 runs each),
+# the median took 307 us with fsum alone, 285 us binned alone, 271-274 us
+# with this cutover at 192-256 and 285 us at 320.
+_FSUM_TERMS = 256
 
 
 class _Grid(NamedTuple):
@@ -274,17 +360,32 @@ def _chunks(grids: Sequence[_Grid]):
         yield range(start, len(grids))
 
 
+def _node_error(nodes: np.ndarray, news) -> QuadratureNodeError | None:
+    """The error of the first non-finite value of ``news`` at ``nodes``, if any."""
+    for new in news:
+        finite = np.isfinite(new)
+        if not finite.all():
+            bad = float(nodes[np.argmin(finite)])
+            return QuadratureNodeError(
+                f"integrand returned a non-finite value at node t={bad!r}",
+                node=bad)
+    return None
+
+
 class _Point:
     """Refinement state of one point: kept node values and sums per integrand."""
 
-    __slots__ = ("spec", "grid", "step", "values", "sums", "rows", "diffs",
-                 "floors", "tol_eff")
+    __slots__ = ("spec", "grid", "step", "values", "exact", "sums", "rows",
+                 "diffs", "floors", "tol_eff")
 
     def __init__(self, spec: ContourSpec, grid: _Grid, count: int):
         self.spec = spec
         self.grid = grid
         self.step = grid.step
         self.values: list = [None] * count
+        # Exact running sums of the ends-halved values, real and imaginary
+        # per integrand, once the bins sum this point; None while fsum does.
+        self.exact: list[int] | None = None
         self.sums = [0j] * count
         self.rows: list[list[complex]] = [[] for _ in range(count)]
         self.diffs = [math.inf] * count
@@ -303,21 +404,8 @@ class _Point:
         k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
         return grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * self.step
 
-    def advance(self, nodes: np.ndarray, news, level: int, romberg: bool):
-        """Take the integrands' values at ``nodes``; the outcome once the point stops.
-
-        The outcome is one QuadratureResult per integrand, or the
-        QuadratureNodeError of the first non-finite value; None while the
-        point goes on refining.
-        """
-        for new in news:
-            finite = np.isfinite(new)
-            if not finite.all():
-                bad = float(nodes[np.argmin(finite)])
-                return QuadratureNodeError(
-                    f"integrand returned a non-finite value at node t={bad!r}",
-                    node=bad)
-        step = self.step
+    def keep(self, news, level: int) -> None:
+        """Interleave the integrands' new values with the kept ones."""
         for i, new in enumerate(news):
             if level:
                 merged = np.empty(2 * new.size + 1, dtype=complex)
@@ -326,8 +414,41 @@ class _Point:
                 self.values[i] = merged
             else:
                 self.values[i] = new
-            values = self.values[i]
-            total = _fsum_trapezoid(values, step)
+
+    def add_exact(self, sums: list[int]) -> list[float]:
+        """Add a level's exact sums; the running sums, each rounded once."""
+        if self.exact is None:
+            self.exact = sums
+        else:
+            self.exact = [total + part for total, part in zip(self.exact, sums)]
+        return [total / _UNIT for total in self.exact]
+
+    def sum_alone(self, news) -> list[float]:
+        """A lone point's ends-halved sums of this level, real and imaginary per integrand.
+
+        A level of fewer than ``_FSUM_TERMS`` terms goes to fsum.  The
+        first level at or above it bins the kept values; later levels
+        bin only their new nodes.
+        """
+        if self.exact is None:
+            if self.values[0].size < _FSUM_TERMS:
+                sums = []
+                for values in self.values:
+                    terms = _ends_halved(values)
+                    sums += [fsum(terms.real.tolist()), fsum(terms.imag.tolist())]
+                return sums
+            news = [_ends_halved(values) for values in self.values]
+        return self.add_exact([total for new in news for total in _exact_sums(new)])
+
+    def settle(self, sums: list[float], level: int, romberg: bool):
+        """Take this level's sums; the outcome once the point stops.
+
+        The outcome is one QuadratureResult per integrand; None while the
+        point goes on refining.
+        """
+        step = self.step
+        for i, values in enumerate(self.values):
+            total = complex(step * sums[2 * i], step * sums[2 * i + 1])
             if romberg:
                 self.rows[i] = _romberg_row(self.rows[i], total)
                 total = self.rows[i][-1]
@@ -370,7 +491,10 @@ def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list)
         while outcome is None:
             nodes = point.next_nodes(level)
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
-            outcome = point.advance(nodes, news, level, romberg)
+            outcome = _node_error(nodes, news)
+            if outcome is None:
+                point.keep(news, level)
+                outcome = point.settle(point.sum_alone(news), level, romberg)
             level += 1
         outcomes[p] = outcome
         return
@@ -384,8 +508,36 @@ def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list)
         news = [np.asarray(f(t, rows), dtype=complex) for f in fs]
         cuts = list(itertools.accumulate(sizes[:-1]))
         parts = zip(*(np.split(new, cuts) for new in news))
+        kept = []
         for p, block, part in zip(active, nodes, parts):
-            outcome = points[p].advance(block, part, level, romberg)
+            error = _node_error(block, part)
+            if error is None:
+                points[p].keep(part, level)
+                kept.append((p, part))
+            else:
+                outcomes[p] = error
+                del points[p]
+        if not kept:
+            break
+        # One bin pass per integrand over the new values of the points that
+        # go on, each point in its own slot; a point with a non-finite node
+        # stays out, so it cannot spoil its chunk-mates' sums.
+        if len(kept) < len(active):
+            sizes = [part[0].size for _, part in kept]
+            news = [np.concatenate([part[i] for _, part in kept]) for i in range(len(fs))]
+        elif not level:
+            news = [new.copy() for new in news]  # the points keep views of news
+        slots = np.repeat(np.arange(len(kept)), sizes)
+        if not level:
+            ends = np.cumsum(sizes)
+            for new in news:
+                new[ends - sizes] *= 0.5
+                new[ends - 1] *= 0.5
+        sums = [_exact_sums(new, slots, len(kept)) for new in news]
+        for slot, (p, _) in enumerate(kept):
+            point = points[p]
+            level_sums = [total for part in sums for total in part[2 * slot:2 * slot + 2]]
+            outcome = point.settle(point.add_exact(level_sums), level, romberg)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -417,8 +569,11 @@ def _trapezoid_joint(
     new nodes of the chunk's points still refining, concatenated in point
     order: ``rows`` is the point's index in a chunk of one point, else an
     array naming the point of every node.  Each point keeps its own nodes,
-    ``fsum`` sums, roundoff floor and Richardson stop, so its result does
-    not depend on its chunk-mates beyond the bits of the kernel layout.
+    exact sums, roundoff floor and Richardson stop, so its result does not
+    depend on its chunk-mates beyond the bits of the kernel layout.  A
+    chunk's new values go through one ``_exact_sums`` pass per integrand
+    and level, each point in its own slot; a lone point sums its short
+    levels with ``fsum`` (below ``_FSUM_TERMS`` terms) and bins the rest.
 
     Returns, per point, one QuadratureResult per integrand, or the
     QuadratureNodeError of its first non-finite node (its chunk-mates go

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unigamma import (
@@ -21,9 +21,62 @@ from unigamma import (
     tail_bound,
     trapezoid_line,
 )
-from unigamma.quadrature import _trapezoid_joint
+from unigamma.quadrature import _FSUM_TERMS, _UNIT, _exact_sums, _trapezoid_joint
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def _plain_trapezoid(f, half_width: float, step: float) -> complex:
+    """The trapezoid sum at ``step`` over [-half_width, half_width], by fsum."""
+    n = round(half_width / step)
+    values = f(np.arange(-n, n + 1, dtype=float) * step)
+    values[0] *= 0.5
+    values[-1] *= 0.5
+    return complex(step * math.fsum(values.real.tolist()),
+                   step * math.fsum(values.imag.tolist()))
+
+
+def _fsum_hex(terms) -> str:
+    try:
+        return math.fsum(terms).hex()
+    except OverflowError:
+        return "overflow"
+
+
+def _rounded_hex(total: int) -> str:
+    try:
+        return (total / _UNIT).hex()
+    except OverflowError:
+        return "overflow"
+
+
+# Below 2^1015 in magnitude, 60 terms cannot overflow fsum's partial sums.
+_TERM = st.floats(min_value=-2.0 ** 1015, max_value=2.0 ** 1015)
+_SLOTS = 4
+
+
+class TestExactSums:
+    @given(st.lists(st.tuples(st.integers(0, _SLOTS - 1), _TERM, _TERM),
+                    min_size=1, max_size=60))
+    @example([(0, 5e-324, -5e-324), (1, 5e-324, 5e-324), (1, 2.5e-308, -1e-310)])
+    @example([(0, 1e300, 3.5), (2, -1e300, -3.5), (2, 1e300, 7.0), (0, -1e300, 1.0)])
+    # A bin of over 2^21 terms, whose exact sum is the rounding error of
+    # the last term; one float accumulator would lose it.
+    @example([(0, 1 - 2.0 ** -53, 0.5)] * (2 ** 21 + 1)
+             + [(0, -(2 ** 21 + 1) * (1 - 2.0 ** -53), 0.5)])
+    @example([(1, 1e308, -1.5), (1, 1e308, 2.0)])
+    @settings(max_examples=100, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, terms):
+        slots = np.array([slot for slot, _, _ in terms])
+        values = np.empty(len(terms), dtype=complex)
+        values.real = [re for _, re, _ in terms]
+        values.imag = [im for _, _, im in terms]
+        sums = _exact_sums(values, slots, _SLOTS)
+        for slot in range(_SLOTS):
+            mine = values[slots == slot]
+            assert _rounded_hex(sums[2 * slot]) == _fsum_hex(mine.real.tolist())
+            assert _rounded_hex(sums[2 * slot + 1]) == _fsum_hex(mine.imag.tolist())
+        assert _exact_sums(values[slots == 0]) == sums[:2]
 
 
 class TestContourSpec:
@@ -172,6 +225,38 @@ class TestTrapezoidLine:
                         res.step_used * math.fsum(values.imag.tolist()))
         assert res.step_used < spec.step / 4
         assert res.value == plain
+
+    def test_equals_plain_trapezoid_across_the_cutover(self):
+        # Levels of 61, 121 and 241 nodes go to fsum; 481 bins the kept
+        # values, 961 bins only its new nodes.
+        def f(t):
+            return g_integrand(0.5 + 3j, 1.0, t)
+
+        spec = ContourSpec(half_width=30.0, step=1.0, tol=1e-13)
+        res = trapezoid_line(f, spec)
+        assert 2 * round(spec.half_width / spec.step) + 1 < _FSUM_TERMS
+        assert res.evaluations > 2 * _FSUM_TERMS
+        assert res.value == _plain_trapezoid(f, spec.half_width, res.step_used)
+
+    def test_many_points_equal_plain_trapezoid(self):
+        # One chunk: every level is binned, each point in its own slot, and
+        # the point whose kernel fails at t = 0 stays out of the sums.
+        widths = np.array([0.3, 1.0, 2.0, 0.0, 5.0])
+        freqs = np.array([1.0, 3.0, 0.5, 1.0, 7.0])
+
+        def f(t, rows):
+            a, b = widths[rows], freqs[rows]
+            return np.exp(-a * t * t + 1j * b * t) / np.where(a == 0.0, t, 1.0)
+
+        specs = [ContourSpec(half_width=8.0, step=0.5, tol=1e-13)] * len(widths)
+        outcomes = _trapezoid_joint((f,), specs)
+        assert isinstance(outcomes[3], QuadratureNodeError)
+        for p in (0, 1, 2, 4):
+            (res,) = outcomes[p]
+            assert res.converged and res.step_used < specs[p].step / 2
+            plain = _plain_trapezoid(lambda t: f(t, np.full(t.size, p)),
+                                     specs[p].half_width, res.step_used)
+            assert res.value == plain
 
     def test_romberg_removes_endpoint_error(self):
         # cos does not vanish at +-T, so plain halving is stuck at O(h^2).
