@@ -300,7 +300,7 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
             checked.append(exc)
     lines = _lines([z if isinstance(z, UnigammaError) else line_point(z)
                     for z in checked],
-                   kernels, sigma, tol, int(max_refinements))
+                   kernels, sigma, tol, max_refinements)
     outcomes = []
     for z, line in zip(checked, lines):
         if not isinstance(line, UnigammaError):
@@ -365,7 +365,7 @@ def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
     """gamma = -(1/pi) int w^{-1} e^{w^2} (2 Log w) dt  (the z = 1 line)."""
     z = 1.0 + 0.0j
     (line,) = _lines([z], (("g_log_integrand", True),), sigma, tol,
-                     int(max_refinements))
+                     max_refinements)
     if isinstance(line, UnigammaError):
         raise line
     (total,), (err,) = line.values, line.errs
@@ -419,13 +419,11 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
             f"laplace_recip_gamma requires Re(z) > 0 (the half-plane integral "
             f"diverges otherwise), got z={z!r}"
         )
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     sigma = float(sigma)
-    if not (0.0 < sigma <= 8.0):
-        raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
-
     half_width = max(40.0, 2.5 * (abs(z) + _LAPLACE_TAIL_TERMS))
+    step0 = min(0.1, 1.0 / (1.0 + abs(z)))
+    spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0, tol=tol,
+                       max_refinements=max_refinements)
     tail = _laplace_tail(z, sigma, half_width, _LAPLACE_TAIL_TERMS)
     # Remainder after the series: first omitted term, bounded crudely.
     rising = 1.0
@@ -439,7 +437,6 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     )
 
     # Coarse pass to anchor the relative tolerance in absolute terms.
-    step0 = min(0.1, 1.0 / (1.0 + abs(z)))
     coarse_n = math.ceil(half_width / step0)
     coarse_t = np.arange(-coarse_n, coarse_n + 1, dtype=float) * (half_width / coarse_n)
     coarse_v = integrands.laplace_integrand(z, sigma, coarse_t)
@@ -448,9 +445,7 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     )
     scale = abs(complex(coarse_sum) + tail)
     tol_abs = tol * max(scale, 1e-300)
-
-    spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0,
-                       tol=tol_abs, max_refinements=int(max_refinements))
+    spec = replace(spec, tol=tol_abs)
     quad = _only(_trapezoid_joint(
         (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [spec], romberg=True
     ))[0]

@@ -405,7 +405,8 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [name for name in selected if name not in SUITE_CHECKS]
     if unknown:
-        raise DomainError(f"unknown check names: {', '.join(unknown)}")
+        raise DomainError(f"unknown check names: {', '.join(unknown)}; "
+                          f"choose from {', '.join(SUITE_CHECKS)}")
     mirror = [1.0 - z for z in pts]
     g_at = _g_pass(pts, mirror, selected)
     runners = {

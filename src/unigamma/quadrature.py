@@ -13,12 +13,14 @@ It takes many points at once and refines them in chunks, one kernel call
 per halving level for the whole chunk; the rays, arcs and Laplace are
 one-point calls.  Its levels are nested -- nodes are ``origin + k*h`` over
 integer k, so halving keeps every old node at an even k and evaluates only
-the odd k -- and ``evaluations`` counts each node once.  The rays, the
-arcs and the Laplace integrand end where they have not decayed, so their
-Euler-Maclaurin endpoint terms hold plain halving to O(h^2); those paths
-extrapolate the level sums with a Romberg table instead, which removes
-h^2, h^4, ... in turn.  The G line keeps plain halving: its ends have
-decayed below the tolerance, and the trapezoid rule is spectral there.
+the odd k -- and ``evaluations`` counts each node once.  A point keeps
+trapezoid terms, its values with the end weights 1/2 applied once, at
+level 0.  The rays, the arcs and the Laplace integrand end where they have
+not decayed, so their Euler-Maclaurin endpoint terms hold plain halving to
+O(h^2); those paths extrapolate the level sums with a Romberg table
+instead, which removes h^2, h^4, ... in turn.  The G line keeps plain
+halving: its ends have decayed below the tolerance, and the trapezoid rule
+is spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -27,7 +29,7 @@ and exactly antisymmetric node contributions cancel exactly.  Short levels
 of a lone point go to ``math.fsum``; longer ones, and every level of a
 many-point chunk, to ``_exact_sums``, which bins mantissas by exponent into
 integer digits with numpy and keeps each point's exact running sum, so a
-halving adds only its new nodes.  Both give the same bits.
+halving adds only its new terms.  Both give the same bits.
 
 One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
 and the error estimate: the gate enforces the *effective* tolerance
@@ -214,12 +216,10 @@ def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False) 
     crest = math.sqrt(max(2.0 * p - sigma * sigma, 0.0))
     start = max(sigma + 3.0, crest + 1.0)
     half_width = math.ceil(start / _T_GRID) * _T_GRID
-    while half_width < TRUNCATION_CAP and tail_bound(
-        z, sigma, half_width, log_weight=log_weight
-    ) > tol:
+    while tail_bound(z, sigma, half_width, log_weight=log_weight) > tol:
+        if half_width >= TRUNCATION_CAP:
+            return Truncation(TRUNCATION_CAP, True)
         half_width += _T_GRID
-    if tail_bound(z, sigma, half_width, log_weight=log_weight) > tol:
-        return Truncation(TRUNCATION_CAP, True)
     return Truncation(half_width, False)
 
 
@@ -297,19 +297,11 @@ def _exact_sums(values: np.ndarray, slots: np.ndarray | None = None,
     return sums
 
 
-def _ends_halved(values: np.ndarray) -> np.ndarray:
-    """A copy of ``values`` with the trapezoid's end weights applied."""
-    terms = values.copy()
-    terms[0] *= 0.5
-    terms[-1] *= 0.5
-    return terms
-
-
 # Terms below which a lone point's level goes to math.fsum rather than the
 # bins.  A bin pass costs about 35 us whatever the length (some 30 numpy
 # calls) plus about 0.025 us a term; fsum about 0.3 us a term on the G line's
 # values, whose magnitudes span some 130 bits.  Measured on plane-mix's values
-# (2-core x86_64 VM, Python 3.11, numpy 2.4), a whole level, ends halved:
+# (2-core x86_64 VM, Python 3.11, numpy 2.4), a whole level of terms:
 # 200-250 terms take 61 us by fsum and 60 us binned, 600-800 terms 235 us
 # against 54 us.  Per plane-mix operation (600 of them, min of 5 runs each),
 # the median took 307 us with fsum alone, 285 us binned alone, 271-274 us
@@ -373,24 +365,20 @@ def _node_error(nodes: np.ndarray, news) -> QuadratureNodeError | None:
 
 
 class _Point:
-    """Refinement state of one point: kept node values and sums per integrand."""
+    """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
-    __slots__ = ("spec", "grid", "step", "values", "exact", "sums", "rows",
-                 "diffs", "floors", "tol_eff")
+    __slots__ = ("spec", "grid", "step", "values", "exact", "sums", "rows")
 
     def __init__(self, spec: ContourSpec, grid: _Grid, count: int):
         self.spec = spec
         self.grid = grid
         self.step = grid.step
-        self.values: list = [None] * count
-        # Exact running sums of the ends-halved values, real and imaginary
-        # per integrand, once the bins sum this point; None while fsum does.
+        self.values: list = []
+        # Exact running sums of the terms, real and imaginary per
+        # integrand, once the bins sum this point; None while fsum does.
         self.exact: list[int] | None = None
         self.sums = [0j] * count
         self.rows: list[list[complex]] = [[] for _ in range(count)]
-        self.diffs = [math.inf] * count
-        self.floors = [0.0] * count
-        self.tol_eff = [spec.tol] * count
 
     def next_nodes(self, level: int) -> np.ndarray:
         """Halve the step for ``level`` and return the nodes it adds.
@@ -404,16 +392,24 @@ class _Point:
         k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
         return grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * self.step
 
-    def keep(self, news, level: int) -> None:
-        """Interleave the integrands' new values with the kept ones."""
+    def keep(self, news, level: int) -> list:
+        """Keep the integrands' new values as trapezoid terms; the terms this level adds.
+
+        Level 0 keeps a copy with the end weights 1/2 applied; a later
+        level's nodes are interior, so its terms are its values,
+        interleaved with the kept ones.
+        """
+        if not level:
+            self.values = [new.copy() for new in news]
+            for terms in self.values:
+                terms[[0, -1]] *= 0.5
+            return self.values
         for i, new in enumerate(news):
-            if level:
-                merged = np.empty(2 * new.size + 1, dtype=complex)
-                merged[0::2] = self.values[i]
-                merged[1::2] = new
-                self.values[i] = merged
-            else:
-                self.values[i] = new
+            merged = np.empty(2 * new.size + 1, dtype=complex)
+            merged[0::2] = self.values[i]
+            merged[1::2] = new
+            self.values[i] = merged
+        return news
 
     def add_exact(self, sums: list[int]) -> list[float]:
         """Add a level's exact sums; the running sums, each rounded once."""
@@ -423,22 +419,19 @@ class _Point:
             self.exact = [total + part for total, part in zip(self.exact, sums)]
         return [total / _UNIT for total in self.exact]
 
-    def sum_alone(self, news) -> list[float]:
-        """A lone point's ends-halved sums of this level, real and imaginary per integrand.
+    def sum_alone(self, terms) -> list[float]:
+        """A lone point's sums of this level, real and imaginary per integrand.
 
-        A level of fewer than ``_FSUM_TERMS`` terms goes to fsum.  The
-        first level at or above it bins the kept values; later levels
-        bin only their new nodes.
+        ``terms`` are the ones this level adds.  A level of fewer than
+        ``_FSUM_TERMS`` terms goes to fsum.  The first level at or above it
+        bins all the kept terms; later levels bin only the ones they add.
         """
         if self.exact is None:
             if self.values[0].size < _FSUM_TERMS:
-                sums = []
-                for values in self.values:
-                    terms = _ends_halved(values)
-                    sums += [fsum(terms.real.tolist()), fsum(terms.imag.tolist())]
-                return sums
-            news = [_ends_halved(values) for values in self.values]
-        return self.add_exact([total for new in news for total in _exact_sums(new)])
+                return [total for values in self.values
+                        for total in (fsum(values.real.tolist()), fsum(values.imag.tolist()))]
+            terms = self.values
+        return self.add_exact([total for new in terms for total in _exact_sums(new)])
 
     def settle(self, sums: list[float], level: int, romberg: bool):
         """Take this level's sums; the outcome once the point stops.
@@ -447,23 +440,21 @@ class _Point:
         point goes on refining.
         """
         step = self.step
-        for i, values in enumerate(self.values):
+        last, self.sums = self.sums, []
+        for i in range(len(last)):
             total = complex(step * sums[2 * i], step * sums[2 * i + 1])
             if romberg:
                 self.rows[i] = _romberg_row(self.rows[i], total)
                 total = self.rows[i][-1]
-            if level:
-                self.diffs[i] = abs(total - self.sums[i])
-            self.sums[i] = total
-            magnitudes = np.abs(values)
-            magnitudes[0] *= 0.5
-            magnitudes[-1] *= 0.5
-            self.floors[i] = _CANCEL_FLOOR * _EPS * (step * float(np.add.reduce(magnitudes)))
+            self.sums.append(total)
         if not level:
             return None
         spec = self.spec
-        self.tol_eff = [max(spec.tol, floor) for floor in self.floors]
-        done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(self.diffs, self.tol_eff))
+        diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
+        floors = [_CANCEL_FLOOR * _EPS * (step * float(np.add.reduce(np.abs(values))))
+                  for values in self.values]
+        tol_eff = [max(spec.tol, floor) for floor in floors]
+        done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff))
         if not done and level < spec.max_refinements:
             return None
         evaluations = self.values[0].size
@@ -472,12 +463,11 @@ class _Point:
                 value=total,
                 err_estimate=max(diff, floor),
                 evaluations=evaluations,
-                converged=diff <= _RICHARDSON_MARGIN * tol_eff,
+                converged=diff <= _RICHARDSON_MARGIN * te,
                 step_used=step,
-                tol_effective=tol_eff,
+                tol_effective=te,
             )
-            for total, diff, floor, tol_eff in zip(
-                self.sums, self.diffs, self.floors, self.tol_eff)
+            for total, diff, floor, te in zip(self.sums, diffs, floors, tol_eff)
         ]
 
 
@@ -493,8 +483,8 @@ def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list)
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
             outcome = _node_error(nodes, news)
             if outcome is None:
-                point.keep(news, level)
-                outcome = point.settle(point.sum_alone(news), level, romberg)
+                terms = point.keep(news, level)
+                outcome = point.settle(point.sum_alone(terms), level, romberg)
             level += 1
         outcomes[p] = outcome
         return
@@ -512,28 +502,18 @@ def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list)
         for p, block, part in zip(active, nodes, parts):
             error = _node_error(block, part)
             if error is None:
-                points[p].keep(part, level)
-                kept.append((p, part))
+                kept.append((p, points[p].keep(part, level)))
             else:
                 outcomes[p] = error
                 del points[p]
         if not kept:
             break
-        # One bin pass per integrand over the new values of the points that
-        # go on, each point in its own slot; a point with a non-finite node
+        # One bin pass per integrand over the terms the points that go on
+        # add, each point in its own slot; a point with a non-finite node
         # stays out, so it cannot spoil its chunk-mates' sums.
-        if len(kept) < len(active):
-            sizes = [part[0].size for _, part in kept]
-            news = [np.concatenate([part[i] for _, part in kept]) for i in range(len(fs))]
-        elif not level:
-            news = [new.copy() for new in news]  # the points keep views of news
-        slots = np.repeat(np.arange(len(kept)), sizes)
-        if not level:
-            ends = np.cumsum(sizes)
-            for new in news:
-                new[ends - sizes] *= 0.5
-                new[ends - 1] *= 0.5
-        sums = [_exact_sums(new, slots, len(kept)) for new in news]
+        slots = np.repeat(np.arange(len(kept)), [terms[0].size for _, terms in kept])
+        sums = [_exact_sums(np.concatenate([terms[i] for _, terms in kept]), slots, len(kept))
+                for i in range(len(fs))]
         for slot, (p, _) in enumerate(kept):
             point = points[p]
             level_sums = [total for part in sums for total in part[2 * slot:2 * slot + 2]]
@@ -559,7 +539,7 @@ def _trapezoid_joint(
     all of them meet their effective tolerance; sharing nodes lets
     ratio-type consumers (digamma) cancel common error.  The levels are
     nested: after the first, only the new odd-k nodes are evaluated and
-    interleaved with the kept values, so every node costs one kernel
+    interleaved with the kept terms, so every node costs one kernel
     evaluation however many halvings follow.  ``romberg`` replaces each
     level's trapezoid sum by the diagonal of a Romberg table, for
     integrands whose interval ends carry Euler-Maclaurin terms in h^2.
@@ -568,10 +548,10 @@ def _trapezoid_joint(
     nodes.  Each level calls each integrand once as ``f(t, rows)`` on the
     new nodes of the chunk's points still refining, concatenated in point
     order: ``rows`` is the point's index in a chunk of one point, else an
-    array naming the point of every node.  Each point keeps its own nodes,
+    array naming the point of every node.  Each point keeps its own terms,
     exact sums, roundoff floor and Richardson stop, so its result does not
     depend on its chunk-mates beyond the bits of the kernel layout.  A
-    chunk's new values go through one ``_exact_sums`` pass per integrand
+    chunk's new terms go through one ``_exact_sums`` pass per integrand
     and level, each point in its own slot; a lone point sums its short
     levels with ``fsum`` (below ``_FSUM_TERMS`` terms) and bins the rest.
 

@@ -10,6 +10,7 @@ import pytest
 
 from unigamma import DomainError
 from unigamma.cli import GridRequest, main, parse_complex
+from unigamma.oracle import oracle_digamma, oracle_recip_gamma
 
 
 class TestParseComplex:
@@ -55,6 +56,7 @@ class TestGridRequest:
             {"sigma": 0.0},
             {"sigma": 8.5},
             {"tol": 0.0},
+            {"tol": math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -180,6 +182,22 @@ class TestGrid:
         assert math.isnan(float(rows[-1.0][2]))
         assert rows[-1.0][9] == "false"
         assert rows[1.0][9] == "true"
+
+    @pytest.mark.parametrize("function,oracle", [
+        ("G", lambda z: math.pi * oracle_recip_gamma(z)),
+        ("gamma_sin_pi", lambda z: math.pi * oracle_recip_gamma(1.0 - z)),
+        ("digamma", oracle_digamma),
+    ])
+    def test_oracle_columns(self, capsys, function, oracle):
+        code = main([
+            "grid", "--function", function,
+            "--re-min", "0.5", "--re-max", "0.5", "--re-steps", "1",
+            "--im-min", "2", "--im-max", "2", "--im-steps", "1",
+        ])
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        ref = oracle(0.5 + 2j)
+        assert code == 0
+        assert row[5:7] == [format(ref.real, ".17g"), format(ref.imag, ".17g")]
 
     def test_deterministic_reruns(self, capsys):
         _, first = run_grid(capsys)

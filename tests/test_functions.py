@@ -1,8 +1,11 @@
 """Public special-function API: worked values, identities, pole behavior."""
 
+import doctest
 import inspect
 import math
+import os
 import random
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,6 +291,7 @@ class TestLaplaceRecipGamma:
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
         {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": 8.5},
+        {"max_refinements": 2.5}, {"max_refinements": 0},
     ])
     def test_rejects_bad_tol_and_sigma(self, kwargs):
         with pytest.raises(DomainError):
@@ -440,9 +444,33 @@ class TestEvaluateMany:
         assert outcomes[3] == gamma(0.5, tol=1e-10)
         assert evaluate_many("digamma", []) == []
 
+    def test_whole_chunk_failing_together(self):
+        # Both points meet a non-finite node at the same level, so none of
+        # the chunk goes on: two node errors, and no numpy warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = evaluate_many("recip_gamma", [-150.3, -151.7])
+        assert [type(outcome) for outcome in outcomes] == [QuadratureNodeError] * 2
+
     def test_rejects_unknown_function(self):
         with pytest.raises(DomainError):
             evaluate_many("laplace_recip_gamma", [1.0])
+
+
+def test_non_integer_max_refinements_is_rejected():
+    for fn, args in ((G, (1,)), (euler_mascheroni, ()), (laplace_recip_gamma, (0.5,))):
+        with pytest.raises(DomainError):
+            fn(*args, max_refinements=2.5)
+    (outcome,) = evaluate_many("G", [1], max_refinements=2.5)
+    assert isinstance(outcome, DomainError)
+
+
+def test_readme_examples():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    failures, tried = doctest.testfile(readme, module_relative=False,
+                                       optionflags=doctest.ELLIPSIS)
+    assert tried > 0 and failures == 0
 
 
 def test_public_keyword_surface():
