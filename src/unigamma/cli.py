@@ -16,7 +16,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import functions
 from .errors import DomainError, PoleError, UnigammaError
@@ -31,7 +31,6 @@ from .oracle import (
 __all__ = ["GridRequest", "parse_complex", "main"]
 
 _GRID_FUNCTIONS = ("G", "recip_gamma", "gamma", "gamma_sin_pi", "digamma")
-_EVAL_FUNCTIONS = _GRID_FUNCTIONS + ("g_tilde", "laplace_recip_gamma")
 
 _CSV_HEADER = ("re_z,im_z,re_value,im_value,err_estimate,"
                "oracle_re,oracle_im,abs_err,rel_err,converged")
@@ -57,6 +56,9 @@ class GridRequest:
                 f"grid function must be one of {', '.join(_GRID_FUNCTIONS)}; "
                 f"got {self.function!r}"
             )
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise DomainError(f"grid bounds must be finite, got {bounds!r}")
         if not (self.re_min <= self.re_max) or not (self.im_min <= self.im_max):
             raise DomainError("grid bounds must satisfy min <= max on both axes")
         if self.re_steps < 1 or self.im_steps < 1:
@@ -128,11 +130,11 @@ def _engine_kwargs(args) -> dict:
 
 _FUNCTIONS = {
     "G": functions.G,
-    "g_tilde": functions.g_tilde,
     "recip_gamma": functions.recip_gamma,
     "gamma": functions.gamma,
     "gamma_sin_pi": functions.gamma_sin_pi,
     "digamma": functions.digamma,
+    "g_tilde": functions.g_tilde,
     "laplace_recip_gamma": functions.laplace_recip_gamma,
 }
 
@@ -149,13 +151,7 @@ def _cmd_eval(args) -> int:
             "err_estimate": res.err_estimate,
             "converged": res.converged,
             "evaluations": res.evaluations,
-            "spec_used": {
-                "sigma": spec.sigma,
-                "half_width": spec.half_width,
-                "step": spec.step,
-                "tol": spec.tol,
-                "max_refinements": spec.max_refinements,
-            },
+            "spec_used": asdict(spec),
         }
         print(json.dumps(record))
     else:
@@ -211,6 +207,15 @@ def _grid_row(function: str, z: complex, outcome) -> tuple[str, bool]:
     return ",".join(fields), converged
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _axis(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
@@ -232,12 +237,7 @@ def _cmd_grid(args) -> int:
     outcomes = functions.evaluate_many(req.function, points, **_engine_kwargs(args))
     rows = [_grid_row(req.function, z, outcome)
             for z, outcome in zip(points, outcomes)]
-    text = "\n".join([_CSV_HEADER] + [row for row, _ in rows]) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join([_CSV_HEADER] + [row for row, _ in rows]) + "\n", args.out)
     return 0 if all(ok for _, ok in rows) else 2
 
 
@@ -251,9 +251,6 @@ def _cmd_sweep_sigma(args) -> int:
         ) from None
     if not sigmas:
         raise DomainError("--sigmas must name at least one value")
-    for s in sigmas:
-        if not (0.0 < s <= 8.0):
-            raise DomainError(f"sigma must lie in (0, 8], got {s!r}")
     fn = _FUNCTIONS[args.function]
     kwargs = _engine_kwargs(args)
     results = [fn(z, sigma=s, **kwargs) for s in sigmas]
@@ -279,26 +276,8 @@ def _cmd_sweep_sigma(args) -> int:
         ],
         "max_pairwise_rel_diff": (diff / peak) if peak > 0.0 else 0.0,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if all(r.converged for r in results) else 2
-
-
-def _report_json(rep) -> dict:
-    return {
-        "check_name": rep.check_name,
-        "points_tested": rep.points_tested,
-        "max_rel_err": rep.max_rel_err,
-        "max_abs_err": rep.max_abs_err,
-        "passed": rep.passed,
-        "worst_point": _complex_json(rep.worst_point),
-        "rel_tol": rep.rel_tol,
-        "abs_tol": rep.abs_tol,
-    }
 
 
 def _cmd_verify(args) -> int:
@@ -306,7 +285,8 @@ def _cmd_verify(args) -> int:
     reports = run_identity_suite(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
                                  checks=checks)
     if args.json:
-        print(json.dumps([_report_json(r) for r in reports], indent=2))
+        print(json.dumps([{**asdict(r), "worst_point": _complex_json(r.worst_point)}
+                          for r in reports], indent=2))
     else:
         name_width = max(len(r.check_name) for r in reports)
         for r in reports:
@@ -372,7 +352,7 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
+    p_eval.add_argument("function", choices=tuple(_FUNCTIONS))
     p_eval.add_argument("z", help="complex point, e.g. 0.5+3i")
     _add_engine_flags(p_eval)
     p_eval.add_argument("--json", action="store_true",
@@ -393,7 +373,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep-sigma",
                              help="one point across several abscissas, JSON")
-    p_sweep.add_argument("function", choices=_EVAL_FUNCTIONS)
+    p_sweep.add_argument("function", choices=tuple(_FUNCTIONS))
     p_sweep.add_argument("z", help="complex point, e.g. -3.5")
     p_sweep.add_argument("--sigmas", default="0.5,1,2",
                          help="comma-separated abscissas (default 0.5,1,2)")
@@ -413,8 +393,7 @@ def _build_parser() -> _Parser:
 
     p_const = sub.add_parser("constants",
                              help="Euler-Mascheroni constant and G(1) diagnostics")
-    p_const.add_argument("--sigma", type=float, default=None)
-    p_const.add_argument("--tol", type=float, default=None)
+    _add_engine_flags(p_const, max_refine=False)
     p_const.add_argument("--json", action="store_true")
     p_const.set_defaults(handler=_cmd_constants)
     return parser

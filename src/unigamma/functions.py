@@ -105,7 +105,10 @@ def default_sigma(z) -> float:
 
 
 def _check_point(z) -> complex:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"z must be a complex number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got {z!r}")
     return z

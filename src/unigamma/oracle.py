@@ -383,22 +383,25 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     """Run the structural checks; failures are reported, never raised.
 
     ``rel_tol``/``abs_tol`` override each check's default threshold of the
-    matching kind.  The duplication and contour-loop checks use their own
-    fixed point sets (the identities constrain specific points); the other
-    three run over ``grid`` (default: the 441-point half-step lattice).
-    Those three read G from one shared pass over the distinct points they
-    need -- z for the oracle and reflection checks, 1 - z for the sine
-    product and reflection, since recip_gamma is G(z)/pi and
-    gamma_sin_pi(z) is G(1-z) -- so no point is integrated twice.  A point
-    whose evaluation or reference value raises counts as a failure there.
-    ``checks`` restricts the run to a subset of ``SUITE_CHECKS`` names,
-    preserving suite order, and only their points are evaluated; by
-    default all five run.
+    matching kind; each given one must be a positive finite real.  The
+    duplication and contour-loop checks use their own fixed point sets (the
+    identities constrain specific points); the other three run over ``grid``
+    (default: the 441-point half-step lattice).  Those three read G from one
+    shared pass over the distinct points they need -- z for the oracle and
+    reflection checks, 1 - z for the sine product and reflection, since
+    recip_gamma is G(z)/pi and gamma_sin_pi(z) is G(1-z) -- so no point is
+    integrated twice.  A point whose evaluation or reference value raises
+    counts as a failure there.  ``checks`` restricts the run to a subset of
+    ``SUITE_CHECKS`` names, preserving suite order, and only their points
+    are evaluated; by default all five run.
     """
     pts = (default_verification_grid() if grid is None
            else [complex(z) for z in grid])
     if not pts:
         raise DomainError("verification grid must be nonempty")
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if tol is not None and not (0.0 < float(tol) < math.inf):
+            raise DomainError(f"{name} must be a positive finite real, got {tol!r}")
     rel = 1e-9 if rel_tol is None else float(rel_tol)
     loop_abs = 1e-8 if abs_tol is None else float(abs_tol)
     near_zero_abs = 1e-10 if abs_tol is None else float(abs_tol)

@@ -6,6 +6,7 @@ lines.  Every tolerance here is a contract; do not relax them.
 
 import cmath
 import math
+import os
 import subprocess
 import sys
 import time
@@ -266,10 +267,15 @@ def test_11_grid_determinism(tmp_path):
         "--re-min", "-2", "--re-max", "2", "--re-steps", "5",
         "--im-min", "-2", "--im-max", "2", "--im-steps", "5",
     ]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     runs = []
     for k in (1, 2):
         out = tmp_path / f"run{k}.csv"
-        proc = subprocess.run(args + ["--out", str(out)], capture_output=True)
+        proc = subprocess.run(args + ["--out", str(out)], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append(out.read_bytes())
     ok = runs[0] == runs[1] and len(runs[0]) > 0

@@ -51,6 +51,8 @@ class TestGridRequest:
         [
             {"function": "laplace_recip_gamma"},  # not a grid function
             {"re_min": 2.0, "re_max": 1.0},
+            {"re_min": -math.inf},
+            {"im_max": math.inf},
             {"re_steps": 0},
             {"im_steps": -3},
             {"sigma": 0.0},
@@ -84,6 +86,14 @@ class TestEval:
         assert rec["value"]["im"] == pytest.approx(0.0, abs=1e-11)
         assert rec["converged"] is True
         assert rec["spec_used"]["sigma"] == 1.0
+
+    def test_json_key_order(self, capsys):
+        assert main(["eval", "digamma", "2.5-1i", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert list(rec) == ["function", "z", "value", "err_estimate",
+                             "converged", "evaluations", "spec_used"]
+        assert list(rec["spec_used"]) == ["sigma", "half_width", "step", "tol",
+                                          "max_refinements"]
 
     def test_pole_exits_three(self, capsys):
         code = main(["eval", "gamma", "--", "-2"])
@@ -290,6 +300,13 @@ class TestSweepSigma:
         assert main(["sweep-sigma", "G", "1", "--sigmas", "1,zap"]) == 1
         assert main(["sweep-sigma", "G", "1", "--sigmas", "0,1"]) == 1
         assert main(["sweep-sigma", "G", "1", "--sigmas", ""]) == 1
+        capsys.readouterr()
+        for argv in (["G", "1", "--sigmas", "0.5,9"],
+                     ["laplace_recip_gamma", "1", "--sigmas", "9"]):
+            assert main(["sweep-sigma", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "sigma must lie in (0, 8]" in captured.err
 
 
 class TestVerify:
@@ -310,6 +327,22 @@ class TestVerify:
         assert rep["passed"] is True
         assert rep["points_tested"] == 12
         assert set(rep["worst_point"]) == {"re", "im"}
+
+    def test_json_key_order(self, capsys):
+        assert main(["verify", "--only", "duplication", "--json"]) == 0
+        (rep,) = json.loads(capsys.readouterr().out)
+        assert list(rep) == ["check_name", "points_tested", "max_rel_err",
+                             "max_abs_err", "passed", "worst_point", "rel_tol",
+                             "abs_tol"]
+
+    @pytest.mark.parametrize("flag,check", [("--rel-tol", "duplication"),
+                                            ("--abs-tol", "contour_loop")])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_unmeetable_tolerance_exits_one(self, capsys, flag, check, value):
+        assert main(["verify", "--only", check, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive finite real" in captured.err
 
     def test_unknown_check_exits_one(self, capsys):
         assert main(["verify", "--only", "bogus"]) == 1

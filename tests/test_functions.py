@@ -456,6 +456,20 @@ class TestEvaluateMany:
         with pytest.raises(DomainError):
             evaluate_many("laplace_recip_gamma", [1.0])
 
+    def test_malformed_point_is_its_own_outcome(self):
+        outcomes = evaluate_many("recip_gamma", [1, None, "abc", 2])
+        assert [outcomes[0], outcomes[3]] == [recip_gamma(1), recip_gamma(2)]
+        for bad in outcomes[1:3]:
+            assert isinstance(bad, DomainError)
+            assert "z must be a complex number" in str(bad)
+
+
+def test_malformed_point_raises_domain_error():
+    with pytest.raises(DomainError, match="complex number"):
+        G(None)
+    with pytest.raises(DomainError, match="complex number"):
+        laplace_recip_gamma("x")
+
 
 def test_non_integer_max_refinements_is_rejected():
     for fn, args in ((G, (1,)), (euler_mascheroni, ()), (laplace_recip_gamma, (0.5,))):

@@ -158,6 +158,14 @@ class TestIdentitySuite:
         with pytest.raises(DomainError):
             run_identity_suite([1 + 0j], checks=("nope",))
 
+    @pytest.mark.parametrize("kind", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_unmeetable_tolerance_rejected(self, kind, value):
+        # A negative excess, or a NaN one that never becomes the worst,
+        # would otherwise report every check passed.
+        with pytest.raises(DomainError, match=kind):
+            run_identity_suite([1 + 0j], checks=("duplication",), **{kind: value})
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             run_identity_suite([])
