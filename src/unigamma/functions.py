@@ -11,7 +11,7 @@ and every ``converged`` flag comes from one rule,
 ``_gate``: the flag is true only when the truncation was not capped, the
 refinement met its (possibly roundoff-floored) tolerance, *and* that
 tolerance is small enough to honor the documented accuracy box (1e-9
-relative, 1e-6 absolute near the zeros on Re z in [-15, 15], |Im z| <= 15).
+relative, 1e-6 absolute near the zeros on Re z in [-15, 15], |Im z| <= 100).
 The box says where accuracy is promised, not where the flag goes false:
 ``recip_gamma(30)``, outside it, is accurate and returns ``converged=True``.
 """
@@ -33,6 +33,7 @@ from .quadrature import (
     select_truncation,
     tail_bound,
     trapezoid_line,  # unused here; bench/spans.py patches this attribute
+    _line_grid,
     _only,
     _trapezoid_joint,
 )
@@ -79,29 +80,26 @@ class EvalResult:
 
 
 def default_sigma(z) -> float:
-    """Contour abscissa policy: sigma = 1 in the core, drifting outward.
+    """Contour abscissa policy: the vertical line through the saddle point.
 
-    For -1 <= Re z <= 1.5 the classic sigma = 1 keeps e^{sigma^2} tame.
-    Further right the integrand's mass at t = 0 grows like
-    sigma^{1-2Re z} e^{sigma^2} while the integral itself shrinks like
-    1/Gamma, so a fixed abscissa leaks relative accuracy;
-    sigma = sqrt(Re z - 1/2) minimizes the t = 0 node magnitude (the
-    cancellation driver) and is continuous with the flat policy at
-    Re z = 1.5.  Capped at 8 per the engine's overflow guard.
+    The integrand is e^{h(w)} with h(w) = (1-2z) Log w + w^2, whose saddle
+    w0 = sqrt(z - 1/2) has h''(w0) = 4 for every z: the steepest descent
+    through w0 is vertical, and near it the integrand is close to one
+    Gaussian of fixed width.  So sigma = Re sqrt(z - 1/2), which on the
+    real axis is sqrt(Re z - 1/2) and minimizes the t = 0 node magnitude
+    (the cancellation driver).  Capped at 8 per the engine's overflow guard.
 
-    Far left the value cancels toward the zeros at nonpositive integers
-    while the node magnitudes grow like (sigma^2+t^2)^p e^{sigma^2}
-    (p = 1/2 - Re z), so the roundoff floor is proportional to roughly
-    e^{2 sigma^2}; shrinking sigma like 1/sqrt(-Re z) keeps that floor
-    orders of magnitude below the values' 1e-9 scale, again joining the
-    flat policy continuously at Re z = -1.
+    The saddle is floored by sigma = 1, which keeps e^{sigma^2} tame, and
+    for Re z < -1 by 1/sqrt(-Re z): there the value cancels toward the
+    zeros at nonpositive integers while the node magnitudes grow like
+    (sigma^2+t^2)^p e^{sigma^2} (p = 1/2 - Re z), so the roundoff floor is
+    proportional to roughly e^{2 sigma^2}; shrinking sigma keeps it orders
+    of magnitude below the values' 1e-9 scale.  On the real axis the floor
+    wins wherever Re z <= 1.5, the saddle beyond.
     """
-    zr = complex(z).real
-    if zr < -1.0:
-        return max(0.1, 1.0 / math.sqrt(-zr))
-    if zr <= 1.5:
-        return 1.0
-    return min(8.0, math.sqrt(zr - 0.5))
+    z = complex(z)
+    floor = max(0.1, 1.0 / math.sqrt(-z.real)) if z.real < -1.0 else 1.0
+    return min(8.0, max(floor, cmath.sqrt(z - 0.5).real))
 
 
 def _check_point(z) -> complex:
@@ -109,6 +107,10 @@ def _check_point(z) -> complex:
         z = complex(z)
     except (TypeError, ValueError):
         raise DomainError(f"z must be a complex number, got {z!r}") from None
+    except OverflowError:
+        # No repr: past 4,300 digits an int's repr raises too.
+        raise DomainError("z must be finite, got a number beyond the "
+                          "double range") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got {z!r}")
     return z
@@ -141,8 +143,9 @@ def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
                max_refinements: int) -> tuple[ContourSpec, bool]:
     """The spec of the G line at z and whether its truncation was capped.
 
-    Truncation is sized for the heaviest tail; the step is
-    min(0.25, 1/(1+|Im z|)).
+    Truncation is sized for the heaviest tail.  The start step is 0.25
+    for every z: on the saddle line the integrand is close to a Gaussian
+    e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does the rest.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
@@ -151,11 +154,24 @@ def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
     spec = ContourSpec(
         sigma=sig,
         half_width=trunc.half_width,
-        step=min(0.25, 1.0 / (1.0 + abs(z.imag))),
+        step=0.25,
         tol=(1.0 - _TAIL_SHARE) * tol,
         max_refinements=max_refinements,
     )
     return spec, trunc.capped
+
+
+def _phase_noise(z: complex, spec: ContourSpec) -> float:
+    """Factor on a G-line point's roundoff floor for the kernel's phase error.
+
+    The phase carries -Im z * log(sigma^2 + t^2), rounded to an ulp of its
+    size Phi = |Im z| max|log u| over the window; past Phi = 16 that noise
+    outgrows the floor's 16 eps.  1 for real z.
+    """
+    u_lo = spec.sigma ** 2
+    u_hi = u_lo + spec.half_width ** 2
+    phase = abs(z.imag) * max(abs(math.log(u_lo)), abs(math.log(u_hi)))
+    return max(1.0, phase / 16.0)
 
 
 def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
@@ -193,7 +209,7 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
     quads_of = _trapezoid_joint(
         [lambda t, rows, fn=fn: fn(z_of[rows], sigma_of[rows], t) for fn in fns],
-        specs)
+        specs, noise=[_phase_noise(z, spec) for z, spec in zip(zs, specs)])
     for index, z, spec, cap, quads in zip(todo, zs, specs, capped, quads_of):
         if isinstance(quads, UnigammaError):
             outcomes[index] = quads
@@ -450,8 +466,8 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     tol_abs = tol * max(scale, 1e-300)
     spec = replace(spec, tol=tol_abs)
     quad = _only(_trapezoid_joint(
-        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [spec], romberg=True
-    ))[0]
+        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [spec],
+        grids=[_line_grid(spec)]))[0]
     two_pi = 2.0 * math.pi
     value = (quad.value + tail) / two_pi
     err = (quad.err_estimate + remainder) / two_pi

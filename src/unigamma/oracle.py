@@ -131,12 +131,13 @@ class OracleReport:
 
 
 def default_verification_grid() -> list[complex]:
-    """Half-step lattice m/2 + (n/2)i for m, n in [-10, 10] — 441 points."""
+    """Half-step lattice m/2 + (n/2)i for m, n in [-10, 10] — 441 points —
+    then 18 points x + yi, x in {-5, 0, 5}, |y| in {20, 40, 60}."""
     return [
         complex(m * 0.5, n * 0.5)
         for n in range(-10, 11)
         for m in range(-10, 11)
-    ]
+    ] + [complex(x, y) for y in (20, -20, 40, -40, 60, -60) for x in (-5, 0, 5)]
 
 
 def gaussian_moment_check(y, spec: ContourSpec | None = None) -> OracleReport:
@@ -386,7 +387,7 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     matching kind; each given one must be a positive finite real.  The
     duplication and contour-loop checks use their own fixed point sets (the
     identities constrain specific points); the other three run over ``grid``
-    (default: the 441-point half-step lattice).  Those three read G from one
+    (default: ``default_verification_grid``, 459 points).  Those three read G from one
     shared pass over the distinct points they need -- z for the oracle and
     reflection checks, 1 - z for the sine product and reflection, since
     recip_gamma is G(z)/pi and gamma_sin_pi(z) is G(1-z) -- so no point is

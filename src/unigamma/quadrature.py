@@ -17,10 +17,10 @@ the odd k -- and ``evaluations`` counts each node once.  A point keeps
 trapezoid terms, its values with the end weights 1/2 applied once, at
 level 0.  The rays, the arcs and the Laplace integrand end where they have
 not decayed, so their Euler-Maclaurin endpoint terms hold plain halving to
-O(h^2); those paths extrapolate the level sums with a Romberg table
-instead, which removes h^2, h^4, ... in turn.  The G line keeps plain
-halving: its ends have decayed below the tolerance, and the trapezoid rule
-is spectral there.
+O(h^2); those paths pass their grid, and a given grid extrapolates the
+level sums with a Romberg table, which removes h^2, h^4, ... in turn.  The
+G line keeps plain halving: its ends have decayed below the tolerance, and
+the trapezoid rule is spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -36,6 +36,10 @@ and the error estimate: the gate enforces the *effective* tolerance
 ``max(tol, floor)`` and ``err_estimate`` is ``max(Richardson difference,
 floor)``.  The floor covers the kernels' few-ulp pointwise error summed over
 the line, so an estimate below it would claim more than the nodes carry.
+A G-line point off the real axis scales its floor by max(1, Phi/16), with
+Phi = |Im z| max|log(sigma^2 + t^2)| over the window: the kernel's phase
+carries Im z log(sigma^2 + t^2), rounded to an ulp of Phi, which past 16
+outgrows the few ulps above (the ``noise`` of ``_trapezoid_joint``).
 For heavily cancelling integrands (deep left half-plane z) the requested
 absolute tolerance may lie below what double precision can represent of the
 summand mass; converging to the roundoff floor is then reported as
@@ -367,11 +371,16 @@ def _node_error(nodes: np.ndarray, news) -> QuadratureNodeError | None:
 class _Point:
     """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
-    __slots__ = ("spec", "grid", "step", "values", "exact", "sums", "rows")
+    __slots__ = ("spec", "grid", "floor", "romberg", "step", "values", "exact",
+                 "sums", "rows")
 
-    def __init__(self, spec: ContourSpec, grid: _Grid, count: int):
+    def __init__(self, spec: ContourSpec, grid: _Grid, count: int, noise: float,
+                 romberg: bool):
         self.spec = spec
         self.grid = grid
+        # The roundoff floor per unit of int |f|.
+        self.floor = _CANCEL_FLOOR * _EPS * noise
+        self.romberg = romberg
         self.step = grid.step
         self.values: list = []
         # Exact running sums of the terms, real and imaginary per
@@ -433,7 +442,7 @@ class _Point:
             terms = self.values
         return self.add_exact([total for new in terms for total in _exact_sums(new)])
 
-    def settle(self, sums: list[float], level: int, romberg: bool):
+    def settle(self, sums: list[float], level: int):
         """Take this level's sums; the outcome once the point stops.
 
         The outcome is one QuadratureResult per integrand; None while the
@@ -443,7 +452,7 @@ class _Point:
         last, self.sums = self.sums, []
         for i in range(len(last)):
             total = complex(step * sums[2 * i], step * sums[2 * i + 1])
-            if romberg:
+            if self.romberg:
                 self.rows[i] = _romberg_row(self.rows[i], total)
                 total = self.rows[i][-1]
             self.sums.append(total)
@@ -451,7 +460,7 @@ class _Point:
             return None
         spec = self.spec
         diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
-        floors = [_CANCEL_FLOOR * _EPS * (step * float(np.add.reduce(np.abs(values))))
+        floors = [self.floor * (step * float(np.add.reduce(np.abs(values))))
                   for values in self.values]
         tol_eff = [max(spec.tol, floor) for floor in floors]
         done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff))
@@ -471,24 +480,23 @@ class _Point:
         ]
 
 
-def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list) -> None:
-    """Halve the step of every point of ``chunk`` until each one stops."""
-    if len(chunk) == 1:
+def _refine_chunk(fs, points: dict, outcomes: list) -> None:
+    """Halve the step of every point (index: _Point) of a chunk until each one stops."""
+    if len(points) == 1:
         # One point: its scalars go to the kernel, and none of the
         # many-point bookkeeping, which costs about 5% of a small integral.
-        (p,) = chunk
-        point, level, outcome = _Point(specs[p], grids[p], len(fs)), 0, None
+        ((p, point),) = points.items()
+        level, outcome = 0, None
         while outcome is None:
             nodes = point.next_nodes(level)
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
             outcome = _node_error(nodes, news)
             if outcome is None:
                 terms = point.keep(news, level)
-                outcome = point.settle(point.sum_alone(terms), level, romberg)
+                outcome = point.settle(point.sum_alone(terms), level)
             level += 1
         outcomes[p] = outcome
         return
-    points = {p: _Point(specs[p], grids[p], len(fs)) for p in chunk}
     level = 0
     while points:
         active = list(points)
@@ -517,7 +525,7 @@ def _refine_chunk(fs, specs, grids, chunk: range, romberg: bool, outcomes: list)
         for slot, (p, _) in enumerate(kept):
             point = points[p]
             level_sums = [total for part in sums for total in part[2 * slot:2 * slot + 2]]
-            outcome = point.settle(point.add_exact(level_sums), level, romberg)
+            outcome = point.settle(point.add_exact(level_sums), level)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -529,20 +537,21 @@ def _trapezoid_joint(
     specs: Sequence[ContourSpec],
     *,
     grids: Sequence[_Grid] | None = None,
-    romberg: bool = False,
+    noise: Sequence[float] | None = None,
 ) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
     Point p integrates over ``grids[p]`` (default: the symmetric line
-    [-T, T] of ``specs[p]``) to ``specs[p].tol``.  Every integrand of a
+    [-T, T] of ``specs[p]``) to ``specs[p].tol``, its roundoff floor
+    scaled by ``noise[p]`` (default 1).  Every integrand of a
     point sees the same nodes each level, and the point stops only when
     all of them meet their effective tolerance; sharing nodes lets
     ratio-type consumers (digamma) cancel common error.  The levels are
     nested: after the first, only the new odd-k nodes are evaluated and
     interleaved with the kept terms, so every node costs one kernel
-    evaluation however many halvings follow.  ``romberg`` replaces each
-    level's trapezoid sum by the diagonal of a Romberg table, for
-    integrands whose interval ends carry Euler-Maclaurin terms in h^2.
+    evaluation however many halvings follow.  Given ``grids``, each level's
+    trapezoid sum is replaced by the diagonal of a Romberg table: those
+    integrands' interval ends carry Euler-Maclaurin terms in h^2.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
     nodes.  Each level calls each integrand once as ``f(t, rows)`` on the
@@ -560,12 +569,16 @@ def _trapezoid_joint(
     on).  Floating-point warnings are silenced: a non-finite node is
     reported that way instead.
     """
+    romberg = grids is not None
     if grids is None:
         grids = [_line_grid(spec) for spec in specs]
+    if noise is None:
+        noise = [1.0] * len(specs)
     outcomes: list = [None] * len(specs)
     with np.errstate(all="ignore"):
         for chunk in _chunks(grids):
-            _refine_chunk(fs, specs, grids, chunk, romberg, outcomes)
+            _refine_chunk(fs, {p: _Point(specs[p], grids[p], len(fs), noise[p], romberg)
+                               for p in chunk}, outcomes)
     return outcomes
 
 
@@ -620,8 +633,7 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     n = max(4, math.ceil((big_r - head_end) / spec.step))
     grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
     quad = _only(_trapezoid_joint(
-        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid],
-        romberg=True))[0]
+        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid]))[0]
     return replace(quad, value=0.5 * head + quad.value,
                    converged=quad.converged and head_ok)
 
@@ -643,8 +655,7 @@ def _arc(y: complex, big_r: float, theta0: float, theta1: float,
         w_sq = (big_r * big_r) * np.exp(2j * theta)
         return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
 
-    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)],
-                                  romberg=True))[0]
+    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)]))[0]
 
 
 def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:

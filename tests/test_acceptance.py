@@ -44,7 +44,7 @@ def _is_integer(z: complex) -> bool:
 
 
 def test_01_recip_gamma_grid_vs_oracle():
-    """Global validity of the contour route on the 441-point default grid."""
+    """Global validity of the contour route on the 459-point default grid."""
     t0 = time.perf_counter()
     worst_rel = 0.0
     worst_abs = 0.0
@@ -63,7 +63,7 @@ def test_01_recip_gamma_grid_vs_oracle():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _report(
-        "criterion 01 (recip_gamma on 441-grid)", ok,
+        "criterion 01 (recip_gamma on 459-grid)", ok,
         f"worst rel {worst_rel:.2e} <= 1e-9, worst abs {worst_abs:.2e} "
         f"<= 1e-10, {elapsed:.1f}s < 60s",
     )
@@ -133,7 +133,7 @@ def test_04_reflection_formula():
         worst = max(worst, resid)
     _report(
         "criterion 04 (reflection formula)", worst <= 1e-9,
-        f"441 points, worst scaled residual {worst:.2e} <= 1e-9",
+        f"459 points, worst scaled residual {worst:.2e} <= 1e-9",
     )
 
 

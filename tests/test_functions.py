@@ -105,11 +105,22 @@ class TestG:
         assert b == pytest.approx(a.conjugate(), rel=1e-12, abs=1e-12)
 
     def test_far_out_flags_unconverged_not_wrong(self):
-        # High up the imaginary axis the oscillation outruns double
-        # precision; the flag must go False rather than the value silently
-        # degrading.
-        res = G(0.5 + 40j)
+        # Near the zero at -15 the line's summand mass outruns double
+        # precision for every sigma in 0.1-3: the roundoff floor lies above
+        # the promise, and the flag must go False rather than the value
+        # silently degrading.
+        res = G(-15 + 4e-8j)
         assert not res.converged
+
+    def test_far_up_the_imaginary_axis_converges(self):
+        # The saddle line carries 0.5+40j without cancellation.
+        mpmath = pytest.importorskip("mpmath")
+        res = G(0.5 + 40j)
+        with mpmath.workdps(30):
+            want = complex(mpmath.pi / mpmath.gamma(mpmath.mpc(0.5, 40)))
+        assert res.converged
+        assert abs(res.value - want) <= res.err_estimate
+        assert abs(res.value - want) <= 1e-12 * abs(want)
 
     def test_refinement_exhausted_is_unconverged(self):
         assert G(0.5 + 3j, max_refinements=1).converged is False
@@ -322,6 +333,14 @@ class TestDefaultSigma:
         assert default_sigma(-4) == pytest.approx(0.5)
         assert default_sigma(-1e6) == 0.1
 
+    def test_off_axis_through_the_saddle(self):
+        # sigma = Re sqrt(z - 1/2) wherever that lies above the real-axis rule.
+        assert default_sigma(0.5 + 40j) == math.sqrt(20.0)
+        assert default_sigma(-15 + 20j) == pytest.approx(2.21395, abs=1e-5)
+        assert default_sigma(0.5 + 1e4j) == 8.0
+        # Near the left's zeros the saddle lies near the imaginary axis.
+        assert default_sigma(-15 + 4e-8j) == default_sigma(-15)
+
     def test_entirety_probe_far_left(self):
         # The same code path with no pole special-casing stays accurate
         # deep into the left half-plane.
@@ -366,7 +385,8 @@ class TestHighImaginaryVerdict:
     """Above |Im z| = 30 the flag follows the same rule as everywhere else.
 
     Converged means the roundoff floor sits inside the accuracy promise;
-    it is not withheld for the size of Im z alone.
+    it is not withheld for the size of Im z alone, and a point whose floor
+    lies above the promise (near a zero of 1/Gamma) is flagged.
     """
 
     def _exact(self, mpmath, fn, z):
@@ -387,11 +407,31 @@ class TestHighImaginaryVerdict:
 
     def test_roundoff_floor_still_flags(self):
         mpmath = pytest.importorskip("mpmath")
-        z = 0.5 + 40j
+        z = -15 + 4e-8j
         res = recip_gamma(z)
         want = self._exact(mpmath, mpmath.rgamma, z)
         assert not res.converged
         assert abs(res.value - want) > 1e-9 * abs(want)
+
+
+class TestHighImaginaryBand:
+    """The saddle line holds the four functions at |Im z| in [15, 100]."""
+
+    def test_converged_within_estimate_and_no_false_pole(self):
+        mpmath = pytest.importorskip("mpmath")
+        functions = TestContourErrEstimate.FUNCTIONS
+        names = sorted(functions)
+        rng = random.Random(61)
+        for k in range(400):
+            name = names[k % len(names)]
+            fn, exact = functions[name]
+            z = complex(rng.uniform(-20.0, 20.0),
+                        rng.choice((-1.0, 1.0)) * rng.uniform(15.0, 100.0))
+            res = fn(z)  # a PoleError fails the test
+            with mpmath.workdps(30):
+                want = complex(exact(mpmath, mpmath.mpc(z.real, z.imag)))
+            assert res.converged, (name, z)
+            assert abs(res.value - want) <= res.err_estimate, (name, z)
 
 
 class TestEvaluateMany:
@@ -469,6 +509,18 @@ def test_malformed_point_raises_domain_error():
         G(None)
     with pytest.raises(DomainError, match="complex number"):
         laplace_recip_gamma("x")
+
+
+def test_int_beyond_double_range_raises_domain_error():
+    # 10**5000 is past the digits an int's repr allows.
+    for huge in (10**400, 10**5000):
+        with pytest.raises(DomainError, match="double range"):
+            G(huge)
+        with pytest.raises(DomainError, match="double range"):
+            laplace_recip_gamma(huge)
+    good, bad = evaluate_many("G", [1, 10**400])
+    assert good == G(1)
+    assert isinstance(bad, DomainError)
 
 
 def test_non_integer_max_refinements_is_rejected():

@@ -135,11 +135,15 @@ class TestGaussianMomentCheck:
 class TestIdentitySuite:
     def test_default_grid_shape(self):
         grid = default_verification_grid()
-        assert len(grid) == 441
-        assert min(p.real for p in grid) == -5.0
-        assert max(p.imag for p in grid) == 5.0
+        lattice, high = grid[:441], grid[441:]
+        assert min(p.real for p in lattice) == -5.0
+        assert max(p.imag for p in lattice) == 5.0
         # half-integer lattice
-        assert all((2 * p.real) == round(2 * p.real) for p in grid)
+        assert all((2 * p.real) == round(2 * p.real) for p in lattice)
+        # then at most 20 points at |Im z| in [20, 60], both signs
+        assert len(high) == 18 and len(set(grid)) == len(grid)
+        assert all(20.0 <= abs(p.imag) <= 60.0 and abs(p.real) <= 5.0 for p in high)
+        assert sum(p.imag > 0 for p in high) == 9
 
     def test_small_grid_all_pass(self):
         grid = [0.5 + 0.5j, 1 + 0j, -1.5 - 1j, 2 + 2j, -3 + 0.5j]
@@ -171,10 +175,10 @@ class TestIdentitySuite:
             run_identity_suite([])
 
     def test_far_out_point_flags_but_completes(self):
-        # Far outside the accuracy box the suite must finish and report
-        # rather than crash; with the flag-aware excess the offending
-        # check(s) report not-passed.
-        reports = run_identity_suite([0.5 + 40j])
+        # Where the roundoff floor lies above the promise (near the zero at
+        # -15) the suite must finish and report rather than crash; with the
+        # flag-aware excess the offending check(s) report not-passed.
+        reports = run_identity_suite([-15 + 4e-8j])
         assert len(reports) == len(SUITE_CHECKS)
         by_name = {r.check_name: r for r in reports}
         assert not by_name["recip_gamma_vs_oracle"].passed

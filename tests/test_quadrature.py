@@ -21,7 +21,8 @@ from unigamma import (
     tail_bound,
     trapezoid_line,
 )
-from unigamma.quadrature import _FSUM_TERMS, _UNIT, _exact_sums, _trapezoid_joint
+from unigamma.quadrature import (_FSUM_TERMS, _UNIT, _exact_sums, _line_grid,
+                                 _trapezoid_joint)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -259,11 +260,12 @@ class TestTrapezoidLine:
             assert res.value == plain
 
     def test_romberg_removes_endpoint_error(self):
-        # cos does not vanish at +-T, so plain halving is stuck at O(h^2).
+        # cos does not vanish at +-T, so plain halving is stuck at O(h^2);
+        # an explicit grid, here the line's own, turns Romberg on.
         spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-12, max_refinements=6)
         plain = trapezoid_line(np.cos, spec)
         extrapolated = _trapezoid_joint(
-            (lambda t, _: np.cos(t),), [spec], romberg=True)[0][0]
+            (lambda t, _: np.cos(t),), [spec], grids=[_line_grid(spec)])[0][0]
         assert not plain.converged
         assert extrapolated.converged
         assert extrapolated.evaluations < plain.evaluations
