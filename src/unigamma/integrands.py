@@ -30,6 +30,8 @@ an array one: ``np.power`` evaluates a scalar exponent of 0.5, 2 or -1 as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -59,7 +61,7 @@ def _check_complex(name: str, value):
             raise DomainError(f"{name} must be finite")
         return z
     z = complex(value)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return z
 
@@ -73,7 +75,7 @@ def _check_sigma(sigma):
             raise DomainError("sigma overflows exp(sigma**2) in double precision")
         return s
     s = float(sigma)
-    if not np.isfinite(s) or s <= 0.0:
+    if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
     if s > _SIGMA_LIMIT:
         raise DomainError(f"sigma={s} overflows exp(sigma**2) in double precision")

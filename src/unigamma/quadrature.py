@@ -10,17 +10,21 @@ successive halvings is an honest (if slightly conservative) error estimate.
 One driver, ``_trapezoid_joint``, does every halving: the line, the two
 rays and the two arcs of the closed contour, and the Laplace cross-check.
 It takes many points at once and refines them in chunks, one kernel call
-per halving level for the whole chunk; the rays, arcs and Laplace are
-one-point calls.  Its levels are nested -- nodes are ``origin + k*h`` over
-integer k, so halving keeps every old node at an even k and evaluates only
-the odd k -- and ``evaluations`` counts each node once.  A point keeps
-trapezoid terms, its values with the end weights 1/2 applied once, at
-level 0.  The rays, the arcs and the Laplace integrand end where they have
-not decayed, so their Euler-Maclaurin endpoint terms hold plain halving to
-O(h^2); those paths pass their grid, and a given grid extrapolates the
-level sums with a Romberg table, which removes h^2, h^4, ... in turn.  The
-G line keeps plain halving: its ends have decayed below the tolerance, and
-the trapezoid rule is spectral there.
+per level for the whole chunk; the rays, arcs and Laplace are one-point
+calls.  Its levels are nested -- nodes are ``origin + k*h`` over integer
+k, so halving keeps every old node at an even k and evaluates only the
+odd k -- and ``evaluations`` counts each node once.  No point stops on
+level 0, which has no Richardson difference, so a point's first kernel
+call evaluates level 1's nodes, level 0's at the even k and the odd k
+between them.  The point keeps them as trapezoid terms, its values with
+the end weights 1/2 applied once, and settles level 0 from the even terms
+and level 1 from all of them: a point that stops at level 1 makes one
+kernel call per integrand.  The rays, the arcs and the Laplace integrand
+end where they have not decayed, so their Euler-Maclaurin endpoint terms
+hold plain halving to O(h^2); those paths pass their grid, and a given grid
+extrapolates the level sums with a Romberg table, which removes h^2, h^4,
+... in turn.  The G line keeps plain halving: its ends have decayed below
+the tolerance, and the trapezoid rule is spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -110,7 +114,11 @@ class ContourSpec:
             raise DomainError(f"step must lie in (0, half_width], got {self.step!r}")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
-        if int(self.max_refinements) != self.max_refinements or self.max_refinements < 1:
+        try:
+            whole = int(self.max_refinements) == self.max_refinements
+        except (TypeError, ValueError, OverflowError):
+            whole = False  # None, NaN, an infinity or a non-number
+        if not whole or self.max_refinements < 1:
             raise DomainError(
                 f"max_refinements must be an integer >= 1, got {self.max_refinements!r}"
             )
@@ -184,6 +192,18 @@ def _log_majorant(z: complex, sigma: float, t: float, *, log_weight: bool) -> fl
     return lm
 
 
+def _check_z(z) -> complex:
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"z must be finite, got {z!r}")
+    return z
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (0.0 < sigma <= 8.0):
+        raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
+
+
 def tail_bound(z, sigma: float, half_width: float, *, log_weight: bool = False) -> float:
     """Rigorous bound on the |t| > half_width tail of the G-line integral.
 
@@ -191,9 +211,17 @@ def tail_bound(z, sigma: float, half_width: float, *, log_weight: bool = False) 
     the tail, giving majorant(T)/(2T); for p > 0 the polynomial factor is
     folded into a half-Gaussian decay, giving majorant(T)/T provided T sits
     beyond the majorant's crest (select_truncation's search floor enforces
-    that).
+    that).  Raises DomainError unless z is finite, sigma lies in (0, 8]
+    and half_width is a positive finite real.
     """
-    z = complex(z)
+    z = _check_z(z)
+    _check_sigma(sigma)
+    if not (0.0 < half_width < math.inf):
+        raise DomainError(f"half_width must be a positive finite real, got {half_width!r}")
+    return _tail_bound(z, sigma, half_width, log_weight)
+
+
+def _tail_bound(z: complex, sigma: float, half_width: float, log_weight: bool) -> float:
     p = 0.5 * (1.0 - 2.0 * z.real)
     lm = _log_majorant(z, sigma, half_width, log_weight=log_weight)
     if lm > 700.0:
@@ -209,18 +237,15 @@ def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False) 
     starts at max(sigma + 3, crest + 1) so the p > 0 branch of tail_bound is
     valid, and caps at T = 200 (flagged) for pathological inputs.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if not (0.0 < sigma <= 8.0):
-        raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
+    z = _check_z(z)
+    _check_sigma(sigma)
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     p = 0.5 * (1.0 - 2.0 * z.real)
     crest = math.sqrt(max(2.0 * p - sigma * sigma, 0.0))
     start = max(sigma + 3.0, crest + 1.0)
     half_width = math.ceil(start / _T_GRID) * _T_GRID
-    while tail_bound(z, sigma, half_width, log_weight=log_weight) > tol:
+    while _tail_bound(z, sigma, half_width, log_weight) > tol:
         if half_width >= TRUNCATION_CAP:
             return Truncation(TRUNCATION_CAP, True)
         half_width += _T_GRID
@@ -338,8 +363,9 @@ def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
 
 
 # Level-0 nodes one chunk of points may hold.  A chunk's kernel calls and
-# the node values it keeps grow with this budget; each halving level costs
-# one call per integrand whatever the number of points in the chunk.
+# the node values it keeps grow with this budget (its first call takes
+# twice its level-0 nodes); each refinement step costs one call per
+# integrand whatever the number of points in the chunk.
 _CHUNK_NODES = 4096
 
 
@@ -356,23 +382,42 @@ def _chunks(grids: Sequence[_Grid]):
         yield range(start, len(grids))
 
 
-def _node_error(nodes: np.ndarray, news) -> QuadratureNodeError | None:
-    """The error of the first non-finite value of ``news`` at ``nodes``, if any."""
-    for new in news:
-        finite = np.isfinite(new)
-        if not finite.all():
-            bad = float(nodes[np.argmin(finite)])
-            return QuadratureNodeError(
-                f"integrand returned a non-finite value at node t={bad!r}",
-                node=bad)
+def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | None:
+    """The error of the first non-finite value of ``news`` at ``nodes``, if any.
+
+    On level 1 the even k, level 0's nodes, are looked at first: the error
+    names a node of the coarsest level that has a non-finite one.
+    """
+    finite = [np.isfinite(new) for new in news]
+    if all(ok.all() for ok in finite):
+        return None
+    looks = (slice(None, None, 2), slice(None)) if level == 1 else (slice(None),)
+    for look in looks:
+        for ok in finite:
+            if not ok[look].all():
+                bad = float(nodes[look][np.argmin(ok[look])])
+                return QuadratureNodeError(
+                    f"integrand returned a non-finite value at node t={bad!r}",
+                    node=bad)
     return None
+
+
+def _slot_sums(sums: list[list[int]], slot: int) -> list[int]:
+    """Slot ``slot``'s exact sums, real and imaginary per integrand, from one
+    ``_exact_sums`` pass per integrand."""
+    return [total for part in sums for total in part[2 * slot:2 * slot + 2]]
+
+
+def _fsums(values) -> list[float]:
+    """fsum of each array's real and imaginary parts, in turn."""
+    return [total for v in values
+            for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
 
 
 class _Point:
     """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
-    __slots__ = ("spec", "grid", "floor", "romberg", "step", "values", "exact",
-                 "sums", "rows")
+    __slots__ = ("spec", "grid", "floor", "romberg", "values", "exact", "sums", "rows")
 
     def __init__(self, spec: ContourSpec, grid: _Grid, count: int, noise: float,
                  romberg: bool):
@@ -381,7 +426,6 @@ class _Point:
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
-        self.step = grid.step
         self.values: list = []
         # Exact running sums of the terms, real and imaginary per
         # integrand, once the bins sum this point; None while fsum does.
@@ -389,26 +433,29 @@ class _Point:
         self.sums = [0j] * count
         self.rows: list[list[complex]] = [[] for _ in range(count)]
 
-    def next_nodes(self, level: int) -> np.ndarray:
-        """Halve the step for ``level`` and return the nodes it adds.
+    def step(self, level: int) -> float:
+        return math.ldexp(self.grid.step, -level)
 
-        Level 0 is the whole grid; each later level adds the odd k.
+    def next_nodes(self, level: int) -> np.ndarray:
+        """The nodes that the kernel call of ``level`` (1 or more) evaluates.
+
+        Level 1 evaluates the whole grid at half its step, level 0's nodes
+        at its even k; each later level adds the odd k.
         """
         grid = self.grid
-        if not level:
-            return grid.origin + np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * self.step
-        self.step *= 0.5
         k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
-        return grid.origin + np.arange(k_lo + 1, k_hi, 2, dtype=float) * self.step
+        k = (np.arange(k_lo, k_hi + 1, dtype=float) if level == 1
+             else np.arange(k_lo + 1, k_hi, 2, dtype=float))
+        return grid.origin + k * self.step(level)
 
     def keep(self, news, level: int) -> list:
         """Keep the integrands' new values as trapezoid terms; the terms this level adds.
 
-        Level 0 keeps a copy with the end weights 1/2 applied; a later
-        level's nodes are interior, so its terms are its values,
-        interleaved with the kept ones.
+        Level 1 keeps a copy with the end weights 1/2 applied, at level 0's
+        ends; a later level's nodes are interior, so its terms are its
+        values, interleaved with the kept ones.
         """
-        if not level:
+        if level == 1:
             self.values = [new.copy() for new in news]
             for terms in self.values:
                 terms[[0, -1]] *= 0.5
@@ -428,36 +475,44 @@ class _Point:
             self.exact = [total + part for total, part in zip(self.exact, sums)]
         return [total / _UNIT for total in self.exact]
 
-    def sum_alone(self, terms) -> list[float]:
-        """A lone point's sums of this level, real and imaginary per integrand.
+    def sum_alone(self, terms, level: int) -> list[list[float]]:
+        """A lone point's sums, real and imaginary per integrand, of each
+        level this step settles (levels 0 and 1 on level 1).
 
-        ``terms`` are the ones this level adds.  A level of fewer than
-        ``_FSUM_TERMS`` terms goes to fsum.  The first level at or above it
-        bins all the kept terms; later levels bin only the ones they add.
+        ``terms`` are the ones this level adds.  Fewer than ``_FSUM_TERMS``
+        kept terms go to fsum.  The first level at or above it bins all the
+        kept terms, level 1 the even and the odd k in two slots; later
+        levels bin only the ones they add.
         """
         if self.exact is None:
             if self.values[0].size < _FSUM_TERMS:
-                return [total for values in self.values
-                        for total in (fsum(values.real.tolist()), fsum(values.imag.tolist()))]
+                if level == 1:
+                    return [_fsums(v[0::2] for v in self.values), _fsums(self.values)]
+                return [_fsums(self.values)]
+            if level == 1:
+                parity = np.arange(self.values[0].size) & 1
+                sums = [_exact_sums(v, parity, 2) for v in self.values]
+                return [self.add_exact(_slot_sums(sums, s)) for s in (0, 1)]
             terms = self.values
-        return self.add_exact([total for new in terms for total in _exact_sums(new)])
+        return [self.add_exact([total for new in terms for total in _exact_sums(new)])]
 
-    def settle(self, sums: list[float], level: int):
-        """Take this level's sums; the outcome once the point stops.
+    def settle(self, sums: list[list[float]], level: int):
+        """Take the sums of the levels this step settles; the outcome once the point stops.
 
-        The outcome is one QuadratureResult per integrand; None while the
-        point goes on refining.
+        ``sums`` holds one list per level, the last one ``level``'s: levels 0
+        and 1 on the first step, one level after it.  The outcome is one
+        QuadratureResult per integrand; None while the point goes on
+        refining.
         """
-        step = self.step
-        last, self.sums = self.sums, []
-        for i in range(len(last)):
-            total = complex(step * sums[2 * i], step * sums[2 * i + 1])
-            if self.romberg:
-                self.rows[i] = _romberg_row(self.rows[i], total)
-                total = self.rows[i][-1]
-            self.sums.append(total)
-        if not level:
-            return None
+        for at, level_sums in enumerate(sums, level + 1 - len(sums)):
+            step = self.step(at)
+            last, self.sums = self.sums, []
+            for i in range(len(last)):
+                total = complex(step * level_sums[2 * i], step * level_sums[2 * i + 1])
+                if self.romberg:
+                    self.rows[i] = _romberg_row(self.rows[i], total)
+                    total = self.rows[i][-1]
+                self.sums.append(total)
         spec = self.spec
         diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
         floors = [self.floor * (step * float(np.add.reduce(np.abs(values))))
@@ -481,23 +536,27 @@ class _Point:
 
 
 def _refine_chunk(fs, points: dict, outcomes: list) -> None:
-    """Halve the step of every point (index: _Point) of a chunk until each one stops."""
+    """Halve the step of every point (index: _Point) of a chunk until each one stops.
+
+    The first kernel call of a point is level 1's, which settles levels 0
+    and 1; each later one adds a level.
+    """
     if len(points) == 1:
         # One point: its scalars go to the kernel, and none of the
         # many-point bookkeeping, which costs about 5% of a small integral.
         ((p, point),) = points.items()
-        level, outcome = 0, None
+        level, outcome = 1, None
         while outcome is None:
             nodes = point.next_nodes(level)
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
-            outcome = _node_error(nodes, news)
+            outcome = _node_error(nodes, news, level)
             if outcome is None:
                 terms = point.keep(news, level)
-                outcome = point.settle(point.sum_alone(terms), level)
+                outcome = point.settle(point.sum_alone(terms, level), level)
             level += 1
         outcomes[p] = outcome
         return
-    level = 0
+    level = 1
     while points:
         active = list(points)
         nodes = [points[p].next_nodes(level) for p in active]
@@ -508,7 +567,7 @@ def _refine_chunk(fs, points: dict, outcomes: list) -> None:
         parts = zip(*(np.split(new, cuts) for new in news))
         kept = []
         for p, block, part in zip(active, nodes, parts):
-            error = _node_error(block, part)
+            error = _node_error(block, part, level)
             if error is None:
                 kept.append((p, points[p].keep(part, level)))
             else:
@@ -517,15 +576,22 @@ def _refine_chunk(fs, points: dict, outcomes: list) -> None:
         if not kept:
             break
         # One bin pass per integrand over the terms the points that go on
-        # add, each point in its own slot; a point with a non-finite node
-        # stays out, so it cannot spoil its chunk-mates' sums.
-        slots = np.repeat(np.arange(len(kept)), [terms[0].size for _, terms in kept])
-        sums = [_exact_sums(np.concatenate([terms[i] for _, terms in kept]), slots, len(kept))
+        # add, each point in its own slot, or on level 1 in two: the even k
+        # (level 0) and the odd k.  A point with a non-finite node stays
+        # out, so it cannot spoil its chunk-mates' sums.
+        per = 2 if level == 1 else 1
+        sizes = [terms[0].size for _, terms in kept]
+        slots = np.repeat(np.arange(len(kept)), sizes)
+        if per == 2:
+            slots = 2 * slots + np.concatenate([np.arange(size) & 1 for size in sizes])
+        sums = [_exact_sums(np.concatenate([terms[i] for _, terms in kept]), slots,
+                            per * len(kept))
                 for i in range(len(fs))]
         for slot, (p, _) in enumerate(kept):
             point = points[p]
-            level_sums = [total for part in sums for total in part[2 * slot:2 * slot + 2]]
-            outcome = point.settle(point.add_exact(level_sums), level)
+            outcome = point.settle(
+                [point.add_exact(_slot_sums(sums, s))
+                 for s in range(per * slot, per * (slot + 1))], level)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -546,28 +612,31 @@ def _trapezoid_joint(
     scaled by ``noise[p]`` (default 1).  Every integrand of a
     point sees the same nodes each level, and the point stops only when
     all of them meet their effective tolerance; sharing nodes lets
-    ratio-type consumers (digamma) cancel common error.  The levels are
-    nested: after the first, only the new odd-k nodes are evaluated and
+    ratio-type consumers (digamma) cancel common error.  The first kernel
+    call evaluates the grid at half its step and settles two levels: level
+    0 from the terms at even k, level 1 from all of them.  The levels are
+    nested: after that, only the new odd-k nodes are evaluated and
     interleaved with the kept terms, so every node costs one kernel
     evaluation however many halvings follow.  Given ``grids``, each level's
     trapezoid sum is replaced by the diagonal of a Romberg table: those
     integrands' interval ends carry Euler-Maclaurin terms in h^2.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
-    nodes.  Each level calls each integrand once as ``f(t, rows)`` on the
-    new nodes of the chunk's points still refining, concatenated in point
-    order: ``rows`` is the point's index in a chunk of one point, else an
+    nodes.  Each refinement step calls each integrand once as ``f(t, rows)``
+    on the new nodes of the chunk's points still refining, concatenated in
+    point order: ``rows`` is the point's index in a chunk of one point, else an
     array naming the point of every node.  Each point keeps its own terms,
     exact sums, roundoff floor and Richardson stop, so its result does not
     depend on its chunk-mates beyond the bits of the kernel layout.  A
     chunk's new terms go through one ``_exact_sums`` pass per integrand
-    and level, each point in its own slot; a lone point sums its short
-    levels with ``fsum`` (below ``_FSUM_TERMS`` terms) and bins the rest.
+    and step, each point in its own slot (two on the first step: the even
+    k and the odd k); a lone point sums its short levels with ``fsum``
+    (below ``_FSUM_TERMS`` terms) and bins the rest.
 
     Returns, per point, one QuadratureResult per integrand, or the
-    QuadratureNodeError of its first non-finite node (its chunk-mates go
-    on).  Floating-point warnings are silenced: a non-finite node is
-    reported that way instead.
+    QuadratureNodeError of its first non-finite node on the coarsest level
+    that has one (its chunk-mates go on).  Floating-point warnings are
+    silenced: a non-finite node is reported that way instead.
     """
     romberg = grids is not None
     if grids is None:

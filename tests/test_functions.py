@@ -524,11 +524,12 @@ def test_int_beyond_double_range_raises_domain_error():
 
 
 def test_non_integer_max_refinements_is_rejected():
-    for fn, args in ((G, (1,)), (euler_mascheroni, ()), (laplace_recip_gamma, (0.5,))):
-        with pytest.raises(DomainError):
-            fn(*args, max_refinements=2.5)
-    (outcome,) = evaluate_many("G", [1], max_refinements=2.5)
-    assert isinstance(outcome, DomainError)
+    for bad in (2.5, math.inf, -math.inf, math.nan, None):
+        for fn, args in ((G, (1,)), (euler_mascheroni, ()), (laplace_recip_gamma, (0.5,))):
+            with pytest.raises(DomainError):
+                fn(*args, max_refinements=bad)
+        outcomes = evaluate_many("G", [1, 2], max_refinements=bad)
+        assert all(isinstance(outcome, DomainError) for outcome in outcomes)
 
 
 def test_readme_examples():

@@ -21,8 +21,8 @@ from unigamma import (
     tail_bound,
     trapezoid_line,
 )
-from unigamma.quadrature import (_FSUM_TERMS, _UNIT, _exact_sums, _line_grid,
-                                 _trapezoid_joint)
+from unigamma.quadrature import (_FSUM_TERMS, _UNIT, _Grid, _exact_sums, _line_grid,
+                                 _only, _trapezoid_joint)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -101,6 +101,9 @@ class TestContourSpec:
             {"tol": 0.0},
             {"tol": -1e-9},
             {"max_refinements": 0},
+            {"max_refinements": float("inf")},
+            {"max_refinements": float("nan")},
+            {"max_refinements": None},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -126,6 +129,15 @@ class TestTailBound:
 
     def test_log_weight_costs_more(self):
         assert tail_bound(1.0, 1.0, 6.0, log_weight=True) > tail_bound(1.0, 1.0, 6.0)
+
+    @pytest.mark.parametrize("args", [
+        (1, 1, 0), (1, 1, -2.0), (1, 1, math.inf), (1, 1, math.nan),
+        (1, math.nan, 5), (1, -1, 5), (1, 0.0, 5), (1, 8.5, 5),
+        (math.nan, 1, 5), (complex(1, math.inf), 1, 5),
+    ])
+    def test_rejects_what_select_truncation_rejects(self, args):
+        with pytest.raises(DomainError):
+            tail_bound(*args)
 
 
 class TestSelectTruncation:
@@ -284,6 +296,86 @@ class TestTrapezoidLine:
         res = trapezoid_line(lambda t: np.exp(-a * t * t), spec)
         exact = math.sqrt(math.pi / a) * math.erf(math.sqrt(a) * spec.half_width)
         assert abs(res.value - exact) <= max(res.err_estimate, 1e-13) + 1e-13
+
+
+def _fsum_trapezoid(terms: np.ndarray, step: float) -> complex:
+    """step times the fsum of trapezoid terms, the end weights already applied."""
+    return complex(step * math.fsum(terms.real.tolist()),
+                   step * math.fsum(terms.imag.tolist()))
+
+
+def _level_one(f, t0: float, n: int, step: float):
+    """Level 1 of a grid t0 + k*step, k in [0, n]: T(step), T(step/2), the
+    floor 16 eps int|f| at step/2 and the node count, all by plain sums."""
+    terms = f(t0 + np.arange(2 * n + 1, dtype=float) * (0.5 * step))
+    terms[[0, -1]] *= 0.5
+    floor = 16.0 * math.ulp(1.0) * (0.5 * step * float(np.abs(terms).sum()))
+    return (_fsum_trapezoid(terms[0::2], step), _fsum_trapezoid(terms, 0.5 * step),
+            floor, terms.size)
+
+
+class TestFirstStep:
+    """The first kernel call evaluates level 1's nodes and settles levels 0 and 1."""
+
+    def test_line_stopping_at_level_one_makes_one_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-1.25 * t * t + 0.2j * t)
+
+        spec = ContourSpec(half_width=7.0, step=0.5, tol=1e-12)
+        res = trapezoid_line(f, spec)
+        assert calls == [57]
+        coarse, fine, floor, size = _level_one(f, -7.0, 28, 0.5)
+        assert res.step_used == 0.25 and res.converged
+        assert res.evaluations == size
+        assert res.value == fine
+        assert abs(fine - coarse) > floor
+        assert res.err_estimate == max(abs(fine - coarse), floor)
+
+    def test_chunk_stopping_at_level_one_makes_one_call(self):
+        # Point 2's only non-finite node is t = 0.25, an odd k of level 1.
+        widths = np.array([1.3, 0.8, 1.0, 1.1])
+        poles = np.array([50.0, 50.0, 0.25, 50.0])
+        calls = []
+
+        def f(t, rows):
+            calls.append(t.size)
+            return np.exp(-widths[rows] * t * t) / (t - poles[rows])
+
+        spec = ContourSpec(half_width=7.0, step=0.5, tol=1e-12)
+        outcomes = _trapezoid_joint((f,), [spec] * len(widths))
+        assert calls == [4 * 57]
+        assert isinstance(outcomes[2], QuadratureNodeError)
+        assert outcomes[2].node == 0.25
+        for p in (0, 1, 3):
+            (res,) = outcomes[p]
+            coarse, fine, floor, size = _level_one(
+                lambda t: f(t, np.full(t.size, p)), -7.0, 28, 0.5)
+            assert res.step_used == 0.25 and res.converged
+            assert res.evaluations == size
+            assert res.value == fine
+            assert res.err_estimate == max(abs(fine - coarse), floor)
+
+    def test_romberg_stopping_at_level_one_makes_one_call(self):
+        # A periodic integrand over its period: spectral, so level 1 stops.
+        calls = []
+
+        def f(theta):
+            calls.append(theta.size)
+            return np.exp(np.cos(theta) + 1j * np.sin(theta))
+
+        step = 2 * math.pi / 24
+        spec = ContourSpec(half_width=7.0, step=step, tol=1e-12)
+        (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [spec],
+                                        grids=[_Grid(0.0, 0, 24, step)]))
+        assert calls == [49]
+        coarse, fine, floor, size = _level_one(f, 0.0, 24, step)
+        assert res.converged and res.evaluations == size
+        romberg = fine + (fine - coarse) / 3.0
+        assert res.value == romberg
+        assert res.err_estimate == max(abs(romberg - coarse), floor)
 
 
 class TestSegments:
