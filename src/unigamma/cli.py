@@ -116,6 +116,11 @@ def _complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _window(spec) -> list[float]:
+    """The t-interval a result integrated: its window, or [-T, T]."""
+    return list(spec.window or (-spec.half_width, spec.half_width))
+
+
 def _engine_kwargs(args) -> dict:
     """Engine keywords from whichever of --sigma, --tol, --max-refine were given."""
     kwargs = {}
@@ -151,14 +156,15 @@ def _cmd_eval(args) -> int:
             "err_estimate": res.err_estimate,
             "converged": res.converged,
             "evaluations": res.evaluations,
-            "spec_used": asdict(spec),
+            "spec_used": {**asdict(spec), "window": _window(spec)},
         }
         print(json.dumps(record))
     else:
         print(f"{args.function}({args.z}) = {_fmt_complex(res.value)}")
         print(f"  err_estimate = {res.err_estimate:.3e}")
         print(f"  converged    = {_fmt_bool(res.converged)}")
-        print(f"  sigma = {spec.sigma!r}  T = {spec.half_width!r}  "
+        lower, upper = _window(spec)
+        print(f"  sigma = {spec.sigma!r}  t in [{lower!r}, {upper!r}]  "
               f"h = {spec.step!r}  evaluations = {res.evaluations}")
     return 0 if res.converged else 2
 
@@ -268,7 +274,7 @@ def _cmd_sweep_sigma(args) -> int:
                 "value_re": r.value.real,
                 "value_im": r.value.imag,
                 "err_estimate": r.err_estimate,
-                "T": r.spec_used.half_width,
+                "T": _window(r.spec_used),
                 "h": r.spec_used.step,
                 "evaluations": r.evaluations,
             }

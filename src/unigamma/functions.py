@@ -1,14 +1,14 @@
 """Public special-function API built on the contour engine.
 
 Every operation returns an :class:`EvalResult` carrying the value together
-with quadrature diagnostics: the ContourSpec actually used after refinement (sigma,
-half-width T, step h, effective tolerance), an error estimate combining the
-Richardson difference with the analytic truncation tail, and a ``converged``
-flag.  Every line integral of G, digamma and Euler's constant goes through
-one helper, ``_lines``, which refines many points together (the public
-functions are its one-point case, ``evaluate_many`` its many-point one),
-and every ``converged`` flag comes from one rule,
-``_gate``: the flag is true only when the truncation was not capped, the
+with quadrature diagnostics: the ContourSpec actually used after refinement
+(sigma, the window [lower, upper] of t, step h, effective tolerance), an
+error estimate combining the Richardson difference with the bound on both
+truncated tails, and a ``converged`` flag.  Every line integral of G,
+digamma and Euler's constant goes through one helper, ``_lines``, which
+refines many points together (the public functions are its one-point case,
+``evaluate_many`` its many-point one), and every ``converged`` flag comes
+from one rule, ``_gate``: the flag is true only when the truncation was not capped, the
 refinement met its (possibly roundoff-floored) tolerance, *and* that
 tolerance is small enough to honor the documented accuracy box (1e-9
 relative, 1e-6 absolute near the zeros on Re z in [-15, 15], |Im z| <= 100).
@@ -30,9 +30,12 @@ from .errors import DomainError, PoleError, UnigammaError
 from .quadrature import (
     ContourSpec,
     QuadratureResult,
+    Truncation,
     select_truncation,
+    # tail_bound and trapezoid_line are unused here; bench/spans.py patches
+    # these attributes.
     tail_bound,
-    trapezoid_line,  # unused here; bench/spans.py patches this attribute
+    trapezoid_line,
     _line_grid,
     _only,
     _trapezoid_joint,
@@ -54,6 +57,10 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-12
+# Distance to a nonpositive integer within which a G that cannot be told from
+# 0 at the achievable precision is a pole; further out it is an inaccurate
+# value, returned as such.
+_POLE_REACH = 1e-3
 
 # Documented accuracy box: promises used by the convergence gate.
 _ABS_PROMISE = 1e-6
@@ -62,9 +69,17 @@ _REL_PROMISE = 1e-9
 # Share of the tolerance given to the analytic truncation tail; the
 # discretization (Richardson-controlled) part receives the rest.
 _TAIL_SHARE = 0.25
+# Each tail's budget is also at most _TAIL_SHARE times this share of the
+# integrand's magnitude at the saddle height, so the two tails together stay
+# within 1e-15 of it: a tail sized to an absolute tol alone would swamp a
+# small value.
+_TAIL_REL = 2e-15
 
 # Terms of the Laplace tail's integration-by-parts series.
 _LAPLACE_TAIL_TERMS = 12
+# Level-0 nodes past which laplace_recip_gamma refuses a point; its coarse
+# pass and first level each hold about this many complex values.
+_LAPLACE_MAX_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -140,36 +155,42 @@ class _Line(NamedTuple):
 
 
 def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
-               max_refinements: int) -> tuple[ContourSpec, bool]:
-    """The spec of the G line at z and whether its truncation was capped.
+               max_refinements: int) -> tuple[ContourSpec, Truncation]:
+    """The spec of the G line at z and the truncation it integrates.
 
-    Truncation is sized for the heaviest tail.  The start step is 0.25
-    for every z: on the saddle line the integrand is close to a Gaussian
-    e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does the rest.
+    The window is sized for the heaviest kernel, each side's tail to the
+    tail share of min(tol, _TAIL_REL * m), m the integrand's magnitude at
+    the saddle height.  The start step is 0.25 for every z: on the saddle
+    line the integrand is close to a Gaussian e^{-2 (t - Im w0)^2} whatever
+    Im z is, and the halving does the rest.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     sig = default_sigma(z) if sigma is None else float(sigma)
-    trunc = select_truncation(z, sig, _TAIL_SHARE * tol, log_weight=log_weight)
+    trunc = select_truncation(z, sig, _TAIL_SHARE * tol, log_weight=log_weight,
+                              rel=_TAIL_SHARE * _TAIL_REL)
     spec = ContourSpec(
         sigma=sig,
-        half_width=trunc.half_width,
+        half_width=max(sig, trunc.half_width),
         step=0.25,
         tol=(1.0 - _TAIL_SHARE) * tol,
         max_refinements=max_refinements,
+        window=(trunc.lower, trunc.upper),
     )
-    return spec, trunc.capped
+    return spec, trunc
 
 
 def _phase_noise(z: complex, spec: ContourSpec) -> float:
     """Factor on a G-line point's roundoff floor for the kernel's phase error.
 
     The phase carries -Im z * log(sigma^2 + t^2), rounded to an ulp of its
-    size Phi = |Im z| max|log u| over the window; past Phi = 16 that noise
-    outgrows the floor's 16 eps.  1 for real z.
+    size Phi = |Im z| max|log u| over the window (u from sigma^2 to sigma^2
+    plus the larger end squared); past Phi = 16 that noise outgrows the
+    floor's 16 eps.  1 for real z.
     """
+    lower, upper = spec.window
     u_lo = spec.sigma ** 2
-    u_hi = u_lo + spec.half_width ** 2
+    u_hi = u_lo + max(-lower, upper) ** 2
     phase = abs(z.imag) * max(abs(math.log(u_lo)), abs(math.log(u_hi)))
     return max(1.0, phase / 16.0)
 
@@ -189,19 +210,19 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     fns = [getattr(integrands, name) for name, _ in kernels]
     log_weight = any(lw for _, lw in kernels)
     outcomes: list = list(points)
-    todo, zs, specs, capped = [], [], [], []
+    todo, zs, specs, truncs = [], [], [], []
     for index, z in enumerate(points):
         if isinstance(z, UnigammaError):
             continue
         try:
-            spec, cap = _line_spec(z, log_weight, sigma, tol, max_refinements)
+            spec, trunc = _line_spec(z, log_weight, sigma, tol, max_refinements)
         except UnigammaError as exc:
             outcomes[index] = exc
             continue
         todo.append(index)
         zs.append(z)
         specs.append(spec)
-        capped.append(cap)
+        truncs.append(trunc)
     # ``rows`` is one point's index, or per-node indices for many points;
     # lists hand a lone point its scalars without numpy scalar boxing.
     z_of, sigma_of = zs, [spec.sigma for spec in specs]
@@ -210,14 +231,13 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     quads_of = _trapezoid_joint(
         [lambda t, rows, fn=fn: fn(z_of[rows], sigma_of[rows], t) for fn in fns],
         specs, noise=[_phase_noise(z, spec) for z, spec in zip(zs, specs)])
-    for index, z, spec, cap, quads in zip(todo, zs, specs, capped, quads_of):
+    for index, spec, trunc, quads in zip(todo, specs, truncs, quads_of):
         if isinstance(quads, UnigammaError):
             outcomes[index] = quads
             continue
-        errs = [quad.err_estimate + tail_bound(z, spec.sigma, spec.half_width,
-                                               log_weight=lw)
-                for quad, (_, lw) in zip(quads, kernels)]
-        converged = all(_gate(quad, cap, spec.tol, abs(quad.value))
+        # The heaviest kernel's tail bound, which covers the others'.
+        errs = [quad.err_estimate + trunc.tail for quad in quads]
+        converged = all(_gate(quad, trunc.capped, spec.tol, abs(quad.value))
                         for quad in quads)
         spec_used = replace(spec, step=quads[0].step_used,
                             tol=max(quad.tol_effective for quad in quads))
@@ -251,13 +271,15 @@ def _pole_guard(name: str, z: complex, mag: float, err: float) -> None:
     The literal |G| < POLE_TOL test catches poles where the quadrature
     floor sits below POLE_TOL (integers down to about -5).  Deeper left the
     computed |G| at an exact pole is pure roundoff residue that can exceed
-    any fixed absolute tolerance, so we also treat the value as a pole when
-    it is within a few error bars of zero: |G| <= 8 err.  Away from poles
-    |G| grows like pi.n!.dist, so this wider net still only catches points
-    within an ulp-scale distance of a true pole.
+    any fixed absolute tolerance, so within _POLE_REACH of a nonpositive
+    integer the value is also a pole when it is within a few error bars of
+    zero: |G| <= 8 err.  Near a pole |G| grows like pi.n!.dist, so this net
+    only catches points within an ulp-scale distance of it; far from every
+    pole a G swamped by its error (a forced sigma off the saddle) is an
+    inaccurate value, left to ``converged``, not a pole.
     """
-    if mag < POLE_TOL or mag <= 8.0 * err:
-        pole = _nearest_pole(z)
+    pole = _nearest_pole(z)
+    if mag < POLE_TOL or (mag <= 8.0 * err and abs(z - pole) <= _POLE_REACH):
         raise PoleError(
             f"{name}({z}) is within pole tolerance: |G(z)| = {mag:.3e} is "
             f"below {POLE_TOL:g} or indistinguishable from 0 at the "
@@ -443,17 +465,28 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     step0 = min(0.1, 1.0 / (1.0 + abs(z)))
     spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0, tol=tol,
                        max_refinements=max_refinements)
-    tail = _laplace_tail(z, sigma, half_width, _LAPLACE_TAIL_TERMS)
-    # Remainder after the series: first omitted term, bounded crudely.
-    rising = 1.0
-    for j in range(_LAPLACE_TAIL_TERMS):
-        rising *= abs(z) + j
-    remainder = (
-        2.0 * rising
-        * math.exp(sigma + 0.5 * math.pi * abs(z.imag))
-        * (sigma * sigma + half_width * half_width)
-        ** (-0.5 * (z.real + _LAPLACE_TAIL_TERMS))
-    )
+    nodes = 2 * math.ceil(half_width / step0) + 1
+    if nodes > _LAPLACE_MAX_NODES:
+        raise DomainError(
+            f"laplace_recip_gamma({z!r}) needs {nodes} nodes at its first step, "
+            f"more than the {_LAPLACE_MAX_NODES} it takes; use recip_gamma")
+    try:
+        tail = _laplace_tail(z, sigma, half_width, _LAPLACE_TAIL_TERMS)
+        # Remainder after the series: first omitted term, bounded crudely.
+        rising = 1.0
+        for j in range(_LAPLACE_TAIL_TERMS):
+            rising *= abs(z) + j
+        remainder = (
+            2.0 * rising
+            * math.exp(sigma + 0.5 * math.pi * abs(z.imag))
+            * (sigma * sigma + half_width * half_width)
+            ** (-0.5 * (z.real + _LAPLACE_TAIL_TERMS))
+        )
+    except OverflowError:
+        tail = remainder = math.inf
+    if not (cmath.isfinite(tail) and math.isfinite(remainder)):
+        raise DomainError(
+            f"laplace_recip_gamma({z!r}): the analytic tail leaves the double range")
 
     # Coarse pass to anchor the relative tolerance in absolute terms.
     coarse_n = math.ceil(half_width / step0)

@@ -1,11 +1,18 @@
 """Truncated-line trapezoid quadrature and the closed-contour segments.
 
-The improper integrals over t in (-inf, inf) are replaced by [-T, T] with T
-chosen from an analytic majorant of the integrand, then summed with the
-composite trapezoid rule and refined by step halving.  The integrands are
-analytic in a strip around the real t-axis and Gaussian-decaying, so the
-trapezoid rule converges spectrally; the Richardson difference between
-successive halvings is an honest (if slightly conservative) error estimate.
+The improper integrals over t in (-inf, inf) are cut to a finite window,
+then summed with the composite trapezoid rule and refined by step halving.
+The integrands are analytic in a strip around the real t-axis and
+Gaussian-decaying, so the trapezoid rule converges spectrally; the
+Richardson difference between successive halvings is an honest (if
+slightly conservative) error estimate.  The G line's window [lower, upper]
+is not symmetric: ``select_truncation`` sizes each end by a rigorous bound
+on its own tail (``tail_bound``), built from the integrand's exact
+magnitude u^p e^{2 Im z atan(t/sigma)} e^{sigma^2 - t^2} and a decay rate
+that covers the log weight's growth, so off the real axis the window
+follows the integrand's crest near the saddle height Im sqrt(z - 1/2).
+Its nodes stay at k*h about origin 0, so a real z, whose window is
+symmetric, keeps exact conjugate symmetry.
 
 One driver, ``_trapezoid_joint``, does every halving: the line, the two
 rays and the two arcs of the closed contour, and the Laplace cross-check.
@@ -58,7 +65,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
-from math import fsum
+from math import atan2, erfc, fsum, hypot, log, pi, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -87,18 +94,30 @@ _CANCEL_FLOOR = 16.0
 # Accept a halving when the Richardson difference sits comfortably below tol.
 _RICHARDSON_MARGIN = 0.75
 TRUNCATION_CAP = 200.0
-_T_GRID = 0.5
+# Window ends lie on multiples of the G line's start step, where its nodes k*h
+# about origin 0 land.
+_T_GRID = 0.25
+_CAP_STEPS = round(TRUNCATION_CAP / _T_GRID)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+_LOG_MAX = 709.0          # math.exp overflows just past 709.78
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Quadrature configuration: abscissa, truncation, step, tolerance."""
+    """Quadrature configuration: abscissa, truncation, step, tolerance.
+
+    The line runs over t in [-half_width, half_width], or over ``window``,
+    a ``(lower, upper)`` interval inside it, when one is given: the G line
+    records the window its tails were sized for, and ``half_width`` its
+    larger end (at least sigma).
+    """
 
     sigma: float = 1.0
     half_width: float = 6.0
     step: float = 0.25
     tol: float = 1e-12
     max_refinements: int = 12
+    window: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.sigma <= 8.0) or not math.isfinite(self.sigma):
@@ -112,6 +131,13 @@ class ContourSpec:
             )
         if not (0.0 < self.step <= self.half_width):
             raise DomainError(f"step must lie in (0, half_width], got {self.step!r}")
+        if self.window is not None:
+            lower, upper = self.window
+            if not (-self.half_width <= lower < upper <= self.half_width
+                    and self.step <= upper - lower):
+                raise DomainError(
+                    f"window must be an interval at least a step long inside "
+                    f"[-half_width, half_width], got {self.window!r}")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
         try:
@@ -175,21 +201,68 @@ class SegmentPath(enum.Enum):
 
 
 class Truncation(NamedTuple):
-    """Selected half-width plus a flag for hitting the search cap."""
+    """A window [lower, upper] of the G line, the bound on its two tails
+    together, and whether an end hit the search cap."""
 
-    half_width: float
+    lower: float
+    upper: float
+    tail: float
     capped: bool
 
+    @property
+    def half_width(self) -> float:
+        """The larger end: the half-width of the symmetric line around the window."""
+        return max(-self.lower, self.upper)
 
-def _log_majorant(z: complex, sigma: float, t: float, *, log_weight: bool) -> float:
-    """log of the pointwise bound (sigma^2+t^2)^p e^{pi|Im z|} e^{sigma^2-t^2}."""
-    p = 0.5 * (1.0 - 2.0 * z.real)
+
+def _log_majorant(p: float, y: float, sigma: float, t: float, log_weight: bool) -> float:
+    """log of the G-line integrand's magnitude at t, times |ln u| + pi >= |2 Log w|
+    for the log weight.
+
+    With p = 1/2 - Re z, y = Im z and u = sigma^2 + t^2 the magnitude is
+    exactly u^p e^{2 y atan(t/sigma)} e^{sigma^2 - t^2}.
+    """
     u = sigma * sigma + t * t
-    lm = p * math.log(u) + math.pi * abs(z.imag) + sigma * sigma - t * t
+    log_u = log(u)
+    lm = p * log_u + 2.0 * y * atan2(t, sigma) + sigma * sigma - t * t
     if log_weight:
-        # |2 Log w| <= ln(sigma^2+t^2) + pi on the line.
-        lm += math.log(abs(math.log(u)) + math.pi)
+        lm += log(abs(log_u) + pi)
     return lm
+
+
+def _log_tail(p: float, y: float, sigma: float, end: float,
+              log_weight: bool) -> tuple[float, float, float]:
+    """log of a bound on the integral of |f| over t > end; and the slope and
+    half the curvature of -log|f| at end, which steer ``_upper_end``.
+
+    On t >= end, d/dt log|f| = D(t) - 2t with D = 2(p t + y sigma)/u.  D is
+    at most R, its supremum over [end, inf), which (p tau + y)/(tau^2 + 1)
+    with tau = t/sigma gives in closed form; so with d = t - end,
+    |f(t)| <= |f(end)| e^{-kappa d - d^2} with kappa = 2 end - R, and the
+    tail is at most |f(end)| J(kappa), where J(kappa) = int_0^inf
+    e^{-kappa d - d^2} dd = (sqrt(pi)/2) e^{kappa^2/4} erfc(kappa/2) <=
+    1/kappa.  The log weight's bound |ln u| + pi grows at a log-rate of at
+    most 2|t|/(pi u), whose supremum over the tail kappa absorbs too.  The
+    bound holds for every real end, on either side of the integrand's crest.
+    """
+    # |f(end)| as in _log_majorant, written out: this runs in every search step.
+    u = sigma * sigma + end * end
+    log_u = log(u)
+    lm = p * log_u + 2.0 * y * atan2(end, sigma) + sigma * sigma - end * end
+    drift = 2.0 * (p * end + y * sigma) / u
+    lead = y + hypot(p, y)
+    if lead > 0.0 and end * lead <= p * sigma:
+        kappa = 2.0 * end - lead / sigma    # the supremum lies inside the tail
+    else:
+        kappa = 2.0 * end - drift if drift > 0.0 else 2.0 * end
+    if log_weight:
+        lm += log(abs(log_u) + pi)
+        kappa -= (2.0 * end / u if end >= sigma else 1.0 / sigma) / pi
+    if kappa >= 8.0:
+        lm -= log(kappa)
+    else:
+        lm += 0.25 * kappa * kappa + log(_HALF_SQRT_PI * erfc(0.5 * kappa))
+    return lm, 2.0 * end - drift, 1.0 + (drift * end - p) / u
 
 
 def _check_z(z) -> complex:
@@ -204,52 +277,130 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
 
 
-def tail_bound(z, sigma: float, half_width: float, *, log_weight: bool = False) -> float:
-    """Rigorous bound on the |t| > half_width tail of the G-line integral.
+def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
+               log_weight: bool = False) -> float:
+    """Rigorous bound on the integral of |f| over the G line's tail beyond ``end``.
 
-    For p <= 0 the majorant is dominated by e^{T^2 - t^2} <= e^{-2T(t-T)} on
-    the tail, giving majorant(T)/(2T); for p > 0 the polynomial factor is
-    folded into a half-Gaussian decay, giving majorant(T)/T provided T sits
-    beyond the majorant's crest (select_truncation's search floor enforces
-    that).  Raises DomainError unless z is finite, sigma lies in (0, 8]
-    and half_width is a positive finite real.
+    f is the integrand w^{1-2z} e^{w^2}, times 2 Log w with ``log_weight``;
+    the tail is t > end, or t < end when ``lower``.  The bound starts from
+    the exact magnitude at ``end`` and a decay rate valid over the whole
+    tail, the log factor's growth included (see ``_log_tail``), so it holds
+    for every finite end.  Raises DomainError unless z and ``end`` are
+    finite and sigma lies in (0, 8].
     """
     z = _check_z(z)
     _check_sigma(sigma)
-    if not (0.0 < half_width < math.inf):
-        raise DomainError(f"half_width must be a positive finite real, got {half_width!r}")
-    return _tail_bound(z, sigma, half_width, log_weight)
+    if not math.isfinite(end):
+        raise DomainError(f"end must be a finite real, got {end!r}")
+    p, y = 0.5 - z.real, z.imag
+    if lower:
+        y, end = -y, -end     # |f(-t)| at z is |f(t)| at conj(z)
+    log_tail = _log_tail(p, y, sigma, end, log_weight)[0]
+    return math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
 
 
-def _tail_bound(z: complex, sigma: float, half_width: float, log_weight: bool) -> float:
-    p = 0.5 * (1.0 - 2.0 * z.real)
-    lm = _log_majorant(z, sigma, half_width, log_weight=log_weight)
-    if lm > 700.0:
-        return math.inf
-    return math.exp(lm) / ((2.0 * half_width) if p <= 0 else half_width)
+def _upper_end(p: float, y: float, sigma: float, start: float, floor: int,
+               log_budget: float, log_weight: bool) -> tuple[float, float, bool]:
+    """The lowest upper end on the _T_GRID grid, at or above ``floor`` grid
+    steps, whose tail bound meets the budget; the log of that bound; and
+    whether the search stopped at the cap without meeting it.
+
+    The exact magnitude at ``start`` (its log, slope and curvature, with
+    log(slope) for the tail's 1/kappa) gives a quadratic model whose root
+    names the first grid point to bound.  From each bound the same model
+    predicts the end; the search goes to that grid point, kept between the
+    highest end known to miss and the lowest known to meet, and stops at a
+    meeting end the model does not undercut.
+    """
+    if floor < 1 - _CAP_STEPS:
+        floor = 1 - _CAP_STEPS
+    elif floor > _CAP_STEPS:
+        floor = _CAP_STEPS
+    low, high = floor - 1, _CAP_STEPS + 1     # k known to miss and to meet
+    u = sigma * sigma + start * start
+    drift = 2.0 * (p * start + y * sigma) / u
+    slope = 2.0 * start - drift
+    curve = 1.0 + (drift * start - p) / u
+    excess = _log_majorant(p, y, sigma, start, log_weight) - log_budget
+    if slope > 1.0:
+        excess -= log(slope)
+    k, end, met = floor, start, False
+    while True:
+        # The model's root: excess - slope d - curve d^2 = 0.  Under budget
+        # at or before a crest, only the lowest end is left to try.
+        disc = slope * slope + 4.0 * (curve if curve > 0.5 else 0.5) * excess
+        rise = slope + sqrt(disc) if disc >= 0.0 else 0.0
+        guess = (math.ceil((end + 2.0 * excess / rise) / _T_GRID - 0.02)
+                 if rise > 0.0 else low + 1)
+        if met and guess >= k:
+            break
+        k = low + 1 if guess <= low else high - 1 if guess >= high else guess
+        end = k * _T_GRID
+        log_tail, slope, curve = _log_tail(p, y, sigma, end, log_weight)
+        excess = log_tail - log_budget
+        # A bound equal to the budget meets it, whichever way the logs round.
+        met = excess <= 0.0 or (excess < 1e-9
+                                and math.exp(log_tail) <= math.exp(log_budget))
+        if met:
+            high, best = k, log_tail
+        else:
+            low = k
+        if high - low == 1:
+            break
+    if high > _CAP_STEPS:
+        return TRUNCATION_CAP, log_tail, True
+    return high * _T_GRID, best, False
 
 
-def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False) -> Truncation:
-    """Smallest half-width T on a 0.5-grid whose tail bound is <= tol.
+def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False,
+                      rel: float | None = None) -> Truncation:
+    """The narrowest window on a 0.25-grid whose two tail bounds each meet the budget.
 
-    ``tol`` is the tail budget itself; callers that split an overall target
-    between tail and discretization pass their tail share here.  The search
-    starts at max(sigma + 3, crest + 1) so the p > 0 branch of tail_bound is
-    valid, and caps at T = 200 (flagged) for pathological inputs.
+    The budget is ``tol``, or min(tol, rel * m) with ``rel``, where m is the
+    integrand's exact magnitude at the saddle height Im sqrt(z - 1/2): a
+    tail small against m is small against the value wherever the line does
+    not cancel.  Each end is sized on its own tail (``tail_bound``), from
+    a start a Gaussian e^{-2 d^2} about that height predicts, so a point off
+    the real axis gets a window shifted toward its saddle and a real z a
+    symmetric one.  The window always holds the grid interval around the
+    height.  An end that would pass T = 200 stops there and is flagged.
     """
     z = _check_z(z)
     _check_sigma(sigma)
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    p = 0.5 * (1.0 - 2.0 * z.real)
-    crest = math.sqrt(max(2.0 * p - sigma * sigma, 0.0))
-    start = max(sigma + 3.0, crest + 1.0)
-    half_width = math.ceil(start / _T_GRID) * _T_GRID
-    while _tail_bound(z, sigma, half_width, log_weight) > tol:
-        if half_width >= TRUNCATION_CAP:
-            return Truncation(TRUNCATION_CAP, True)
-        half_width += _T_GRID
-    return Truncation(half_width, False)
+    if rel is not None and (not (rel > 0.0) or not math.isfinite(rel)):
+        raise DomainError(f"rel must be a positive finite real, got {rel!r}")
+    p, y = 0.5 - z.real, z.imag
+    # The saddle height.  On the real axis both sides start from the upper
+    # of the two crests at +-Im w0, and z and conj(z) see the same numbers.
+    height = cmath.sqrt(complex(-p, abs(y))).imag
+    peak = _log_majorant(p, abs(y), sigma, height, log_weight)
+    log_budget = log(tol)
+    if rel is not None:
+        relative = log(rel) + (_log_majorant(p, abs(y), sigma, height, False)
+                               if log_weight else peak)
+        if relative < log_budget:
+            log_budget = relative
+    # Gaussian start: peak - 2 d^2 - log(4 d) = log(budget).
+    excess = peak - log_budget
+    if excess < 2.0:
+        excess = 2.0
+    reach = excess - log(4.0 * sqrt(0.5 * excess))
+    reach = sqrt(0.5 * reach) if reach > 1.0 else sqrt(0.5)
+    # The lower tail of z beyond -e is the upper tail of conj(z) beyond e.
+    crest = height if y >= 0.0 else -height
+    upper, upper_log, upper_capped = _upper_end(
+        p, y, sigma, crest + reach, math.floor(crest / _T_GRID) + 1, log_budget, log_weight)
+    if y == 0.0:
+        lower, lower_log, lower_capped = upper, upper_log, upper_capped
+    else:
+        lower, lower_log, lower_capped = _upper_end(
+            p, -y, sigma, reach - crest, math.floor(-crest / _T_GRID) + 1, log_budget,
+            log_weight)
+    tail = (math.exp(upper_log) + math.exp(lower_log)
+            if upper_log < _LOG_MAX and lower_log < _LOG_MAX else math.inf)
+    return Truncation(-lower, upper, tail, upper_capped or lower_capped)
 
 
 # Exact summation (mantissas binned by exponent, as in R. Neal, "Fast exact
@@ -348,10 +499,15 @@ class _Grid(NamedTuple):
 
 
 def _line_grid(spec: ContourSpec) -> _Grid:
-    # Symmetric integer k about origin 0 make t and -t exact negatives, so
-    # conjugate symmetry survives bit-for-bit.
-    n = max(2, math.ceil(spec.half_width / spec.step))
-    return _Grid(0.0, -n, n, spec.half_width / n)
+    # Integer k about origin 0 make t and -t exact negatives, so conjugate
+    # symmetry survives bit-for-bit.  [-T, T] is cut into 2n equal steps; a
+    # window keeps the step and widens to the multiples of it around it.
+    if spec.window is None:
+        n = max(2, math.ceil(spec.half_width / spec.step))
+        return _Grid(0.0, -n, n, spec.half_width / n)
+    lower, upper = spec.window
+    return _Grid(0.0, math.floor(lower / spec.step), math.ceil(upper / spec.step),
+                 spec.step)
 
 
 def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
@@ -731,6 +887,9 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
     """One segment integral and whether its quadrature converged."""
     if not (math.isfinite(y.real) and math.isfinite(y.imag)):
         raise DomainError(f"y must be finite, got {y!r}")
+    if spec.window is not None:
+        raise DomainError(f"the closed contour's line runs over [-half_width, "
+                          f"half_width], not a window; got {spec.window!r}")
     big_r = math.hypot(spec.sigma, spec.half_width)
     big_theta = math.acos(spec.sigma / big_r)
 

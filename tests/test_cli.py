@@ -93,7 +93,18 @@ class TestEval:
         assert list(rec) == ["function", "z", "value", "err_estimate",
                              "converged", "evaluations", "spec_used"]
         assert list(rec["spec_used"]) == ["sigma", "half_width", "step", "tol",
-                                          "max_refinements"]
+                                          "max_refinements", "window"]
+
+    def test_reports_both_window_ends(self, capsys):
+        assert main(["eval", "recip_gamma", "0.5+3i", "--json"]) == 0
+        lower, upper = json.loads(capsys.readouterr().out)["spec_used"]["window"]
+        assert -upper < lower < 0.0 < upper
+        assert main(["eval", "recip_gamma", "0.5+3i"]) == 0
+        assert f"t in [{lower!r}, {upper!r}]" in capsys.readouterr().out
+        # Laplace integrates the symmetric [-T, T].
+        assert main(["eval", "laplace_recip_gamma", "1", "--json"]) == 0
+        spec = json.loads(capsys.readouterr().out)["spec_used"]
+        assert spec["window"] == [-spec["half_width"], spec["half_width"]]
 
     def test_pole_exits_three(self, capsys):
         code = main(["eval", "gamma", "--", "-2"])
@@ -281,6 +292,12 @@ class TestSweepSigma:
             }
             assert entry["value_re"] == pytest.approx(1.0, rel=1e-10)
         assert rep["max_pairwise_rel_diff"] < 1e-10
+
+    def test_t_names_both_window_ends(self, capsys):
+        assert main(["sweep-sigma", "G", "1+2i", "--sigmas", "1,2"]) == 0
+        for entry in json.loads(capsys.readouterr().out)["entries"]:
+            lower, upper = entry["T"]
+            assert lower < 0.0 < upper and lower != -upper
 
     def test_single_sigma_has_zero_diff(self, capsys):
         main(["sweep-sigma", "G", "1.5", "--sigmas", "1"])

@@ -308,6 +308,13 @@ class TestLaplaceRecipGamma:
         with pytest.raises(DomainError):
             laplace_recip_gamma(1.5, **kwargs)
 
+    def test_far_points_fail_typed_and_fast(self):
+        # The first would ask for 5e12 nodes, the second overflows the tail
+        # series; both are refused before any node array is built.
+        for z in (1e6, 0.5 + 1e5j):
+            with pytest.raises(DomainError):
+                laplace_recip_gamma(z)
+
     def test_rejects_left_half_plane(self):
         with pytest.raises(DomainError):
             laplace_recip_gamma(0)
@@ -412,6 +419,54 @@ class TestHighImaginaryVerdict:
         want = self._exact(mpmath, mpmath.rgamma, z)
         assert not res.converged
         assert abs(res.value - want) > 1e-9 * abs(want)
+
+
+class TestTruncationWindow:
+    """The G line's window is sized on each side, relative to the value."""
+
+    def test_right_half_plane_is_relatively_accurate(self):
+        """A tail budget in absolute terms would leave 7e-7 relative here.
+
+        At Re z in [12, 15] the values are small, so only a budget relative
+        to the integrand's magnitude keeps the tails below the value's last
+        digits.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1415)
+        sample = [14.405 - 11.458j] + [complex(rng.uniform(12.0, 15.0),
+                                                rng.uniform(-15.0, 15.0))
+                                        for _ in range(30)]
+        for z in sample:
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z.real, z.imag)
+                want = {recip_gamma: complex(mpmath.rgamma(w)),
+                        gamma: complex(mpmath.gamma(w))}
+            for fn, exact in want.items():
+                res = fn(z)
+                assert res.converged, (fn.__name__, z)
+                assert abs(res.value - exact) <= 1e-12 * abs(exact), (fn.__name__, z)
+
+    def test_conjugates_mirror_windows_and_values_exactly(self):
+        rng = random.Random(1416)
+        for _ in range(40):
+            z = complex(rng.uniform(-15.0, 15.0), rng.uniform(-40.0, 40.0))
+            for fn in (G, digamma):
+                a, b = fn(z), fn(z.conjugate())
+                lower, upper = a.spec_used.window
+                assert b.spec_used.window == (-upper, -lower), z
+                assert b.value == a.value.conjugate(), z
+        for x in (-7.5, -1.25, 0.5, 3.0, 12.75):
+            res = G(x)
+            lower, upper = res.spec_used.window
+            assert lower == -upper and res.value.imag == 0.0, x
+
+    def test_forced_sigma_far_from_poles_is_no_pole(self):
+        # Off the saddle the line cancels until |G| sits within 8 error
+        # bars of 0, but z is 29 away from the nearest pole.
+        res = digamma(11.531799874248094 + 27.055194734163678j,
+                      sigma=1.108695358707731)
+        assert not res.converged
+        assert res.err_estimate > 1e-9 * abs(res.value)
 
 
 class TestHighImaginaryBand:

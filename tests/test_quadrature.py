@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from unigamma import (
     QuadratureNodeError,
     SegmentPath,
     contour_loop,
+    default_sigma,
     g_integrand,
+    g_log_integrand,
     integrate_segment,
     select_truncation,
     tail_bound,
@@ -110,6 +113,16 @@ class TestContourSpec:
         with pytest.raises(DomainError):
             ContourSpec(**kwargs)
 
+    @pytest.mark.parametrize("window", [(-7.0, 5.0), (5.0, -5.0), (1.0, 1.1),
+                                        (math.nan, 5.0)])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(DomainError):
+            ContourSpec(half_width=6.0, step=0.25, window=window)
+
+    def test_window_sets_the_line_grid(self):
+        grid = _line_grid(ContourSpec(half_width=6.0, step=0.25, window=(-2.5, 6.0)))
+        assert (grid.origin, grid.k_lo, grid.k_hi, grid.step) == (0.0, -10, 24, 0.25)
+
     def test_frozen(self):
         spec = ContourSpec()
         with pytest.raises(AttributeError):
@@ -131,13 +144,64 @@ class TestTailBound:
         assert tail_bound(1.0, 1.0, 6.0, log_weight=True) > tail_bound(1.0, 1.0, 6.0)
 
     @pytest.mark.parametrize("args", [
-        (1, 1, 0), (1, 1, -2.0), (1, 1, math.inf), (1, 1, math.nan),
+        (1, 1, -math.inf), (1, math.inf, 5), (1, 1, math.inf), (1, 1, math.nan),
         (1, math.nan, 5), (1, -1, 5), (1, 0.0, 5), (1, 8.5, 5),
         (math.nan, 1, 5), (complex(1, math.inf), 1, 5),
     ])
     def test_rejects_what_select_truncation_rejects(self, args):
         with pytest.raises(DomainError):
             tail_bound(*args)
+
+    def test_every_finite_end_is_an_end(self):
+        # A window's ends may sit at t <= 0 on either side; the bound on a
+        # tail that holds the crest is at least the bump's half.
+        assert tail_bound(0.5, 1.0, 0.0) > 0.5 * math.e * SQRT_PI * 0.99
+        assert tail_bound(0.5, 1.0, -2.0) > tail_bound(0.5, 1.0, 0.0)
+        assert tail_bound(0.5, 1.0, 2.0, lower=True) == tail_bound(0.5, 1.0, -2.0)
+        # |f(-t)| at z is |f(t)| at conj(z).
+        assert (tail_bound(2 + 5j, 2.0, -3.5, lower=True)
+                == tail_bound(2 - 5j, 2.0, 3.5))
+
+    @staticmethod
+    def _beyond(z, sigma, end, lower, log_weight):
+        """The integral of |f| beyond ``end``, Gauss-Legendre on 0.25-wide panels."""
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        panels = 0.25 * np.arange(96)
+        starts = end - 24.0 + panels if lower else end + panels
+        t = (starts[:, None] + 0.125 * (nodes + 1.0)).ravel()
+        kernel = g_log_integrand if log_weight else g_integrand
+        with np.errstate(all="ignore"):
+            values = np.abs(kernel(z, sigma, t))
+        return 0.125 * float(np.sum(values * np.tile(weights, 96)))
+
+    def test_each_side_bounds_its_tail(self):
+        """Each side's bound is at least the integral of |f| beyond its end.
+
+        Seeded points in the box and at |Im z| in [15, 100], both kernels,
+        at the window's ends and at ends across the integrand's crest.
+        """
+        rng = random.Random(1414)
+        checked = 0
+        for k in range(48):
+            if k % 2:
+                z = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
+            else:
+                z = complex(rng.uniform(-15, 15),
+                            rng.choice((-1, 1)) * rng.uniform(15, 100))
+            sigma = default_sigma(z) if k % 3 else rng.uniform(0.3, 4.0)
+            log_weight = k % 4 >= 2
+            window = select_truncation(z, sigma, 1e-13, log_weight=log_weight)
+            ends = [(window.upper, False), (window.lower, True),
+                    (window.upper - 1.5, False), (window.lower + 1.5, True),
+                    (rng.uniform(-4.0, 4.0), rng.random() < 0.5)]
+            for end, lower in ends:
+                bound = tail_bound(z, sigma, end, lower=lower, log_weight=log_weight)
+                actual = self._beyond(z, sigma, end, lower, log_weight)
+                if not math.isfinite(actual):
+                    continue
+                assert actual <= bound * (1.0 + 1e-9), (z, sigma, end, lower, log_weight)
+                checked += 1
+        assert checked > 200
 
 
 class TestSelectTruncation:
@@ -149,10 +213,28 @@ class TestSelectTruncation:
         assert not t.capped
 
     def test_frozen_values(self):
-        assert select_truncation(0.5, 1.0, 1e-12).half_width == 5.5
+        assert select_truncation(0.5, 1.0, 1e-12).half_width == 5.25
         assert select_truncation(-5, 1.0, 1e-12).half_width == 7.0
-        assert select_truncation(0.5 + 10j, 1.0, 1e-12).half_width == 8.0
-        assert select_truncation(1, 1.0, 1e-12, log_weight=True).half_width == 5.5
+        assert select_truncation(0.5 + 10j, 1.0, 1e-12).half_width == 7.5
+        assert select_truncation(1, 1.0, 1e-12, log_weight=True).half_width == 5.25
+        # Off the real axis the window leans toward the saddle's side.
+        window = select_truncation(0.5 + 10j, 1.0, 1e-12)
+        assert (window.lower, window.upper) == (-2.25, 7.5)
+        mirror = select_truncation(0.5 - 10j, 1.0, 1e-12)
+        assert (mirror.lower, mirror.upper) == (-7.5, 2.25)
+        assert mirror.tail == window.tail
+
+    def test_relative_budget(self):
+        # rel caps the budget at rel times the magnitude at the saddle
+        # height: e at z = 0.5, sigma = 1, so 1e-15 * e binds below 1e-12.
+        loose = select_truncation(0.5, 1.0, 1e-12)
+        tight = select_truncation(0.5, 1.0, 1e-12, rel=1e-15)
+        assert tight.upper > loose.upper
+        assert tail_bound(0.5, 1.0, tight.upper) <= 1e-15 * math.e
+        assert select_truncation(0.5, 1.0, 1e-12, rel=1.0) == loose
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                select_truncation(0.5, 1.0, 1e-12, rel=bad)
 
     def test_meets_budget(self):
         for z, tol in [(0.5, 1e-10), (-8, 1e-13), (2 + 5j, 1e-12)]:
@@ -166,8 +248,13 @@ class TestSelectTruncation:
         assert widths == sorted(widths)
 
     def test_respects_minimum(self):
-        t = select_truncation(0.5, 2.0, 1e-3)
-        assert t.half_width >= 2.0 + 3.0
+        # However loose the budget, the window holds the saddle height
+        # Im sqrt(z - 1/2) inside it.
+        for z, tol in [(0.5, 1e-3), (0.5, 1e30), (0.5 + 2j, 1e30), (0.5 - 2j, 1e30)]:
+            t = select_truncation(z, 2.0, tol)
+            height = cmath.sqrt(z - 0.5).imag
+            assert t.lower < height < t.upper, (z, tol)
+            assert t.upper - t.lower >= 0.25
 
     def test_caps_when_unreachable(self):
         t = select_truncation(-4000, 1.0, 1e-12)
@@ -421,6 +508,15 @@ class TestSegments:
     def test_loop_rejects_right_half_plane(self):
         with pytest.raises(DomainError):
             contour_loop(0.25, self.SPEC)
+
+    def test_loop_rejects_a_window(self):
+        # The arcs meet the line at +-half_width; a window would leave a gap.
+        spec = ContourSpec(sigma=1.0, half_width=8.0, step=0.25, tol=1e-10,
+                           window=(-6.0, 8.0))
+        with pytest.raises(DomainError):
+            contour_loop(-1.0, spec)
+        with pytest.raises(DomainError):
+            integrate_segment(-1.0, SegmentPath.LINE_AB, spec)
 
     def test_loop_reports_convergence(self):
         loose = ContourSpec(sigma=1.0, half_width=5.0, step=0.25, tol=1e-6)

@@ -19,7 +19,11 @@ corpus is fixed by its seed:
 An outcome is the ``repr`` of a result, whose floats round-trip exactly, or
 the type and text of the exception raised, so "same" means the same bits.
 Prints the number of differing outcomes and the first few, and exits 1 if
-any differ.  Writes only to a temporary directory.
+any differ.  For a change meant to move last bits, it then sums the
+differences up: of the differing values where both sides returned (results
+and grid rows), how many lie within the sum of the two ``err_estimate``s,
+and how many ``converged`` flags and exception types changed, naming the
+first few.  Writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,6 +93,12 @@ def _options(rng: random.Random) -> dict:
     return options
 
 
+def _spec_key(spec) -> str:
+    """A ContourSpec by the fields every checkout's has, so keys match across them."""
+    return " ".join(f"{name}={getattr(spec, name)!r}"
+                    for name in ("sigma", "half_width", "step", "tol", "max_refinements"))
+
+
 def _corpus(ug) -> dict[str, str]:
     """Every in-process outcome of the corpus, by a key naming the call."""
     import numpy as np
@@ -122,7 +133,8 @@ def _corpus(ug) -> dict[str, str]:
         y = complex(-rng.uniform(0, 3), rng.uniform(-2, 2))
         spec = ug.ContourSpec(sigma=rng.uniform(0.5, 2), half_width=rng.uniform(4, 8),
                               step=0.25, tol=10.0 ** rng.uniform(-12, -8))
-        out[f"contour_loop/{index} {y!r} {spec}"] = _outcome(lambda: ug.contour_loop(y, spec))
+        out[f"contour_loop/{index} {y!r} {_spec_key(spec)}"] = _outcome(
+            lambda: ug.contour_loop(y, spec))
         for path in ug.SegmentPath:
             out[f"integrate_segment/{index} {path.value}"] = _outcome(
                 lambda: ug.integrate_segment(y, path, spec))
@@ -139,7 +151,7 @@ def _corpus(ug) -> dict[str, str]:
         spec = ug.ContourSpec(half_width=rng.uniform(4, 30), step=rng.choice((0.25, 0.5, 1.0)),
                               tol=10.0 ** rng.uniform(-14, -8),
                               max_refinements=rng.randint(1, 10))
-        out[f"trapezoid_line/{index} {label} {spec}"] = _outcome(
+        out[f"trapezoid_line/{index} {label} {_spec_key(spec)}"] = _outcome(
             lambda: ug.trapezoid_line(lines[label], spec))
     # Non-finite at t = -0.5 (an odd k at step 1) and t = 2 (an even k), and
     # per point of a chunk, with chunk-mates that stay finite.
@@ -211,6 +223,53 @@ def _run(checkout: str) -> dict[str, str]:
     return outcomes
 
 
+_RESULT = re.compile(r"value=([^,]+), err_estimate=([^,]+),.*?converged=(True|False)")
+_EXCEPTION = re.compile(r"([A-Za-z_]\w*): ")
+
+
+def _facts(key: str, outcome: str):
+    """What an outcome returned: per result (text, value, err_estimate,
+    converged), one for a result and one per row of a grid CSV; or the
+    exception type name; or "a result" for any other return value."""
+    if key.startswith("cli grid"):
+        rows = [row.split(",") for row in outcome.splitlines()[2:]]
+        return [(",".join(f), complex(float(f[2]), float(f[3])), float(f[4]),
+                 f[9] == "true") for f in rows if len(f) == 10]
+    result = _RESULT.search(outcome)
+    if result:
+        return [(outcome, complex(result[1].strip("()")), float(result[2]),
+                 result[3] == "True")]
+    exception = _EXCEPTION.match(outcome)
+    return exception[1] if exception else "a result"
+
+
+def _summary(old: dict, new: dict, differing: list[str]) -> None:
+    """How the differing values, flags and exception types moved."""
+    within = compared = 0
+    flags, kinds = [], []
+    for key in differing:
+        if key not in old or key not in new:
+            continue
+        a, b = _facts(key, old[key]), _facts(key, new[key])
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for (text_a, va, ea, ca), (text_b, vb, eb, cb) in zip(a, b):
+                if text_a == text_b:
+                    continue
+                compared += 1
+                within += abs(va - vb) <= ea + eb
+                if ca != cb:
+                    flags.append(f"{key}: converged {ca} -> {cb}")
+        elif isinstance(a, str) or isinstance(b, str):
+            a, b = (facts if isinstance(facts, str) else "a result" for facts in (a, b))
+            if a != b:
+                kinds.append(f"{key}: {a} -> {b}")
+    print(f"{within} of {compared} differing values lie within the sum of their "
+          f"err_estimates; {len(flags)} converged flags and {len(kinds)} "
+          f"exception types changed")
+    for line in (flags + kinds)[:SHOW]:
+        print(f"- {line}")
+
+
 def _first_difference(old: str, new: str) -> str:
     for number, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), start=1):
         if a != b:
@@ -239,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"- {key}: {_first_difference(a, b)}")
         else:
             print(f"- {key}\n    old {a}\n    new {b}")
+    if differing:
+        _summary(old, new, differing)
     return 1 if differing else 0
 
 
