@@ -66,14 +66,9 @@ _POLE_REACH = 1e-3
 _ABS_PROMISE = 1e-6
 _REL_PROMISE = 1e-9
 
-# Share of the tolerance given to the analytic truncation tail; the
-# discretization (Richardson-controlled) part receives the rest.
+# Share of the tolerance given to the analytic truncation tails, half to
+# each side; the discretization (Richardson-controlled) part receives the rest.
 _TAIL_SHARE = 0.25
-# Each tail's budget is also at most _TAIL_SHARE times this share of the
-# integrand's magnitude at the saddle height, so the two tails together stay
-# within 1e-15 of it: a tail sized to an absolute tol alone would swamp a
-# small value.
-_TAIL_REL = 2e-15
 
 # Terms of the Laplace tail's integration-by-parts series.
 _LAPLACE_TAIL_TERMS = 12
@@ -158,17 +153,17 @@ def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
                max_refinements: int) -> tuple[ContourSpec, Truncation]:
     """The spec of the G line at z and the truncation it integrates.
 
-    The window is sized for the heaviest kernel, each side's tail to the
-    tail share of min(tol, _TAIL_REL * m), m the integrand's magnitude at
-    the saddle height.  The start step is 0.25 for every z: on the saddle
-    line the integrand is close to a Gaussian e^{-2 (t - Im w0)^2} whatever
-    Im z is, and the halving does the rest.
+    The window is sized for the heaviest kernel, each side's tail to half
+    the tail share of tol, or less where ``select_truncation`` caps it
+    against the integrand's magnitude at the saddle height.  The start step
+    is 0.25 for every z: on the saddle line the integrand is close to a
+    Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
+    the rest.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
     sig = default_sigma(z) if sigma is None else float(sigma)
-    trunc = select_truncation(z, sig, _TAIL_SHARE * tol, log_weight=log_weight,
-                              rel=_TAIL_SHARE * _TAIL_REL)
+    trunc = select_truncation(z, sig, 0.5 * _TAIL_SHARE * tol, log_weight=log_weight)
     spec = ContourSpec(
         sigma=sig,
         half_width=max(sig, trunc.half_width),

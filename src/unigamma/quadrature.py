@@ -100,6 +100,11 @@ _T_GRID = 0.25
 _CAP_STEPS = round(TRUNCATION_CAP / _T_GRID)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _LOG_MAX = 709.0          # math.exp overflows just past 709.78
+# Each tail's budget is at most this share of the integrand's magnitude at
+# the saddle height (see select_truncation).
+_LOG_TAIL_REL = math.log(5e-16)
+# The least sigma whose square is a normal double.
+_SIGMA_MIN = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -215,19 +220,23 @@ class Truncation(NamedTuple):
         return max(-self.lower, self.upper)
 
 
-def _log_majorant(p: float, y: float, sigma: float, t: float, log_weight: bool) -> float:
+def _log_magnitude(p: float, y: float, sigma: float, t: float,
+                   log_weight: bool) -> tuple[float, float, float]:
     """log of the G-line integrand's magnitude at t, times |ln u| + pi >= |2 Log w|
-    for the log weight.
+    for the log weight; and the slope and half the curvature of -log|f| at t,
+    the log weight's share left out.
 
     With p = 1/2 - Re z, y = Im z and u = sigma^2 + t^2 the magnitude is
-    exactly u^p e^{2 y atan(t/sigma)} e^{sigma^2 - t^2}.
+    exactly u^p e^{2 y atan(t/sigma)} e^{sigma^2 - t^2}, and d/dt log|f| =
+    D(t) - 2t with D = 2(p t + y sigma)/u.
     """
     u = sigma * sigma + t * t
     log_u = log(u)
     lm = p * log_u + 2.0 * y * atan2(t, sigma) + sigma * sigma - t * t
     if log_weight:
         lm += log(abs(log_u) + pi)
-    return lm
+    drift = 2.0 * (p * t + y * sigma) / u
+    return lm, 2.0 * t - drift, 1.0 + (drift * t - p) / u
 
 
 def _log_tail(p: float, y: float, sigma: float, end: float,
@@ -235,34 +244,31 @@ def _log_tail(p: float, y: float, sigma: float, end: float,
     """log of a bound on the integral of |f| over t > end; and the slope and
     half the curvature of -log|f| at end, which steer ``_upper_end``.
 
-    On t >= end, d/dt log|f| = D(t) - 2t with D = 2(p t + y sigma)/u.  D is
-    at most R, its supremum over [end, inf), which (p tau + y)/(tau^2 + 1)
+    On t >= end, d/dt log|f| = D(t) - 2t (``_log_magnitude``).  D is at
+    most R, its supremum over [end, inf), which (p tau + y)/(tau^2 + 1)
     with tau = t/sigma gives in closed form; so with d = t - end,
     |f(t)| <= |f(end)| e^{-kappa d - d^2} with kappa = 2 end - R, and the
     tail is at most |f(end)| J(kappa), where J(kappa) = int_0^inf
     e^{-kappa d - d^2} dd = (sqrt(pi)/2) e^{kappa^2/4} erfc(kappa/2) <=
     1/kappa.  The log weight's bound |ln u| + pi grows at a log-rate of at
     most 2|t|/(pi u), whose supremum over the tail kappa absorbs too.  The
-    bound holds for every real end, on either side of the integrand's crest.
+    bound holds for every real end, on either side of the integrand's crest;
+    where it passes the double range its log is inf.
     """
-    # |f(end)| as in _log_majorant, written out: this runs in every search step.
-    u = sigma * sigma + end * end
-    log_u = log(u)
-    lm = p * log_u + 2.0 * y * atan2(end, sigma) + sigma * sigma - end * end
-    drift = 2.0 * (p * end + y * sigma) / u
+    lm, slope, curve = _log_magnitude(p, y, sigma, end, log_weight)
     lead = y + hypot(p, y)
     if lead > 0.0 and end * lead <= p * sigma:
         kappa = 2.0 * end - lead / sigma    # the supremum lies inside the tail
     else:
-        kappa = 2.0 * end - drift if drift > 0.0 else 2.0 * end
+        kappa = slope if slope < 2.0 * end else 2.0 * end
     if log_weight:
-        lm += log(abs(log_u) + pi)
-        kappa -= (2.0 * end / u if end >= sigma else 1.0 / sigma) / pi
+        kappa -= (2.0 * end / (sigma * sigma + end * end) if end >= sigma
+                  else 1.0 / sigma) / pi
     if kappa >= 8.0:
         lm -= log(kappa)
     else:
         lm += 0.25 * kappa * kappa + log(_HALF_SQRT_PI * erfc(0.5 * kappa))
-    return lm, 2.0 * end - drift, 1.0 + (drift * end - p) / u
+    return lm, slope, curve
 
 
 def _check_z(z) -> complex:
@@ -275,6 +281,9 @@ def _check_z(z) -> complex:
 def _check_sigma(sigma: float) -> None:
     if not (0.0 < sigma <= 8.0):
         raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
+    if sigma < _SIGMA_MIN:
+        raise DomainError(f"sigma must be at least 2**-511, where sigma**2 is a "
+                          f"normal double, got {sigma!r}")
 
 
 def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
@@ -286,7 +295,7 @@ def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
     the exact magnitude at ``end`` and a decay rate valid over the whole
     tail, the log factor's growth included (see ``_log_tail``), so it holds
     for every finite end.  Raises DomainError unless z and ``end`` are
-    finite and sigma lies in (0, 8].
+    finite and sigma lies in [2**-511, 8].
     """
     z = _check_z(z)
     _check_sigma(sigma)
@@ -305,43 +314,40 @@ def _upper_end(p: float, y: float, sigma: float, start: float, floor: int,
     steps, whose tail bound meets the budget; the log of that bound; and
     whether the search stopped at the cap without meeting it.
 
-    The exact magnitude at ``start`` (its log, slope and curvature, with
-    log(slope) for the tail's 1/kappa) gives a quadratic model whose root
-    names the first grid point to bound.  From each bound the same model
-    predicts the end; the search goes to that grid point, kept between the
-    highest end known to miss and the lowest known to meet, and stops at a
-    meeting end the model does not undercut.
+    The search keeps the highest end known to miss and the lowest known to
+    meet, and stops when they are one grid step apart.  A quadratic model
+    of the log bound, from its value, slope and curvature at the last end
+    bounded, names the next grid point, kept strictly between the two; the
+    first model is the exact magnitude at ``start`` over its slope.  Where
+    the model names none -- a bound past the double range -- the search
+    bisects.
     """
     if floor < 1 - _CAP_STEPS:
         floor = 1 - _CAP_STEPS
     elif floor > _CAP_STEPS:
         floor = _CAP_STEPS
     low, high = floor - 1, _CAP_STEPS + 1     # k known to miss and to meet
-    u = sigma * sigma + start * start
-    drift = 2.0 * (p * start + y * sigma) / u
-    slope = 2.0 * start - drift
-    curve = 1.0 + (drift * start - p) / u
-    excess = _log_majorant(p, y, sigma, start, log_weight) - log_budget
+    end = start
+    log_tail, slope, curve = _log_magnitude(p, y, sigma, start, log_weight)
     if slope > 1.0:
-        excess -= log(slope)
-    k, end, met = floor, start, False
+        log_tail -= log(slope)
     while True:
         # The model's root: excess - slope d - curve d^2 = 0.  Under budget
-        # at or before a crest, only the lowest end is left to try.
+        # at or before a crest, it names the lowest end left.
+        excess = log_tail - log_budget
         disc = slope * slope + 4.0 * (curve if curve > 0.5 else 0.5) * excess
         rise = slope + sqrt(disc) if disc >= 0.0 else 0.0
-        guess = (math.ceil((end + 2.0 * excess / rise) / _T_GRID - 0.02)
-                 if rise > 0.0 else low + 1)
-        if met and guess >= k:
-            break
-        k = low + 1 if guess <= low else high - 1 if guess >= high else guess
+        guess = (end + 2.0 * excess / rise) / _T_GRID - 0.02 if rise > 0.0 else -math.inf
+        if guess != guess:      # NaN: inf / inf
+            k = (low + high) // 2
+        else:
+            k = (low + 1 if guess <= low + 1 else high - 1 if guess >= high - 1
+                 else math.ceil(guess))
         end = k * _T_GRID
         log_tail, slope, curve = _log_tail(p, y, sigma, end, log_weight)
-        excess = log_tail - log_budget
         # A bound equal to the budget meets it, whichever way the logs round.
-        met = excess <= 0.0 or (excess < 1e-9
-                                and math.exp(log_tail) <= math.exp(log_budget))
-        if met:
+        if log_tail <= log_budget or (log_tail - log_budget < 1e-9
+                                      and math.exp(log_tail) <= math.exp(log_budget)):
             high, best = k, log_tail
         else:
             low = k
@@ -352,36 +358,32 @@ def _upper_end(p: float, y: float, sigma: float, start: float, floor: int,
     return high * _T_GRID, best, False
 
 
-def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False,
-                      rel: float | None = None) -> Truncation:
+def select_truncation(z, sigma: float, tol: float, *,
+                      log_weight: bool = False) -> Truncation:
     """The narrowest window on a 0.25-grid whose two tail bounds each meet the budget.
 
-    The budget is ``tol``, or min(tol, rel * m) with ``rel``, where m is the
+    The budget of each tail is min(tol, 5e-16 m), where m is the
     integrand's exact magnitude at the saddle height Im sqrt(z - 1/2): a
     tail small against m is small against the value wherever the line does
-    not cancel.  Each end is sized on its own tail (``tail_bound``), from
-    a start a Gaussian e^{-2 d^2} about that height predicts, so a point off
-    the real axis gets a window shifted toward its saddle and a real z a
-    symmetric one.  The window always holds the grid interval around the
-    height.  An end that would pass T = 200 stops there and is flagged.
+    not cancel, so both tails stay within 1e-15 of it when ``tol`` alone
+    would swamp a small value.  Each end is the lowest grid point whose own
+    tail bound (``tail_bound``) meets the budget, searched from where a
+    Gaussian e^{-2 d^2} about that height puts it, so a point off the real
+    axis gets a window shifted toward its saddle and a real z a symmetric
+    one.  The window always holds the grid interval around the height.  An
+    end that would pass T = 200 stops there and is flagged.
     """
     z = _check_z(z)
     _check_sigma(sigma)
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    if rel is not None and (not (rel > 0.0) or not math.isfinite(rel)):
-        raise DomainError(f"rel must be a positive finite real, got {rel!r}")
     p, y = 0.5 - z.real, z.imag
     # The saddle height.  On the real axis both sides start from the upper
     # of the two crests at +-Im w0, and z and conj(z) see the same numbers.
     height = cmath.sqrt(complex(-p, abs(y))).imag
-    peak = _log_majorant(p, abs(y), sigma, height, log_weight)
-    log_budget = log(tol)
-    if rel is not None:
-        relative = log(rel) + (_log_majorant(p, abs(y), sigma, height, False)
-                               if log_weight else peak)
-        if relative < log_budget:
-            log_budget = relative
+    magnitude = _log_magnitude(p, abs(y), sigma, height, False)[0]
+    peak = _log_magnitude(p, abs(y), sigma, height, True)[0] if log_weight else magnitude
+    log_budget = min(log(tol), _LOG_TAIL_REL + magnitude)
     # Gaussian start: peak - 2 d^2 - log(4 d) = log(budget).
     excess = peak - log_budget
     if excess < 2.0:
@@ -391,7 +393,8 @@ def select_truncation(z, sigma: float, tol: float, *, log_weight: bool = False,
     # The lower tail of z beyond -e is the upper tail of conj(z) beyond e.
     crest = height if y >= 0.0 else -height
     upper, upper_log, upper_capped = _upper_end(
-        p, y, sigma, crest + reach, math.floor(crest / _T_GRID) + 1, log_budget, log_weight)
+        p, y, sigma, crest + reach, math.floor(crest / _T_GRID) + 1, log_budget,
+        log_weight)
     if y == 0.0:
         lower, lower_log, lower_capped = upper, upper_log, upper_capped
     else:

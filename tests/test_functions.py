@@ -26,6 +26,7 @@ from unigamma import (
     laplace_recip_gamma,
     recip_gamma,
 )
+from unigamma.functions import _TAIL_SHARE, _line_spec
 
 SQRT_PI = math.sqrt(math.pi)
 EULER = 0.5772156649015329
@@ -467,6 +468,27 @@ class TestTruncationWindow:
                       sigma=1.108695358707731)
         assert not res.converged
         assert res.err_estimate > 1e-9 * abs(res.value)
+
+    def test_both_tails_within_the_tail_share(self):
+        # Each side gets half the tail share, so tails and quadrature
+        # together stay within tol.
+        rng = random.Random(1417)
+        for _ in range(60):
+            z = complex(rng.uniform(-15.0, 15.0), rng.uniform(-100.0, 100.0))
+            tol = 10.0 ** rng.uniform(-14.0, -4.0)
+            for log_weight in (False, True):
+                spec, trunc = _line_spec(z, log_weight, None, tol, 12)
+                assert trunc.tail <= _TAIL_SHARE * tol * (1.0 + 1e-12), (z, tol)
+                assert spec.tol + trunc.tail <= tol * (1.0 + 1e-12), (z, tol)
+
+    def test_tiny_forced_sigma(self):
+        # sigma**2 must be a normal double; just above that, the bounds pass
+        # the double range near t = 0 and the point still gets its outcome.
+        with pytest.raises(DomainError):
+            G(10j, sigma=1e-300)
+        outcomes = evaluate_many("G", [1, 10j], sigma=1e-300)
+        assert all(isinstance(out, DomainError) for out in outcomes)
+        assert not G(10j, sigma=2.0 ** -511).converged
 
 
 class TestHighImaginaryBand:

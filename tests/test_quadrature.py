@@ -206,17 +206,18 @@ class TestTailBound:
 
 class TestSelectTruncation:
     def test_balances_budget_exactly(self):
-        # Presenting the tail bound at T = 5 as the budget must return 5.
-        budget = tail_bound(0.5, 1.0, 5.0)
+        # Presenting the tail bound at T = 6 as the budget must return 6; at
+        # z = 0.5 that bound lies below the relative cap, so tol binds.
+        budget = tail_bound(0.5, 1.0, 6.0)
         t = select_truncation(0.5, 1.0, budget)
-        assert t.half_width == 5.0
+        assert t.half_width == 6.0
         assert not t.capped
 
     def test_frozen_values(self):
-        assert select_truncation(0.5, 1.0, 1e-12).half_width == 5.25
-        assert select_truncation(-5, 1.0, 1e-12).half_width == 7.0
+        assert select_truncation(0.5, 1.0, 1e-12).half_width == 5.75
+        assert select_truncation(-5, 1.0, 1e-12).half_width == 7.25
         assert select_truncation(0.5 + 10j, 1.0, 1e-12).half_width == 7.5
-        assert select_truncation(1, 1.0, 1e-12, log_weight=True).half_width == 5.25
+        assert select_truncation(1, 1.0, 1e-12, log_weight=True).half_width == 5.75
         # Off the real axis the window leans toward the saddle's side.
         window = select_truncation(0.5 + 10j, 1.0, 1e-12)
         assert (window.lower, window.upper) == (-2.25, 7.5)
@@ -225,16 +226,61 @@ class TestSelectTruncation:
         assert mirror.tail == window.tail
 
     def test_relative_budget(self):
-        # rel caps the budget at rel times the magnitude at the saddle
-        # height: e at z = 0.5, sigma = 1, so 1e-15 * e binds below 1e-12.
-        loose = select_truncation(0.5, 1.0, 1e-12)
-        tight = select_truncation(0.5, 1.0, 1e-12, rel=1e-15)
-        assert tight.upper > loose.upper
-        assert tail_bound(0.5, 1.0, tight.upper) <= 1e-15 * math.e
-        assert select_truncation(0.5, 1.0, 1e-12, rel=1.0) == loose
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        # Each tail's budget is at most 5e-16 times the magnitude at the
+        # saddle height: e at z = 0.5, sigma = 1, far below tol = 1e-12.
+        window = select_truncation(0.5, 1.0, 1e-12)
+        assert tail_bound(0.5, 1.0, window.upper) <= 5e-16 * math.e
+        assert tail_bound(0.5, 1.0, window.upper - 0.25) > 5e-16 * math.e
+        assert select_truncation(0.5, 1.0, 1.0) == window
+        assert select_truncation(0.5, 1.0, 1e-20).upper > window.upper
+
+    def test_each_end_is_the_lowest_that_meets(self):
+        """One grid step in from either end, the tail bound misses the budget.
+
+        Seeded points in the box and at |Im z| in [15, 100], both kernels,
+        default and forced sigma; the step in is checked where it stays on
+        the end's side of the crest Im sqrt(z - 1/2), which every window holds.
+        """
+        rng = random.Random(1415)
+        checked = 0
+        for k in range(120):
+            if k % 2:
+                z = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
+            else:
+                z = complex(rng.uniform(-15, 15),
+                            rng.choice((-1, 1)) * rng.uniform(15, 100))
+            sigma = default_sigma(z) if k % 3 else rng.uniform(0.3, 4.0)
+            log_weight = k % 4 >= 2
+            tol = 10.0 ** rng.uniform(-15, -5)
+            window = select_truncation(z, sigma, tol, log_weight=log_weight)
+            if window.capped:
+                continue
+            crest = cmath.sqrt(z - 0.5).imag
+            budget = min(tol, 5e-16 * abs(g_integrand(z, sigma, crest)))
+            for end, lower in ((window.upper, False), (window.lower, True)):
+                bound = tail_bound(z, sigma, end, lower=lower, log_weight=log_weight)
+                assert bound <= budget * (1.0 + 1e-9), (z, sigma, tol, end)
+                inner = end + 0.25 if lower else end - 0.25
+                if (inner < crest) if lower else (inner > crest):
+                    assert tail_bound(z, sigma, inner, lower=lower,
+                                      log_weight=log_weight) > budget * (1.0 - 1e-9), (
+                        z, sigma, tol, end)
+                    checked += 1
+        assert checked > 150
+
+    def test_tiny_sigma(self):
+        # A sigma whose square is no normal double is refused; just above
+        # it, bounds past the double range steer the search, which still
+        # returns a window.
+        for z in (10j, 2, 0.5 + 3j):
             with pytest.raises(DomainError):
-                select_truncation(0.5, 1.0, 1e-12, rel=bad)
+                select_truncation(z, 1e-300, 1e-12)
+            with pytest.raises(DomainError):
+                tail_bound(z, 1e-160, 1.0)
+        assert tail_bound(10j, 2.0 ** -511, -1.0) == math.inf
+        for z in (10j, -3 + 1e5j, 0.3 + 100j):
+            window = select_truncation(z, 2.0 ** -511, 1e-13, log_weight=True)
+            assert window.lower < window.upper
 
     def test_meets_budget(self):
         for z, tol in [(0.5, 1e-10), (-8, 1e-13), (2 + 5j, 1e-12)]:
