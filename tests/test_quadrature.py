@@ -282,6 +282,12 @@ class TestSelectTruncation:
             window = select_truncation(z, 2.0 ** -511, 1e-13, log_weight=True)
             assert window.lower < window.upper
 
+    def test_bounds_past_the_double_range(self):
+        # Far left, log bounds reach inf; the search bisects past them and
+        # flags the window it cannot close.
+        window = select_truncation(-1e250 + 3j, 1.0, 1e-12)
+        assert window.capped and window.tail == math.inf
+
     def test_meets_budget(self):
         for z, tol in [(0.5, 1e-10), (-8, 1e-13), (2 + 5j, 1e-12)]:
             t = select_truncation(z, 1.0, tol)
