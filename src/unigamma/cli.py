@@ -27,6 +27,7 @@ from .oracle import (
     oracle_recip_gamma,
     run_identity_suite,
 )
+from .quadrature import _check_sigma, _check_tol
 
 __all__ = ["GridRequest", "parse_complex", "main"]
 
@@ -63,10 +64,10 @@ class GridRequest:
             raise DomainError("grid bounds must satisfy min <= max on both axes")
         if self.re_steps < 1 or self.im_steps < 1:
             raise DomainError("grid steps must be >= 1 on both axes")
-        if self.sigma is not None and not (0.0 < self.sigma <= 8.0):
-            raise DomainError(f"sigma must lie in (0, 8], got {self.sigma!r}")
-        if self.tol is not None and not (0.0 < self.tol < math.inf):
-            raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
+        if self.tol is not None:
+            _check_tol(self.tol)
 
 
 def parse_complex(text: str) -> complex:

@@ -36,7 +36,11 @@ from .quadrature import (
     # these attributes.
     tail_bound,
     trapezoid_line,
+    _check_point,
+    _check_sigma,
+    _check_tol,
     _line_grid,
+    _node_error,
     _only,
     _trapezoid_joint,
 )
@@ -112,20 +116,6 @@ def default_sigma(z) -> float:
     return min(8.0, max(floor, cmath.sqrt(z - 0.5).real))
 
 
-def _check_point(z) -> complex:
-    try:
-        z = complex(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"z must be a complex number, got {z!r}") from None
-    except OverflowError:
-        # No repr: past 4,300 digits an int's repr raises too.
-        raise DomainError("z must be finite, got a number beyond the "
-                          "double range") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
-    return z
-
-
 def _gate(quad: QuadratureResult, capped: bool, tol: float,
           magnitude: float) -> bool:
     """The one convergence verdict for a line integral at the API level.
@@ -160,9 +150,8 @@ def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
     Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
     the rest.
     """
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    sig = default_sigma(z) if sigma is None else float(sigma)
+    _check_tol(tol)
+    sig = default_sigma(z) if sigma is None else _check_sigma(sigma)
     trunc = select_truncation(z, sig, 0.5 * _TAIL_SHARE * tol, log_weight=log_weight)
     spec = ContourSpec(
         sigma=sig,
@@ -455,7 +444,7 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
             f"laplace_recip_gamma requires Re(z) > 0 (the half-plane integral "
             f"diverges otherwise), got z={z!r}"
         )
-    sigma = float(sigma)
+    sigma = _check_sigma(sigma)
     half_width = max(40.0, 2.5 * (abs(z) + _LAPLACE_TAIL_TERMS))
     step0 = min(0.1, 1.0 / (1.0 + abs(z)))
     spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0, tol=tol,
@@ -486,10 +475,15 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     # Coarse pass to anchor the relative tolerance in absolute terms.
     coarse_n = math.ceil(half_width / step0)
     coarse_t = np.arange(-coarse_n, coarse_n + 1, dtype=float) * (half_width / coarse_n)
-    coarse_v = integrands.laplace_integrand(z, sigma, coarse_t)
-    coarse_sum = (half_width / coarse_n) * (
-        coarse_v.sum() - 0.5 * (coarse_v[0] + coarse_v[-1])
-    )
+    with np.errstate(all="ignore"):
+        coarse_v = integrands.laplace_integrand(z, sigma, coarse_t)
+        coarse_sum = (half_width / coarse_n) * (
+            coarse_v.sum() - 0.5 * (coarse_v[0] + coarse_v[-1])
+        )
+    # A non-finite node makes the sum non-finite; only then are the nodes searched.
+    error = None if cmath.isfinite(coarse_sum) else _node_error(coarse_t, [coarse_v], 0)
+    if error is not None:
+        raise error
     scale = abs(complex(coarse_sum) + tail)
     tol_abs = tol * max(scale, 1e-300)
     spec = replace(spec, tol=tol_abs)

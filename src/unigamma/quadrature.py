@@ -36,11 +36,12 @@ the tolerance, and the trapezoid rule is spectral there.
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
 relying on: results are bit-reproducible regardless of evaluation order,
-and exactly antisymmetric node contributions cancel exactly.  Short levels
-of a lone point go to ``math.fsum``; longer ones, and every level of a
-many-point chunk, to ``_exact_sums``, which bins mantissas by exponent into
-integer digits with numpy and keeps each point's exact running sum, so a
-halving adds only its new terms.  Both give the same bits.
+and exactly antisymmetric node contributions cancel exactly.  One rule
+picks the route of each refinement pass, whether it sums one point or
+many: fewer than ``_FSUM_TERMS`` kept terms in all go to ``math.fsum``,
+more to ``_exact_sums``, which bins mantissas by exponent into integer
+digits with numpy and keeps each point's exact running sum, so a halving
+adds only its new terms.  Both give the same bits.
 
 One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
 and the error estimate: the gate enforces the *effective* tolerance
@@ -64,6 +65,7 @@ import cmath
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from math import atan2, erfc, fsum, hypot, log, pi, sqrt
 from typing import Callable, NamedTuple, Sequence
@@ -125,11 +127,7 @@ class ContourSpec:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.sigma <= 8.0) or not math.isfinite(self.sigma):
-            raise DomainError(
-                f"sigma must lie in (0, 8], got {self.sigma!r} "
-                "(exp(sigma**2) must stay far from double overflow)"
-            )
+        _check_sigma(self.sigma)
         if not math.isfinite(self.half_width) or self.half_width < self.sigma:
             raise DomainError(
                 f"half_width must be finite and >= sigma, got {self.half_width!r}"
@@ -143,8 +141,7 @@ class ContourSpec:
                 raise DomainError(
                     f"window must be an interval at least a step long inside "
                     f"[-half_width, half_width], got {self.window!r}")
-        if not (self.tol > 0.0) or not math.isfinite(self.tol):
-            raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
+        _check_tol(self.tol)
         try:
             whole = int(self.max_refinements) == self.max_refinements
         except (TypeError, ValueError, OverflowError):
@@ -271,19 +268,44 @@ def _log_tail(p: float, y: float, sigma: float, end: float,
     return lm, slope, curve
 
 
-def _check_z(z) -> complex:
-    z = complex(z)
+def _check_point(z) -> complex:
+    """z as a complex; DomainError unless it is a finite number."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"z must be a complex number, got {z!r}") from None
+    except OverflowError:
+        # No repr: past 4,300 digits an int's repr raises too.
+        raise DomainError("z must be finite, got a number beyond the "
+                          "double range") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got {z!r}")
     return z
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (0.0 < sigma <= 8.0):
+def _check_sigma(sigma) -> float:
+    """sigma as a float; DomainError unless it is a real in [2**-511, 8], where
+    sigma**2 is a normal double and exp(sigma**2) stays far from overflow."""
+    if not _inside(sigma, 8.0):
         raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
     if sigma < _SIGMA_MIN:
         raise DomainError(f"sigma must be at least 2**-511, where sigma**2 is a "
                           f"normal double, got {sigma!r}")
+    return float(sigma)
+
+
+def _check_tol(tol) -> None:
+    """DomainError unless tol is a positive finite real."""
+    if not _inside(tol, sys.float_info.max):
+        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+
+
+def _inside(value, high: float) -> bool:
+    """Whether 0 < value <= high; False for what is not a real number."""
+    try:
+        return 0.0 < value <= high
+    except TypeError:
+        return False
 
 
 def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
@@ -297,8 +319,8 @@ def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
     for every finite end.  Raises DomainError unless z and ``end`` are
     finite and sigma lies in [2**-511, 8].
     """
-    z = _check_z(z)
-    _check_sigma(sigma)
+    z = _check_point(z)
+    sigma = _check_sigma(sigma)
     if not math.isfinite(end):
         raise DomainError(f"end must be a finite real, got {end!r}")
     p, y = 0.5 - z.real, z.imag
@@ -373,10 +395,9 @@ def select_truncation(z, sigma: float, tol: float, *,
     one.  The window always holds the grid interval around the height.  An
     end that would pass T = 200 stops there and is flagged.
     """
-    z = _check_z(z)
-    _check_sigma(sigma)
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    z = _check_point(z)
+    sigma = _check_sigma(sigma)
+    _check_tol(tol)
     p, y = 0.5 - z.real, z.imag
     # The saddle height.  On the real axis both sides start from the upper
     # of the two crests at +-Im w0, and z and conj(z) see the same numbers.
@@ -480,15 +501,16 @@ def _exact_sums(values: np.ndarray, slots: np.ndarray | None = None,
     return sums
 
 
-# Terms below which a lone point's level goes to math.fsum rather than the
-# bins.  A bin pass costs about 35 us whatever the length (some 30 numpy
-# calls) plus about 0.025 us a term; fsum about 0.3 us a term on the G line's
-# values, whose magnitudes span some 130 bits.  Measured on plane-mix's values
-# (2-core x86_64 VM, Python 3.11, numpy 2.4), a whole level of terms:
-# 200-250 terms take 61 us by fsum and 60 us binned, 600-800 terms 235 us
-# against 54 us.  Per plane-mix operation (600 of them, min of 5 runs each),
-# the median took 307 us with fsum alone, 285 us binned alone, 271-274 us
-# with this cutover at 192-256 and 285 us at 320.
+# Kept terms, over all the points of a refinement pass, below which the pass
+# goes to math.fsum rather than the bins (_pass_sums).  A bin pass costs
+# about 35 us whatever the length (some 30 numpy calls) plus about 0.025 us
+# a term; fsum about 0.3 us a term on the G line's values, whose magnitudes
+# span some 130 bits.  Measured on plane-mix's values (2-core x86_64 VM,
+# Python 3.11, numpy 2.4), a whole level of terms: 200-250 terms take 61 us
+# by fsum and 60 us binned, 600-800 terms 235 us against 54 us.  Per
+# plane-mix operation (600 of them, min of 5 runs each), the median took
+# 307 us with fsum alone, 285 us binned alone, 271-274 us with this cutover
+# at 192-256 and 285 us at 320.
 _FSUM_TERMS = 256
 
 
@@ -561,18 +583,6 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
     return None
 
 
-def _slot_sums(sums: list[list[int]], slot: int) -> list[int]:
-    """Slot ``slot``'s exact sums, real and imaginary per integrand, from one
-    ``_exact_sums`` pass per integrand."""
-    return [total for part in sums for total in part[2 * slot:2 * slot + 2]]
-
-
-def _fsums(values) -> list[float]:
-    """fsum of each array's real and imaginary parts, in turn."""
-    return [total for v in values
-            for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
-
-
 class _Point:
     """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
@@ -587,7 +597,7 @@ class _Point:
         self.romberg = romberg
         self.values: list = []
         # Exact running sums of the terms, real and imaginary per
-        # integrand, once the bins sum this point; None while fsum does.
+        # integrand, once the bins sum this point; None before and after fsum.
         self.exact: list[int] | None = None
         self.sums = [0j] * count
         self.rows: list[list[complex]] = [[] for _ in range(count)]
@@ -626,34 +636,23 @@ class _Point:
             self.values[i] = merged
         return news
 
-    def add_exact(self, sums: list[int]) -> list[float]:
-        """Add a level's exact sums; the running sums, each rounded once."""
-        if self.exact is None:
-            self.exact = sums
-        else:
-            self.exact = [total + part for total, part in zip(self.exact, sums)]
+    def add_exact(self, sums: list[list[int]], slot: int) -> list[float]:
+        """Add slot ``slot``'s exact sums, from one ``_exact_sums`` pass per
+        integrand, to the running sums; those, each rounded once."""
+        part = [total for each in sums for total in each[2 * slot:2 * slot + 2]]
+        self.exact = (part if self.exact is None
+                      else [total + more for total, more in zip(self.exact, part)])
         return [total / _UNIT for total in self.exact]
 
-    def sum_alone(self, terms, level: int) -> list[list[float]]:
-        """A lone point's sums, real and imaginary per integrand, of each
-        level this step settles (levels 0 and 1 on level 1).
-
-        ``terms`` are the ones this level adds.  Fewer than ``_FSUM_TERMS``
-        kept terms go to fsum.  The first level at or above it bins all the
-        kept terms, level 1 the even and the odd k in two slots; later
-        levels bin only the ones they add.
-        """
-        if self.exact is None:
-            if self.values[0].size < _FSUM_TERMS:
-                if level == 1:
-                    return [_fsums(v[0::2] for v in self.values), _fsums(self.values)]
-                return [_fsums(self.values)]
-            if level == 1:
-                parity = np.arange(self.values[0].size) & 1
-                sums = [_exact_sums(v, parity, 2) for v in self.values]
-                return [self.add_exact(_slot_sums(sums, s)) for s in (0, 1)]
-            terms = self.values
-        return [self.add_exact([total for new in terms for total in _exact_sums(new)])]
+    def fsum_levels(self, level: int) -> list[list[float]]:
+        """fsum of the kept terms, real and imaginary per integrand, of each
+        level this step settles; drops the running sum, so the next bin
+        pass takes every kept term."""
+        self.exact = None
+        levels = [[v[0::2] for v in self.values]] if level == 1 else []
+        return [[total for v in terms
+                 for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
+                for terms in levels + [self.values]]
 
     def settle(self, sums: list[list[float]], level: int):
         """Take the sums of the levels this step settles; the outcome once the point stops.
@@ -694,63 +693,64 @@ class _Point:
         ]
 
 
+def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
+    """The sums of the levels a pass settles, per (index, point, added terms)
+    of ``kept``, as ``_Point.settle`` takes them: by fsum below
+    ``_FSUM_TERMS`` kept terms in all, else by one ``_exact_sums`` pass per
+    integrand, a slot per point (on level 1 two: the even and the odd k).  A
+    binned point adds its new terms to its running sum, or all its kept ones
+    where it has none (level 1, or after fsum).  Both routes give the same bits.
+    """
+    if sum([point.values[0].size for _, point, _ in kept]) < _FSUM_TERMS:
+        return [point.fsum_levels(level) for _, point, _ in kept]
+    binned = [point.values if point.exact is None else terms for _, point, terms in kept]
+    per = 2 if level == 1 else 1
+    sizes = [terms[0].size for terms in binned]
+    if len(binned) == 1:    # its terms go in as they are: no copy of a long level
+        slots = np.arange(sizes[0]) & 1 if per == 2 else None
+    else:
+        slots = np.repeat(np.arange(0, per * len(binned), per), sizes)
+        if per == 2:
+            slots += np.concatenate([np.arange(size) & 1 for size in sizes])
+    sums = [_exact_sums(np.concatenate(values) if len(values) > 1 else values[0],
+                        slots, per * len(binned))
+            for values in zip(*binned)]
+    return [[point.add_exact(sums, s) for s in range(per * slot, per * slot + per)]
+            for slot, (_, point, _) in enumerate(kept)]
+
+
 def _refine_chunk(fs, points: dict, outcomes: list) -> None:
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
-    The first kernel call of a point is level 1's, which settles levels 0
-    and 1; each later one adds a level.
+    Each pass is one level, level 1's first (it settles levels 0 and 1): one
+    kernel call per integrand on the new nodes of the points still refining,
+    then one ``_pass_sums`` over those whose nodes are all finite.  A chunk
+    of one point hands the kernel its nodes and its index as ``rows``:
+    scalars, and none of the joining and splitting, which cost about 5% of
+    a small integral.
     """
-    if len(points) == 1:
-        # One point: its scalars go to the kernel, and none of the
-        # many-point bookkeeping, which costs about 5% of a small integral.
-        ((p, point),) = points.items()
-        level, outcome = 1, None
-        while outcome is None:
-            nodes = point.next_nodes(level)
-            news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
-            outcome = _node_error(nodes, news, level)
-            if outcome is None:
-                terms = point.keep(news, level)
-                outcome = point.settle(point.sum_alone(terms, level), level)
-            level += 1
-        outcomes[p] = outcome
-        return
-    level = 1
+    alone, level = len(points) == 1, 1
     while points:
-        active = list(points)
-        nodes = [points[p].next_nodes(level) for p in active]
-        sizes = [block.size for block in nodes]
-        t, rows = np.concatenate(nodes), np.repeat(active, sizes)
-        news = [np.asarray(f(t, rows), dtype=complex) for f in fs]
-        cuts = list(itertools.accumulate(sizes[:-1]))
-        parts = zip(*(np.split(new, cuts) for new in news))
+        active = list(points.items())
+        nodes = [point.next_nodes(level) for _, point in active]
+        if alone:           # rows: the index of the chunk's one point
+            parts = ([np.asarray(f(nodes[0], active[0][0]), dtype=complex) for f in fs],)
+        else:
+            sizes = [block.size for block in nodes]
+            t, rows = np.concatenate(nodes), np.repeat([p for p, _ in active], sizes)
+            cuts = list(itertools.accumulate(sizes[:-1]))
+            parts = zip(*(np.split(np.asarray(f(t, rows), dtype=complex), cuts)
+                          for f in fs))
         kept = []
-        for p, block, part in zip(active, nodes, parts):
+        for (p, point), block, part in zip(active, nodes, parts):
             error = _node_error(block, part, level)
             if error is None:
-                kept.append((p, points[p].keep(part, level)))
-            else:
+                kept.append((p, point, point.keep(part, level)))
+            else:           # out of the sums, so it cannot spoil its chunk-mates'
                 outcomes[p] = error
                 del points[p]
-        if not kept:
-            break
-        # One bin pass per integrand over the terms the points that go on
-        # add, each point in its own slot, or on level 1 in two: the even k
-        # (level 0) and the odd k.  A point with a non-finite node stays
-        # out, so it cannot spoil its chunk-mates' sums.
-        per = 2 if level == 1 else 1
-        sizes = [terms[0].size for _, terms in kept]
-        slots = np.repeat(np.arange(len(kept)), sizes)
-        if per == 2:
-            slots = 2 * slots + np.concatenate([np.arange(size) & 1 for size in sizes])
-        sums = [_exact_sums(np.concatenate([terms[i] for _, terms in kept]), slots,
-                            per * len(kept))
-                for i in range(len(fs))]
-        for slot, (p, _) in enumerate(kept):
-            point = points[p]
-            outcome = point.settle(
-                [point.add_exact(_slot_sums(sums, s))
-                 for s in range(per * slot, per * (slot + 1))], level)
+        for (p, point, _), sums in zip(kept, _pass_sums(kept, level)):
+            outcome = point.settle(sums, level)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -781,16 +781,15 @@ def _trapezoid_joint(
     integrands' interval ends carry Euler-Maclaurin terms in h^2.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
-    nodes.  Each refinement step calls each integrand once as ``f(t, rows)``
-    on the new nodes of the chunk's points still refining, concatenated in
-    point order: ``rows`` is the point's index in a chunk of one point, else an
+    nodes, one point as a chunk of one, all by one loop (``_refine_chunk``).
+    Each refinement step calls each integrand once as ``f(t, rows)`` on the
+    new nodes of the chunk's points still refining, concatenated in point
+    order: ``rows`` is the point's index in a chunk of one point, else an
     array naming the point of every node.  Each point keeps its own terms,
     exact sums, roundoff floor and Richardson stop, so its result does not
-    depend on its chunk-mates beyond the bits of the kernel layout.  A
-    chunk's new terms go through one ``_exact_sums`` pass per integrand
-    and step, each point in its own slot (two on the first step: the even
-    k and the odd k); a lone point sums its short levels with ``fsum``
-    (below ``_FSUM_TERMS`` terms) and bins the rest.
+    depend on its chunk-mates beyond the bits of the kernel layout.  One
+    summation pass per step (``_pass_sums``) sums the terms of them all,
+    by ``fsum`` below ``_FSUM_TERMS`` terms in all and binned above.
 
     Returns, per point, one QuadratureResult per integrand, or the
     QuadratureNodeError of its first non-finite node on the coarsest level

@@ -304,10 +304,22 @@ class TestLaplaceRecipGamma:
         {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
         {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": 8.5},
         {"max_refinements": 2.5}, {"max_refinements": 0},
+        {"tol": "x"}, {"sigma": "x"}, {"sigma": 1e-300},
     ])
     def test_rejects_bad_tol_and_sigma(self, kwargs):
         with pytest.raises(DomainError):
             laplace_recip_gamma(1.5, **kwargs)
+
+    def test_non_finite_coarse_node_is_a_node_error(self):
+        # |w|^-5 passes the double range at t = 0; the coarse pass reports
+        # that node, and no numpy warning escapes.
+        with pytest.raises(QuadratureNodeError) as info:
+            laplace_recip_gamma(5, sigma=1e-100)
+        assert info.value.node == 0.0
+
+    def test_sigma_below_the_normal_doubles_is_refused_first(self):
+        with pytest.raises(DomainError, match="at least 2"):
+            laplace_recip_gamma(0.5, sigma=1e-300)
 
     def test_far_points_fail_typed_and_fast(self):
         # The first would ask for 5e12 nodes, the second overflows the tail
@@ -607,6 +619,18 @@ def test_non_integer_max_refinements_is_rejected():
                 fn(*args, max_refinements=bad)
         outcomes = evaluate_many("G", [1, 2], max_refinements=bad)
         assert all(isinstance(outcome, DomainError) for outcome in outcomes)
+
+
+@pytest.mark.parametrize("bad", [{"tol": "x"}, {"tol": None}, {"sigma": "x"},
+                                 {"sigma": 1j}])
+def test_non_numeric_tol_or_sigma_is_a_domain_error(bad):
+    calls = [(fn, (1.5,)) for fn in (G, g_tilde, recip_gamma, gamma, gamma_sin_pi,
+                                      digamma, laplace_recip_gamma)]
+    for fn, args in calls + [(euler_mascheroni, ())]:
+        with pytest.raises(DomainError):
+            fn(*args, **bad)
+    outcomes = evaluate_many("digamma", [1, 2.5], **bad)
+    assert all(isinstance(outcome, DomainError) for outcome in outcomes)
 
 
 def test_readme_examples():

@@ -107,6 +107,9 @@ class TestContourSpec:
             {"max_refinements": float("inf")},
             {"max_refinements": float("nan")},
             {"max_refinements": None},
+            {"sigma": 1e-200},
+            {"sigma": "x"},
+            {"tol": "x"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -151,6 +154,29 @@ class TestTailBound:
     def test_rejects_what_select_truncation_rejects(self, args):
         with pytest.raises(DomainError):
             tail_bound(*args)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 2.0 ** -512, 0.0, 8.5, math.nan, math.inf,
+                                       "x", None, 1j])
+    def test_sigma_rule_is_the_contour_spec_rule(self, sigma):
+        for call in (lambda: ContourSpec(sigma=sigma), lambda: tail_bound(1, sigma, 5),
+                     lambda: select_truncation(1, sigma, 1e-12)):
+            with pytest.raises(DomainError, match="sigma must"):
+                call()
+        spec = ContourSpec(sigma=2.0 ** -511)
+        assert select_truncation(1, spec.sigma, spec.tol).upper > 0.0
+
+    @pytest.mark.parametrize("z", [None, "abc", [1.0], 10 ** 400],
+                             ids=["None", "str", "list", "huge-int"])
+    def test_non_numeric_point_is_a_domain_error(self, z):
+        with pytest.raises(DomainError):
+            select_truncation(z, 1.0, 1e-12)
+        with pytest.raises(DomainError):
+            tail_bound(z, 1.0, 5.0)
+
+    def test_non_numeric_tol_is_a_domain_error(self):
+        for tol in ("x", None, 1j):
+            with pytest.raises(DomainError, match="tol must"):
+                select_truncation(1, 1.0, tol)
 
     def test_every_finite_end_is_an_end(self):
         # A window's ends may sit at t <= 0 on either side; the bound on a
@@ -515,6 +541,78 @@ class TestFirstStep:
         romberg = fine + (fine - coarse) / 3.0
         assert res.value == romberg
         assert res.err_estimate == max(abs(romberg - coarse), floor)
+
+
+def _waves(widths, freqs):
+    """f(t, rows) = exp(-a t^2 + i b t) with (a, b) of the point of each node."""
+    widths, freqs = np.array(widths), np.array(freqs)
+    return lambda t, rows: np.exp(-widths[rows] * t * t + 1j * freqs[rows] * t)
+
+
+def _reference(f, half_width: float, step: float, step_used: float,
+               romberg: bool) -> complex:
+    """The plain trapezoid sum at ``step_used`` or, with ``romberg``, the
+    Romberg diagonal of those from ``step`` down to it."""
+    if not romberg:
+        return _plain_trapezoid(f, half_width, step_used)
+    row = []
+    while step >= step_used:
+        new = [_plain_trapezoid(f, half_width, step)]
+        for j, below in enumerate(row, start=1):
+            new.append(new[-1] + (new[-1] - below) / (4.0 ** j - 1.0))
+        row, step = new, 0.5 * step
+    return row[-1]
+
+
+class TestSummationRoutes:
+    """A pass sums by fsum below _FSUM_TERMS kept terms in all and by the bins
+    above; either way every point gets the bits of its lone call and of the
+    plain trapezoid rule, with the plain halving and with Romberg."""
+
+    @staticmethod
+    def _check(f, spec, count, romberg):
+        grids = [_line_grid(spec)] * count if romberg else None
+        outcomes = _trapezoid_joint((f,), [spec] * count, grids=grids)
+        for p, (res,) in enumerate(outcomes):
+            alone = _trapezoid_joint((lambda t, _: f(t, p),), [spec],
+                                     grids=grids and grids[:1])
+            assert [res] == _only(alone)
+            assert res.value == _reference(lambda t: f(t, p), spec.half_width,
+                                           spec.step, res.step_used, romberg)
+        return [res.evaluations for (res,) in outcomes]
+
+    @pytest.mark.parametrize("romberg", [False, True])
+    def test_small_chunk_sums_by_fsum(self, romberg):
+        # Three points of 49 level-1 terms each: 147 in all.
+        spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-13)
+        sizes = self._check(_waves([1.0, 0.6, 1.5], [0.0, 2.0, 4.0]), spec, 3, romberg)
+        assert 3 * 49 < _FSUM_TERMS and min(sizes) == 49 and max(sizes) > 2 * _FSUM_TERMS
+
+    @pytest.mark.parametrize("romberg", [False, True])
+    def test_two_point_chunk_crossing_the_cutover(self, romberg):
+        # 2 x 33 and 2 x 65 terms go to fsum on levels 1 and 2; the 2 x 129
+        # of level 3 are binned afresh.
+        spec = ContourSpec(half_width=8.0, step=1.0, tol=1e-12)
+        sizes = self._check(_waves([1.0, 1.0], [6.0, 7.0]), spec, 2, romberg)
+        assert 2 * 65 < _FSUM_TERMS <= 2 * 129 <= sum(sizes)
+
+    @pytest.mark.parametrize("romberg", [False, True])
+    def test_point_refining_on_alone_drops_its_running_sum(self, romberg):
+        # Four points of 65 level-1 terms each, 260 in all, are binned; the
+        # oscillating one goes on alone, its 129 terms of level 2 go to fsum,
+        # and its 257 of level 3 are binned afresh, not added to the sum of
+        # level 1.
+        spec = ContourSpec(half_width=8.0, step=0.5, tol=1e-13)
+        sizes = self._check(_waves([1.0] * 4, [0.0, 0.0, 20.0, 0.0]), spec, 4, romberg)
+        assert 4 * 65 >= _FSUM_TERMS > 129
+        assert sizes[:2] == [65, 65] and sizes[3] == 65 and sizes[2] >= 257
+
+    @pytest.mark.parametrize("romberg", [False, True])
+    def test_lone_point_crossing_the_cutover_at_level_two(self, romberg):
+        # 161 terms go to fsum on level 1, 321 are binned on level 2.
+        spec = ContourSpec(half_width=10.0, step=0.25, tol=1e-13)
+        (size,) = self._check(lambda t, _: g_integrand(0.5 + 3j, 1.0, t), spec, 1, romberg)
+        assert 161 < _FSUM_TERMS <= 321 <= size
 
 
 class TestSegments:

@@ -10,9 +10,11 @@ corpus is fixed by its seed:
   digamma) with random ``tol``, ``sigma`` and ``max_refinements``, at
   in-box, near-zero, high-Im, right-tail and far-left points;
 - ``evaluate_many`` batches whose chunk-mates fail (poles, non-finite
-  nodes, bad input);
+  nodes, bad input), and batches of two and three points;
 - ``laplace_recip_gamma``, ``euler_mascheroni``, contour loops and
   segments, ``trapezoid_line`` and some bad arguments;
+- lone lines and a chunk whose levels cross the fsum cutover (see
+  ``quadrature._pass_sums``) both ways, so every summation route is taken;
 - the CLI: the 41 x 41 ``grid --function recip_gamma`` CSV, a ``digamma``
   grid out to |Im z| = 30, ``verify --json`` and ``constants --json``.
 
@@ -164,6 +166,31 @@ def _corpus(ug) -> dict[str, str]:
     out["_trapezoid_joint chunk with poles"] = _outcome(lambda: joint(
         (lambda t, rows: np.exp(-t * t) / ((t + shifts[rows]) * (t - ends[rows])),),
         [spec] * len(shifts)))
+    # Small batches, whose refinement passes hold few terms in all.
+    for batch in range(24):
+        name = _LINE_FUNCTIONS[batch % len(_LINE_FUNCTIONS)]
+        zs = [z for _, z in rng.sample(points, 2 + batch % 2)]
+        options = _options(rng) if batch % 3 else {}
+        outcomes = ug.evaluate_many(name, zs, **options)
+        for index, (z, outcome) in enumerate(zip(zs, outcomes)):
+            out[f"evaluate_many small {name}/{batch}/{index} {z!r} {options}"] = (
+                repr(outcome) if not isinstance(outcome, Exception)
+                else f"{type(outcome).__name__}: {outcome}")
+    # Lone lines whose first levels hold fewer terms than the fsum cutover
+    # and whose later ones more: 161, then 321 (half-width 10, step 0.25),
+    # and 61, 121, 241, then 481 (half-width 30, step 1).
+    for width, step, label in ((10.0, 0.25, "g(0.5+3i)"), (30.0, 1.0, "g(0.5+3i)"),
+                               (30.0, 1.0, "oscillating")):
+        spec = ug.ContourSpec(half_width=width, step=step, tol=1e-13)
+        out[f"trapezoid_line crossing {label} {_spec_key(spec)}"] = _outcome(
+            lambda: ug.trapezoid_line(lines[label], spec))
+    # A chunk of four lines of 65 level-1 terms each: level 1 is binned,
+    # the oscillating one refines alone, its 129 terms of level 2 go to
+    # fsum, and its 257 of level 3 are binned afresh.
+    spec = ug.ContourSpec(half_width=8.0, step=0.5, tol=1e-13)
+    freqs = np.array([0.0, 0.0, 20.0, 0.0])
+    out["_trapezoid_joint chunk, one point refining on"] = _outcome(lambda: joint(
+        (lambda t, rows: np.exp(-t * t + 1j * freqs[rows] * t),), [spec] * len(freqs)))
     bad = {
         "tail_bound(1, 1, 0)": lambda: ug.tail_bound(1, 1, 0),
         "tail_bound(1, nan, 5)": lambda: ug.tail_bound(1, math.nan, 5),
@@ -174,6 +201,17 @@ def _corpus(ug) -> dict[str, str]:
         "G(1, max_refinements=None)": lambda: ug.G(1, max_refinements=None),
         "evaluate_many(G, [1, 2], max_refinements=inf)":
             lambda: ug.evaluate_many("G", [1, 2], max_refinements=math.inf),
+        "ContourSpec(sigma=1e-200)": lambda: ug.ContourSpec(sigma=1e-200),
+        "select_truncation(None, 1, 1e-12)": lambda: ug.select_truncation(None, 1.0, 1e-12),
+        "G(1, tol='x')": lambda: ug.G(1, tol="x"),
+        "G(1, sigma='x')": lambda: ug.G(1, sigma="x"),
+        "evaluate_many(G, [1, 2], tol='x')": lambda: ug.evaluate_many("G", [1, 2], tol="x"),
+        "euler_mascheroni(sigma='x')": lambda: ug.euler_mascheroni(sigma="x"),
+        "laplace_recip_gamma(1, sigma='x')": lambda: ug.laplace_recip_gamma(1, sigma="x"),
+        "laplace_recip_gamma(5, sigma=1e-100)":
+            lambda: ug.laplace_recip_gamma(5, sigma=1e-100),
+        "laplace_recip_gamma(0.5, sigma=1e-300)":
+            lambda: ug.laplace_recip_gamma(0.5, sigma=1e-300),
     }
     for key, call in bad.items():
         out[key] = _outcome(call)
