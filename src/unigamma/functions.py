@@ -36,13 +36,16 @@ from .quadrature import (
     # these attributes.
     tail_bound,
     trapezoid_line,
+    _T_GRID,
     _check_point,
+    _check_refinements,
     _check_sigma,
     _check_tol,
     _line_grid,
     _node_error,
     _only,
     _trapezoid_joint,
+    _window_grid,
 )
 
 __all__ = [
@@ -139,32 +142,7 @@ class _Line(NamedTuple):
     evaluations: int
 
 
-def _line_spec(z: complex, log_weight: bool, sigma, tol: float,
-               max_refinements: int) -> tuple[ContourSpec, Truncation]:
-    """The spec of the G line at z and the truncation it integrates.
-
-    The window is sized for the heaviest kernel, each side's tail to half
-    the tail share of tol, or less where ``select_truncation`` caps it
-    against the integrand's magnitude at the saddle height.  The start step
-    is 0.25 for every z: on the saddle line the integrand is close to a
-    Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
-    the rest.
-    """
-    _check_tol(tol)
-    sig = default_sigma(z) if sigma is None else _check_sigma(sigma)
-    trunc = select_truncation(z, sig, 0.5 * _TAIL_SHARE * tol, log_weight=log_weight)
-    spec = ContourSpec(
-        sigma=sig,
-        half_width=max(sig, trunc.half_width),
-        step=0.25,
-        tol=(1.0 - _TAIL_SHARE) * tol,
-        max_refinements=max_refinements,
-        window=(trunc.lower, trunc.upper),
-    )
-    return spec, trunc
-
-
-def _phase_noise(z: complex, spec: ContourSpec) -> float:
+def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
     """Factor on a G-line point's roundoff floor for the kernel's phase error.
 
     The phase carries -Im z * log(sigma^2 + t^2), rounded to an ulp of its
@@ -172,9 +150,8 @@ def _phase_noise(z: complex, spec: ContourSpec) -> float:
     plus the larger end squared); past Phi = 16 that noise outgrows the
     floor's 16 eps.  1 for real z.
     """
-    lower, upper = spec.window
-    u_lo = spec.sigma ** 2
-    u_hi = u_lo + max(-lower, upper) ** 2
+    u_lo = sigma ** 2
+    u_hi = u_lo + trunc.half_width ** 2
     phase = abs(z.imag) * max(abs(math.log(u_lo)), abs(math.log(u_hi)))
     return max(1.0, phase / 16.0)
 
@@ -183,49 +160,69 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     """Integrate each ``(kernel name, log_weight)`` along the G line at each point.
 
     ``points`` are the line's z values, or the UnigammaError a point has
-    already met, which is passed through.  The kernels of a point share
-    one spec and one node set; the points share ``_trapezoid_joint``'s kernel calls.
-    Returns per point a ``_Line``: each integral's value, its error
-    estimate with the analytic tail added, the spec used, the joint
+    already met, which is passed through.  ``tol``, ``sigma`` and
+    ``max_refinements`` are checked once per call; a bad one is the outcome
+    of every other point.  Each window is sized for the heaviest kernel,
+    each side's tail to half the tail share of tol, or less where
+    ``select_truncation`` caps it against the integrand's magnitude at the
+    saddle height.  The start step is ``_T_GRID`` for every z: on the
+    saddle line the integrand is close to a Gaussian e^{-2 (t - Im w0)^2}
+    whatever Im z is, and the halving does the rest.  The kernels of a
+    point share one node set; the points share ``_trapezoid_joint``'s
+    kernel calls.  Returns per point a ``_Line``: each integral's value,
+    its error estimate with the analytic tail added, the spec used (the
+    point's one ContourSpec, built after the quadrature), the joint
     ``_gate`` verdict and the kernel evaluation count.  A point that fails
     gets its UnigammaError instead.
     """
+    try:
+        _check_tol(tol)
+        sigma = None if sigma is None else _check_sigma(sigma)
+        _check_refinements(max_refinements)
+    except DomainError as exc:
+        return [z if isinstance(z, UnigammaError) else exc for z in points]
     # Looked up on every call, where a tracer may have wrapped them.
     fns = [getattr(integrands, name) for name, _ in kernels]
     log_weight = any(lw for _, lw in kernels)
+    line_tol = (1.0 - _TAIL_SHARE) * tol
     outcomes: list = list(points)
-    todo, zs, specs, truncs = [], [], [], []
+    todo, zs, sigmas, truncs = [], [], [], []
     for index, z in enumerate(points):
         if isinstance(z, UnigammaError):
             continue
+        sig = default_sigma(z) if sigma is None else sigma
         try:
-            spec, trunc = _line_spec(z, log_weight, sigma, tol, max_refinements)
+            trunc = select_truncation(z, sig, 0.5 * _TAIL_SHARE * tol,
+                                      log_weight=log_weight)
         except UnigammaError as exc:
             outcomes[index] = exc
             continue
         todo.append(index)
         zs.append(z)
-        specs.append(spec)
+        sigmas.append(sig)
         truncs.append(trunc)
     # ``rows`` is one point's index, or per-node indices for many points;
     # lists hand a lone point its scalars without numpy scalar boxing.
-    z_of, sigma_of = zs, [spec.sigma for spec in specs]
+    z_of, sigma_of = zs, sigmas
     if len(zs) > 1:
         z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
     quads_of = _trapezoid_joint(
         [lambda t, rows, fn=fn: fn(z_of[rows], sigma_of[rows], t) for fn in fns],
-        specs, noise=[_phase_noise(z, spec) for z, spec in zip(zs, specs)])
-    for index, spec, trunc, quads in zip(todo, specs, truncs, quads_of):
+        [_window_grid(trunc.lower, trunc.upper, _T_GRID) for trunc in truncs],
+        line_tol, max_refinements,
+        noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)])
+    for index, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         if isinstance(quads, UnigammaError):
             outcomes[index] = quads
             continue
         # The heaviest kernel's tail bound, which covers the others'.
         errs = [quad.err_estimate + trunc.tail for quad in quads]
-        converged = all(_gate(quad, trunc.capped, spec.tol, abs(quad.value))
+        converged = all(_gate(quad, trunc.capped, line_tol, abs(quad.value))
                         for quad in quads)
-        spec_used = replace(spec, step=quads[0].step_used,
-                            tol=max(quad.tol_effective for quad in quads))
-        outcomes[index] = _Line([quad.value for quad in quads], errs, spec_used,
+        spec = ContourSpec(sigma=sig, half_width=max(sig, trunc.half_width),
+                           step=quads[0].step_used, tol=max(q.tol_effective for q in quads),
+                           max_refinements=max_refinements, window=(trunc.lower, trunc.upper))
+        outcomes[index] = _Line([quad.value for quad in quads], errs, spec,
                                 converged, sum(quad.evaluations for quad in quads))
     return outcomes
 
@@ -307,11 +304,13 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     ``function`` names one of G, g_tilde, recip_gamma, gamma, gamma_sin_pi
     and digamma; the options are theirs.  Returns, in input order, the
     EvalResult of each point or the UnigammaError its one-point call
-    raises; a failing point does not stop the others.  The one-point
-    functions are this call on one point.  Points are refined together, in
-    chunks, one kernel call per halving level; values on more than one
-    point may differ in the last bits from the one-point values (see
-    ``integrands``) and stay within ``err_estimate`` of them.
+    raises; a failing point does not stop the others.  The options are
+    checked once per call, and a bad one is the error of every point whose
+    z is valid.  The one-point functions are this call on one point.
+    Points are refined together, in chunks, one kernel call per halving
+    level; values on more than one point may differ in the last bits from
+    the one-point values (see ``integrands``) and stay within
+    ``err_estimate`` of them.
     """
     if function not in _ENGINE:
         raise DomainError(
@@ -378,8 +377,8 @@ def digamma(z, *, sigma=None, tol: float = 1e-12,
     """psi(z) as a ratio of two line integrals over one shared node set.
 
     psi(z) = [int w^{1-2z} e^{w^2} (2 Log w) dt] / [int w^{1-2z} e^{w^2} dt];
-    numerator and denominator use the same ContourSpec so their node sets
-    coincide and common quadrature error partially cancels in the ratio.
+    numerator and denominator share one node set, so common quadrature
+    error partially cancels in the ratio.
     """
     return _one("digamma", z, sigma=sigma, tol=tol,
                 max_refinements=max_refinements)
@@ -449,7 +448,8 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     step0 = min(0.1, 1.0 / (1.0 + abs(z)))
     spec = ContourSpec(sigma=sigma, half_width=half_width, step=step0, tol=tol,
                        max_refinements=max_refinements)
-    nodes = 2 * math.ceil(half_width / step0) + 1
+    grid = _line_grid(spec)
+    nodes = grid.k_hi - grid.k_lo + 1
     if nodes > _LAPLACE_MAX_NODES:
         raise DomainError(
             f"laplace_recip_gamma({z!r}) needs {nodes} nodes at its first step, "
@@ -472,12 +472,11 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
         raise DomainError(
             f"laplace_recip_gamma({z!r}): the analytic tail leaves the double range")
 
-    # Coarse pass to anchor the relative tolerance in absolute terms.
-    coarse_n = math.ceil(half_width / step0)
-    coarse_t = np.arange(-coarse_n, coarse_n + 1, dtype=float) * (half_width / coarse_n)
+    # Coarse pass over the level-0 nodes, to anchor the relative tol in absolute terms.
+    coarse_t = np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * grid.step
     with np.errstate(all="ignore"):
         coarse_v = integrands.laplace_integrand(z, sigma, coarse_t)
-        coarse_sum = (half_width / coarse_n) * (
+        coarse_sum = grid.step * (
             coarse_v.sum() - 0.5 * (coarse_v[0] + coarse_v[-1])
         )
     # A non-finite node makes the sum non-finite; only then are the nodes searched.
@@ -486,10 +485,9 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
         raise error
     scale = abs(complex(coarse_sum) + tail)
     tol_abs = tol * max(scale, 1e-300)
-    spec = replace(spec, tol=tol_abs)
     quad = _only(_trapezoid_joint(
-        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [spec],
-        grids=[_line_grid(spec)]))[0]
+        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [grid], tol_abs,
+        max_refinements, romberg=True))[0]
     two_pi = 2.0 * math.pi
     value = (quad.value + tail) / two_pi
     err = (quad.err_estimate + remainder) / two_pi

@@ -28,7 +28,7 @@ from .functions import (
     gamma_sin_pi,
     recip_gamma,
 )
-from .quadrature import ContourSpec, contour_loop, trapezoid_line
+from .quadrature import ContourSpec, contour_loop, trapezoid_line, _check_point, _check_tol
 
 __all__ = [
     "EULER_GAMMA",
@@ -147,9 +147,10 @@ def gaussian_moment_check(y, spec: ContourSpec | None = None) -> OracleReport:
     (Gamma(y)/pi) * int w^{-y} e^{w^2/2} dt, evaluated with its own
     trapezoid pass over the e^{w^2/2} kernel.  The two sides are linked by
     the Legendre duplication identity, so agreement exercises quadrature and
-    oracle at once.  Requires Re(y) > 0 (the moment must exist).
+    oracle at once.  Requires a finite y with Re(y) > 0 (the moment must
+    exist).
     """
-    y = complex(y)
+    y = _check_point(y, "y")
     if y.real <= 0.0:
         raise DomainError(f"gaussian_moment_check requires Re(y) > 0, got y={y!r}")
     closed = (cmath.exp(0.5 * math.log(2.0) * (y - 1.0))
@@ -397,12 +398,12 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     are evaluated; by default all five run.
     """
     pts = (default_verification_grid() if grid is None
-           else [complex(z) for z in grid])
+           else [_check_point(z) for z in grid])
     if not pts:
         raise DomainError("verification grid must be nonempty")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if tol is not None and not (0.0 < float(tol) < math.inf):
-            raise DomainError(f"{name} must be a positive finite real, got {tol!r}")
+        if tol is not None:
+            _check_tol(tol, name)
     rel = 1e-9 if rel_tol is None else float(rel_tol)
     loop_abs = 1e-8 if abs_tol is None else float(abs_tol)
     near_zero_abs = 1e-10 if abs_tol is None else float(abs_tol)

@@ -28,10 +28,10 @@ the end weights 1/2 applied once, and settles level 0 from the even terms
 and level 1 from all of them: a point that stops at level 1 makes one
 kernel call per integrand.  The rays, the arcs and the Laplace integrand
 end where they have not decayed, so their Euler-Maclaurin endpoint terms
-hold plain halving to O(h^2); those paths pass their grid, and a given grid
-extrapolates the level sums with a Romberg table, which removes h^2, h^4,
-... in turn.  The G line keeps plain halving: its ends have decayed below
-the tolerance, and the trapezoid rule is spectral there.
+hold plain halving to O(h^2); those paths ask for Romberg by name, which
+extrapolates the level sums with a Romberg table, removing h^2, h^4, ...
+in turn.  The G line keeps plain halving: its ends have decayed below the
+tolerance, and the trapezoid rule is spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -96,8 +96,8 @@ _CANCEL_FLOOR = 16.0
 # Accept a halving when the Richardson difference sits comfortably below tol.
 _RICHARDSON_MARGIN = 0.75
 TRUNCATION_CAP = 200.0
-# Window ends lie on multiples of the G line's start step, where its nodes k*h
-# about origin 0 land.
+# The G line's start step; its window ends lie on multiples of it, where the
+# line's nodes k*h about origin 0 land.
 _T_GRID = 0.25
 _CAP_STEPS = round(TRUNCATION_CAP / _T_GRID)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
@@ -128,11 +128,12 @@ class ContourSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if not math.isfinite(self.half_width) or self.half_width < self.sigma:
+        if not (_inside(self.half_width, sys.float_info.max)
+                and self.half_width >= self.sigma):
             raise DomainError(
                 f"half_width must be finite and >= sigma, got {self.half_width!r}"
             )
-        if not (0.0 < self.step <= self.half_width):
+        if not _inside(self.step, self.half_width):
             raise DomainError(f"step must lie in (0, half_width], got {self.step!r}")
         if self.window is not None:
             lower, upper = self.window
@@ -142,14 +143,7 @@ class ContourSpec:
                     f"window must be an interval at least a step long inside "
                     f"[-half_width, half_width], got {self.window!r}")
         _check_tol(self.tol)
-        try:
-            whole = int(self.max_refinements) == self.max_refinements
-        except (TypeError, ValueError, OverflowError):
-            whole = False  # None, NaN, an infinity or a non-number
-        if not whole or self.max_refinements < 1:
-            raise DomainError(
-                f"max_refinements must be an integer >= 1, got {self.max_refinements!r}"
-            )
+        _check_refinements(self.max_refinements)
 
 
 @dataclass(frozen=True)
@@ -268,18 +262,18 @@ def _log_tail(p: float, y: float, sigma: float, end: float,
     return lm, slope, curve
 
 
-def _check_point(z) -> complex:
+def _check_point(z, name: str = "z") -> complex:
     """z as a complex; DomainError unless it is a finite number."""
     try:
         z = complex(z)
     except (TypeError, ValueError):
-        raise DomainError(f"z must be a complex number, got {z!r}") from None
+        raise DomainError(f"{name} must be a complex number, got {z!r}") from None
     except OverflowError:
         # No repr: past 4,300 digits an int's repr raises too.
-        raise DomainError("z must be finite, got a number beyond the "
+        raise DomainError(f"{name} must be finite, got a number beyond the "
                           "double range") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
+        raise DomainError(f"{name} must be finite, got {z!r}")
     return z
 
 
@@ -294,16 +288,22 @@ def _check_sigma(sigma) -> float:
     return float(sigma)
 
 
-def _check_tol(tol) -> None:
+def _check_tol(tol, name: str = "tol") -> None:
     """DomainError unless tol is a positive finite real."""
     if not _inside(tol, sys.float_info.max):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+        raise DomainError(f"{name} must be a positive finite real, got {tol!r}")
 
 
-def _inside(value, high: float) -> bool:
-    """Whether 0 < value <= high; False for what is not a real number."""
+def _check_refinements(max_refinements) -> None:
+    """DomainError unless max_refinements is a whole number >= 1."""
+    if not (_inside(max_refinements, math.inf, 0.5) and max_refinements % 1 == 0):
+        raise DomainError(f"max_refinements must be an integer >= 1, got {max_refinements!r}")
+
+
+def _inside(value, high: float, low: float = 0.0) -> bool:
+    """Whether low < value <= high; False for what is not a real number."""
     try:
-        return 0.0 < value <= high
+        return low < value <= high
     except TypeError:
         return False
 
@@ -321,7 +321,7 @@ def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
     """
     z = _check_point(z)
     sigma = _check_sigma(sigma)
-    if not math.isfinite(end):
+    if not _inside(end, sys.float_info.max, -math.inf):
         raise DomainError(f"end must be a finite real, got {end!r}")
     p, y = 0.5 - z.real, z.imag
     if lower:
@@ -523,16 +523,18 @@ class _Grid(NamedTuple):
     step: float
 
 
+def _window_grid(lower: float, upper: float, step: float) -> _Grid:
+    # The multiples of step around [lower, upper]: integer k about origin 0
+    # keep t and -t exact negatives, so conjugate symmetry holds bit for bit.
+    return _Grid(0.0, math.floor(lower / step), math.ceil(upper / step), step)
+
+
 def _line_grid(spec: ContourSpec) -> _Grid:
-    # Integer k about origin 0 make t and -t exact negatives, so conjugate
-    # symmetry survives bit-for-bit.  [-T, T] is cut into 2n equal steps; a
-    # window keeps the step and widens to the multiples of it around it.
-    if spec.window is None:
-        n = max(2, math.ceil(spec.half_width / spec.step))
-        return _Grid(0.0, -n, n, spec.half_width / n)
-    lower, upper = spec.window
-    return _Grid(0.0, math.floor(lower / spec.step), math.ceil(upper / spec.step),
-                 spec.step)
+    # [-T, T] is cut into 2n equal steps; a window keeps the step.
+    if spec.window is not None:
+        return _window_grid(*spec.window, spec.step)
+    n = max(2, math.ceil(spec.half_width / spec.step))
+    return _Grid(0.0, -n, n, spec.half_width / n)
 
 
 def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
@@ -586,11 +588,9 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
 class _Point:
     """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
-    __slots__ = ("spec", "grid", "floor", "romberg", "values", "exact", "sums", "rows")
+    __slots__ = ("grid", "floor", "romberg", "values", "exact", "sums", "rows")
 
-    def __init__(self, spec: ContourSpec, grid: _Grid, count: int, noise: float,
-                 romberg: bool):
-        self.spec = spec
+    def __init__(self, grid: _Grid, count: int, noise: float, romberg: bool):
         self.grid = grid
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
@@ -654,13 +654,13 @@ class _Point:
                  for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
                 for terms in levels + [self.values]]
 
-    def settle(self, sums: list[list[float]], level: int):
+    def settle(self, sums: list[list[float]], level: int, tol: float, max_refinements: int):
         """Take the sums of the levels this step settles; the outcome once the point stops.
 
         ``sums`` holds one list per level, the last one ``level``'s: levels 0
         and 1 on the first step, one level after it.  The outcome is one
         QuadratureResult per integrand; None while the point goes on
-        refining.
+        refining toward ``tol``.
         """
         for at, level_sums in enumerate(sums, level + 1 - len(sums)):
             step = self.step(at)
@@ -671,13 +671,12 @@ class _Point:
                     self.rows[i] = _romberg_row(self.rows[i], total)
                     total = self.rows[i][-1]
                 self.sums.append(total)
-        spec = self.spec
         diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
         floors = [self.floor * (step * float(np.add.reduce(np.abs(values))))
                   for values in self.values]
-        tol_eff = [max(spec.tol, floor) for floor in floors]
+        tol_eff = [max(tol, floor) for floor in floors]
         done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff))
-        if not done and level < spec.max_refinements:
+        if not done and level < max_refinements:
             return None
         evaluations = self.values[0].size
         return [
@@ -719,7 +718,7 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
             for slot, (_, point, _) in enumerate(kept)]
 
 
-def _refine_chunk(fs, points: dict, outcomes: list) -> None:
+def _refine_chunk(fs, points: dict, outcomes: list, tol: float, max_refinements: int) -> None:
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
     Each pass is one level, level 1's first (it settles levels 0 and 1): one
@@ -750,7 +749,7 @@ def _refine_chunk(fs, points: dict, outcomes: list) -> None:
                 outcomes[p] = error
                 del points[p]
         for (p, point, _), sums in zip(kept, _pass_sums(kept, level)):
-            outcome = point.settle(sums, level)
+            outcome = point.settle(sums, level, tol, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -759,26 +758,28 @@ def _refine_chunk(fs, points: dict, outcomes: list) -> None:
 
 def _trapezoid_joint(
     fs: Sequence[Callable],
-    specs: Sequence[ContourSpec],
+    grids: Sequence[_Grid],
+    tol: float,
+    max_refinements: int,
     *,
-    grids: Sequence[_Grid] | None = None,
+    romberg: bool = False,
     noise: Sequence[float] | None = None,
 ) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
-    Point p integrates over ``grids[p]`` (default: the symmetric line
-    [-T, T] of ``specs[p]``) to ``specs[p].tol``, its roundoff floor
-    scaled by ``noise[p]`` (default 1).  Every integrand of a
-    point sees the same nodes each level, and the point stops only when
-    all of them meet their effective tolerance; sharing nodes lets
-    ratio-type consumers (digamma) cancel common error.  The first kernel
+    Point p integrates over ``grids[p]`` to ``tol`` in at most
+    ``max_refinements`` halvings (one pair for all points, checked by the
+    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  Every
+    integrand of a point sees the same nodes each level, and the point
+    stops only when all of them meet their effective tolerance; sharing
+    nodes lets ratio-type consumers (digamma) cancel common error.  The first kernel
     call evaluates the grid at half its step and settles two levels: level
     0 from the terms at even k, level 1 from all of them.  The levels are
     nested: after that, only the new odd-k nodes are evaluated and
     interleaved with the kept terms, so every node costs one kernel
-    evaluation however many halvings follow.  Given ``grids``, each level's
-    trapezoid sum is replaced by the diagonal of a Romberg table: those
-    integrands' interval ends carry Euler-Maclaurin terms in h^2.
+    evaluation however many halvings follow.  With ``romberg``, each
+    level's trapezoid sum is replaced by the diagonal of a Romberg table,
+    for integrands whose interval ends carry Euler-Maclaurin terms in h^2.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
     nodes, one point as a chunk of one, all by one loop (``_refine_chunk``).
@@ -796,16 +797,13 @@ def _trapezoid_joint(
     that has one (its chunk-mates go on).  Floating-point warnings are
     silenced: a non-finite node is reported that way instead.
     """
-    romberg = grids is not None
-    if grids is None:
-        grids = [_line_grid(spec) for spec in specs]
     if noise is None:
-        noise = [1.0] * len(specs)
-    outcomes: list = [None] * len(specs)
+        noise = [1.0] * len(grids)
+    outcomes: list = [None] * len(grids)
     with np.errstate(all="ignore"):
         for chunk in _chunks(grids):
-            _refine_chunk(fs, {p: _Point(specs[p], grids[p], len(fs), noise[p], romberg)
-                               for p in chunk}, outcomes)
+            _refine_chunk(fs, {p: _Point(grids[p], len(fs), noise[p], romberg)
+                               for p in chunk}, outcomes, tol, max_refinements)
     return outcomes
 
 
@@ -819,7 +817,8 @@ def _only(outcomes: list) -> list[QuadratureResult]:
 
 def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: ContourSpec) -> QuadratureResult:
     """Composite trapezoid over t in [-T, T] with step-halving refinement."""
-    return _only(_trapezoid_joint((lambda t, _: f(t),), [spec]))[0]
+    return _only(_trapezoid_joint((lambda t, _: f(t),), [_line_grid(spec)], spec.tol,
+                                  spec.max_refinements))[0]
 
 
 def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
@@ -860,7 +859,8 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     n = max(4, math.ceil((big_r - head_end) / spec.step))
     grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
     quad = _only(_trapezoid_joint(
-        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [spec], grids=[grid]))[0]
+        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [grid], spec.tol,
+        spec.max_refinements, romberg=True))[0]
     return replace(quad, value=0.5 * head + quad.value,
                    converged=quad.converged and head_ok)
 
@@ -882,13 +882,12 @@ def _arc(y: complex, big_r: float, theta0: float, theta1: float,
         w_sq = (big_r * big_r) * np.exp(2j * theta)
         return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
 
-    return _only(_trapezoid_joint((f,), [spec], grids=[_Grid(theta0, 0, n, span / n)]))[0]
+    return _only(_trapezoid_joint((f,), [_Grid(theta0, 0, n, span / n)], spec.tol,
+                                  spec.max_refinements, romberg=True))[0]
 
 
 def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:
     """One segment integral and whether its quadrature converged."""
-    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-        raise DomainError(f"y must be finite, got {y!r}")
     if spec.window is not None:
         raise DomainError(f"the closed contour's line runs over [-half_width, "
                           f"half_width], not a window; got {spec.window!r}")
@@ -934,9 +933,16 @@ def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
 
     Rays pass through the origin, so Re(y) <= 0 is required for
     integrability there; the arcs and the vertical line have no such
-    restriction.
+    restriction.  Raises DomainError unless y is a finite number and
+    ``path`` a SegmentPath or the value of one.
     """
-    return _segment(complex(y), SegmentPath(path), spec)[0]
+    y = _check_point(y, "y")
+    try:
+        path = SegmentPath(path)
+    except ValueError:
+        raise DomainError(f"path must be one of "
+                          f"{', '.join(p.value for p in SegmentPath)}, got {path!r}") from None
+    return _segment(y, path, spec)[0]
 
 
 def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
@@ -947,7 +953,7 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
     the reported ``loop_sum`` measures accumulated quadrature error.  Both
     rays share one radial integral J(y, R), computed once.
     """
-    y = complex(y)
+    y = _check_point(y, "y")
     if y.real > 0.0:
         raise DomainError(
             f"contour_loop requires Re(y) <= 0 (analyticity inside the loop), got y={y!r}"

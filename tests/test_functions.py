@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from unigamma import (
     G,
+    ContourSpec,
     DomainError,
     PoleError,
     QuadratureNodeError,
@@ -26,7 +27,8 @@ from unigamma import (
     laplace_recip_gamma,
     recip_gamma,
 )
-from unigamma.functions import _TAIL_SHARE, _line_spec
+from unigamma import functions
+from unigamma.functions import _TAIL_SHARE
 
 SQRT_PI = math.sqrt(math.pi)
 EULER = 0.5772156649015329
@@ -321,6 +323,14 @@ class TestLaplaceRecipGamma:
         with pytest.raises(DomainError, match="at least 2"):
             laplace_recip_gamma(0.5, sigma=1e-300)
 
+    def test_tolerance_below_the_doubles_once_scaled_is_a_result(self):
+        # tol times |1/Gamma(5)| rounds to 0 as an absolute tolerance; the
+        # quadrature then runs to its roundoff floor and says so.
+        res = laplace_recip_gamma(5, tol=5e-324)
+        assert not res.converged
+        assert abs(res.value - 1 / 24) <= res.err_estimate
+        assert res.spec_used.tol > 0.0
+
     def test_far_points_fail_typed_and_fast(self):
         # The first would ask for 5e12 nodes, the second overflows the tail
         # series; both are refused before any node array is built.
@@ -481,17 +491,35 @@ class TestTruncationWindow:
         assert not res.converged
         assert res.err_estimate > 1e-9 * abs(res.value)
 
-    def test_both_tails_within_the_tail_share(self):
+    def test_both_tails_within_the_tail_share(self, monkeypatch):
         # Each side gets half the tail share, so tails and quadrature
-        # together stay within tol.
+        # together stay within tol.  The truncation and the quadrature's
+        # tolerance are read off the calls the line makes.
+        seen = {}
+        select, joint = functions.select_truncation, functions._trapezoid_joint
+
+        def selecting(*args, **kwargs):
+            seen["log_weight"] = kwargs["log_weight"]
+            seen["trunc"] = select(*args, **kwargs)
+            return seen["trunc"]
+
+        def joining(fs, grids, tol, *args, **kwargs):
+            seen["tol"] = tol
+            return joint(fs, grids, tol, *args, **kwargs)
+
+        monkeypatch.setattr(functions, "select_truncation", selecting)
+        monkeypatch.setattr(functions, "_trapezoid_joint", joining)
         rng = random.Random(1417)
         for _ in range(60):
             z = complex(rng.uniform(-15.0, 15.0), rng.uniform(-100.0, 100.0))
             tol = 10.0 ** rng.uniform(-14.0, -4.0)
-            for log_weight in (False, True):
-                spec, trunc = _line_spec(z, log_weight, None, tol, 12)
+            for log_weight, function in ((False, "G"), (True, "digamma")):
+                seen.clear()
+                evaluate_many(function, [z], tol=tol)
+                trunc = seen["trunc"]
+                assert seen["log_weight"] is log_weight
                 assert trunc.tail <= _TAIL_SHARE * tol * (1.0 + 1e-12), (z, tol)
-                assert spec.tol + trunc.tail <= tol * (1.0 + 1e-12), (z, tol)
+                assert seen["tol"] + trunc.tail <= tol * (1.0 + 1e-12), (z, tol)
 
     def test_tiny_forced_sigma(self):
         # sigma**2 must be a normal double; just above that, the bounds pass
@@ -631,6 +659,27 @@ def test_non_numeric_tol_or_sigma_is_a_domain_error(bad):
             fn(*args, **bad)
     outcomes = evaluate_many("digamma", [1, 2.5], **bad)
     assert all(isinstance(outcome, DomainError) for outcome in outcomes)
+
+
+def test_one_contour_spec_per_line_point(monkeypatch):
+    # The options are checked once per call; a G-line point builds only the
+    # spec it reports.
+    built = []
+    post_init = ContourSpec.__post_init__
+
+    def counting(spec):
+        built.append(spec)
+        post_init(spec)
+
+    monkeypatch.setattr(ContourSpec, "__post_init__", counting)
+    alone = G(0.5 + 3j)
+    assert built == [alone.spec_used]
+    built.clear()
+    many = evaluate_many("recip_gamma", [1, 2 + 1j, -3.5, 0.5 + 20j, "x"])
+    assert built == [out.spec_used for out in many[:4]]
+    built.clear()
+    ratio = digamma(2.5 - 1j)
+    assert built == [ratio.spec_used]
 
 
 def test_readme_examples():

@@ -125,6 +125,10 @@ class TestGaussianMomentCheck:
         closed = (2 ** 0.5) * lanczos_gamma(1.0) / SQRT_PI
         assert closed == pytest.approx(want, rel=1e-14)
 
+    def test_non_numeric_order_parameter_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="y must be a complex number"):
+            gaussian_moment_check("x")
+
     def test_rejects_nonpositive_order_parameter(self):
         with pytest.raises(DomainError):
             gaussian_moment_check(0)
@@ -163,12 +167,16 @@ class TestIdentitySuite:
             run_identity_suite([1 + 0j], checks=("nope",))
 
     @pytest.mark.parametrize("kind", ["rel_tol", "abs_tol"])
-    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, "x"])
     def test_unmeetable_tolerance_rejected(self, kind, value):
         # A negative excess, or a NaN one that never becomes the worst,
         # would otherwise report every check passed.
         with pytest.raises(DomainError, match=kind):
             run_identity_suite([1 + 0j], checks=("duplication",), **{kind: value})
+
+    def test_non_numeric_grid_point_rejected(self):
+        with pytest.raises(DomainError, match="z must be a complex number"):
+            run_identity_suite(grid=["x"])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

@@ -110,6 +110,8 @@ class TestContourSpec:
             {"sigma": 1e-200},
             {"sigma": "x"},
             {"tol": "x"},
+            {"half_width": "x"},
+            {"step": "x"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -149,7 +151,8 @@ class TestTailBound:
     @pytest.mark.parametrize("args", [
         (1, 1, -math.inf), (1, math.inf, 5), (1, 1, math.inf), (1, 1, math.nan),
         (1, math.nan, 5), (1, -1, 5), (1, 0.0, 5), (1, 8.5, 5),
-        (math.nan, 1, 5), (complex(1, math.inf), 1, 5),
+        (math.nan, 1, 5), (complex(1, math.inf), 1, 5), (1, 1, "x"), (1, 1, None),
+        (1, 1, 1j),
     ])
     def test_rejects_what_select_truncation_rejects(self, args):
         with pytest.raises(DomainError):
@@ -426,27 +429,48 @@ class TestTrapezoidLine:
             a, b = widths[rows], freqs[rows]
             return np.exp(-a * t * t + 1j * b * t) / np.where(a == 0.0, t, 1.0)
 
-        specs = [ContourSpec(half_width=8.0, step=0.5, tol=1e-13)] * len(widths)
-        outcomes = _trapezoid_joint((f,), specs)
+        spec = ContourSpec(half_width=8.0, step=0.5, tol=1e-13)
+        outcomes = _trapezoid_joint((f,), [_line_grid(spec)] * len(widths), spec.tol,
+                                    spec.max_refinements)
         assert isinstance(outcomes[3], QuadratureNodeError)
         for p in (0, 1, 2, 4):
             (res,) = outcomes[p]
-            assert res.converged and res.step_used < specs[p].step / 2
+            assert res.converged and res.step_used < spec.step / 2
             plain = _plain_trapezoid(lambda t: f(t, np.full(t.size, p)),
-                                     specs[p].half_width, res.step_used)
+                                     spec.half_width, res.step_used)
             assert res.value == plain
 
     def test_romberg_removes_endpoint_error(self):
         # cos does not vanish at +-T, so plain halving is stuck at O(h^2);
-        # an explicit grid, here the line's own, turns Romberg on.
+        # Romberg, asked for on the line's own grid, is not.
         spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-12, max_refinements=6)
         plain = trapezoid_line(np.cos, spec)
         extrapolated = _trapezoid_joint(
-            (lambda t, _: np.cos(t),), [spec], grids=[_line_grid(spec)])[0][0]
+            (lambda t, _: np.cos(t),), [_line_grid(spec)], spec.tol, spec.max_refinements,
+            romberg=True)[0][0]
         assert not plain.converged
         assert extrapolated.converged
         assert extrapolated.evaluations < plain.evaluations
         assert abs(extrapolated.value - 2 * math.sin(6.0)) <= 1e-12
+
+    def test_explicit_grid_without_romberg_is_plain(self):
+        # A grid off origin 0, as the rays and arcs pass theirs, whose ends
+        # have not decayed: Romberg only when asked for.
+        step, n = 0.3, 10
+
+        def f(t):
+            return np.exp(1j * t)
+
+        grid = _Grid(0.5, 0, n, step)
+        (plain,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], 1e-13, 4))
+        (extrapolated,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], 1e-13, 4,
+                                                 romberg=True))
+        assert plain.step_used == step / 16 and not plain.converged
+        terms = f(0.5 + np.arange(16 * n + 1, dtype=float) * plain.step_used)
+        terms[[0, -1]] *= 0.5
+        assert plain.value == _fsum_trapezoid(terms, plain.step_used)
+        exact = (cmath.exp(1j * (0.5 + n * step)) - cmath.exp(0.5j)) / 1j
+        assert abs(extrapolated.value - exact) < abs(plain.value - exact)
 
     @given(st.floats(0.3, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -510,7 +534,8 @@ class TestFirstStep:
             return np.exp(-widths[rows] * t * t) / (t - poles[rows])
 
         spec = ContourSpec(half_width=7.0, step=0.5, tol=1e-12)
-        outcomes = _trapezoid_joint((f,), [spec] * len(widths))
+        outcomes = _trapezoid_joint((f,), [_line_grid(spec)] * len(widths), spec.tol,
+                                    spec.max_refinements)
         assert calls == [4 * 57]
         assert isinstance(outcomes[2], QuadratureNodeError)
         assert outcomes[2].node == 0.25
@@ -533,8 +558,8 @@ class TestFirstStep:
 
         step = 2 * math.pi / 24
         spec = ContourSpec(half_width=7.0, step=step, tol=1e-12)
-        (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [spec],
-                                        grids=[_Grid(0.0, 0, 24, step)]))
+        (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [_Grid(0.0, 0, 24, step)],
+                                        spec.tol, spec.max_refinements, romberg=True))
         assert calls == [49]
         coarse, fine, floor, size = _level_one(f, 0.0, 24, step)
         assert res.converged and res.evaluations == size
@@ -571,11 +596,11 @@ class TestSummationRoutes:
 
     @staticmethod
     def _check(f, spec, count, romberg):
-        grids = [_line_grid(spec)] * count if romberg else None
-        outcomes = _trapezoid_joint((f,), [spec] * count, grids=grids)
+        grid, rule = _line_grid(spec), (spec.tol, spec.max_refinements)
+        outcomes = _trapezoid_joint((f,), [grid] * count, *rule, romberg=romberg)
         for p, (res,) in enumerate(outcomes):
-            alone = _trapezoid_joint((lambda t, _: f(t, p),), [spec],
-                                     grids=grids and grids[:1])
+            alone = _trapezoid_joint((lambda t, _: f(t, p),), [grid], *rule,
+                                     romberg=romberg)
             assert [res] == _only(alone)
             assert res.value == _reference(lambda t: f(t, p), spec.half_width,
                                            spec.step, res.step_used, romberg)
@@ -658,6 +683,20 @@ class TestSegments:
     def test_loop_rejects_right_half_plane(self):
         with pytest.raises(DomainError):
             contour_loop(0.25, self.SPEC)
+
+    def test_non_numeric_y_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="y must be a complex number"):
+            contour_loop("x", ContourSpec())
+        with pytest.raises(DomainError, match="y must be a complex number"):
+            integrate_segment("x", SegmentPath.LINE_AB, ContourSpec())
+        with pytest.raises(DomainError, match="y must be finite"):
+            contour_loop(-math.inf, ContourSpec())
+
+    def test_unknown_path_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="path must be one of"):
+            integrate_segment(0, "nope", ContourSpec())
+        assert (integrate_segment(-1.0, "arc_bc", self.SPEC)
+                == integrate_segment(-1.0, SegmentPath.ARC_BC, self.SPEC))
 
     def test_loop_rejects_a_window(self):
         # The arcs meet the line at +-half_width; a window would leave a gap.

@@ -15,6 +15,8 @@ corpus is fixed by its seed:
   segments, ``trapezoid_line`` and some bad arguments;
 - lone lines and a chunk whose levels cross the fsum cutover (see
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
+  the chunks call ``quadrature._trapezoid_joint`` in the signature of the
+  checkout they run in;
 - the CLI: the 41 x 41 ``grid --function recip_gamma`` CSV, a ``digamma``
   grid out to |Im z| = 30, ``verify --json`` and ``constants --json``.
 
@@ -31,6 +33,7 @@ first few.  Writes only to a temporary directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -101,6 +104,17 @@ def _spec_key(spec) -> str:
                     for name in ("sigma", "half_width", "step", "tol", "max_refinements"))
 
 
+def _joint(ug, fs, spec, count: int) -> list:
+    """``_trapezoid_joint`` of ``fs`` at ``count`` points on ``spec``'s line, in
+    this checkout's signature: a spec per point, or a grid per point and the
+    tolerance and refinement cap once."""
+    joint = ug.quadrature._trapezoid_joint
+    if "specs" in inspect.signature(joint).parameters:
+        return joint(fs, [spec] * count)
+    return joint(fs, [ug.quadrature._line_grid(spec)] * count, spec.tol,
+                 spec.max_refinements)
+
+
 def _corpus(ug) -> dict[str, str]:
     """Every in-process outcome of the corpus, by a key naming the call."""
     import numpy as np
@@ -162,10 +176,9 @@ def _corpus(ug) -> dict[str, str]:
         lambda t: np.exp(-t * t) / ((t + 0.5) * (t - 2.0)), spec))
     shifts = np.array([3j, 0.5, 0.25, 0.5, 3j])
     ends = np.array([9.0, 2.0, 9.0, 9.0, 2.0])
-    joint = getattr(ug.quadrature, "_trapezoid_joint", None)
-    out["_trapezoid_joint chunk with poles"] = _outcome(lambda: joint(
-        (lambda t, rows: np.exp(-t * t) / ((t + shifts[rows]) * (t - ends[rows])),),
-        [spec] * len(shifts)))
+    out["_trapezoid_joint chunk with poles"] = _outcome(lambda: _joint(
+        ug, (lambda t, rows: np.exp(-t * t) / ((t + shifts[rows]) * (t - ends[rows])),),
+        spec, len(shifts)))
     # Small batches, whose refinement passes hold few terms in all.
     for batch in range(24):
         name = _LINE_FUNCTIONS[batch % len(_LINE_FUNCTIONS)]
@@ -189,8 +202,8 @@ def _corpus(ug) -> dict[str, str]:
     # fsum, and its 257 of level 3 are binned afresh.
     spec = ug.ContourSpec(half_width=8.0, step=0.5, tol=1e-13)
     freqs = np.array([0.0, 0.0, 20.0, 0.0])
-    out["_trapezoid_joint chunk, one point refining on"] = _outcome(lambda: joint(
-        (lambda t, rows: np.exp(-t * t + 1j * freqs[rows] * t),), [spec] * len(freqs)))
+    out["_trapezoid_joint chunk, one point refining on"] = _outcome(lambda: _joint(
+        ug, (lambda t, rows: np.exp(-t * t + 1j * freqs[rows] * t),), spec, len(freqs)))
     bad = {
         "tail_bound(1, 1, 0)": lambda: ug.tail_bound(1, 1, 0),
         "tail_bound(1, nan, 5)": lambda: ug.tail_bound(1, math.nan, 5),
@@ -212,6 +225,17 @@ def _corpus(ug) -> dict[str, str]:
             lambda: ug.laplace_recip_gamma(5, sigma=1e-100),
         "laplace_recip_gamma(0.5, sigma=1e-300)":
             lambda: ug.laplace_recip_gamma(0.5, sigma=1e-300),
+        "ContourSpec(half_width='x')": lambda: ug.ContourSpec(half_width="x"),
+        "ContourSpec(step='x')": lambda: ug.ContourSpec(step="x"),
+        "tail_bound(1, 1, 'x')": lambda: ug.tail_bound(1, 1, "x"),
+        "run_identity_suite(rel_tol='x')": lambda: ug.run_identity_suite(rel_tol="x"),
+        "run_identity_suite(grid=['x'])": lambda: ug.run_identity_suite(grid=["x"]),
+        "contour_loop('x', ContourSpec())": lambda: ug.contour_loop("x", ug.ContourSpec()),
+        "integrate_segment('x', line_ab, ContourSpec())":
+            lambda: ug.integrate_segment("x", ug.SegmentPath.LINE_AB, ug.ContourSpec()),
+        "integrate_segment(0, 'nope', ContourSpec())":
+            lambda: ug.integrate_segment(0, "nope", ug.ContourSpec()),
+        "gaussian_moment_check('x')": lambda: ug.gaussian_moment_check("x"),
     }
     for key, call in bad.items():
         out[key] = _outcome(call)
