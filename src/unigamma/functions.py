@@ -42,7 +42,6 @@ from .quadrature import (
     _check_sigma,
     _check_tol,
     _line_grid,
-    _node_error,
     _only,
     _trapezoid_joint,
     _window_grid,
@@ -79,8 +78,8 @@ _TAIL_SHARE = 0.25
 
 # Terms of the Laplace tail's integration-by-parts series.
 _LAPLACE_TAIL_TERMS = 12
-# Level-0 nodes past which laplace_recip_gamma refuses a point; its coarse
-# pass and first level each hold about this many complex values.
+# Level-0 nodes past which laplace_recip_gamma refuses a point; its first
+# kernel call evaluates level 1, twice as many nodes.
 _LAPLACE_MAX_NODES = 1 << 18
 
 
@@ -431,11 +430,13 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
     Cutting off at +-T where the integrand has not decayed leaves
     Euler-Maclaurin endpoint terms in h^2, h^4, ..., so the halving levels
     are combined by Romberg extrapolation; a few thousand nodes then do
-    what plain halving needed millions for.  ``err_estimate`` is the
-    difference of the last two Romberg diagonals, floored at
-    16 * eps * int |f| like every other line integral, plus the tail-series
-    remainder; ``converged`` requires that sum to stay within
-    ``tol * |value|``.
+    what plain halving needed millions for.  The quadrature's absolute
+    tolerance is ``tol`` times |level-0 sum + tail|, from the driver's own
+    level-0 sum.  ``err_estimate`` is the difference of the last two
+    Romberg diagonals, floored at 16 * eps * int |f| like every other line
+    integral, plus the tail-series remainder; ``converged`` is the relative
+    check ``err_estimate <= tol * |value|``, which holds that floor within
+    it too.
     """
     z = _check_point(z)
     if z.real <= 0.0:
@@ -472,29 +473,13 @@ def laplace_recip_gamma(z, *, sigma: float = 1.0, tol: float = 1e-9,
         raise DomainError(
             f"laplace_recip_gamma({z!r}): the analytic tail leaves the double range")
 
-    # Coarse pass over the level-0 nodes, to anchor the relative tol in absolute terms.
-    coarse_t = np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * grid.step
-    with np.errstate(all="ignore"):
-        coarse_v = integrands.laplace_integrand(z, sigma, coarse_t)
-        coarse_sum = grid.step * (
-            coarse_v.sum() - 0.5 * (coarse_v[0] + coarse_v[-1])
-        )
-    # A non-finite node makes the sum non-finite; only then are the nodes searched.
-    error = None if cmath.isfinite(coarse_sum) else _node_error(coarse_t, [coarse_v], 0)
-    if error is not None:
-        raise error
-    scale = abs(complex(coarse_sum) + tail)
-    tol_abs = tol * max(scale, 1e-300)
     quad = _only(_trapezoid_joint(
-        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [grid], tol_abs,
-        max_refinements, romberg=True))[0]
+        (lambda t, _: integrands.laplace_integrand(z, sigma, t),), [grid],
+        lambda level0: tol * max(abs(level0 + tail), 1e-300), max_refinements,
+        romberg=True))[0]
     two_pi = 2.0 * math.pi
     value = (quad.value + tail) / two_pi
     err = (quad.err_estimate + remainder) / two_pi
-    # The gate sees the quadrature only; the tail-series remainder must fit
-    # the requested relative tolerance as well.
-    converged = (_gate(quad, False, tol_abs, abs(quad.value + tail))
-                 and err <= tol * abs(value))
     spec_used = replace(spec, step=quad.step_used, tol=quad.tol_effective)
-    return EvalResult(z, value, err, spec_used, converged,
-                      quad.evaluations + coarse_t.size)
+    return EvalResult(z, value, err, spec_used, err <= tol * abs(value),
+                      quad.evaluations)

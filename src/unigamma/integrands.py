@@ -89,21 +89,19 @@ def _check_t(t):
     return arr if arr.ndim else float(arr)
 
 
-def _wpow_parts(cr, ci, sigma, t):
-    """Magnitude and phase of w**c, w = sigma + i*t.
+def _wpow_parts(cr, ci, u, theta, log_u=None):
+    """Magnitude and phase of w**c from u = |w|^2, theta = arg w and, if known, log u.
 
     The |w|**cr factor leans on the libm ``pow``, whose internal extended
     precision beats any explicit exp(cr*log) assembly.  ``cr`` and ``ci``
     may be arrays; an array ``ci`` always takes the complex-exponent branch,
     which is exact for its zero entries.
     """
-    u = sigma * sigma + t * t
-    theta = np.arctan2(t, sigma)
     mag = np.power(u, 0.5 * cr)
     ph = cr * theta
     if isinstance(ci, np.ndarray) or ci != 0.0:
         mag = mag * np.exp(-ci * theta)
-        ph = ph + 0.5 * ci * np.log(u)
+        ph = ph + 0.5 * ci * (np.log(u) if log_u is None else log_u)
     return mag, ph
 
 
@@ -123,34 +121,40 @@ def principal_power(w, a) -> complex:
         raise DomainError(
             f"principal_power requires Re(w) > 0 (branch-cut hazard), got w={w!r}"
         )
-    return complex(_assemble(*_wpow_parts(a.real, a.imag, w.real, w.imag)))
+    u, theta = w.real * w.real + w.imag * w.imag, np.arctan2(w.imag, w.real)
+    return complex(_assemble(*_wpow_parts(a.real, a.imag, u, theta)))
+
+
+def _g_line(z, sigma, t, log_weight: bool):
+    """``g_integrand``, times log(w**2) = log u + 2i theta with ``log_weight``;
+    u, theta and log u serve both factors."""
+    z = _check_complex("z", z)
+    sigma = _check_sigma(sigma)
+    t = _check_t(t)
+    u, theta = sigma * sigma + t * t, np.arctan2(t, sigma)
+    log_u = np.log(u) if log_weight else None
+    mag, ph = _wpow_parts(1.0 - 2.0 * z.real, -2.0 * z.imag, u, theta, log_u)
+    # e^{w^2}: magnitude e^{sigma^2 - t^2}, phase 2*sigma*t.
+    out = _assemble(mag * np.exp(sigma * sigma - t * t), ph + 2.0 * sigma * t)
+    if log_weight:
+        out = out * (log_u + 2j * theta)
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
 def g_integrand(z, sigma, t):
     """w**(1-2z) * e^{w^2} with w = sigma + i*t; z, sigma, t broadcast."""
-    z = _check_complex("z", z)
-    sigma = _check_sigma(sigma)
-    t = _check_t(t)
-    mag, ph = _wpow_parts(1.0 - 2.0 * z.real, -2.0 * z.imag, sigma, t)
-    # e^{w^2}: magnitude e^{sigma^2 - t^2}, phase 2*sigma*t.
-    out = _assemble(mag * np.exp(sigma * sigma - t * t), ph + 2.0 * sigma * t)
-    return out if isinstance(out, np.ndarray) else complex(out)
+    return _g_line(z, sigma, t, False)
 
 
 def g_log_integrand(z, sigma, t):
-    """g_integrand weighted by 2*Log(w) — the log-derivative kernel.
+    """g_integrand weighted by log(w**2) = log(sigma^2 + t^2) + 2i atan2(t, sigma).
 
     ``log(w**2)`` is always realized as ``2*Log(w)``: Re(w) = sigma > 0 puts
     arg(w) in (-pi/2, pi/2), hence arg(w^2) in (-pi, pi), and doubling the
-    principal logarithm is the unambiguous reading.
+    principal logarithm is the unambiguous reading.  Computed in one body
+    with ``g_integrand``, whose value times the weight it equals bit for bit.
     """
-    base = g_integrand(z, sigma, t)
-    sigma = np.asarray(sigma, dtype=float) if _is_array(sigma) else float(sigma)
-    t = np.asarray(t, dtype=float) if _is_array(t) else float(t)
-    u = sigma * sigma + t * t
-    log2w = np.log(u) + 2j * np.arctan2(t, sigma)
-    out = base * log2w
-    return out if isinstance(out, np.ndarray) else complex(out)
+    return _g_line(z, sigma, t, True)
 
 
 def laplace_integrand(z, sigma, t):
@@ -158,7 +162,8 @@ def laplace_integrand(z, sigma, t):
     z = _check_complex("z", z)
     sigma = _check_sigma(sigma)
     t = _check_t(t)
-    mag, ph = _wpow_parts(-z.real, -z.imag, sigma, t)
+    u, theta = sigma * sigma + t * t, np.arctan2(t, sigma)
+    mag, ph = _wpow_parts(-z.real, -z.imag, u, theta)
     # e^{w}: magnitude e^{sigma}, phase t.
     out = _assemble(mag * np.exp(sigma), ph + t)
     return out if isinstance(out, np.ndarray) else complex(out)

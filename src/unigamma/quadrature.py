@@ -14,8 +14,9 @@ follows the integrand's crest near the saddle height Im sqrt(z - 1/2).
 Its nodes stay at k*h about origin 0, so a real z, whose window is
 symmetric, keeps exact conjugate symmetry.
 
-One driver, ``_trapezoid_joint``, does every halving: the line, the two
-rays and the two arcs of the closed contour, and the Laplace cross-check.
+One driver, ``_trapezoid_joint``, does every halving and evaluates every
+node: the line, the two rays and the two arcs of the closed contour, and
+the Laplace cross-check, whose relative tolerance it fixes from level 0.
 It takes many points at once and refines them in chunks, one kernel call
 per level for the whole chunk; the rays, arcs and Laplace are one-point
 calls.  Its levels are nested -- nodes are ``origin + k*h`` over integer
@@ -588,10 +589,11 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
 class _Point:
     """Refinement state of one point: kept trapezoid terms and sums per integrand."""
 
-    __slots__ = ("grid", "floor", "romberg", "values", "exact", "sums", "rows")
+    __slots__ = ("grid", "tol", "floor", "romberg", "values", "exact", "sums", "rows")
 
-    def __init__(self, grid: _Grid, count: int, noise: float, romberg: bool):
+    def __init__(self, grid: _Grid, tol, count: int, noise: float, romberg: bool):
         self.grid = grid
+        self.tol = tol      # a float, or a function that the first settle calls
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
@@ -654,13 +656,13 @@ class _Point:
                  for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
                 for terms in levels + [self.values]]
 
-    def settle(self, sums: list[list[float]], level: int, tol: float, max_refinements: int):
+    def settle(self, sums: list[list[float]], level: int, max_refinements: int):
         """Take the sums of the levels this step settles; the outcome once the point stops.
 
         ``sums`` holds one list per level, the last one ``level``'s: levels 0
         and 1 on the first step, one level after it.  The outcome is one
         QuadratureResult per integrand; None while the point goes on
-        refining toward ``tol``.
+        refining toward its tolerance, which the first step fixes.
         """
         for at, level_sums in enumerate(sums, level + 1 - len(sums)):
             step = self.step(at)
@@ -671,10 +673,12 @@ class _Point:
                     self.rows[i] = _romberg_row(self.rows[i], total)
                     total = self.rows[i][-1]
                 self.sums.append(total)
+        if callable(self.tol):      # the first step: ``last`` holds level 0's values
+            self.tol = self.tol(last[0])
         diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
         floors = [self.floor * (step * float(np.add.reduce(np.abs(values))))
                   for values in self.values]
-        tol_eff = [max(tol, floor) for floor in floors]
+        tol_eff = [max(self.tol, floor) for floor in floors]
         done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff))
         if not done and level < max_refinements:
             return None
@@ -718,7 +722,7 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
             for slot, (_, point, _) in enumerate(kept)]
 
 
-def _refine_chunk(fs, points: dict, outcomes: list, tol: float, max_refinements: int) -> None:
+def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> None:
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
     Each pass is one level, level 1's first (it settles levels 0 and 1): one
@@ -749,7 +753,7 @@ def _refine_chunk(fs, points: dict, outcomes: list, tol: float, max_refinements:
                 outcomes[p] = error
                 del points[p]
         for (p, point, _), sums in zip(kept, _pass_sums(kept, level)):
-            outcome = point.settle(sums, level, tol, max_refinements)
+            outcome = point.settle(sums, level, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
@@ -759,7 +763,7 @@ def _refine_chunk(fs, points: dict, outcomes: list, tol: float, max_refinements:
 def _trapezoid_joint(
     fs: Sequence[Callable],
     grids: Sequence[_Grid],
-    tol: float,
+    tol: float | Callable[[complex], float],
     max_refinements: int,
     *,
     romberg: bool = False,
@@ -769,7 +773,10 @@ def _trapezoid_joint(
 
     Point p integrates over ``grids[p]`` to ``tol`` in at most
     ``max_refinements`` halvings (one pair for all points, checked by the
-    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  Every
+    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  A
+    ``tol`` function turns a point's level-0 value (its first integrand's)
+    into its tolerance, called once when the first kernel call has settled
+    level 0, so a relative tolerance costs no pass of its own.  Every
     integrand of a point sees the same nodes each level, and the point
     stops only when all of them meet their effective tolerance; sharing
     nodes lets ratio-type consumers (digamma) cancel common error.  The first kernel
@@ -802,8 +809,8 @@ def _trapezoid_joint(
     outcomes: list = [None] * len(grids)
     with np.errstate(all="ignore"):
         for chunk in _chunks(grids):
-            _refine_chunk(fs, {p: _Point(grids[p], len(fs), noise[p], romberg)
-                               for p in chunk}, outcomes, tol, max_refinements)
+            _refine_chunk(fs, {p: _Point(grids[p], tol, len(fs), noise[p], romberg)
+                               for p in chunk}, outcomes, max_refinements)
     return outcomes
 
 

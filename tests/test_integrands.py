@@ -12,6 +12,7 @@ from unigamma import (
     DomainError,
     g_integrand,
     g_log_integrand,
+    integrands,
     laplace_integrand,
     principal_power,
 )
@@ -135,6 +136,31 @@ class TestGLogIntegrand:
         got = g_log_integrand(z, sigma, t)
         want = base * weight
         assert abs(got - want) <= 1e-13 * abs(want) + 4 * EPS * abs(base)
+
+    @pytest.mark.parametrize("z", [1.5, 0.3 - 2j])
+    def test_is_g_integrand_times_its_weight_bit_for_bit(self, z):
+        rng = np.random.default_rng(17)
+        sigma, t = rng.uniform(0.1, 4.0, 40), rng.uniform(-10.0, 10.0, 40)
+
+        def weight(s, tk):
+            return np.log(s * s + tk * tk) + 2j * np.arctan2(tk, s)
+
+        layouts = [(z, sigma, t), (np.full(t.size, z), sigma, t)]
+        for zs, s, tk in layouts:
+            assert np.array_equal(g_log_integrand(zs, s, tk),
+                                  g_integrand(zs, s, tk) * weight(s, tk))
+        for s, tk in zip(sigma.tolist(), t.tolist()):
+            got = g_log_integrand(z, s, tk)
+            assert type(got) is complex
+            assert got == g_integrand(z, s, tk) * weight(s, tk), (s, tk)
+
+    def test_makes_no_g_integrand_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("g_log_integrand called g_integrand")
+
+        monkeypatch.setattr(integrands, "g_integrand", refuse)
+        g_log_integrand(0.3 - 2j, 1.0, 0.5)
+        g_log_integrand(np.array([1.5, 0.3 - 2j]), 1.0, np.array([0.5, -2.0]))
 
 
 class TestBroadcastArguments:
