@@ -162,17 +162,17 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     already met, which is passed through.  ``tol``, ``sigma`` and
     ``max_refinements`` are checked once per call; a bad one is the outcome
     of every other point.  Each window is sized for the heaviest kernel,
-    each side's tail to half the tail share of tol, or less where
-    ``select_truncation`` caps it against the integrand's magnitude at the
-    saddle height.  The start step is ``_T_GRID`` for every z: on the
-    saddle line the integrand is close to a Gaussian e^{-2 (t - Im w0)^2}
-    whatever Im z is, and the halving does the rest.  The kernels of a
-    point share one node set; the points share ``_trapezoid_joint``'s
-    kernel calls.  Returns per point a ``_Line``: each integral's value,
-    its error estimate with the analytic tail added, the spec used (the
-    point's one ContourSpec, built after the quadrature), the joint
-    ``_gate`` verdict and the kernel evaluation count.  A point that fails
-    gets its UnigammaError instead.
+    each side's tail to half the tail share of tol (never below the least
+    positive double), or less where ``select_truncation`` caps it against
+    the integrand's magnitude at the saddle height.  The start step is
+    ``_T_GRID`` for every z: on the saddle line the integrand is close to a
+    Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
+    the rest.  The kernels of a point share one node set; the points share
+    ``_trapezoid_joint``'s kernel calls.  Returns per point a ``_Line``:
+    each integral's value, its error estimate with the analytic tail added,
+    the spec used (the point's one ContourSpec, built after the
+    quadrature), the joint ``_gate`` verdict and the kernel evaluation
+    count.  A point that fails gets its UnigammaError instead.
     """
     try:
         _check_tol(tol)
@@ -184,6 +184,7 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     fns = [getattr(integrands, name) for name, _ in kernels]
     log_weight = any(lw for _, lw in kernels)
     line_tol = (1.0 - _TAIL_SHARE) * tol
+    tail_tol = max(0.5 * _TAIL_SHARE * tol, math.ulp(0.0))
     outcomes: list = list(points)
     todo, zs, sigmas, truncs = [], [], [], []
     for index, z in enumerate(points):
@@ -191,8 +192,7 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
             continue
         sig = default_sigma(z) if sigma is None else sigma
         try:
-            trunc = select_truncation(z, sig, 0.5 * _TAIL_SHARE * tol,
-                                      log_weight=log_weight)
+            trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
         except UnigammaError as exc:
             outcomes[index] = exc
             continue

@@ -46,6 +46,9 @@ __all__ = [
 # sigma beyond this makes e^{sigma^2} meaningless in double precision;
 # callers validate earlier (ContourSpec), this is a hard backstop.
 _SIGMA_LIMIT = 26.0
+# The least sigma whose square is a normal double: below it sigma^2 + t^2
+# drops sigma, and at t = 0 underflows to 0.
+_SIGMA_MIN = 2.0 ** -511
 
 
 def _is_array(x) -> bool:
@@ -69,14 +72,17 @@ def _check_complex(name: str, value):
 def _check_sigma(sigma):
     if _is_array(sigma):
         s = np.asarray(sigma, dtype=float)
-        if not (np.isfinite(s) & (s > 0.0)).all():
-            raise DomainError("sigma must be positive finite reals")
+        if not (np.isfinite(s) & (s >= _SIGMA_MIN)).all():
+            raise DomainError("sigma must be finite reals of at least 2**-511")
         if (s > _SIGMA_LIMIT).any():
             raise DomainError("sigma overflows exp(sigma**2) in double precision")
         return s
     s = float(sigma)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"sigma must be a positive finite real, got {sigma!r}")
+    if s < _SIGMA_MIN:
+        raise DomainError(f"sigma must be at least 2**-511, where sigma**2 is a "
+                          f"normal double, got {sigma!r}")
     if s > _SIGMA_LIMIT:
         raise DomainError(f"sigma={s} overflows exp(sigma**2) in double precision")
     return s
@@ -110,10 +116,11 @@ def _assemble(mag, ph):
 
 
 def principal_power(w, a) -> complex:
-    """w**a on the principal branch, requiring Re(w) > 0.
+    """w**a on the principal branch, requiring Re(w) > 0 and |w| >= 2**-511.
 
     The half-plane restriction keeps arg(w) inside (-pi/2, pi/2), so the
-    branch cut of the logarithm is never approached.
+    branch cut of the logarithm is never approached; the floor keeps |w|^2
+    a normal double.
     """
     w = _check_complex("w", w)
     a = _check_complex("a", a)
@@ -121,6 +128,9 @@ def principal_power(w, a) -> complex:
         raise DomainError(
             f"principal_power requires Re(w) > 0 (branch-cut hazard), got w={w!r}"
         )
+    if abs(w) < _SIGMA_MIN:
+        raise DomainError(f"principal_power requires |w| >= 2**-511, where |w|**2 "
+                          f"is a normal double, got w={w!r}")
     u, theta = w.real * w.real + w.imag * w.imag, np.arctan2(w.imag, w.real)
     return complex(_assemble(*_wpow_parts(a.real, a.imag, u, theta)))
 

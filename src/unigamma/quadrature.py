@@ -106,8 +106,8 @@ _LOG_MAX = 709.0          # math.exp overflows just past 709.78
 # Each tail's budget is at most this share of the integrand's magnitude at
 # the saddle height (see select_truncation).
 _LOG_TAIL_REL = math.log(5e-16)
-# The least sigma whose square is a normal double.
-_SIGMA_MIN = 2.0 ** -511
+# The least sigma whose square is a normal double; the kernels refuse less.
+_SIGMA_MIN = integrands._SIGMA_MIN
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,13 @@ class ContourSpec:
         if not _inside(self.step, self.half_width):
             raise DomainError(f"step must lie in (0, half_width], got {self.step!r}")
         if self.window is not None:
-            lower, upper = self.window
-            if not (-self.half_width <= lower < upper <= self.half_width
-                    and self.step <= upper - lower):
+            try:
+                lower, upper = self.window
+                ok = (-self.half_width <= lower < upper <= self.half_width
+                      and self.step <= upper - lower)
+            except (TypeError, ValueError):     # not a pair of reals
+                ok = False
+            if not ok:
                 raise DomainError(
                     f"window must be an interval at least a step long inside "
                     f"[-half_width, half_width], got {self.window!r}")

@@ -86,6 +86,15 @@ class TestG:
         with pytest.raises(DomainError):
             G(1, tol=tol)
 
+    @pytest.mark.parametrize("tol", [5e-324, 2e-323])
+    def test_tolerance_whose_tail_share_underflows_is_a_result(self, tol):
+        # The tails' share of tol rounds to 0; the window is sized for the
+        # least positive double and the line runs to its roundoff floor.
+        for res in [G(1, tol=tol), *evaluate_many("G", [1, 2], tol=tol)]:
+            assert res.converged
+            assert res.value == pytest.approx(math.pi, rel=1e-14)
+            assert 0.0 < res.spec_used.tol < 1e-13
+
     @given(reasonable_z)
     @example(-1 + 0j)
     @settings(max_examples=40, deadline=None)

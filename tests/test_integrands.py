@@ -40,6 +40,12 @@ class TestPrincipalPower:
         with pytest.raises(DomainError):
             principal_power(1j, 2.0)
 
+    def test_rejects_base_whose_square_underflows(self):
+        # |w|^2 = 1e-600 is no double; the floor is 2**-511.
+        with pytest.raises(DomainError, match="2\\*\\*-511"):
+            principal_power(1e-300, 0.5)
+        assert principal_power(2.0 ** -511, 0.5) == pytest.approx(2.0 ** -255.5, rel=1e-15)
+
     @given(
         st.floats(0.05, 50),
         st.floats(-50, 50),
@@ -161,6 +167,18 @@ class TestGLogIntegrand:
         monkeypatch.setattr(integrands, "g_integrand", refuse)
         g_log_integrand(0.3 - 2j, 1.0, 0.5)
         g_log_integrand(np.array([1.5, 0.3 - 2j]), 1.0, np.array([0.5, -2.0]))
+
+
+class TestSigmaFloor:
+    """sigma below 2**-511 would make sigma^2 + t^2 drop sigma, or be 0 at t = 0."""
+
+    @pytest.mark.parametrize("kernel", [g_integrand, g_log_integrand, laplace_integrand])
+    def test_rejects_sigma_whose_square_underflows(self, kernel):
+        with pytest.raises(DomainError, match="2\\*\\*-511"):
+            kernel(1.0, 1e-300, 0.0)
+        with pytest.raises(DomainError, match="2\\*\\*-511"):
+            kernel(1.0, np.array([1.0, 1e-300]), np.zeros(2))
+        assert cmath.isfinite(kernel(1.0, 2.0 ** -511, 0.0))
 
 
 class TestBroadcastArguments:

@@ -112,6 +112,9 @@ class TestContourSpec:
             {"tol": "x"},
             {"half_width": "x"},
             {"step": "x"},
+            {"window": ("a", 5.0)},
+            {"window": 5},
+            {"window": (1.0,)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -11,8 +11,9 @@ corpus is fixed by its seed:
   in-box, near-zero, high-Im, right-tail and far-left points;
 - ``evaluate_many`` batches whose chunk-mates fail (poles, non-finite
   nodes, bad input), and batches of two and three points;
-- ``laplace_recip_gamma``, ``euler_mascheroni``, contour loops and
-  segments, ``trapezoid_line`` and some bad arguments;
+- ``laplace_recip_gamma`` (at random tolerances and at 1e-3 and 1e-6),
+  ``euler_mascheroni``, contour loops and segments, ``trapezoid_line``,
+  tolerances whose tail share underflows, and some bad arguments;
 - lone lines and a chunk whose levels cross the fsum cutover (see
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
   the chunks call ``quadrature._trapezoid_joint`` in the signature of the
@@ -24,10 +25,11 @@ An outcome is the ``repr`` of a result, whose floats round-trip exactly, or
 the type and text of the exception raised, so "same" means the same bits.
 Prints the number of differing outcomes and the first few, and exits 1 if
 any differ.  For a change meant to move last bits, it then sums the
-differences up: of the differing values where both sides returned (results
-and grid rows), how many lie within the sum of the two ``err_estimate``s,
-and how many ``converged`` flags and exception types changed, naming the
-first few.  Writes only to a temporary directory.
+differences up: how many differing results differ only in ``evaluations``
+(and in the ``tol`` their spec records); of the differing values where
+both sides returned (results and grid rows), how many lie within the sum of
+the two ``err_estimate``s; and how many ``converged`` flags and exception
+types changed, naming the first few.  Writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -65,7 +67,14 @@ def _outcome(call) -> str:
     try:
         return repr(call())
     except Exception as exc:  # every failure is an outcome to compare
-        return f"{type(exc).__name__}: {exc}"
+        return _described(exc)
+
+
+def _described(outcome) -> str:
+    """An ``evaluate_many`` outcome as ``_outcome`` writes a call's."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return repr(outcome)
 
 
 def _points(rng: random.Random) -> list[tuple[str, complex]]:
@@ -135,14 +144,20 @@ def _corpus(ug) -> dict[str, str]:
         options = _options(rng)
         outcomes = ug.evaluate_many(name, zs, **options)
         for index, (z, outcome) in enumerate(zip(zs, outcomes)):
-            out[f"evaluate_many {name}/{batch}/{index} {z!r} {options}"] = (
-                repr(outcome) if not isinstance(outcome, Exception)
-                else f"{type(outcome).__name__}: {outcome}")
+            out[f"evaluate_many {name}/{batch}/{index} {z!r} {options}"] = _described(outcome)
     for index in range(30):
         z = complex(rng.uniform(0.05, 3.0), rng.uniform(-6, 6))
         options = {"tol": 10.0 ** rng.uniform(-11, -7)} if index % 2 else {}
         out[f"laplace_recip_gamma/{index} {z!r} {options}"] = _outcome(
             lambda: ug.laplace_recip_gamma(z, **options))
+    # Loose tolerances, where the relative check alone decides the flag; an
+    # rng of their own keeps the draws of the rest of the corpus.
+    loose = random.Random(SEED + 1)
+    for index in range(20):
+        z = complex(loose.uniform(0.05, 12.0), loose.uniform(-12, 12))
+        tol = (1e-3, 1e-6)[index % 2]
+        out[f"laplace_recip_gamma loose/{index} {z!r} tol={tol}"] = _outcome(
+            lambda: ug.laplace_recip_gamma(z, tol=tol))
     for tol in (1e-12, 1e-9, 1e-6):
         out[f"euler_mascheroni tol={tol}"] = _outcome(lambda: ug.euler_mascheroni(tol=tol))
     for index in range(8):
@@ -187,8 +202,7 @@ def _corpus(ug) -> dict[str, str]:
         outcomes = ug.evaluate_many(name, zs, **options)
         for index, (z, outcome) in enumerate(zip(zs, outcomes)):
             out[f"evaluate_many small {name}/{batch}/{index} {z!r} {options}"] = (
-                repr(outcome) if not isinstance(outcome, Exception)
-                else f"{type(outcome).__name__}: {outcome}")
+                _described(outcome))
     # Lone lines whose first levels hold fewer terms than the fsum cutover
     # and whose later ones more: 161, then 321 (half-width 10, step 0.25),
     # and 61, 121, 241, then 481 (half-width 30, step 1).
@@ -236,9 +250,22 @@ def _corpus(ug) -> dict[str, str]:
         "integrate_segment(0, 'nope', ContourSpec())":
             lambda: ug.integrate_segment(0, "nope", ug.ContourSpec()),
         "gaussian_moment_check('x')": lambda: ug.gaussian_moment_check("x"),
+        "ContourSpec(window=('a', 5.0))": lambda: ug.ContourSpec(window=("a", 5.0)),
+        "ContourSpec(window=5)": lambda: ug.ContourSpec(window=5),
+        "ContourSpec(window=(1.0,))": lambda: ug.ContourSpec(window=(1.0,)),
+        "G(1, tol=5e-324)": lambda: ug.G(1, tol=5e-324),
+        "G(1, tol=2e-323)": lambda: ug.G(1, tol=2e-323),
+        "g_integrand(1, 1e-300, 0)": lambda: ug.g_integrand(1, 1e-300, 0.0),
+        "g_log_integrand(1, 1e-300, 0)": lambda: ug.g_log_integrand(1, 1e-300, 0.0),
+        "laplace_integrand(0.5, 1e-300, 0)":
+            lambda: ug.laplace_integrand(0.5, 1e-300, 0.0),
+        "principal_power(1e-300, 0.5)": lambda: ug.principal_power(1e-300, 0.5),
     }
     for key, call in bad.items():
         out[key] = _outcome(call)
+    zs = [1, 2, 0.5 + 3j]
+    for z, outcome in zip(zs, ug.evaluate_many("G", zs, tol=5e-324)):
+        out[f"evaluate_many G {z!r} tol=5e-324"] = _described(outcome)
     return out
 
 
@@ -286,6 +313,8 @@ def _run(checkout: str) -> dict[str, str]:
 
 
 _RESULT = re.compile(r"value=([^,]+), err_estimate=([^,]+),.*?converged=(True|False)")
+_EVALUATIONS = re.compile(r"evaluations=\d+")
+_SPEC_TOL = re.compile(r"\btol=[^,]+")
 _EXCEPTION = re.compile(r"([A-Za-z_]\w*): ")
 
 
@@ -306,12 +335,16 @@ def _facts(key: str, outcome: str):
 
 
 def _summary(old: dict, new: dict, differing: list[str]) -> None:
-    """How the differing values, flags and exception types moved."""
-    within = compared = 0
+    """How the differing counts, values, flags and exception types moved."""
+    within = compared = counts = counts_and_tol = 0
     flags, kinds = [], []
     for key in differing:
         if key not in old or key not in new:
             continue
+        a, b = (_EVALUATIONS.sub("evaluations=_", old[key]),
+                _EVALUATIONS.sub("evaluations=_", new[key]))
+        counts += a == b
+        counts_and_tol += a != b and _SPEC_TOL.sub("tol=_", a) == _SPEC_TOL.sub("tol=_", b)
         a, b = _facts(key, old[key]), _facts(key, new[key])
         if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
             for (text_a, va, ea, ca), (text_b, vb, eb, cb) in zip(a, b):
@@ -325,6 +358,8 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
             a, b = (facts if isinstance(facts, str) else "a result" for facts in (a, b))
             if a != b:
                 kinds.append(f"{key}: {a} -> {b}")
+    print(f"{counts} differing outcomes differ only in evaluations, {counts_and_tol} "
+          f"more only in evaluations and the spec's tol")
     print(f"{within} of {compared} differing values lie within the sum of their "
           f"err_estimates; {len(flags)} converged flags and {len(kinds)} "
           f"exception types changed")
