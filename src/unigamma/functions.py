@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import integrands
-from .errors import DomainError, PoleError, UnigammaError
+from .errors import DomainError, PoleError, QuadratureNodeError, UnigammaError
 from .quadrature import (
     ContourSpec,
     QuadratureResult,
@@ -42,6 +42,7 @@ from .quadrature import (
     _check_sigma,
     _check_tol,
     _line_grid,
+    _nonfinite_node,
     _only,
     _trapezoid_joint,
     _window_grid,
@@ -173,6 +174,17 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the spec used (the point's one ContourSpec, built after the
     quadrature), the joint ``_gate`` verdict and the kernel evaluation
     count.  A point that fails gets its UnigammaError instead.
+
+    The integrand is real-symmetric, f(-t; conj z) = conj f(t; z), and the
+    nodes k*h sit symmetrically about 0, so the line at conj z is the line
+    at z mirrored.  A point with Im z < 0 (strictly: a signed zero is
+    integrated as given) is integrated at conj z and read back conjugated:
+    its values conjugated and its window mirrored to (-upper, -lower);
+    every other field is the same, so its result is exactly the conjugate of
+    the result at conj z.  A node error names the first non-finite node of
+    the point's own line, the mirror of the last one of the line integrated.
+    Points equal bit for bit after that, 0.0 told from -0.0, are integrated
+    once.
     """
     try:
         _check_tol(tol)
@@ -186,17 +198,28 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     line_tol = (1.0 - _TAIL_SHARE) * tol
     tail_tol = max(0.5 * _TAIL_SHARE * tol, math.ulp(0.0))
     outcomes: list = list(points)
-    todo, zs, sigmas, truncs = [], [], [], []
+    # Per point (index, slot, conjugated): the slot of ``lines`` it reads.
+    reads, slots, lines = [], {}, []
     for index, z in enumerate(points):
         if isinstance(z, UnigammaError):
             continue
+        flip = z.imag < 0.0
+        if flip:
+            z = z.conjugate()
+        slot = slots.setdefault(
+            (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)), len(lines))
+        if slot == len(lines):
+            lines.append(z)
+        reads.append((index, slot, flip))
+    todo, zs, sigmas, truncs = [], [], [], []
+    for slot, z in enumerate(lines):
         sig = default_sigma(z) if sigma is None else sigma
         try:
             trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
         except UnigammaError as exc:
-            outcomes[index] = exc
+            lines[slot] = exc
             continue
-        todo.append(index)
+        todo.append(slot)
         zs.append(z)
         sigmas.append(sig)
         truncs.append(trunc)
@@ -210,19 +233,28 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         [_window_grid(trunc.lower, trunc.upper, _T_GRID) for trunc in truncs],
         line_tol, max_refinements,
         noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)])
-    for index, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
-        if isinstance(quads, UnigammaError):
-            outcomes[index] = quads
+    for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
+        lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
+    for index, slot, flip in reads:
+        line = lines[slot]
+        if isinstance(line, UnigammaError):
+            if flip and isinstance(line, QuadratureNodeError):
+                line = _nonfinite_node(line._mirror_node)
+            outcomes[index] = line
             continue
+        sig, trunc, quads = line
         # The heaviest kernel's tail bound, which covers the others'.
         errs = [quad.err_estimate + trunc.tail for quad in quads]
         converged = all(_gate(quad, trunc.capped, line_tol, abs(quad.value))
                         for quad in quads)
         spec = ContourSpec(sigma=sig, half_width=max(sig, trunc.half_width),
                            step=quads[0].step_used, tol=max(q.tol_effective for q in quads),
-                           max_refinements=max_refinements, window=(trunc.lower, trunc.upper))
-        outcomes[index] = _Line([quad.value for quad in quads], errs, spec,
-                                converged, sum(quad.evaluations for quad in quads))
+                           max_refinements=max_refinements,
+                           window=(-trunc.upper, -trunc.lower) if flip
+                           else (trunc.lower, trunc.upper))
+        outcomes[index] = _Line(
+            [quad.value.conjugate() if flip else quad.value for quad in quads], errs,
+            spec, converged, sum(quad.evaluations for quad in quads))
     return outcomes
 
 
@@ -310,6 +342,14 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     level; values on more than one point may differ in the last bits from
     the one-point values (see ``integrands``) and stay within
     ``err_estimate`` of them.
+
+    Points share integrals.  Each point's G-line point w (z, (y + 1)/2 or
+    1 - z) is integrated at conj w when Im w < 0, and its result read back
+    conjugated, since G(conj w) = conj G(w); so two points whose line
+    points are conjugates or equal, bit for bit, are integrated once.  The
+    result at conj z is then exactly the conjugate of the result at z,
+    value conjugated and window mirrored, every other field equal, in a
+    batch or alone.  A signed-zero imaginary part is integrated as given.
     """
     if function not in _ENGINE:
         raise DomainError(

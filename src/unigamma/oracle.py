@@ -361,11 +361,12 @@ SUITE_CHECKS = (
 
 
 def _g_pass(points, mirror, selected) -> dict:
-    """G once at each distinct point the selected lattice checks read.
+    """G at each point the selected lattice checks read.
 
     ``mirror`` holds 1 - z for each z of ``points``; the result maps each
-    of those point objects to its ``evaluate_many`` outcome, so a failed
-    point arrives as its UnigammaError.
+    of those points to its ``evaluate_many`` outcome, so a failed point
+    arrives as its UnigammaError.  ``evaluate_many`` integrates a repeated
+    point, or the conjugate of one already met, only once.
     """
     wanted = []
     if "recip_gamma_vs_oracle" in selected:
@@ -375,8 +376,7 @@ def _g_pass(points, mirror, selected) -> dict:
                    if not _is_nonpositive_integer(z)]
     if "reflection" in selected:
         wanted += points + mirror
-    distinct = list(dict.fromkeys(wanted))
-    return dict(zip(distinct, evaluate_many("G", distinct)))
+    return dict(zip(wanted, evaluate_many("G", wanted)))
 
 
 def run_identity_suite(grid=None, *, rel_tol: float | None = None,
@@ -392,7 +392,11 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     shared pass over the distinct points they need -- z for the oracle and
     reflection checks, 1 - z for the sine product and reflection, since
     recip_gamma is G(z)/pi and gamma_sin_pi(z) is G(1-z) -- so no point is
-    integrated twice.  A point whose evaluation or reference value raises
+    integrated twice; ``evaluate_many`` integrates a conjugate pair once,
+    too.  On Re z = 1/2, 1 - z is conj z, so the reflection check's two
+    factors there come from one integral, G(z) and its conjugate; their
+    product is still judged against pi sin(pi z), which the oracle computes
+    apart.  A point whose evaluation or reference value raises
     counts as a failure there.  ``checks`` restricts the run to a subset of
     ``SUITE_CHECKS`` names, preserving suite order, and only their points
     are evaluated; by default all five run.

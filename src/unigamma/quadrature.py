@@ -574,7 +574,9 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
     """The error of the first non-finite value of ``news`` at ``nodes``, if any.
 
     On level 1 the even k, level 0's nodes, are looked at first: the error
-    names a node of the coarsest level that has a non-finite one.
+    names a node of the coarsest level that has a non-finite one.  Its
+    ``_mirror_node`` is the node that the mirror image of the line, t -> -t,
+    would name: the negation of the last such node.
     """
     finite = [np.isfinite(new) for new in news]
     if all(ok.all() for ok in finite):
@@ -583,11 +585,16 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
     for look in looks:
         for ok in finite:
             if not ok[look].all():
-                bad = float(nodes[look][np.argmin(ok[look])])
-                return QuadratureNodeError(
-                    f"integrand returned a non-finite value at node t={bad!r}",
-                    node=bad)
+                bad = nodes[look][~ok[look]]
+                error = _nonfinite_node(float(bad[0]))
+                error._mirror_node = 0.0 - float(bad[-1])
+                return error
     return None
+
+
+def _nonfinite_node(node: float) -> QuadratureNodeError:
+    return QuadratureNodeError(
+        f"integrand returned a non-finite value at node t={node!r}", node=node)
 
 
 class _Point:

@@ -1,5 +1,6 @@
 """Public special-function API: worked values, identities, pole behavior."""
 
+import cmath
 import doctest
 import inspect
 import math
@@ -646,6 +647,128 @@ class TestEvaluateMany:
         for bad in outcomes[1:3]:
             assert isinstance(bad, DomainError)
             assert "z must be a complex number" in str(bad)
+
+
+class TestConjugateSharing:
+    """G(conj z) = conj G(z): one integral per conjugate pair, the whole record mirrored."""
+
+    ONE_POINT = {"G": G, "g_tilde": g_tilde, "recip_gamma": recip_gamma,
+                 "gamma": gamma, "gamma_sin_pi": gamma_sin_pi, "digamma": digamma}
+
+    @staticmethod
+    def _sample() -> list:
+        rng = random.Random(1818)
+        box = [complex(rng.uniform(-15, 15), rng.uniform(-15, 15)) for _ in range(16)]
+        near_zero = [-rng.randint(0, 12) + 10.0 ** rng.uniform(-12, -3)
+                     * cmath.exp(1j * rng.uniform(0.1, 3.0)) for _ in range(8)]
+        high = [complex(rng.uniform(-15, 15), rng.choice((-1, 1)) * rng.uniform(15, 30))
+                for _ in range(8)]
+        return [-10 - 0.5j] + box + near_zero + high
+
+    @staticmethod
+    def _assert_mirrored(a, b, label):
+        """b, the outcome at conj z, is the conjugate record of a, at z."""
+        if isinstance(a, Exception) or isinstance(b, Exception):
+            assert type(a) is type(b), label
+            return
+        assert repr(b.value) == repr(a.value.conjugate()), label
+        assert b.err_estimate == a.err_estimate, label
+        assert b.converged == a.converged, label
+        assert b.evaluations == a.evaluations, label
+        assert b.spec_used.tol == a.spec_used.tol, label
+        assert b.spec_used.step == a.spec_used.step, label
+        lower, upper = a.spec_used.window
+        assert b.spec_used.window == (-upper, -lower), label
+
+    @pytest.mark.parametrize("name", sorted(ONE_POINT))
+    def test_conjugate_point_gets_the_conjugate_record(self, name):
+        fn = self.ONE_POINT[name]
+        sample = self._sample()
+        conjugates = [z.conjugate() for z in sample]
+        for z in sample:
+            one, mirror = (TestEvaluateMany._one_point(fn, w) for w in (z, z.conjugate()))
+            self._assert_mirrored(one, mirror, (name, z))
+        batch = evaluate_many(name, sample)
+        apart = evaluate_many(name, conjugates)
+        together = evaluate_many(name, sample + conjugates)
+        for z, a, b, c, d in zip(sample, batch, apart, together, together[len(sample):]):
+            self._assert_mirrored(a, b, (name, z, "batch"))
+            self._assert_mirrored(c, d, (name, z, "one batch"))
+
+    @pytest.mark.parametrize("name,x", [("G", 2.0), ("gamma_sin_pi", 3.25)])
+    def test_signed_zeros_and_duplicates_match_one_point_calls(self, name, x, monkeypatch):
+        zs = [complex(x, 0.0), complex(x, -0.0), complex(x, 0.0)]
+        fn = self.ONE_POINT[name]
+        assert [repr(out) for out in evaluate_many(name, zs)] == [repr(fn(z)) for z in zs]
+        # A -0.0 imaginary part is integrated as given, not conjugated.
+        seen = []
+        kernel = integrands.g_integrand
+
+        def spy(z, sigma, t):
+            seen.append(math.copysign(1.0, complex(z).imag))
+            return kernel(z, sigma, t)
+
+        monkeypatch.setattr(integrands, "g_integrand", spy)
+        G(complex(x, -0.0))
+        assert seen and set(seen) == {-1.0}
+
+    def test_conjugates_and_duplicates_are_integrated_once(self, monkeypatch):
+        nodes = []
+        kernel = integrands.g_integrand
+
+        def spy(z, sigma, t):
+            nodes.append(np.array(t, dtype=float).ravel())
+            return kernel(z, sigma, t)
+
+        monkeypatch.setattr(integrands, "g_integrand", spy)
+        z = 2.5 - 1.5j
+        evaluate_many("G", [z])
+        alone = np.concatenate(nodes)
+        nodes.clear()
+        evaluate_many("G", [z, z.conjugate(), z])
+        assert np.array_equal(np.concatenate(nodes), alone)
+
+    @pytest.mark.parametrize("z", [-120.5 - 0.3j, -139.25 - 1.5j, -139.25 + 1.5j])
+    def test_node_error_names_the_points_own_first_bad_node(self, z):
+        # The first kernel call evaluates the window at half the start step
+        # and looks at its even k first, in the point's own node order.
+        sigma = default_sigma(z)
+        trunc = functions.select_truncation(z, sigma, 0.5 * _TAIL_SHARE * 1e-12)
+        h = 0.5 * functions._T_GRID
+        t = np.arange(2 * math.floor(trunc.lower / functions._T_GRID),
+                      2 * math.ceil(trunc.upper / functions._T_GRID) + 1) * h
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(integrands.g_integrand(z, sigma, t))
+        first = next(float(t[look][~finite[look]][0])
+                     for look in (slice(None, None, 2), slice(None)) if not finite[look].all())
+        for outcome in (evaluate_many("G", [z.conjugate(), z])[1],
+                        TestEvaluateMany._one_point(G, z)):
+            assert isinstance(outcome, QuadratureNodeError)
+            assert repr(outcome.node) == repr(first)
+            assert str(outcome) == f"integrand returned a non-finite value at node t={first!r}"
+
+    def test_lattice_integrates_its_upper_half(self, monkeypatch):
+        # The 41 x 41 grid of `unigamma grid`: 820 of its points are the
+        # conjugates of others, so 861 lines are integrated.
+        sizes, lines = [], []
+        kernel, joint = integrands.g_integrand, functions._trapezoid_joint
+
+        def spy(z, sigma, t):
+            sizes.append(np.size(t))
+            return kernel(z, sigma, t)
+
+        def joining(fs, grids, *args, **kwargs):
+            lines.append(len(grids))
+            return joint(fs, grids, *args, **kwargs)
+
+        monkeypatch.setattr(integrands, "g_integrand", spy)
+        monkeypatch.setattr(functions, "_trapezoid_joint", joining)
+        axis = [-10.0 + k * 0.5 for k in range(41)]
+        points = [complex(re, im) for im in axis for re in axis]
+        outcomes = evaluate_many("recip_gamma", points)
+        assert lines == [861]
+        assert sum(sizes) == sum(out.evaluations for z, out in zip(points, outcomes)
+                                 if z.imag >= 0.0)
 
 
 def test_malformed_point_raises_domain_error():

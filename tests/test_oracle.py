@@ -19,7 +19,7 @@ from unigamma import (
     oracle_recip_gamma,
     run_identity_suite,
 )
-from unigamma import oracle
+from unigamma import functions, oracle
 from unigamma.oracle import SUITE_CHECKS
 
 LATTICE_CHECKS = ("recip_gamma_vs_oracle", "gamma_sin_pi_vs_oracle", "reflection")
@@ -232,6 +232,21 @@ class TestSharedGPass:
             assert r.converged == gz.converged, z
             assert sp.value == gm.value, z
             assert sp.converged == gm.converged, z
+
+    def test_integrates_one_point_per_conjugate_pair(self, monkeypatch):
+        # 519 distinct points, z and 1 - z; 271 of them up to conjugation.
+        lines = []
+        joint = functions._trapezoid_joint
+
+        def joining(fs, grids, *args, **kwargs):
+            lines.append(len(grids))
+            return joint(fs, grids, *args, **kwargs)
+
+        monkeypatch.setattr(functions, "_trapezoid_joint", joining)
+        pts = default_verification_grid()
+        g_at = oracle._g_pass(pts, [1.0 - z for z in pts], SUITE_CHECKS)
+        assert lines == [271]
+        assert len(g_at) == 519
 
     def test_each_check_alone_matches_full_suite(self):
         full = {rep.check_name: rep for rep in run_identity_suite()}

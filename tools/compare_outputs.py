@@ -10,7 +10,8 @@ corpus is fixed by its seed:
   digamma) with random ``tol``, ``sigma`` and ``max_refinements``, at
   in-box, near-zero, high-Im, right-tail and far-left points;
 - ``evaluate_many`` batches whose chunk-mates fail (poles, non-finite
-  nodes, bad input), and batches of two and three points;
+  nodes, bad input), batches of two and three points, and batches that
+  hold conjugate pairs, exact duplicates and signed-zero imaginary parts;
 - ``laplace_recip_gamma`` (at random tolerances and at 1e-3 and 1e-6),
   ``euler_mascheroni``, contour loops and segments, ``trapezoid_line``,
   tolerances whose tail share underflows, and some bad arguments;
@@ -26,10 +27,13 @@ the type and text of the exception raised, so "same" means the same bits.
 Prints the number of differing outcomes and the first few, and exits 1 if
 any differ.  For a change meant to move last bits, it then sums the
 differences up: how many differing results differ only in ``evaluations``
-(and in the ``tol`` their spec records); of the differing values where
-both sides returned (results and grid rows), how many lie within the sum of
-the two ``err_estimate``s; and how many ``converged`` flags and exception
-types changed, naming the first few.  Writes only to a temporary directory.
+(and in the ``tol`` their spec records); how many differing results (an
+outcome, or a row of a grid CSV) differ only in ``err_estimate``,
+``tol_effective`` and the spec's ``tol``, each by at most 1e-15 relative,
+and the largest such move; of the differing values where both sides
+returned (results and grid rows), how many lie within the sum of the two
+``err_estimate``s; and how many ``converged`` flags and exception types
+changed, naming the first few.  Writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -266,6 +270,17 @@ def _corpus(ug) -> dict[str, str]:
     zs = [1, 2, 0.5 + 3j]
     for z, outcome in zip(zs, ug.evaluate_many("G", zs, tol=5e-324)):
         out[f"evaluate_many G {z!r} tol=5e-324"] = _described(outcome)
+    # Conjugate pairs, exact duplicates and signed-zero imaginary parts in
+    # one batch; an rng of their own keeps the draws of the rest.
+    pairs = random.Random(SEED + 2)
+    for batch, name in enumerate(_LINE_FUNCTIONS):
+        zs = [z for _, z in pairs.sample(points, 6)]
+        x = float(pairs.randint(-6, 6)) + 0.5 * (batch % 2)
+        zs += [z.conjugate() for z in zs[:4]] + zs[:2]
+        zs += [complex(x, 0.0), complex(x, -0.0), complex(x, 0.0),
+               complex(-0.0, 2.0), complex(0.0, 2.0), complex(0.0, -2.0)]
+        for index, (z, outcome) in enumerate(zip(zs, ug.evaluate_many(name, zs))):
+            out[f"evaluate_many pairs {name}/{batch}/{index} {z!r}"] = _described(outcome)
     return out
 
 
@@ -316,6 +331,10 @@ _RESULT = re.compile(r"value=([^,]+), err_estimate=([^,]+),.*?converged=(True|Fa
 _EVALUATIONS = re.compile(r"evaluations=\d+")
 _SPEC_TOL = re.compile(r"\btol=[^,]+")
 _EXCEPTION = re.compile(r"([A-Za-z_]\w*): ")
+# The fields a canonical integration order may move in their last bits.
+_LAST_BITS = re.compile(r"\b(err_estimate|tol_effective|tol)=([-+]?(?:inf|nan|[\d.]+(?:e[-+]?\d+)?))")
+_LAST_BITS_REL = 1e-15
+_GRID_ERR = 4       # a grid CSV's err_estimate column
 
 
 def _facts(key: str, outcome: str):
@@ -334,9 +353,39 @@ def _facts(key: str, outcome: str):
     return exception[1] if exception else "a result"
 
 
+def _rel_move(a: str, b: str) -> float:
+    a, b = float(a), float(b)
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _last_bit_moves(key: str, old: str, new: str) -> list[float] | None:
+    """Per differing result (an outcome, or a grid CSV row) the largest
+    relative move of its err_estimate, tol_effective and spec tol, when
+    nothing else differs; None when something else does."""
+    if key.startswith("cli grid"):
+        rows_a, rows_b = old.splitlines(), new.splitlines()
+        if len(rows_a) != len(rows_b):
+            return None
+        moves = []
+        for a, b in zip(rows_a, rows_b):
+            if a == b:
+                continue
+            fa, fb = a.split(","), b.split(",")
+            if (len(fa) != len(fb) or len(fa) <= _GRID_ERR
+                    or fa[:_GRID_ERR] + fa[_GRID_ERR + 1:] != fb[:_GRID_ERR] + fb[_GRID_ERR + 1:]):
+                return None
+            moves.append(_rel_move(fa[_GRID_ERR], fb[_GRID_ERR]))
+        return moves
+    if _LAST_BITS.sub(r"\1=_", old) != _LAST_BITS.sub(r"\1=_", new):
+        return None
+    return [max(_rel_move(a[2], b[2]) for a, b in zip(_LAST_BITS.finditer(old),
+                                                      _LAST_BITS.finditer(new)))]
+
+
 def _summary(old: dict, new: dict, differing: list[str]) -> None:
     """How the differing counts, values, flags and exception types moved."""
-    within = compared = counts = counts_and_tol = 0
+    within = compared = counts = counts_and_tol = last_bits = 0
+    largest = 0.0
     flags, kinds = [], []
     for key in differing:
         if key not in old or key not in new:
@@ -345,6 +394,10 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
                 _EVALUATIONS.sub("evaluations=_", new[key]))
         counts += a == b
         counts_and_tol += a != b and _SPEC_TOL.sub("tol=_", a) == _SPEC_TOL.sub("tol=_", b)
+        moves = _last_bit_moves(key, old[key], new[key])
+        if moves and max(moves) <= _LAST_BITS_REL:
+            last_bits += len(moves)
+            largest = max(largest, *moves)
         a, b = _facts(key, old[key]), _facts(key, new[key])
         if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
             for (text_a, va, ea, ca), (text_b, vb, eb, cb) in zip(a, b):
@@ -360,6 +413,9 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
                 kinds.append(f"{key}: {a} -> {b}")
     print(f"{counts} differing outcomes differ only in evaluations, {counts_and_tol} "
           f"more only in evaluations and the spec's tol")
+    print(f"{last_bits} differing results differ only in err_estimate, tol_effective "
+          f"and the spec's tol, each by at most {_LAST_BITS_REL:g} relative; the "
+          f"largest move is {largest:.2e}")
     print(f"{within} of {compared} differing values lie within the sum of their "
           f"err_estimates; {len(flags)} converged flags and {len(kinds)} "
           f"exception types changed")
