@@ -200,29 +200,29 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     outcomes: list = list(points)
     # Per point (index, slot, conjugated): the slot of ``lines`` it reads.
     reads, slots, lines = [], {}, []
+    todo, zs, sigmas, truncs = [], [], [], []
     for index, z in enumerate(points):
         if isinstance(z, UnigammaError):
             continue
         flip = z.imag < 0.0
         if flip:
             z = z.conjugate()
-        slot = slots.setdefault(
-            (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)), len(lines))
-        if slot == len(lines):
-            lines.append(z)
+        key = (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(lines)
+            sig = default_sigma(z) if sigma is None else sigma
+            try:
+                trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
+            except UnigammaError as exc:
+                lines.append(exc)
+            else:
+                lines.append(None)
+                todo.append(slot)
+                zs.append(z)
+                sigmas.append(sig)
+                truncs.append(trunc)
         reads.append((index, slot, flip))
-    todo, zs, sigmas, truncs = [], [], [], []
-    for slot, z in enumerate(lines):
-        sig = default_sigma(z) if sigma is None else sigma
-        try:
-            trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
-        except UnigammaError as exc:
-            lines[slot] = exc
-            continue
-        todo.append(slot)
-        zs.append(z)
-        sigmas.append(sig)
-        truncs.append(trunc)
     # ``rows`` is one point's index, or per-node indices for many points;
     # lists hand a lone point its scalars without numpy scalar boxing.
     z_of, sigma_of = zs, sigmas

@@ -30,7 +30,7 @@ differences up: how many differing results differ only in ``evaluations``
 (and in the ``tol`` their spec records); how many differing results (an
 outcome, or a row of a grid CSV) differ only in ``err_estimate``,
 ``tol_effective`` and the spec's ``tol``, each by at most 1e-15 relative,
-and the largest such move; of the differing values where both sides
+and the largest such move; of the values that changed where both sides
 returned (results and grid rows), how many lie within the sum of the two
 ``err_estimate``s; and how many ``converged`` flags and exception types
 changed, naming the first few.  Writes only to a temporary directory.
@@ -403,8 +403,9 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
             for (text_a, va, ea, ca), (text_b, vb, eb, cb) in zip(a, b):
                 if text_a == text_b:
                     continue
-                compared += 1
-                within += abs(va - vb) <= ea + eb
+                if va != vb:
+                    compared += 1
+                    within += abs(va - vb) <= ea + eb
                 if ca != cb:
                     flags.append(f"{key}: converged {ca} -> {cb}")
         elif isinstance(a, str) or isinstance(b, str):
@@ -416,7 +417,7 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
     print(f"{last_bits} differing results differ only in err_estimate, tol_effective "
           f"and the spec's tol, each by at most {_LAST_BITS_REL:g} relative; the "
           f"largest move is {largest:.2e}")
-    print(f"{within} of {compared} differing values lie within the sum of their "
+    print(f"{within} of {compared} changed values lie within the sum of their "
           f"err_estimates; {len(flags)} converged flags and {len(kinds)} "
           f"exception types changed")
     for line in (flags + kinds)[:SHOW]:
