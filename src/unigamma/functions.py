@@ -184,7 +184,8 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the result at conj z.  A node error names the first non-finite node of
     the point's own line, the mirror of the last one of the line integrated.
     Points equal bit for bit after that, 0.0 told from -0.0, are integrated
-    once.
+    once.  A lone point skips that sharing table and its lists: one line,
+    its kernels called on its own z and sigma, scalars.
     """
     try:
         _check_tol(tol)
@@ -197,6 +198,23 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     log_weight = any(lw for _, lw in kernels)
     line_tol = (1.0 - _TAIL_SHARE) * tol
     tail_tol = max(0.5 * _TAIL_SHARE * tol, math.ulp(0.0))
+    if len(points) == 1:
+        (z,) = points
+        if isinstance(z, UnigammaError):
+            return [z]
+        flip = z.imag < 0.0
+        z = z.conjugate() if flip else z
+        sig = default_sigma(z) if sigma is None else sigma
+        try:
+            trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
+        except UnigammaError as exc:
+            return [exc]
+        (quads,) = _trapezoid_joint(
+            [lambda t, _, fn=fn: fn(z, sig, t) for fn in fns],
+            [_window_grid(trunc.lower, trunc.upper, _T_GRID)], line_tol, max_refinements,
+            noise=[_phase_noise(z, sig, trunc)])
+        return [_read(quads if isinstance(quads, UnigammaError) else (sig, trunc, quads),
+                      flip, line_tol, max_refinements)]
     outcomes: list = list(points)
     # Per point (index, slot, conjugated): the slot of ``lines`` it reads.
     reads, slots, lines = [], {}, []
@@ -223,8 +241,8 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
                 sigmas.append(sig)
                 truncs.append(trunc)
         reads.append((index, slot, flip))
-    # ``rows`` is one point's index, or per-node indices for many points;
-    # lists hand a lone point its scalars without numpy scalar boxing.
+    # ``rows`` is one line's index, or per-node indices for many lines;
+    # lists hand one line its scalars without numpy scalar boxing.
     z_of, sigma_of = zs, sigmas
     if len(zs) > 1:
         z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
@@ -236,26 +254,32 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
     for index, slot, flip in reads:
-        line = lines[slot]
-        if isinstance(line, UnigammaError):
-            if flip and isinstance(line, QuadratureNodeError):
-                line = _nonfinite_node(line._mirror_node)
-            outcomes[index] = line
-            continue
-        sig, trunc, quads = line
-        # The heaviest kernel's tail bound, which covers the others'.
-        errs = [quad.err_estimate + trunc.tail for quad in quads]
-        converged = all(_gate(quad, trunc.capped, line_tol, abs(quad.value))
-                        for quad in quads)
-        spec = ContourSpec(sigma=sig, half_width=max(sig, trunc.half_width),
-                           step=quads[0].step_used, tol=max(q.tol_effective for q in quads),
-                           max_refinements=max_refinements,
-                           window=(-trunc.upper, -trunc.lower) if flip
-                           else (trunc.lower, trunc.upper))
-        outcomes[index] = _Line(
-            [quad.value.conjugate() if flip else quad.value for quad in quads], errs,
-            spec, converged, sum(quad.evaluations for quad in quads))
+        outcomes[index] = _read(lines[slot], flip, line_tol, max_refinements)
     return outcomes
+
+
+def _read(line, flip: bool, line_tol: float, max_refinements: int):
+    """A point's ``_Line`` from the quadrature of its line point, a ``(sigma,
+    truncation, results)`` triple, or its UnigammaError; conjugated where
+    ``flip``."""
+    if isinstance(line, UnigammaError):
+        if flip and isinstance(line, QuadratureNodeError):
+            line = _nonfinite_node(line._mirror_node)
+        return line
+    sig, trunc, quads = line
+    values, errs, converged, tol, evaluations = [], [], True, 0.0, 0
+    for quad in quads:
+        values.append(quad.value.conjugate() if flip else quad.value)
+        # The heaviest kernel's tail bound, which covers the others'.
+        errs.append(quad.err_estimate + trunc.tail)
+        converged = converged and _gate(quad, trunc.capped, line_tol, abs(quad.value))
+        tol = max(tol, quad.tol_effective)
+        evaluations += quad.evaluations
+    spec = ContourSpec(sigma=sig, half_width=max(sig, trunc.half_width),
+                       step=quads[0].step_used, tol=tol, max_refinements=max_refinements,
+                       window=(-trunc.upper, -trunc.lower) if flip
+                       else (trunc.lower, trunc.upper))
+    return _Line(values, errs, spec, converged, evaluations)
 
 
 _G_LINE = (("g_integrand", False),)
@@ -337,7 +361,8 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     EvalResult of each point or the UnigammaError its one-point call
     raises; a failing point does not stop the others.  The options are
     checked once per call, and a bad one is the error of every point whose
-    z is valid.  The one-point functions are this call on one point.
+    z is valid.  A one-point function returns or raises this call's
+    outcome on its one point, by ``_lines`` without this call's lists.
     Points are refined together, in chunks, one kernel call per halving
     level; values on more than one point may differ in the last bits from
     the one-point values (see ``integrands``) and stay within
@@ -375,11 +400,15 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     return outcomes
 
 
-def _one(function: str, z, **options) -> EvalResult:
-    (outcome,) = evaluate_many(function, (z,), **options)
-    if isinstance(outcome, UnigammaError):
-        raise outcome
-    return outcome
+def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
+         max_refinements: int = 12) -> EvalResult:
+    """``evaluate_many`` of one point, its outcome returned or raised."""
+    line_point, kernels, result = _ENGINE[function]
+    z = _check_point(z)
+    (line,) = _lines((line_point(z),), kernels, sigma, tol, max_refinements)
+    if isinstance(line, UnigammaError):
+        raise line
+    return result(z, line)
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,

@@ -112,7 +112,12 @@ def _wpow_parts(cr, ci, u, theta, log_u=None):
 
 
 def _assemble(mag, ph):
-    return mag * np.cos(ph) + 1j * (mag * np.sin(ph))
+    if not isinstance(ph, np.ndarray):
+        return mag * np.cos(ph) + 1j * (mag * np.sin(ph))
+    out = np.empty(ph.shape, dtype=complex)     # each part in place, no temporaries
+    np.multiply(mag, np.cos(ph), out=out.real)
+    np.multiply(mag, np.sin(ph), out=out.imag)
+    return out
 
 
 def principal_power(w, a) -> complex:
@@ -141,11 +146,12 @@ def _g_line(z, sigma, t, log_weight: bool):
     z = _check_complex("z", z)
     sigma = _check_sigma(sigma)
     t = _check_t(t)
-    u, theta = sigma * sigma + t * t, np.arctan2(t, sigma)
+    t_sq = t * t
+    u, theta = sigma * sigma + t_sq, np.arctan2(t, sigma)
     log_u = np.log(u) if log_weight else None
     mag, ph = _wpow_parts(1.0 - 2.0 * z.real, -2.0 * z.imag, u, theta, log_u)
     # e^{w^2}: magnitude e^{sigma^2 - t^2}, phase 2*sigma*t.
-    out = _assemble(mag * np.exp(sigma * sigma - t * t), ph + 2.0 * sigma * t)
+    out = _assemble(mag * np.exp(sigma * sigma - t_sq), ph + 2.0 * sigma * t)
     if log_weight:
         out = out * (log_u + 2j * theta)
     return out if isinstance(out, np.ndarray) else complex(out)

@@ -507,15 +507,14 @@ def _exact_sums(values: np.ndarray, slots: np.ndarray | None = None,
 
 
 # Kept terms, over all the points of a refinement pass, below which the pass
-# goes to math.fsum rather than the bins (_pass_sums).  A bin pass costs
-# about 35 us whatever the length (some 30 numpy calls) plus about 0.025 us
-# a term; fsum about 0.3 us a term on the G line's values, whose magnitudes
-# span some 130 bits.  Measured on plane-mix's values (2-core x86_64 VM,
-# Python 3.11, numpy 2.4), a whole level of terms: 200-250 terms take 61 us
-# by fsum and 60 us binned, 600-800 terms 235 us against 54 us.  Per
-# plane-mix operation (600 of them, min of 5 runs each), the median took
-# 307 us with fsum alone, 285 us binned alone, 271-274 us with this cutover
-# at 192-256 and 285 us at 320.
+# goes to math.fsum rather than the bins (_pass_sums).  A bin pass costs some
+# 50-80 us whatever its length; fsum about 0.2 us a term.  Measured on one
+# G-line point's level-1 pass (2-core x86_64 VM, Python 3.11, numpy 2.4),
+# fsum took 25-27 us against 53-76 us binned at 101 terms and 135-203 us
+# against 67-104 us at 801; they crossed between 250 and 400 terms.  Over
+# 1,200 plane-mix operations, each timed under every cutover in turn (min of
+# 3), the mean took 38% longer binned alone, 10% at 128 and 2% at 192 than
+# at this cutover, and from 256 up to fsum alone moved by at most 1.2%.
 _FSUM_TERMS = 256
 
 
@@ -578,9 +577,9 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
     ``_mirror_node`` is the node that the mirror image of the line, t -> -t,
     would name: the negation of the last such node.
     """
+    if all(cmath.isfinite(np.add.reduce(new)) for new in news):
+        return None         # a finite sum has no non-finite term
     finite = [np.isfinite(new) for new in news]
-    if all(ok.all() for ok in finite):
-        return None
     looks = (slice(None, None, 2), slice(None)) if level == 1 else (slice(None),)
     for look in looks:
         for ok in finite:
@@ -613,7 +612,7 @@ class _Point:
         # integrand, once the bins sum this point; None before and after fsum.
         self.exact: list[int] | None = None
         self.sums = [0j] * count
-        self.rows: list[list[complex]] = [[] for _ in range(count)]
+        self.rows: list[list[complex]] = [[]] * count     # replaced, never changed
 
     def step(self, level: int) -> float:
         return math.ldexp(self.grid.step, -level)
@@ -640,7 +639,7 @@ class _Point:
         if level == 1:
             self.values = [new.copy() for new in news]
             for terms in self.values:
-                terms[[0, -1]] *= 0.5
+                terms[::terms.size - 1] *= 0.5      # its two ends
             return self.values
         for i, new in enumerate(news):
             merged = np.empty(2 * new.size + 1, dtype=complex)
@@ -662,10 +661,12 @@ class _Point:
         level this step settles; drops the running sum, so the next bin
         pass takes every kept term."""
         self.exact = None
-        levels = [[v[0::2] for v in self.values]] if level == 1 else []
-        return [[total for v in terms
-                 for total in (fsum(v.real.tolist()), fsum(v.imag.tolist()))]
-                for terms in levels + [self.values]]
+        sums = []
+        for terms in ([v[0::2] for v in self.values], self.values) if level == 1 else (self.values,):
+            sums.append([])
+            for v in terms:
+                sums[-1] += fsum(v.real.tolist()), fsum(v.imag.tolist())
+        return sums
 
     def settle(self, sums: list[list[float]], level: int, max_refinements: int):
         """Take the sums of the levels this step settles; the outcome once the point stops.
@@ -686,25 +687,19 @@ class _Point:
                 self.sums.append(total)
         if callable(self.tol):      # the first step: ``last`` holds level 0's values
             self.tol = self.tol(last[0])
-        diffs = [abs(total - previous) for total, previous in zip(self.sums, last)]
-        floors = [self.floor * (step * float(np.add.reduce(np.abs(values))))
-                  for values in self.values]
-        tol_eff = [max(self.tol, floor) for floor in floors]
-        done = all(d <= _RICHARDSON_MARGIN * te for d, te in zip(diffs, tol_eff))
+        checks, done = [], True
+        for total, previous, values in zip(self.sums, last, self.values):
+            diff = abs(total - previous)
+            floor = self.floor * (step * float(np.add.reduce(np.abs(values))))
+            tol_eff = max(self.tol, floor)
+            converged = diff <= _RICHARDSON_MARGIN * tol_eff
+            done = done and converged
+            checks.append((total, max(diff, floor), converged, tol_eff))
         if not done and level < max_refinements:
             return None
         evaluations = self.values[0].size
-        return [
-            QuadratureResult(
-                value=total,
-                err_estimate=max(diff, floor),
-                evaluations=evaluations,
-                converged=diff <= _RICHARDSON_MARGIN * te,
-                step_used=step,
-                tol_effective=te,
-            )
-            for total, diff, floor, te in zip(self.sums, diffs, floors, tol_eff)
-        ]
+        return [QuadratureResult(total, err, evaluations, converged, step, tol_eff)
+                for total, err, converged, tol_eff in checks]
 
 
 def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
@@ -713,9 +708,10 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
     ``_FSUM_TERMS`` kept terms in all, else by one ``_exact_sums`` pass per
     integrand, a slot per point (on level 1 two: the even and the odd k).  A
     binned point adds its new terms to its running sum, or all its kept ones
-    where it has none (level 1, or after fsum).  Both routes give the same bits.
+    where it has none (level 1, or after fsum).  Both routes give the same
+    bits.  A pass whose points have all failed sums nothing.
     """
-    if sum([point.values[0].size for _, point, _ in kept]) < _FSUM_TERMS:
+    if not kept or sum([point.values[0].size for _, point, _ in kept]) < _FSUM_TERMS:
         return [point.fsum_levels(level) for _, point, _ in kept]
     binned = [point.values if point.exact is None else terms for _, point, terms in kept]
     per = 2 if level == 1 else 1
@@ -739,22 +735,30 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
     Each pass is one level, level 1's first (it settles levels 0 and 1): one
     kernel call per integrand on the new nodes of the points still refining,
     then one ``_pass_sums`` over those whose nodes are all finite.  A chunk
-    of one point hands the kernel its nodes and its index as ``rows``:
-    scalars, and none of the joining and splitting, which cost about 5% of
-    a small integral.
+    of one point takes the same steps without the per-pass lists: it hands
+    the kernel its nodes and its index as ``rows``, scalars, and none of the
+    joining and splitting, which cost about 5% of a small integral.
     """
-    alone, level = len(points) == 1, 1
+    if len(points) == 1:
+        ((p, point),) = points.items()
+        for level in itertools.count(1):
+            nodes = point.next_nodes(level)
+            news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
+            outcome = _node_error(nodes, news, level)
+            if outcome is None:
+                (sums,) = _pass_sums(((p, point, point.keep(news, level)),), level)
+                outcome = point.settle(sums, level, max_refinements)
+            if outcome is not None:
+                outcomes[p] = outcome
+                return
+    level = 1
     while points:
         active = list(points.items())
         nodes = [point.next_nodes(level) for _, point in active]
-        if alone:           # rows: the index of the chunk's one point
-            parts = ([np.asarray(f(nodes[0], active[0][0]), dtype=complex) for f in fs],)
-        else:
-            sizes = [block.size for block in nodes]
-            t, rows = np.concatenate(nodes), np.repeat([p for p, _ in active], sizes)
-            cuts = list(itertools.accumulate(sizes[:-1]))
-            parts = zip(*(np.split(np.asarray(f(t, rows), dtype=complex), cuts)
-                          for f in fs))
+        sizes = [block.size for block in nodes]
+        t, rows = np.concatenate(nodes), np.repeat([p for p, _ in active], sizes)
+        cuts = list(itertools.accumulate(sizes[:-1]))
+        parts = zip(*(np.split(np.asarray(f(t, rows), dtype=complex), cuts) for f in fs))
         kept = []
         for (p, point), block, part in zip(active, nodes, parts):
             error = _node_error(block, part, level)
@@ -800,11 +804,12 @@ def _trapezoid_joint(
     for integrands whose interval ends carry Euler-Maclaurin terms in h^2.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
-    nodes, one point as a chunk of one, all by one loop (``_refine_chunk``).
-    Each refinement step calls each integrand once as ``f(t, rows)`` on the
-    new nodes of the chunk's points still refining, concatenated in point
-    order: ``rows`` is the point's index in a chunk of one point, else an
-    array naming the point of every node.  Each point keeps its own terms,
+    nodes, one grid as a chunk of one, by the same steps (``_refine_chunk``,
+    whose chunk of one builds no per-pass lists).  Each refinement step
+    calls each integrand once as ``f(t, rows)`` on the new nodes of the
+    chunk's points still refining, concatenated in point order: ``rows`` is
+    the point's index in a chunk of one point, else an array naming the
+    point of every node.  Each point keeps its own terms,
     exact sums, roundoff floor and Richardson stop, so its result does not
     depend on its chunk-mates beyond the bits of the kernel layout.  One
     summation pass per step (``_pass_sums``) sums the terms of them all,
@@ -819,7 +824,7 @@ def _trapezoid_joint(
         noise = [1.0] * len(grids)
     outcomes: list = [None] * len(grids)
     with np.errstate(all="ignore"):
-        for chunk in _chunks(grids):
+        for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
             _refine_chunk(fs, {p: _Point(grids[p], tol, len(fs), noise[p], romberg)
                                for p in chunk}, outcomes, max_refinements)
     return outcomes

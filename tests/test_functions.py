@@ -29,7 +29,7 @@ from unigamma import (
     laplace_recip_gamma,
     recip_gamma,
 )
-from unigamma import functions, integrands
+from unigamma import functions, integrands, quadrature
 from unigamma.functions import _TAIL_SHARE
 
 SQRT_PI = math.sqrt(math.pi)
@@ -586,9 +586,9 @@ class TestEvaluateMany:
                  "gamma_sin_pi": gamma_sin_pi, "digamma": digamma}
 
     @staticmethod
-    def _one_point(fn, z):
+    def _one_point(fn, z, **options):
         try:
-            return fn(z)
+            return fn(z, **options)
         except (PoleError, QuadratureNodeError, DomainError) as exc:
             return exc
 
@@ -635,6 +635,12 @@ class TestEvaluateMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outcomes = evaluate_many("recip_gamma", [-150.3, -151.7])
+        assert [type(outcome) for outcome in outcomes] == [QuadratureNodeError] * 2
+
+    def test_pass_with_every_point_failed_sums_nothing(self, monkeypatch):
+        # With the fsum cutover at 0 every pass is binned, the empty one too.
+        monkeypatch.setattr(quadrature, "_FSUM_TERMS", 0)
+        outcomes = evaluate_many("recip_gamma", [-120.3, -130.3])
         assert [type(outcome) for outcome in outcomes] == [QuadratureNodeError] * 2
 
     def test_rejects_unknown_function(self):
@@ -769,6 +775,77 @@ class TestConjugateSharing:
         assert lines == [861]
         assert sum(sizes) == sum(out.evaluations for z, out in zip(points, outcomes)
                                  if z.imag >= 0.0)
+
+
+class TestLonePoint:
+    """A one-point call takes its own path past evaluate_many's lists, to the same outcome."""
+
+    ONE_POINT = TestConjugateSharing.ONE_POINT
+    # The input whose G-line point is w, per function.
+    FROM_LINE = {"g_tilde": lambda w: 2.0 * w - 1.0, "gamma_sin_pi": lambda w: 1.0 - w}
+
+    @staticmethod
+    def _described(outcome) -> str:
+        if isinstance(outcome, Exception):
+            return f"{type(outcome).__name__}: {outcome}"
+        return repr(outcome)
+
+    @pytest.mark.parametrize("name", sorted(ONE_POINT))
+    def test_matches_evaluate_many_of_that_point(self, name):
+        rng = random.Random(2121)
+        sample = TestConjugateSharing._sample()
+        sample += [complex(rng.uniform(18, 40), rng.uniform(-3, 3)) for _ in range(3)]
+        sample += [complex(2.5, 0.0), complex(2.5, -0.0), complex(-3.5, -0.0),
+                   complex(0.0, -0.0), complex(-0.0, 2.0)]
+        to_input = self.FROM_LINE.get(name, lambda w: w)
+        far_left = [to_input(w) for w in (-120.3 - 0.5j, -139.25 - 1.5j)]
+        fn = self.ONE_POINT[name]
+        for z in sample + far_left:
+            for options in ({}, {"tol": 1e-9, "max_refinements": 3}):
+                one = self._described(TestEvaluateMany._one_point(fn, z, **options))
+                # A duplicate is integrated once, with the lone layout, but
+                # through the batch's sharing table.
+                many = evaluate_many(name, [z], **options) + evaluate_many(name, [z, z], **options)
+                assert [self._described(out) for out in many] == [one] * 3, (name, z, options)
+        for z in far_left:      # the mirrored line's node text
+            assert isinstance(TestEvaluateMany._one_point(fn, z), QuadratureNodeError), (name, z)
+
+    @pytest.mark.parametrize("name", sorted(ONE_POINT))
+    @pytest.mark.parametrize("z", ["abc", complex("nan"), math.inf])
+    def test_bad_point_error_wins_over_bad_options(self, name, z):
+        fn = self.ONE_POINT[name]
+        with pytest.raises(DomainError) as raised:
+            fn(z, tol=-1.0, sigma="x")
+        (many,) = evaluate_many(name, [z], tol=-1.0, sigma="x")
+        assert str(raised.value) == str(many)
+        assert str(many).startswith("z must be")
+
+    @pytest.mark.parametrize("z", [0.5 + 3j, 7.2 - 9j, -3.3 + 0.2j])
+    def test_keeps_the_lookups_tracers_wrap(self, z, monkeypatch):
+        # bench/spans.py wraps these module attributes; a one-point digamma
+        # must still call through each of them.
+        calls, nodes = [], []
+        select, joint = functions.select_truncation, functions._trapezoid_joint
+
+        def spying(name, fn, count_nodes=False):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                if count_nodes:
+                    nodes.append(np.size(args[2]))
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(functions, "select_truncation",
+                            spying("select_truncation", select))
+        monkeypatch.setattr(functions, "_trapezoid_joint", spying("_trapezoid_joint", joint))
+        for kernel in ("g_integrand", "g_log_integrand"):
+            monkeypatch.setattr(integrands, kernel,
+                                spying(kernel, getattr(integrands, kernel), True))
+        res = digamma(z)
+        assert calls.count("select_truncation") == 1
+        assert calls.count("_trapezoid_joint") == 1
+        assert calls.count("g_integrand") == calls.count("g_log_integrand") >= 1
+        assert sum(nodes) == res.evaluations
 
 
 def test_malformed_point_raises_domain_error():
