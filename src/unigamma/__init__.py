@@ -5,8 +5,10 @@ Everything here is computed from one object — the integral of
 which equals ``pi / Gamma(z)`` for every complex ``z`` and any abscissa
 ``sigma > 0``.  Because the integral is entire in ``z``, the reciprocal
 gamma function, ``Gamma(z)*sin(pi*z)``, the digamma function, and the
-Euler-Mascheroni constant all come out of the same quadrature engine
-with no reflection-formula case splits.
+Euler-Mascheroni constant all come out of the same quadrature engine.
+The paper's own reflection, ``G(z) G(1 - z) = pi sin(pi z)``, lets the
+derived functions read a left-half-plane point from the line at ``1 - z``,
+which does not cancel; :func:`G` itself is always the direct line.
 
 Public surface:
 

@@ -14,12 +14,26 @@ tolerance is small enough to honor the documented accuracy box (1e-9
 relative, 1e-6 absolute near the zeros on Re z in [-15, 15], |Im z| <= 100).
 The box says where accuracy is promised, not where the flag goes false:
 ``recip_gamma(30)``, outside it, is accurate and returns ``converged=True``.
+
+Left of Re w = 1/2 the line at a point w cancels toward the zeros of 1/Gamma,
+while the line at m = 1 - w sits on its saddle and does not.  So
+``recip_gamma``, ``gamma``, ``gamma_sin_pi`` and ``digamma`` read a line
+point w with Re w < 1/2 from the line at m, by the paper's
+G(w) G(1 - w) = pi sin(pi w), wherever m's saddle abscissa Re sqrt(m - 1/2)
+is below the sigma cap of 8 (Re w > -63.5 on the real axis), and no sigma
+is forced: G(w) = pi sin(pi w)/G(m), with sin taken from the reduced
+argument w - round(w), and psi(z) = psi(1 - z) - pi cot(pi z).  ``G``,
+``g_tilde`` and a forced sigma keep the direct line, the paper's
+definition.  A mirrored result's ``spec_used`` and ``evaluations`` are those
+of the line at m, and its ``err_estimate`` adds the rounding of sin, cot and
+the division to that line's error, carried over.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -69,6 +83,11 @@ POLE_TOL = 1e-12
 # value, returned as such.
 _POLE_REACH = 1e-3
 
+# The largest abscissa a default line takes; the mirror reads a point only
+# from a line whose saddle lies below it.
+_SIGMA_CAP = 8.0
+_EPS = sys.float_info.epsilon
+
 # Documented accuracy box: promises used by the convergence gate.
 _ABS_PROMISE = 1e-6
 _REL_PROMISE = 1e-9
@@ -112,11 +131,13 @@ def default_sigma(z) -> float:
     (sigma^2+t^2)^p e^{sigma^2} (p = 1/2 - Re z), so the roundoff floor is
     proportional to roughly e^{2 sigma^2}; shrinking sigma keeps it orders
     of magnitude below the values' 1e-9 scale.  On the real axis the floor
-    wins wherever Re z <= 1.5, the saddle beyond.
+    wins wherever Re z <= 1.5, the saddle beyond.  The public functions take
+    the left branch only where they keep the direct line: ``G``, ``g_tilde``,
+    a forced sigma, and past the mirror's reach (see the module docstring).
     """
     z = complex(z)
     floor = max(0.1, 1.0 / math.sqrt(-z.real)) if z.real < -1.0 else 1.0
-    return min(8.0, max(floor, cmath.sqrt(z - 0.5).real))
+    return min(_SIGMA_CAP, max(floor, cmath.sqrt(z - 0.5).real))
 
 
 def _gate(quad: QuadratureResult, capped: bool, tol: float,
@@ -160,9 +181,12 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     """Integrate each ``(kernel name, log_weight)`` along the G line at each point.
 
     ``points`` are the line's z values, or the UnigammaError a point has
-    already met, which is passed through.  ``tol``, ``sigma`` and
-    ``max_refinements`` are checked once per call; a bad one is the outcome
-    of every other point.  Each window is sized for the heaviest kernel,
+    already met, which is passed through.  A point the public functions
+    read from the line at 1 - w comes here as 1 - w, like any other line
+    point, so it shares lines with the points that integrate 1 - w.
+    ``tol``, ``sigma`` and ``max_refinements`` are checked once per call;
+    a bad one is the outcome of every other point.  Each window is sized
+    for the heaviest kernel,
     each side's tail to half the tail share of tol (never below the least
     positive double), or less where ``select_truncation`` caps it against
     the integrand's magnitude at the saddle height.  The start step is
@@ -341,14 +365,132 @@ def _digamma_result(z: complex, line: _Line) -> EvalResult:
     return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
 
 
-# name: (the point of the G line for input z, its kernels, the result).
+def _mirrors(w: complex) -> bool:
+    """Whether line point ``w`` is read from the line at m = 1 - w: it lies
+    left of Re w = 1/2, and m's saddle abscissa Re sqrt(m - 1/2) is below
+    the sigma cap, so the line at m sits on its saddle."""
+    return w.real < 0.5 and cmath.sqrt(0.5 - w).real < _SIGMA_CAP
+
+
+def _sin_cos_pi(w: complex) -> tuple[complex, complex, float]:
+    """sin(pi w) and cos(pi w) from the reduced argument r = w - round(Re w),
+    which is exact, and the error bound eps |pi r| on the rounded pi r."""
+    n = round(w.real)
+    x = math.pi * complex(w.real - n, w.imag)
+    s, c = cmath.sin(x), cmath.cos(x)
+    return (-s, -c, _EPS * abs(x)) if n % 2 else (s, c, _EPS * abs(x))
+
+
+def _g_mirrored(g_m: complex, err_m: float, s: complex, c: complex,
+                dx: float) -> tuple[complex, float]:
+    """G(w) = pi sin(pi w)/G(m) and its error bound, from G(m) within
+    ``err_m`` and sin(pi w), cos(pi w) at an argument within ``dx``.
+
+    sin's error is the argument's through its slope cos plus 4 ulps of its
+    own; dividing by a G(m) known within err_m adds at most
+    |sin| err_m/|G(m)| to it before the division by |G(m)| - err_m; the
+    product and the quotient round once each.
+    """
+    mag_m = abs(g_m)
+    g_w = math.pi * s / g_m
+    room = mag_m - err_m
+    err_s = dx * abs(c) + 4.0 * _EPS * abs(s)
+    err = (math.pi * (err_s + abs(s) * err_m / mag_m) / room if room > 0.0
+           else math.inf)
+    return g_w, err + 2.0 * _EPS * abs(g_w)
+
+
+def _mirror_offset(w: complex) -> tuple[complex, float]:
+    """The line point m = 1 - w as rounded, and (1 - w) - m exactly.
+
+    The imaginary part is exact; the real part rounds where 1 - Re w leaves
+    the binade of Re w, by up to half an ulp of m (TwoSum gives the rest).
+    """
+    m = 1.0 - w
+    back = m.real - 1.0
+    return m, (1.0 - (m.real - back)) + (-w.real - back)
+
+
+def _g_one_minus(w: complex, g_m: complex, err_m: float) -> tuple[complex, float]:
+    """G(1 - w) and its error bound, from G(m) within ``err_m`` on the line
+    at m, the rounded 1 - w.
+
+    m misses 1 - w by delta, which moves G by -psi(m) delta relatively; a
+    first-order step with psi ~ Log m - 1/(2m) takes it back.  On Re m >= 1/2
+    that psi is within 1/(6 |m|^2) of the true one (Stirling's remainder),
+    and the step's second order is below its square.
+    """
+    m, delta = _mirror_offset(w)
+    if not delta:
+        return g_m, err_m
+    step = (cmath.log(m) - 0.5 / m) * delta
+    g = g_m * (1.0 - step)
+    return g, (err_m * abs(1.0 - step) + _EPS * abs(g)
+               + abs(g_m) * (abs(delta) / (6.0 * abs(m) ** 2) + abs(step) ** 2))
+
+
+def _reflected(result):
+    """``result`` of a point whose line point w is read from the line at 1 - w."""
+    def read(z: complex, w: complex, line: _Line) -> EvalResult:
+        (g_m,), (err_m,) = line.values, line.errs
+        g_w, err = _g_mirrored(*_g_one_minus(w, g_m, err_m), *_sin_cos_pi(w))
+        return result(z, line._replace(values=[g_w], errs=[err]))
+    return read
+
+
+def _gamma_reflected(z: complex, w: complex, line: _Line) -> EvalResult:
+    """Gamma(z) = G(1 - z)/sin(pi z), G(1 - z) from the line at m, the
+    rounded 1 - z; the pole guard reads G(z) rebuilt from it, and the value
+    skips pi/G(z), whose error term |G(z)|^2 overflows where Gamma(z) is
+    small."""
+    (g_m,), (err_m,) = line.values, line.errs
+    g, err_g = _g_one_minus(w, g_m, err_m)
+    s, c, dx = _sin_cos_pi(z)
+    g_z, err_z = _g_mirrored(g, err_g, s, c, dx)
+    _pole_guard("gamma", z, abs(g_z), err_z)
+    value = g / s
+    err = abs(value) * (err_g / abs(g) + dx * abs(c) / abs(s) + 5.0 * _EPS)
+    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+
+
+def _digamma_reflected(z: complex, w: complex, line: _Line) -> EvalResult:
+    """psi(z) = psi(1 - z) - pi cot(pi z), psi(1 - z) the ratio of the line
+    at m, the rounded 1 - z; the pole guard reads G(z) rebuilt from that
+    line's denominator.
+
+    m misses 1 - z by delta, which moves psi by psi'(m) delta, below
+    (1/|m| + 1/|m|^2) |delta| on Re m >= 1/2.  cot = cos/sin errs by the
+    argument's error over |sin|^2 and by the rounding of sin, cos and their
+    quotient (9 ulps of cot); times pi and the final subtraction round once
+    each.
+    """
+    (num, den), (err_num, err_den) = line.values, line.errs
+    s, c, dx = _sin_cos_pi(z)
+    g_z, err_g = _g_mirrored(*_g_one_minus(w, den, err_den), s, c, dx)
+    _pole_guard("digamma", z, abs(g_z), err_g)
+    m, delta = _mirror_offset(w)
+    den_mag = abs(den)
+    psi_m = num / den
+    pi_cot = math.pi * (c / s)
+    value = psi_m - pi_cot
+    err = ((err_num + abs(psi_m) * err_den) / den_mag
+           + abs(delta) * (1.0 + 1.0 / abs(m)) / abs(m)
+           + math.pi * dx / abs(s) / abs(s) + 10.0 * _EPS * abs(pi_cot)
+           + _EPS * abs(value))
+    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+
+
+# name: (the point of the G line for input z, its kernels, the result, and
+# the result read from the line at 1 - w where ``_mirrors`` takes the line
+# point w, or None where the direct line is kept).
 _ENGINE = {
-    "G": (lambda z: z, _G_LINE, _g_result),
-    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result),
-    "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result),
-    "gamma": (lambda z: z, _G_LINE, _gamma_result),
-    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result),
-    "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result),
+    "G": (lambda z: z, _G_LINE, _g_result, None),
+    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result, None),
+    "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result,
+                    _reflected(_recip_gamma_result)),
+    "gamma": (lambda z: z, _G_LINE, _gamma_result, _gamma_reflected),
+    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result, _reflected(_g_result)),
+    "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result, _digamma_reflected),
 }
 
 
@@ -368,32 +510,45 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     the one-point values (see ``integrands``) and stay within
     ``err_estimate`` of them.
 
-    Points share integrals.  Each point's G-line point w (z, (y + 1)/2 or
-    1 - z) is integrated at conj w when Im w < 0, and its result read back
-    conjugated, since G(conj w) = conj G(w); so two points whose line
-    points are conjugates or equal, bit for bit, are integrated once.  The
-    result at conj z is then exactly the conjugate of the result at z,
-    value conjugated and window mirrored, every other field equal, in a
-    batch or alone.  A signed-zero imaginary part is integrated as given.
+    Each point has a G-line point w: z, (y + 1)/2 or 1 - z.  Unless sigma
+    is forced, recip_gamma, gamma, gamma_sin_pi and digamma read a w left of
+    Re w = 1/2 from the line at 1 - w while that line's saddle abscissa is
+    below the sigma cap (see the module docstring); G and g_tilde always
+    integrate w.
+
+    Points share integrals.  The line integrated at a point (w, or 1 - w) is
+    integrated at its conjugate when its imaginary part is negative, and
+    read back conjugated, since G(conj w) = conj G(w); so two points whose
+    lines are conjugates or equal, bit for bit, are integrated once, and the
+    left half of a lattice symmetric about Re z = 1/2 reads the lines of its
+    right half.  The result at conj z is then exactly the conjugate of the
+    result at z, value conjugated and window mirrored, every other field
+    equal, in a batch or alone.  A signed-zero imaginary part is integrated
+    as given.
     """
     if function not in _ENGINE:
         raise DomainError(
             f"function must be one of {', '.join(_ENGINE)}; got {function!r}")
-    line_point, kernels, result = _ENGINE[function]
-    checked = []
+    line_point, kernels, result, reflected = _ENGINE[function]
+    mirror = reflected is not None and sigma is None
+    # Per point: its z, its line point w and whether it is read from the
+    # line at 1 - w; or its z's DomainError.
+    points = []
     for z in zs:
         try:
-            checked.append(_check_point(z))
+            z = _check_point(z)
         except DomainError as exc:
-            checked.append(exc)
-    lines = _lines([z if isinstance(z, UnigammaError) else line_point(z)
-                    for z in checked],
+            points.append((exc, exc, False))
+        else:
+            w = line_point(z)
+            points.append((z, w, mirror and _mirrors(w)))
+    lines = _lines([1.0 - w if mirrored else w for _, w, mirrored in points],
                    kernels, sigma, tol, max_refinements)
     outcomes = []
-    for z, line in zip(checked, lines):
+    for (z, w, mirrored), line in zip(points, lines):
         if not isinstance(line, UnigammaError):
             try:
-                line = result(z, line)
+                line = reflected(z, w, line) if mirrored else result(z, line)
             except UnigammaError as exc:
                 line = exc
         outcomes.append(line)
@@ -403,12 +558,14 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
 def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
          max_refinements: int = 12) -> EvalResult:
     """``evaluate_many`` of one point, its outcome returned or raised."""
-    line_point, kernels, result = _ENGINE[function]
+    line_point, kernels, result, reflected = _ENGINE[function]
     z = _check_point(z)
-    (line,) = _lines((line_point(z),), kernels, sigma, tol, max_refinements)
+    w = line_point(z)
+    mirrored = reflected is not None and sigma is None and _mirrors(w)
+    (line,) = _lines((1.0 - w if mirrored else w,), kernels, sigma, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    return result(z, line)
+    return reflected(z, w, line) if mirrored else result(z, line)
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,

@@ -108,6 +108,7 @@ _LOG_MAX = 709.0          # math.exp overflows just past 709.78
 _LOG_TAIL_REL = math.log(5e-16)
 # The least sigma whose square is a normal double; the kernels refuse less.
 _SIGMA_MIN = integrands._SIGMA_MIN
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,20 @@ class ContourSpec:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
+        # The all-valid case in one test, the same bounds as the checks
+        # below, which run only to name a failure.
+        try:
+            lower, upper = ((-self.half_width, self.half_width) if self.window is None
+                            else self.window)
+            if (_SIGMA_MIN <= self.sigma <= 8.0 and self.sigma <= self.half_width <= _MAX
+                    and 0.0 < self.step <= self.half_width
+                    and -self.half_width <= lower < upper <= self.half_width
+                    and self.step <= upper - lower and 0.0 < self.tol <= _MAX
+                    and 0.5 < self.max_refinements <= math.inf
+                    and self.max_refinements % 1 == 0):
+                return
+        except Exception:   # whatever it is, the checks below name it
+            pass
         _check_sigma(self.sigma)
         if not (_inside(self.half_width, sys.float_info.max)
                 and self.half_width >= self.sigma):
@@ -661,11 +676,13 @@ class _Point:
         level this step settles; drops the running sum, so the next bin
         pass takes every kept term."""
         self.exact = None
-        sums = []
-        for terms in ([v[0::2] for v in self.values], self.values) if level == 1 else (self.values,):
-            sums.append([])
-            for v in terms:
-                sums[-1] += fsum(v.real.tolist()), fsum(v.imag.tolist())
+        sums = [[], []] if level == 1 else [[]]
+        for v in self.values:
+            # Each part converted once; level 0 is its even terms.
+            re, im = v.real.tolist(), v.imag.tolist()
+            if level == 1:
+                sums[0] += fsum(re[0::2]), fsum(im[0::2])
+            sums[-1] += fsum(re), fsum(im)
         return sums
 
     def settle(self, sums: list[list[float]], level: int, max_refinements: int):

@@ -218,7 +218,14 @@ class TestGammaSinPi:
     @given(reasonable_z)
     @settings(max_examples=30, deadline=None)
     def test_is_g_at_reflected_point(self, z):
-        assert gamma_sin_pi(z).value == G(1 - z).value
+        # G(1 - z) bit for bit where its line point 1 - z keeps the direct
+        # line; right of Re z = 1/2 it is read from the line at z, within
+        # the two estimates of the direct line's value.
+        res, direct = gamma_sin_pi(z), G(1 - z)
+        if (1 - z).real >= 0.5:
+            assert res.value == direct.value
+        else:
+            assert abs(res.value - direct.value) <= res.err_estimate + direct.err_estimate
 
 
 class TestDigamma:
@@ -464,12 +471,124 @@ class TestHighImaginaryVerdict:
         assert abs(res.value - self._exact(mpmath, exact, z)) <= res.err_estimate
 
     def test_roundoff_floor_still_flags(self):
+        # The direct line near a zero at Re z <= -12 flags; recip_gamma reads
+        # the point from the line at 1 - z, which does not cancel.
         mpmath = pytest.importorskip("mpmath")
         z = -15 + 4e-8j
-        res = recip_gamma(z)
         want = self._exact(mpmath, mpmath.rgamma, z)
-        assert not res.converged
-        assert abs(res.value - want) > 1e-9 * abs(want)
+        direct = G(z)
+        assert not direct.converged
+        assert abs(direct.value / math.pi - want) > 1e-9 * abs(want)
+        res = recip_gamma(z)
+        assert res.converged
+        assert abs(res.value - want) <= min(res.err_estimate, 1e-9 * abs(want))
+
+
+class TestMirror:
+    """Left of Re w = 1/2 a line point w is read from the line at 1 - w.
+
+    G(w) = pi sin(pi w)/G(1 - w) and psi(z) = psi(1 - z) - pi cot(pi z), while
+    1 - w's saddle abscissa is below the sigma cap; G, g_tilde and a forced
+    sigma keep the direct line.
+    """
+
+    @staticmethod
+    def _exact(mpmath, name, z):
+        with mpmath.workdps(30):
+            w = mpmath.mpc(z.real, z.imag)
+            return complex({"recip_gamma": mpmath.rgamma, "gamma": mpmath.gamma,
+                            "digamma": mpmath.digamma,
+                            "gamma_sin_pi": lambda x: mpmath.pi * mpmath.rgamma(1 - x),
+                            }[name](w))
+
+    @pytest.mark.parametrize("name, z", [
+        ("recip_gamma", -13.0000001),
+        ("gamma_sin_pi", 14.0000001),
+        ("recip_gamma", -15 + 4e-8j),
+    ])
+    def test_points_near_deep_zeros_converge(self, name, z):
+        mpmath = pytest.importorskip("mpmath")
+        want = self._exact(mpmath, name, complex(z))
+        res = getattr(functions, name)(z)
+        assert res.converged
+        assert abs(res.value - want) <= min(res.err_estimate, 1e-9 * abs(want))
+
+    @pytest.mark.parametrize("name", ["recip_gamma", "gamma_sin_pi"])
+    def test_near_zero_points_converge_within_estimate(self, name):
+        # Within 1e-12..1e-3 of the zeros 0..-15 of 1/Gamma, resp. 1..16 of
+        # Gamma sin(pi z), the make-up of plane-mix's near-zero slice.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2201)
+        for _ in range(60):
+            centre = -rng.randrange(16) if name == "recip_gamma" else rng.randint(1, 16)
+            z = centre + 10.0 ** rng.uniform(-12.0, -3.0) * cmath.exp(
+                1j * rng.uniform(0.0, 2.0 * math.pi))
+            res = getattr(functions, name)(z)
+            want = self._exact(mpmath, name, z)
+            assert res.converged, z
+            assert abs(res.value - want) <= res.err_estimate, z
+            assert abs(res.value - want) <= max(1e-9 * abs(want), 1e-6), z
+
+    def test_digamma_left_points_within_estimate(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2202)
+        for _ in range(60):
+            z = complex(rng.uniform(-60.0, 0.5), rng.uniform(-40.0, 40.0))
+            if abs(z - round(z.real)) < 1e-3:
+                continue
+            res = digamma(z)
+            assert res.converged, z
+            assert abs(res.value - self._exact(mpmath, "digamma", z)) <= res.err_estimate, z
+
+    def test_left_points_within_estimate(self):
+        # Including Re w where 1 - w rounds (it leaves the binade of w).
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2203)
+        for _ in range(40):
+            z = complex(rng.uniform(-63.0, 0.5), rng.uniform(-30.0, 30.0))
+            for name in ("recip_gamma", "gamma", "gamma_sin_pi"):
+                x = 1.0 - z if name == "gamma_sin_pi" else z
+                res = getattr(functions, name)(x)
+                assert res.converged, (name, x)
+                assert abs(res.value - self._exact(mpmath, name, x)) <= res.err_estimate, (
+                    name, x)
+
+    @pytest.mark.parametrize("name", ["gamma", "digamma"])
+    @pytest.mark.parametrize("z", [0, -3, -17, -40, -3 + 1e-14j])
+    def test_poles_still_raise(self, name, z):
+        with pytest.raises(PoleError, match=f"nearest pole at z = {round(complex(z).real)}$"):
+            getattr(functions, name)(z)
+
+    @pytest.mark.parametrize("name", ["recip_gamma", "gamma", "gamma_sin_pi", "digamma"])
+    def test_mirror_reach(self, name):
+        # Re sqrt(m - 1/2) < 8 for the line point m = 1 - w: mirrored at
+        # Re z = -63.4 and at 0.2 + 120i, direct at -63.6 and at 0.2 + 130i.
+        fn = getattr(functions, name)
+        line_point = (lambda z: 1.0 - z) if name == "gamma_sin_pi" else (lambda z: z)
+        for z, mirrored in ((-63.4 + 0.5j, True), (0.2 + 120j, True),
+                            (-63.6 + 0.5j, False), (0.2 + 130j, False)):
+            if name == "gamma_sin_pi":
+                z = 1.0 - z
+            w = line_point(z)
+            sigma = default_sigma(1.0 - w if mirrored else w)
+            assert fn(z).spec_used.sigma == sigma, (z, mirrored)
+        direct = G(-63.6 + 0.5j)
+        if name == "recip_gamma":
+            assert recip_gamma(-63.6 + 0.5j).value == direct.value / math.pi
+
+    def test_far_left_keeps_its_node_error(self):
+        with pytest.raises(QuadratureNodeError):
+            recip_gamma(-111.3)
+
+    @pytest.mark.parametrize("z", [-3.5, -10 + 2j, 0.25 - 1j])
+    def test_g_and_forced_sigma_keep_the_direct_line(self, z):
+        direct = G(z)
+        assert direct.spec_used.sigma == default_sigma(z)
+        assert g_tilde(2 * z - 1).spec_used.sigma == default_sigma(z)
+        forced = G(z, sigma=1.0)
+        assert repr(recip_gamma(z, sigma=1.0).spec_used) == repr(forced.spec_used)
+        assert recip_gamma(z, sigma=1.0).value == forced.value / math.pi
+        assert gamma_sin_pi(1 - z, sigma=1.0).value == G(1 - (1 - z), sigma=1.0).value
 
 
 class TestTruncationWindow:
@@ -754,8 +873,11 @@ class TestConjugateSharing:
             assert str(outcome) == f"integrand returned a non-finite value at node t={first!r}"
 
     def test_lattice_integrates_its_upper_half(self, monkeypatch):
-        # The 41 x 41 grid of `unigamma grid`: 820 of its points are the
-        # conjugates of others, so 861 lines are integrated.
+        # The 41 x 41 grid of `unigamma grid`: a point left of Re z = 1/2 is
+        # read from the line at 1 - z, so the left half reads the right
+        # half's lines, and the conjugates of these lines are not
+        # integrated: 462 lines, 20 x 21 of the right half and 2 x 21 at
+        # Re 1 - z in {10.5, 11}.
         sizes, lines = [], []
         kernel, joint = integrands.g_integrand, functions._trapezoid_joint
 
@@ -772,9 +894,15 @@ class TestConjugateSharing:
         axis = [-10.0 + k * 0.5 for k in range(41)]
         points = [complex(re, im) for im in axis for re in axis]
         outcomes = evaluate_many("recip_gamma", points)
-        assert lines == [861]
-        assert sum(sizes) == sum(out.evaluations for z, out in zip(points, outcomes)
-                                 if z.imag >= 0.0)
+        assert lines == [462]
+        # Each line's nodes are counted once, by a point that reads it.
+        integrated = {}
+        for z, out in zip(points, outcomes):
+            line_point = 1.0 - z if z.real < 0.5 else z
+            if line_point.imag >= 0.0:
+                integrated[line_point] = out.evaluations
+        assert len(integrated) == 462
+        assert sum(sizes) == sum(integrated.values())
 
 
 class TestLonePoint:

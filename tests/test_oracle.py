@@ -227,11 +227,23 @@ class TestSharedGPass:
         g_mirror = evaluate_many("G", [1.0 - z for z in pts])
         recip = evaluate_many("recip_gamma", pts)
         sin_product = evaluate_many("gamma_sin_pi", pts)
+        # Bit for bit where the function keeps the direct line; where it
+        # reads the line at 1 - w instead (its line point w left of
+        # Re w = 1/2), within the two estimates.
         for z, gz, gm, r, sp in zip(pts, g, g_mirror, recip, sin_product):
-            assert r.value == gz.value / math.pi, z
-            assert r.converged == gz.converged, z
-            assert sp.value == gm.value, z
-            assert sp.converged == gm.converged, z
+            if z.real >= 0.5:
+                assert r.value == gz.value / math.pi, z
+                assert r.converged == gz.converged, z
+            else:
+                assert r.converged, z
+                assert abs(r.value - gz.value / math.pi) <= (
+                    r.err_estimate + gz.err_estimate / math.pi), z
+            if (1.0 - z).real >= 0.5:
+                assert sp.value == gm.value, z
+                assert sp.converged == gm.converged, z
+            else:
+                assert sp.converged, z
+                assert abs(sp.value - gm.value) <= sp.err_estimate + gm.err_estimate, z
 
     def test_integrates_one_point_per_conjugate_pair(self, monkeypatch):
         # 519 distinct points, z and 1 - z; 271 of them up to conjugation.

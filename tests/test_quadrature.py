@@ -121,6 +121,24 @@ class TestContourSpec:
         with pytest.raises(DomainError):
             ContourSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"sigma": 9.0, "tol": 0.0}, "sigma must lie in (0, 8], got 9.0"),
+        ({"sigma": 1e-200}, "sigma must be at least 2**-511"),
+        ({"half_width": 0.5}, "half_width must be finite and >= sigma, got 0.5"),
+        ({"half_width": math.inf}, "half_width must be finite and >= sigma, got inf"),
+        ({"step": 7.0, "tol": 0.0}, "step must lie in (0, half_width], got 7.0"),
+        ({"window": (-1.0, -1.0)}, "window must be an interval at least a step long"),
+        ({"window": (0.0, 0.1)}, "window must be an interval at least a step long"),
+        ({"tol": math.inf}, "tol must be a positive finite real, got inf"),
+        ({"max_refinements": 2.5}, "max_refinements must be an integer >= 1, got 2.5"),
+    ])
+    def test_names_the_first_bad_field(self, kwargs, named):
+        # Valid specs pass one test of all bounds; a failure is named by the
+        # field checks, in their order.
+        with pytest.raises(DomainError) as failure:
+            ContourSpec(**kwargs)
+        assert str(failure.value).startswith(named)
+
     @pytest.mark.parametrize("window", [(-7.0, 5.0), (5.0, -5.0), (1.0, 1.1),
                                         (math.nan, 5.0)])
     def test_rejects_bad_window(self, window):

@@ -32,8 +32,14 @@ outcome, or a row of a grid CSV) differ only in ``err_estimate``,
 ``tol_effective`` and the spec's ``tol``, each by at most 1e-15 relative,
 and the largest such move; of the values that changed where both sides
 returned (results and grid rows), how many lie within the sum of the two
-``err_estimate``s; and how many ``converged`` flags and exception types
-changed, naming the first few.  Writes only to a temporary directory.
+``err_estimate``s; and how many ``converged`` flags (and how many of them
+from False to True) and exception types changed, naming the first few.
+Where mpmath is importable, each changed value of a line function (an
+outcome or a grid row) is also judged against mpmath at 30 digits: per
+side, how many meet the documented accuracy box (1e-9 relative, or 1e-6
+absolute within 1e-3 of a zero) and the worst relative error, so a change
+that moves values shows whether they moved toward the truth.  Writes only
+to a temporary directory.
 """
 
 from __future__ import annotations
@@ -328,6 +334,12 @@ def _run(checkout: str) -> dict[str, str]:
 
 
 _RESULT = re.compile(r"value=([^,]+), err_estimate=([^,]+),.*?converged=(True|False)")
+_POINT = re.compile(r"^EvalResult\(z=([^,]+),")
+# The accuracy box of the package (README "Accuracy contract").
+_REL_PROMISE = 1e-9
+_ABS_PROMISE = 1e-6
+_NEAR_ZERO = 1e-3
+_DIGITS = 30
 _EVALUATIONS = re.compile(r"evaluations=\d+")
 _SPEC_TOL = re.compile(r"\btol=[^,]+")
 _EXCEPTION = re.compile(r"([A-Za-z_]\w*): ")
@@ -338,17 +350,20 @@ _GRID_ERR = 4       # a grid CSV's err_estimate column
 
 
 def _facts(key: str, outcome: str):
-    """What an outcome returned: per result (text, value, err_estimate,
-    converged), one for a result and one per row of a grid CSV; or the
-    exception type name; or "a result" for any other return value."""
+    """What an outcome returned: per result (text, z, value, err_estimate,
+    converged), one for a result and one per row of a grid CSV, z None
+    where the result names no point; or the exception type name; or "a
+    result" for any other return value."""
     if key.startswith("cli grid"):
         rows = [row.split(",") for row in outcome.splitlines()[2:]]
-        return [(",".join(f), complex(float(f[2]), float(f[3])), float(f[4]),
-                 f[9] == "true") for f in rows if len(f) == 10]
+        return [(",".join(f), complex(float(f[0]), float(f[1])),
+                 complex(float(f[2]), float(f[3])), float(f[4]), f[9] == "true")
+                for f in rows if len(f) == 10]
     result = _RESULT.search(outcome)
     if result:
-        return [(outcome, complex(result[1].strip("()")), float(result[2]),
-                 result[3] == "True")]
+        point = _POINT.match(outcome)
+        return [(outcome, complex(point[1]) if point else None,
+                 complex(result[1].strip("()")), float(result[2]), result[3] == "True")]
     exception = _EXCEPTION.match(outcome)
     return exception[1] if exception else "a result"
 
@@ -382,11 +397,56 @@ def _last_bit_moves(key: str, old: str, new: str) -> list[float] | None:
                                                       _LAST_BITS.finditer(new)))]
 
 
+def _line_function(key: str) -> str | None:
+    """The line function a key's outcome (or grid) evaluates, if any."""
+    for word in key.replace("/", " ").split()[:3]:
+        if word in _LINE_FUNCTIONS:
+            return word
+    return None
+
+
+def _judge(changed: list) -> None:
+    """Judge each changed ``(function, z, old value, new value)`` against
+    mpmath: per side, how many meet the accuracy box, and the worst
+    relative error."""
+    try:
+        import mpmath
+    except ImportError:
+        print("mpmath is not importable; changed values not judged")
+        return
+    meets, worst = [0, 0], [0.0, 0.0]
+    for function, z, *values in changed:
+        with mpmath.workdps(_DIGITS):
+            w = mpmath.mpc(z.real, z.imag)
+            ref = complex({
+                "G": lambda: mpmath.pi * mpmath.rgamma(w),
+                "g_tilde": lambda: mpmath.pi * mpmath.rgamma((w + 1) / 2),
+                "recip_gamma": lambda: mpmath.rgamma(w),
+                "gamma": lambda: mpmath.gamma(w),
+                "gamma_sin_pi": lambda: mpmath.pi * mpmath.rgamma(1 - w),
+                "digamma": lambda: mpmath.digamma(w),
+            }[function]())
+        zero = {"G": z, "g_tilde": (z + 1.0) / 2.0, "recip_gamma": z}.get(function)
+        if zero is not None:
+            near = abs(zero - min(0, round(zero.real))) <= _NEAR_ZERO
+        else:
+            near = function == "gamma_sin_pi" and abs(z - max(1, round(z.real))) <= _NEAR_ZERO
+        for side, value in enumerate(values):
+            err = abs(value - ref)
+            meets[side] += err <= _REL_PROMISE * abs(ref) or (near and err <= _ABS_PROMISE)
+            if ref:
+                worst[side] = max(worst[side], err / abs(ref))
+    print(f"against mpmath at {_DIGITS} digits, of {len(changed)} changed values of "
+          f"the line functions: old meets the accuracy box on {meets[0]}, worst "
+          f"relative error {worst[0]:.2e}; new on {meets[1]}, worst {worst[1]:.2e} "
+          f"(relative errors where the value is not 0)")
+
+
 def _summary(old: dict, new: dict, differing: list[str]) -> None:
     """How the differing counts, values, flags and exception types moved."""
     within = compared = counts = counts_and_tol = last_bits = 0
     largest = 0.0
-    flags, kinds = [], []
+    flags, kinds, changed = [], [], []
     for key in differing:
         if key not in old or key not in new:
             continue
@@ -400,12 +460,15 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
             largest = max(largest, *moves)
         a, b = _facts(key, old[key]), _facts(key, new[key])
         if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-            for (text_a, va, ea, ca), (text_b, vb, eb, cb) in zip(a, b):
+            function = _line_function(key)
+            for (text_a, za, va, ea, ca), (text_b, zb, vb, eb, cb) in zip(a, b):
                 if text_a == text_b:
                     continue
                 if va != vb:
                     compared += 1
                     within += abs(va - vb) <= ea + eb
+                    if function is not None and za is not None and za == zb:
+                        changed.append((function, za, va, vb))
                 if ca != cb:
                     flags.append(f"{key}: converged {ca} -> {cb}")
         elif isinstance(a, str) or isinstance(b, str):
@@ -417,11 +480,14 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
     print(f"{last_bits} differing results differ only in err_estimate, tol_effective "
           f"and the spec's tol, each by at most {_LAST_BITS_REL:g} relative; the "
           f"largest move is {largest:.2e}")
+    raised = sum(flag.endswith("False -> True") for flag in flags)
     print(f"{within} of {compared} changed values lie within the sum of their "
-          f"err_estimates; {len(flags)} converged flags and {len(kinds)} "
-          f"exception types changed")
+          f"err_estimates; {len(flags)} converged flags ({raised} of them False -> "
+          f"True) and {len(kinds)} exception types changed")
     for line in (flags + kinds)[:SHOW]:
         print(f"- {line}")
+    if changed:
+        _judge(changed)
 
 
 def _first_difference(old: str, new: str) -> str:
