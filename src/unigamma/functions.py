@@ -208,7 +208,8 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the result at conj z.  A node error names the first non-finite node of
     the point's own line, the mirror of the last one of the line integrated.
     Points equal bit for bit after that, 0.0 told from -0.0, are integrated
-    once.  A lone point skips that sharing table and its lists: one line,
+    once, and those that read a line the same way share one ``_Line``.
+    A lone point skips that sharing table and its lists: one line,
     its kernels called on its own z and sigma, scalars.
     """
     try:
@@ -277,8 +278,12 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)])
     for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
+    # Points that read one line the same way share its _Line.
+    read = {}
     for index, slot, flip in reads:
-        outcomes[index] = _read(lines[slot], flip, line_tol, max_refinements)
+        if (slot, flip) not in read:
+            read[slot, flip] = _read(lines[slot], flip, line_tol, max_refinements)
+        outcomes[index] = read[slot, flip]
     return outcomes
 
 
