@@ -409,7 +409,7 @@ def _mirror_offset(w: complex) -> tuple[complex, float]:
     """The line point m = 1 - w as rounded, and (1 - w) - m exactly.
 
     The imaginary part is exact; the real part rounds where 1 - Re w leaves
-    the binade of Re w, by up to half an ulp of m (TwoSum gives the rest).
+    the binade of Re w, by up to half an ulp of m; TwoSum recovers it exactly.
     """
     m = 1.0 - w
     back = m.real - 1.0
