@@ -16,17 +16,21 @@ The box says where accuracy is promised, not where the flag goes false:
 ``recip_gamma(30)``, outside it, is accurate and returns ``converged=True``.
 
 Left of Re w = 1/2 the line at a point w cancels toward the zeros of 1/Gamma,
-while the line at m = 1 - w sits on its saddle and does not.  So
-``recip_gamma``, ``gamma``, ``gamma_sin_pi`` and ``digamma`` read a line
-point w with Re w < 1/2 from the line at m, by the paper's
-G(w) G(1 - w) = pi sin(pi w), wherever m's saddle abscissa Re sqrt(m - 1/2)
-is below the sigma cap of 8 (Re w > -63.5 on the real axis), and no sigma
-is forced: G(w) = pi sin(pi w)/G(m), with sin taken from the reduced
-argument w - round(w), and psi(z) = psi(1 - z) - pi cot(pi z).  ``G``,
-``g_tilde`` and a forced sigma keep the direct line, the paper's
-definition.  A mirrored result's ``spec_used`` and ``evaluations`` are those
-of the line at m, and its ``err_estimate`` adds the rounding of sin, cot and
-the division to that line's error, carried over.
+while the line at m = 1 - w sits on its saddle and does not.  So wherever
+m's saddle abscissa Re sqrt(m - 1/2) is below the sigma cap of 8 (Re w >
+-63.5 on the real axis) and no sigma is forced, ``recip_gamma``, ``gamma``,
+``gamma_sin_pi`` and ``digamma`` integrate the line at m and rebuild G(w)
+from it by the paper's G(w) G(1 - w) = pi sin(pi w), with sin taken from
+the reduced argument w - round(w) (``_g_at``, the one place the mirror
+rebuilds G).  Each function then reads that G(w) as it reads the direct
+line's; only ``digamma``, whose ratio on the line at m is psi(1 - z), adds
+its own step psi(z) = psi(1 - z) - pi cot(pi z).  ``G``, ``g_tilde`` and a
+forced sigma keep the direct line, the paper's definition.  A mirrored
+result's ``spec_used`` and ``evaluations`` are those of the line at m.  Its
+``err_estimate`` is the direct formula's error term applied to the rebuilt
+G's error bound, which adds the rounding of sin, of the division and of the
+step from the rounded 1 - w to that line's error; ``digamma`` adds the
+rounding of its cot step to its ratio's.
 """
 
 from __future__ import annotations
@@ -132,8 +136,9 @@ def default_sigma(z) -> float:
     proportional to roughly e^{2 sigma^2}; shrinking sigma keeps it orders
     of magnitude below the values' 1e-9 scale.  On the real axis the floor
     wins wherever Re z <= 1.5, the saddle beyond.  The public functions take
-    the left branch only where they keep the direct line: ``G``, ``g_tilde``,
-    a forced sigma, and past the mirror's reach (see the module docstring).
+    the left branch only where they integrate the direct line: ``G``,
+    ``g_tilde``, a forced sigma, and past the mirror's reach; elsewhere they
+    rebuild G(w) from the line at 1 - w (see the module docstring).
     """
     z = complex(z)
     floor = max(0.1, 1.0 / math.sqrt(-z.real)) if z.real < -1.0 else 1.0
@@ -315,17 +320,6 @@ _G_LINE = (("g_integrand", False),)
 _DIGAMMA_LINE = (("g_log_integrand", True), ("g_integrand", False))
 
 
-def _g_result(z: complex, line: _Line) -> EvalResult:
-    (value,), (err,) = line.values, line.errs
-    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
-
-
-def _recip_gamma_result(z: complex, line: _Line) -> EvalResult:
-    (value,), (err,) = line.values, line.errs
-    return EvalResult(z, value / math.pi, err / math.pi, line.spec,
-                      line.converged, line.evaluations)
-
-
 def _nearest_pole(z: complex) -> int:
     return min(0, round(z.real))
 
@@ -351,23 +345,6 @@ def _pole_guard(name: str, z: complex, mag: float, err: float) -> None:
             f"achievable precision ({err:.3e}); nearest pole at z = {pole}",
             z=z, nearest_pole=pole,
         )
-
-
-def _gamma_result(z: complex, line: _Line) -> EvalResult:
-    (value,), (err,) = line.values, line.errs
-    mag = abs(value)
-    _pole_guard("gamma", z, mag, err)
-    return EvalResult(z, math.pi / value, math.pi * err / (mag * mag),
-                      line.spec, line.converged, line.evaluations)
-
-
-def _digamma_result(z: complex, line: _Line) -> EvalResult:
-    (num, den), (err_num, err_den) = line.values, line.errs
-    den_mag = abs(den)
-    _pole_guard("digamma", z, den_mag, err_den)
-    value = num / den
-    err = (err_num + abs(value) * err_den) / den_mag
-    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
 
 
 def _mirrors(w: complex) -> bool:
@@ -434,68 +411,77 @@ def _g_one_minus(w: complex, g_m: complex, err_m: float) -> tuple[complex, float
                + abs(g_m) * (abs(delta) / (6.0 * abs(m) ** 2) + abs(step) ** 2))
 
 
-def _reflected(result):
-    """``result`` of a point whose line point w is read from the line at 1 - w."""
-    def read(z: complex, w: complex, line: _Line) -> EvalResult:
-        (g_m,), (err_m,) = line.values, line.errs
-        g_w, err = _g_mirrored(*_g_one_minus(w, g_m, err_m), *_sin_cos_pi(w))
-        return result(z, line._replace(values=[g_w], errs=[err]))
-    return read
+def _g_at(w: complex, mirrored: bool, line: _Line) -> tuple[complex, float]:
+    """G at the line point w and its error bound: the last integral of
+    ``line`` (its G kernel), or, where ``mirrored``, G(w) = pi sin(pi w)/G(1 - w)
+    rebuilt from that integral on the line at 1 - w."""
+    g, err = line.values[-1], line.errs[-1]
+    if not mirrored:
+        return g, err
+    return _g_mirrored(*_g_one_minus(w, g, err), *_sin_cos_pi(w))
 
 
-def _gamma_reflected(z: complex, w: complex, line: _Line) -> EvalResult:
-    """Gamma(z) = G(1 - z)/sin(pi z), G(1 - z) from the line at m, the
-    rounded 1 - z; the pole guard reads G(z) rebuilt from it, and the value
-    skips pi/G(z), whose error term |G(z)|^2 overflows where Gamma(z) is
-    small."""
-    (g_m,), (err_m,) = line.values, line.errs
-    g, err_g = _g_one_minus(w, g_m, err_m)
-    s, c, dx = _sin_cos_pi(z)
-    g_z, err_z = _g_mirrored(g, err_g, s, c, dx)
-    _pole_guard("gamma", z, abs(g_z), err_z)
-    value = g / s
-    err = abs(value) * (err_g / abs(g) + dx * abs(c) / abs(s) + 5.0 * _EPS)
-    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+def _g_result(z: complex, w: complex, mirrored: bool, line: _Line) -> EvalResult:
+    g, err = _g_at(w, mirrored, line)
+    return EvalResult(z, g, err, line.spec, line.converged, line.evaluations)
 
 
-def _digamma_reflected(z: complex, w: complex, line: _Line) -> EvalResult:
-    """psi(z) = psi(1 - z) - pi cot(pi z), psi(1 - z) the ratio of the line
-    at m, the rounded 1 - z; the pole guard reads G(z) rebuilt from that
-    line's denominator.
+def _recip_gamma_result(z: complex, w: complex, mirrored: bool,
+                        line: _Line) -> EvalResult:
+    g, err = _g_at(w, mirrored, line)
+    return EvalResult(z, g / math.pi, err / math.pi, line.spec,
+                      line.converged, line.evaluations)
 
-    m misses 1 - z by delta, which moves psi by psi'(m) delta, below
-    (1/|m| + 1/|m|^2) |delta| on Re m >= 1/2.  cot = cos/sin errs by the
+
+def _gamma_result(z: complex, w: complex, mirrored: bool, line: _Line) -> EvalResult:
+    """Gamma(z) = pi/G(z); its error term divides by |G| twice, never by
+    |G|^2, which overflows where Gamma(z) is small."""
+    g, err = _g_at(w, mirrored, line)
+    mag = abs(g)
+    _pole_guard("gamma", z, mag, err)
+    return EvalResult(z, math.pi / g, math.pi * (err / mag) / mag,
+                      line.spec, line.converged, line.evaluations)
+
+
+def _digamma_result(z: complex, w: complex, mirrored: bool,
+                    line: _Line) -> EvalResult:
+    """psi(z) as the ratio of the line's two integrals; where ``mirrored``,
+    that ratio is psi(1 - z) and psi(z) = psi(1 - z) - pi cot(pi z).
+
+    The pole guard reads G(z) through ``_g_at``.  On the line at m, the
+    rounded 1 - z, m misses 1 - z by delta, which moves psi by psi'(m) delta,
+    below (1/|m| + 1/|m|^2) |delta| on Re m >= 1/2.  cot = cos/sin errs by the
     argument's error over |sin|^2 and by the rounding of sin, cos and their
     quotient (9 ulps of cot); times pi and the final subtraction round once
     each.
     """
+    g, err_g = _g_at(w, mirrored, line)
+    _pole_guard("digamma", z, abs(g), err_g)
     (num, den), (err_num, err_den) = line.values, line.errs
-    s, c, dx = _sin_cos_pi(z)
-    g_z, err_g = _g_mirrored(*_g_one_minus(w, den, err_den), s, c, dx)
-    _pole_guard("digamma", z, abs(g_z), err_g)
-    m, delta = _mirror_offset(w)
-    den_mag = abs(den)
-    psi_m = num / den
-    pi_cot = math.pi * (c / s)
-    value = psi_m - pi_cot
-    err = ((err_num + abs(psi_m) * err_den) / den_mag
-           + abs(delta) * (1.0 + 1.0 / abs(m)) / abs(m)
-           + math.pi * dx / abs(s) / abs(s) + 10.0 * _EPS * abs(pi_cot)
-           + _EPS * abs(value))
+    value = num / den
+    err = (err_num + abs(value) * err_den) / abs(den)
+    if mirrored:
+        s, c, dx = _sin_cos_pi(z)
+        m, delta = _mirror_offset(w)
+        mag_m, mag_s = abs(m), abs(s)
+        pi_cot = math.pi * (c / s)
+        value = value - pi_cot
+        err = (err + abs(delta) * (1.0 + 1.0 / mag_m) / mag_m
+               + math.pi * dx / mag_s / mag_s + 10.0 * _EPS * abs(pi_cot)
+               + _EPS * abs(value))
     return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
 
 
-# name: (the point of the G line for input z, its kernels, the result, and
-# the result read from the line at 1 - w where ``_mirrors`` takes the line
-# point w, or None where the direct line is kept).
+# name: (the point w of the G line for input z, its kernels, the result read
+# from the line as ``result(z, w, mirrored, line)``, and whether w may be read
+# from the line at 1 - w, as ``_mirrors`` decides).
 _ENGINE = {
-    "G": (lambda z: z, _G_LINE, _g_result, None),
-    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result, None),
-    "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result,
-                    _reflected(_recip_gamma_result)),
-    "gamma": (lambda z: z, _G_LINE, _gamma_result, _gamma_reflected),
-    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result, _reflected(_g_result)),
-    "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result, _digamma_reflected),
+    "G": (lambda z: z, _G_LINE, _g_result, False),
+    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result, False),
+    "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result, True),
+    "gamma": (lambda z: z, _G_LINE, _gamma_result, True),
+    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result, True),
+    "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result, True),
 }
 
 
@@ -516,10 +502,10 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     ``err_estimate`` of them.
 
     Each point has a G-line point w: z, (y + 1)/2 or 1 - z.  Unless sigma
-    is forced, recip_gamma, gamma, gamma_sin_pi and digamma read a w left of
-    Re w = 1/2 from the line at 1 - w while that line's saddle abscissa is
-    below the sigma cap (see the module docstring); G and g_tilde always
-    integrate w.
+    is forced, recip_gamma, gamma, gamma_sin_pi and digamma rebuild G at a w
+    left of Re w = 1/2 from the line at 1 - w while that line's saddle
+    abscissa is below the sigma cap, and read it as on the direct line (see
+    the module docstring); G and g_tilde always integrate w.
 
     Points share integrals.  The line integrated at a point (w, or 1 - w) is
     integrated at its conjugate when its imaginary part is negative, and
@@ -534,8 +520,7 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     if function not in _ENGINE:
         raise DomainError(
             f"function must be one of {', '.join(_ENGINE)}; got {function!r}")
-    line_point, kernels, result, reflected = _ENGINE[function]
-    mirror = reflected is not None and sigma is None
+    line_point, kernels, result, may_mirror = _ENGINE[function]
     # Per point: its z, its line point w and whether it is read from the
     # line at 1 - w; or its z's DomainError.
     points = []
@@ -546,14 +531,14 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
             points.append((exc, exc, False))
         else:
             w = line_point(z)
-            points.append((z, w, mirror and _mirrors(w)))
+            points.append((z, w, may_mirror and sigma is None and _mirrors(w)))
     lines = _lines([1.0 - w if mirrored else w for _, w, mirrored in points],
                    kernels, sigma, tol, max_refinements)
     outcomes = []
     for (z, w, mirrored), line in zip(points, lines):
         if not isinstance(line, UnigammaError):
             try:
-                line = reflected(z, w, line) if mirrored else result(z, line)
+                line = result(z, w, mirrored, line)
             except UnigammaError as exc:
                 line = exc
         outcomes.append(line)
@@ -563,14 +548,14 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
 def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
          max_refinements: int = 12) -> EvalResult:
     """``evaluate_many`` of one point, its outcome returned or raised."""
-    line_point, kernels, result, reflected = _ENGINE[function]
+    line_point, kernels, result, may_mirror = _ENGINE[function]
     z = _check_point(z)
     w = line_point(z)
-    mirrored = reflected is not None and sigma is None and _mirrors(w)
+    mirrored = may_mirror and sigma is None and _mirrors(w)
     (line,) = _lines((1.0 - w if mirrored else w,), kernels, sigma, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    return reflected(z, w, line) if mirrored else result(z, line)
+    return result(z, w, mirrored, line)
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,

@@ -194,6 +194,24 @@ class TestGamma:
         # Gamma(-2.5) = -8 sqrt(pi) / 15.
         assert res.value == pytest.approx(-8 * SQRT_PI / 15, rel=1e-11)
 
+    @pytest.mark.parametrize("z", [
+        -60.32344004494155 + 72.44507069345973j,
+        *(complex(rng.uniform(-63, -52), rng.uniform(65, 100))
+          for rng in [random.Random(20)] for _ in range(3))])
+    def test_err_estimate_holds_where_g_is_huge(self, z):
+        # A small Gamma(z) on the direct line, past the mirror's reach:
+        # |G(z)| is above 1e154, where |G|^2 overflows, and the estimate
+        # must still bound the error rather than read 0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+        assert not functions._mirrors(z)
+        assert math.pi / abs(want) > 1e154
+        res = gamma(z)
+        assert res.converged
+        assert res.err_estimate > 0.0
+        assert abs(res.value - want) <= res.err_estimate
+
 
 class TestGammaSinPi:
     def test_at_half(self):

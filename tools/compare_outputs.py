@@ -8,7 +8,8 @@ corpus is fixed by its seed:
 
 - the six line functions (G, g_tilde, recip_gamma, gamma, gamma_sin_pi,
   digamma) with random ``tol``, ``sigma`` and ``max_refinements``, at
-  in-box, near-zero, high-Im, right-tail and far-left points;
+  in-box, near-zero, high-Im, right-tail and far-left points, and
+  ``gamma`` at three direct-line points where |G(z)| > 1.3e154;
 - ``evaluate_many`` batches whose chunk-mates fail (poles, non-finite
   nodes, bad input), batches of two and three points, and batches that
   hold conjugate pairs, exact duplicates and signed-zero imaginary parts;
@@ -34,12 +35,14 @@ and the largest such move; of the values that changed where both sides
 returned (results and grid rows), how many lie within the sum of the two
 ``err_estimate``s; and how many ``converged`` flags (and how many of them
 from False to True) and exception types changed, naming the first few.
-Where mpmath is importable, each changed value of a line function (an
-outcome or a grid row) is also judged against mpmath at 30 digits: per
-side, how many meet the documented accuracy box (1e-9 relative, or 1e-6
-absolute within 1e-3 of a zero) and the worst relative error, so a change
-that moves values shows whether they moved toward the truth.  Writes only
-to a temporary directory.
+Where mpmath is importable, each result of a line function (an outcome or
+a grid row) whose value or ``err_estimate`` changed is also judged against
+mpmath at 30 digits: per side, how many meet the documented accuracy box
+(1e-9 relative, or 1e-6 absolute within 1e-3 of a zero), how many lie
+further from mpmath than their own ``err_estimate``, and the worst relative
+error, so a change that moves values shows whether they moved toward the
+truth and whether the estimates still hold.  Writes only to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -147,6 +150,12 @@ def _corpus(ug) -> dict[str, str]:
             options = _options(rng) if index % 2 else {}
             out[f"{name}/{where}/{index} {z!r} {options}"] = _outcome(
                 lambda: fn(z, **options))
+    # Small Gamma on the direct line, past the mirror's reach: |G(z)| above
+    # 1.3e154, where an error term over |G|^2 overflows.
+    for z in (-60.32344004494155 + 72.44507069345973j,
+              -63.0138222383571 + 72.59358580646737j,
+              -54.49759955562225 + 104.14417602659863j):
+        out[f"gamma/huge-g {z!r}"] = _outcome(lambda: ug.gamma(z))
     for batch in range(20):
         name = _LINE_FUNCTIONS[batch % len(_LINE_FUNCTIONS)]
         zs = [z for _, z in rng.sample(points, 25)]
@@ -406,16 +415,18 @@ def _line_function(key: str) -> str | None:
 
 
 def _judge(changed: list) -> None:
-    """Judge each changed ``(function, z, old value, new value)`` against
-    mpmath: per side, how many meet the accuracy box, and the worst
-    relative error."""
+    """Judge each ``(function, z, (old value, old err_estimate), (new value,
+    new err_estimate))`` whose value or estimate changed against mpmath: per
+    side, how many of the changed values meet the accuracy box and their
+    worst relative error, and how many of all lie further from mpmath than
+    their own err_estimate."""
     try:
         import mpmath
     except ImportError:
         print("mpmath is not importable; changed values not judged")
         return
-    meets, worst = [0, 0], [0.0, 0.0]
-    for function, z, *values in changed:
+    moved, meets, misses, worst = 0, [0, 0], [0, 0], [0.0, 0.0]
+    for function, z, *sides in changed:
         with mpmath.workdps(_DIGITS):
             w = mpmath.mpc(z.real, z.imag)
             ref = complex({
@@ -431,15 +442,22 @@ def _judge(changed: list) -> None:
             near = abs(zero - min(0, round(zero.real))) <= _NEAR_ZERO
         else:
             near = function == "gamma_sin_pi" and abs(z - max(1, round(z.real))) <= _NEAR_ZERO
-        for side, value in enumerate(values):
+        value_moved = sides[0][0] != sides[1][0]
+        moved += value_moved
+        for side, (value, estimate) in enumerate(sides):
             err = abs(value - ref)
-            meets[side] += err <= _REL_PROMISE * abs(ref) or (near and err <= _ABS_PROMISE)
-            if ref:
-                worst[side] = max(worst[side], err / abs(ref))
-    print(f"against mpmath at {_DIGITS} digits, of {len(changed)} changed values of "
+            misses[side] += err > estimate
+            if value_moved:
+                meets[side] += err <= _REL_PROMISE * abs(ref) or (near and err <= _ABS_PROMISE)
+                if ref:
+                    worst[side] = max(worst[side], err / abs(ref))
+    print(f"against mpmath at {_DIGITS} digits, of {moved} changed values of "
           f"the line functions: old meets the accuracy box on {meets[0]}, worst "
           f"relative error {worst[0]:.2e}; new on {meets[1]}, worst {worst[1]:.2e} "
           f"(relative errors where the value is not 0)")
+    print(f"of {len(changed)} results of the line functions whose value or "
+          f"err_estimate changed, off mpmath by more than their own err_estimate: "
+          f"old {misses[0]}, new {misses[1]}")
 
 
 def _summary(old: dict, new: dict, differing: list[str]) -> None:
@@ -467,8 +485,9 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
                 if va != vb:
                     compared += 1
                     within += abs(va - vb) <= ea + eb
-                    if function is not None and za is not None and za == zb:
-                        changed.append((function, za, va, vb))
+                if ((va, ea) != (vb, eb) and function is not None
+                        and za is not None and za == zb):
+                    changed.append((function, za, (va, ea), (vb, eb)))
                 if ca != cb:
                     flags.append(f"{key}: converged {ca} -> {cb}")
         elif isinstance(a, str) or isinstance(b, str):
