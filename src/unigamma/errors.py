@@ -22,7 +22,8 @@ class PoleError(UnigammaError, ArithmeticError):
 
 
 class QuadratureNodeError(UnigammaError, ArithmeticError):
-    """An integrand produced a non-finite value at a quadrature node."""
+    """An integrand produced a non-finite value at a quadrature node, or
+    finite values whose trapezoid sum leaves the double range (``node`` None)."""
 
     def __init__(self, message: str, *, node: float | None = None):
         super().__init__(message)

@@ -19,18 +19,17 @@ Left of Re w = 1/2 the line at a point w cancels toward the zeros of 1/Gamma,
 while the line at m = 1 - w sits on its saddle and does not.  So wherever
 m's saddle abscissa Re sqrt(m - 1/2) is below the sigma cap of 8 (Re w >
 -63.5 on the real axis) and no sigma is forced, ``recip_gamma``, ``gamma``,
-``gamma_sin_pi`` and ``digamma`` integrate the line at m and rebuild G(w)
-from it by the paper's G(w) G(1 - w) = pi sin(pi w), with sin taken from
-the reduced argument w - round(w) (``_g_at``, the one place the mirror
-rebuilds G).  Each function then reads that G(w) as it reads the direct
-line's; only ``digamma``, whose ratio on the line at m is psi(1 - z), adds
-its own step psi(z) = psi(1 - z) - pi cot(pi z).  ``G``, ``g_tilde`` and a
-forced sigma keep the direct line, the paper's definition.  A mirrored
-result's ``spec_used`` and ``evaluations`` are those of the line at m.  Its
-``err_estimate`` is the direct formula's error term applied to the rebuilt
-G's error bound, which adds the rounding of sin, of the division and of the
-step from the rounded 1 - w to that line's error; ``digamma`` adds the
-rounding of its cot step to its ratio's.
+``gamma_sin_pi`` and ``digamma`` read w from the line at m.  ``_route``
+decides this once per point, and ``_mirror`` computes once what the read
+needs: m, its rounding remainder, and sin and cos of pi w from the reduced
+argument w - round(w).  ``_g_at``, the one place the mirror rebuilds G,
+yields G(w) from the paper's G(w) G(1 - w) = pi sin(pi w) with its error
+bound; each function reads that G(w) as it reads the direct line's, and
+only ``digamma``, whose ratio on the line at m is psi(1 - z), adds its own
+step psi(z) = psi(1 - z) - pi cot(pi z) from the same record.  ``G``,
+``g_tilde`` and a forced sigma keep the direct line, the paper's
+definition.  A mirrored result's ``spec_used`` and ``evaluations`` are
+those of the line at m.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .quadrature import (
     # these attributes.
     tail_bound,
     trapezoid_line,
+    _SIGMA_CAP,
     _T_GRID,
     _check_point,
     _check_refinements,
@@ -87,9 +87,6 @@ POLE_TOL = 1e-12
 # value, returned as such.
 _POLE_REACH = 1e-3
 
-# The largest abscissa a default line takes; the mirror reads a point only
-# from a line whose saddle lies below it.
-_SIGMA_CAP = 8.0
 _EPS = sys.float_info.epsilon
 
 # Documented accuracy box: promises used by the convergence gate.
@@ -159,7 +156,8 @@ def _gate(quad: QuadratureResult, capped: bool, tol: float,
 
 
 class _Line(NamedTuple):
-    """The line integrals of one point, as ``_lines`` returns them."""
+    """The line integrals of one point, as ``_lines`` returns them; its last
+    three fields are those of the point's EvalResult."""
 
     values: list[complex]
     errs: list[float]
@@ -297,7 +295,7 @@ def _read(line, flip: bool, line_tol: float, max_refinements: int):
     truncation, results)`` triple, or its UnigammaError; conjugated where
     ``flip``."""
     if isinstance(line, UnigammaError):
-        if flip and isinstance(line, QuadratureNodeError):
+        if flip and isinstance(line, QuadratureNodeError) and line.node is not None:
             line = _nonfinite_node(line._mirror_node)
         return line
     sig, trunc, quads = line
@@ -354,133 +352,120 @@ def _mirrors(w: complex) -> bool:
     return w.real < 0.5 and cmath.sqrt(0.5 - w).real < _SIGMA_CAP
 
 
-def _sin_cos_pi(w: complex) -> tuple[complex, complex, float]:
-    """sin(pi w) and cos(pi w) from the reduced argument r = w - round(Re w),
-    which is exact, and the error bound eps |pi r| on the rounded pi r."""
+# What reading a line point w from the line at 1 - w needs: m = 1 - w as
+# rounded, the point integrated; delta = (1 - w) - m exactly; sin(pi w),
+# cos(pi w), and dx, a bound on the error of their rounded argument.
+_Mirror = NamedTuple("_Mirror", [("m", complex), ("delta", float), ("sin", complex),
+                                 ("cos", complex), ("dx", float)])
+
+
+def _mirror(w: complex) -> _Mirror:
+    """w's mirror record.  1 - Re w rounds where it leaves the binade of
+    Re w, by up to half an ulp of m, and TwoSum recovers that exactly.  sin
+    and cos come from the reduced argument r = w - round(Re w), which is
+    exact; the rounded pi r errs by at most eps |pi r|."""
+    m = 1.0 - w
+    back = m.real - 1.0
     n = round(w.real)
     x = math.pi * complex(w.real - n, w.imag)
     s, c = cmath.sin(x), cmath.cos(x)
-    return (-s, -c, _EPS * abs(x)) if n % 2 else (s, c, _EPS * abs(x))
+    s, c = (-s, -c) if n % 2 else (s, c)
+    return _Mirror(m, (1.0 - (m.real - back)) + (-w.real - back), s, c, _EPS * abs(x))
 
 
-def _g_mirrored(g_m: complex, err_m: float, s: complex, c: complex,
-                dx: float) -> tuple[complex, float]:
-    """G(w) = pi sin(pi w)/G(m) and its error bound, from G(m) within
-    ``err_m`` and sin(pi w), cos(pi w) at an argument within ``dx``.
-
-    sin's error is the argument's through its slope cos plus 4 ulps of its
-    own; dividing by a G(m) known within err_m adds at most
-    |sin| err_m/|G(m)| to it before the division by |G(m)| - err_m; the
-    product and the quotient round once each.
-    """
-    mag_m = abs(g_m)
-    g_w = math.pi * s / g_m
-    room = mag_m - err_m
-    err_s = dx * abs(c) + 4.0 * _EPS * abs(s)
-    err = (math.pi * (err_s + abs(s) * err_m / mag_m) / room if room > 0.0
-           else math.inf)
-    return g_w, err + 2.0 * _EPS * abs(g_w)
+def _route(w: complex, may_mirror: bool, sigma) -> tuple[complex, _Mirror | None]:
+    """The point whose line ``_lines`` integrates for line point w, and w's
+    mirror record: the line at 1 - w where the function may mirror, no sigma
+    is forced and ``_mirrors`` says so; else w's own line, and None."""
+    if may_mirror and sigma is None and _mirrors(w):
+        mirror = _mirror(w)
+        return mirror.m, mirror
+    return w, None
 
 
-def _mirror_offset(w: complex) -> tuple[complex, float]:
-    """The line point m = 1 - w as rounded, and (1 - w) - m exactly.
-
-    The imaginary part is exact; the real part rounds where 1 - Re w leaves
-    the binade of Re w, by up to half an ulp of m; TwoSum recovers it exactly.
-    """
-    m = 1.0 - w
-    back = m.real - 1.0
-    return m, (1.0 - (m.real - back)) + (-w.real - back)
-
-
-def _g_one_minus(w: complex, g_m: complex, err_m: float) -> tuple[complex, float]:
-    """G(1 - w) and its error bound, from G(m) within ``err_m`` on the line
-    at m, the rounded 1 - w.
+def _g_at(mirror: _Mirror | None, line: _Line) -> tuple[complex, float]:
+    """G at a line point w and its error bound: ``line``'s last integral (its
+    G kernel), or, with w's ``mirror`` record, G(w) = pi sin(pi w)/G(1 - w)
+    rebuilt from it on the line at m.
 
     m misses 1 - w by delta, which moves G by -psi(m) delta relatively; a
     first-order step with psi ~ Log m - 1/(2m) takes it back.  On Re m >= 1/2
     that psi is within 1/(6 |m|^2) of the true one (Stirling's remainder),
-    and the step's second order is below its square.
+    and the step's second order is below its square.  sin's error is the
+    argument's through its slope cos plus 4 ulps of its own; dividing by a
+    G(1 - w) known within err adds at most |sin| err/|G| to it before the
+    division by |G| - err; the product and the quotient round once each.
     """
-    m, delta = _mirror_offset(w)
-    if not delta:
-        return g_m, err_m
-    step = (cmath.log(m) - 0.5 / m) * delta
-    g = g_m * (1.0 - step)
-    return g, (err_m * abs(1.0 - step) + _EPS * abs(g)
-               + abs(g_m) * (abs(delta) / (6.0 * abs(m) ** 2) + abs(step) ** 2))
-
-
-def _g_at(w: complex, mirrored: bool, line: _Line) -> tuple[complex, float]:
-    """G at the line point w and its error bound: the last integral of
-    ``line`` (its G kernel), or, where ``mirrored``, G(w) = pi sin(pi w)/G(1 - w)
-    rebuilt from that integral on the line at 1 - w."""
     g, err = line.values[-1], line.errs[-1]
-    if not mirrored:
+    if mirror is None:
         return g, err
-    return _g_mirrored(*_g_one_minus(w, g, err), *_sin_cos_pi(w))
+    m, delta, s, c, dx = mirror
+    if delta:
+        step = (cmath.log(m) - 0.5 / m) * delta
+        g_m, g = g, g * (1.0 - step)
+        err = (err * abs(1.0 - step) + _EPS * abs(g)
+               + abs(g_m) * (abs(delta) / (6.0 * abs(m) ** 2) + abs(step) ** 2))
+    mag = abs(g)
+    g_w = math.pi * s / g
+    room = mag - err
+    err_s = dx * abs(c) + 4.0 * _EPS * abs(s)
+    err = (math.pi * (err_s + abs(s) * err / mag) / room if room > 0.0
+           else math.inf)
+    return g_w, err + 2.0 * _EPS * abs(g_w)
 
 
-def _g_result(z: complex, w: complex, mirrored: bool, line: _Line) -> EvalResult:
-    g, err = _g_at(w, mirrored, line)
-    return EvalResult(z, g, err, line.spec, line.converged, line.evaluations)
+def _recip_gamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
+    g, err = _g_at(mirror, line)
+    return g / math.pi, err / math.pi
 
 
-def _recip_gamma_result(z: complex, w: complex, mirrored: bool,
-                        line: _Line) -> EvalResult:
-    g, err = _g_at(w, mirrored, line)
-    return EvalResult(z, g / math.pi, err / math.pi, line.spec,
-                      line.converged, line.evaluations)
-
-
-def _gamma_result(z: complex, w: complex, mirrored: bool, line: _Line) -> EvalResult:
+def _gamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
     """Gamma(z) = pi/G(z); its error term divides by |G| twice, never by
     |G|^2, which overflows where Gamma(z) is small."""
-    g, err = _g_at(w, mirrored, line)
+    g, err = _g_at(mirror, line)
     mag = abs(g)
     _pole_guard("gamma", z, mag, err)
-    return EvalResult(z, math.pi / g, math.pi * (err / mag) / mag,
-                      line.spec, line.converged, line.evaluations)
+    return math.pi / g, math.pi * (err / mag) / mag
 
 
-def _digamma_result(z: complex, w: complex, mirrored: bool,
-                    line: _Line) -> EvalResult:
-    """psi(z) as the ratio of the line's two integrals; where ``mirrored``,
-    that ratio is psi(1 - z) and psi(z) = psi(1 - z) - pi cot(pi z).
+def _digamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
+    """psi(z) as the ratio of the line's two integrals; where mirrored, that
+    ratio is psi(1 - z) and psi(z) = psi(1 - z) - pi cot(pi z), from z's
+    mirror record.  The pole guard reads G(z) through ``_g_at``.
 
-    The pole guard reads G(z) through ``_g_at``.  On the line at m, the
-    rounded 1 - z, m misses 1 - z by delta, which moves psi by psi'(m) delta,
-    below (1/|m| + 1/|m|^2) |delta| on Re m >= 1/2.  cot = cos/sin errs by the
+    m misses 1 - z by delta, which moves psi by psi'(m) delta, below
+    (1/|m| + 1/|m|^2) |delta| on Re m >= 1/2.  cot = cos/sin errs by the
     argument's error over |sin|^2 and by the rounding of sin, cos and their
-    quotient (9 ulps of cot); times pi and the final subtraction round once
-    each.
+    quotient (9 ulps of cot); times pi and the final subtraction round once each.
     """
-    g, err_g = _g_at(w, mirrored, line)
+    g, err_g = _g_at(mirror, line)
     _pole_guard("digamma", z, abs(g), err_g)
     (num, den), (err_num, err_den) = line.values, line.errs
     value = num / den
     err = (err_num + abs(value) * err_den) / abs(den)
-    if mirrored:
-        s, c, dx = _sin_cos_pi(z)
-        m, delta = _mirror_offset(w)
+    if mirror is not None:
+        m, delta, s, c, dx = mirror
         mag_m, mag_s = abs(m), abs(s)
         pi_cot = math.pi * (c / s)
         value = value - pi_cot
         err = (err + abs(delta) * (1.0 + 1.0 / mag_m) / mag_m
                + math.pi * dx / mag_s / mag_s + 10.0 * _EPS * abs(pi_cot)
                + _EPS * abs(value))
-    return EvalResult(z, value, err, line.spec, line.converged, line.evaluations)
+    return value, err
 
 
-# name: (the point w of the G line for input z, its kernels, the result read
-# from the line as ``result(z, w, mirrored, line)``, and whether w may be read
-# from the line at 1 - w, as ``_mirrors`` decides).
+# name: (the point w of the G line for input z, its kernels, the reader that
+# returns (value, err) from the line as ``read(z, mirror, line)``, and whether
+# w may be read from the line at 1 - w, as ``_route`` decides).  G, g_tilde
+# and gamma_sin_pi return G at w itself.
 _ENGINE = {
-    "G": (lambda z: z, _G_LINE, _g_result, False),
-    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result, False),
+    "G": (lambda z: z, _G_LINE, lambda z, mirror, line: _g_at(mirror, line), False),
+    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE,
+                lambda z, mirror, line: _g_at(mirror, line), False),
     "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result, True),
     "gamma": (lambda z: z, _G_LINE, _gamma_result, True),
-    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result, True),
+    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE,
+                     lambda z, mirror, line: _g_at(mirror, line), True),
     "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result, True),
 }
 
@@ -501,10 +486,10 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     the one-point values (see ``integrands``) and stay within
     ``err_estimate`` of them.
 
-    Each point has a G-line point w: z, (y + 1)/2 or 1 - z.  Unless sigma
-    is forced, recip_gamma, gamma, gamma_sin_pi and digamma rebuild G at a w
-    left of Re w = 1/2 from the line at 1 - w while that line's saddle
-    abscissa is below the sigma cap, and read it as on the direct line (see
+    Each point has a G-line point w: z, (y + 1)/2 or 1 - z.  ``_route``
+    decides once which line it reads: unless sigma is forced, recip_gamma,
+    gamma, gamma_sin_pi and digamma read a w left of Re w = 1/2 from the
+    line at 1 - w within the sigma cap's reach, with w's mirror record (see
     the module docstring); G and g_tilde always integrate w.
 
     Points share integrals.  The line integrated at a point (w, or 1 - w) is
@@ -520,25 +505,23 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     if function not in _ENGINE:
         raise DomainError(
             f"function must be one of {', '.join(_ENGINE)}; got {function!r}")
-    line_point, kernels, result, may_mirror = _ENGINE[function]
-    # Per point: its z, its line point w and whether it is read from the
-    # line at 1 - w; or its z's DomainError.
+    line_point, kernels, read, may_mirror = _ENGINE[function]
+    # Per point: its z, the point whose line it reads and its mirror record;
+    # or its z's DomainError twice, which ``_lines`` passes through, and None.
     points = []
     for z in zs:
         try:
             z = _check_point(z)
         except DomainError as exc:
-            points.append((exc, exc, False))
+            points.append((exc, exc, None))
         else:
-            w = line_point(z)
-            points.append((z, w, may_mirror and sigma is None and _mirrors(w)))
-    lines = _lines([1.0 - w if mirrored else w for _, w, mirrored in points],
-                   kernels, sigma, tol, max_refinements)
+            points.append((z, *_route(line_point(z), may_mirror, sigma)))
+    lines = _lines([point for _, point, _ in points], kernels, sigma, tol, max_refinements)
     outcomes = []
-    for (z, w, mirrored), line in zip(points, lines):
+    for (z, _, mirror), line in zip(points, lines):
         if not isinstance(line, UnigammaError):
             try:
-                line = result(z, w, mirrored, line)
+                line = EvalResult(z, *read(z, mirror, line), *line[2:])
             except UnigammaError as exc:
                 line = exc
         outcomes.append(line)
@@ -548,14 +531,13 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
 def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
          max_refinements: int = 12) -> EvalResult:
     """``evaluate_many`` of one point, its outcome returned or raised."""
-    line_point, kernels, result, may_mirror = _ENGINE[function]
+    line_point, kernels, read, may_mirror = _ENGINE[function]
     z = _check_point(z)
-    w = line_point(z)
-    mirrored = may_mirror and sigma is None and _mirrors(w)
-    (line,) = _lines((1.0 - w if mirrored else w,), kernels, sigma, tol, max_refinements)
+    point, mirror = _route(line_point(z), may_mirror, sigma)
+    (line,) = _lines((point,), kernels, sigma, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    return result(z, w, mirrored, line)
+    return EvalResult(z, *read(z, mirror, line), *line[2:])
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,
@@ -608,8 +590,7 @@ def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
     if isinstance(line, UnigammaError):
         raise line
     (total,), (err,) = line.values, line.errs
-    return EvalResult(z, -total / math.pi, err / math.pi, line.spec,
-                      line.converged, line.evaluations)
+    return EvalResult(z, -total / math.pi, err / math.pi, *line[2:])
 
 
 def _laplace_tail(z: complex, sigma: float, half_width: float, terms: int) -> complex:

@@ -108,6 +108,8 @@ _LOG_MAX = 709.0          # math.exp overflows just past 709.78
 _LOG_TAIL_REL = math.log(5e-16)
 # The least sigma whose square is a normal double; the kernels refuse less.
 _SIGMA_MIN = integrands._SIGMA_MIN
+# The largest sigma a line takes: exp(sigma**2) stays far from overflow.
+_SIGMA_CAP = 8.0
 _MAX = sys.float_info.max
 
 
@@ -134,7 +136,7 @@ class ContourSpec:
         try:
             lower, upper = ((-self.half_width, self.half_width) if self.window is None
                             else self.window)
-            if (_SIGMA_MIN <= self.sigma <= 8.0 and self.sigma <= self.half_width <= _MAX
+            if (_SIGMA_MIN <= self.sigma <= _SIGMA_CAP and self.sigma <= self.half_width <= _MAX
                     and 0.0 < self.step <= self.half_width
                     and -self.half_width <= lower < upper <= self.half_width
                     and self.step <= upper - lower and 0.0 < self.tol <= _MAX
@@ -298,10 +300,9 @@ def _check_point(z, name: str = "z") -> complex:
 
 
 def _check_sigma(sigma) -> float:
-    """sigma as a float; DomainError unless it is a real in [2**-511, 8], where
-    sigma**2 is a normal double and exp(sigma**2) stays far from overflow."""
-    if not _inside(sigma, 8.0):
-        raise DomainError(f"sigma must lie in (0, 8], got {sigma!r}")
+    """sigma as a float; DomainError unless it is a real in [2**-511, _SIGMA_CAP]."""
+    if not _inside(sigma, _SIGMA_CAP):
+        raise DomainError(f"sigma must lie in (0, {_SIGMA_CAP:g}], got {sigma!r}")
     if sigma < _SIGMA_MIN:
         raise DomainError(f"sigma must be at least 2**-511, where sigma**2 is a "
                           f"normal double, got {sigma!r}")
@@ -585,7 +586,8 @@ def _chunks(grids: Sequence[_Grid]):
 
 
 def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | None:
-    """The error of the first non-finite value of ``news`` at ``nodes``, if any.
+    """The error of the first non-finite value of ``news`` at ``nodes``; None
+    where all are finite, even if their sum is not (see ``_pass_sums``).
 
     On level 1 the even k, level 0's nodes, are looked at first: the error
     names a node of the coarsest level that has a non-finite one.  Its
@@ -689,10 +691,12 @@ class _Point:
         """Take the sums of the levels this step settles; the outcome once the point stops.
 
         ``sums`` holds one list per level, the last one ``level``'s: levels 0
-        and 1 on the first step, one level after it.  The outcome is one
-        QuadratureResult per integrand; None while the point goes on
-        refining toward its tolerance, which the first step fixes.
+        and 1 on the first step, one level after it; or an overflow error,
+        the outcome.  Else the outcome is one QuadratureResult per integrand;
+        None while the point goes on refining toward the tolerance the first step fixes.
         """
+        if isinstance(sums, QuadratureNodeError):
+            return sums
         for at, level_sums in enumerate(sums, level + 1 - len(sums)):
             step = self.step(at)
             last, self.sums = self.sums, []
@@ -726,10 +730,16 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
     integrand, a slot per point (on level 1 two: the even and the odd k).  A
     binned point adds its new terms to its running sum, or all its kept ones
     where it has none (level 1, or after fsum).  Both routes give the same
-    bits.  A pass whose points have all failed sums nothing.
+    bits.  A pass whose points have all failed sums nothing.  fsum refuses
+    partial sums past the double range, even where the sum fits, so such a
+    pass goes to the exact bins; a point whose sum does not fit gets its
+    error in place of its sums.
     """
     if not kept or sum([point.values[0].size for _, point, _ in kept]) < _FSUM_TERMS:
-        return [point.fsum_levels(level) for _, point, _ in kept]
+        try:
+            return [point.fsum_levels(level) for _, point, _ in kept]
+        except OverflowError:
+            pass
     binned = [point.values if point.exact is None else terms for _, point, terms in kept]
     per = 2 if level == 1 else 1
     sizes = [terms[0].size for terms in binned]
@@ -742,8 +752,14 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
     sums = [_exact_sums(np.concatenate(values) if len(values) > 1 else values[0],
                         slots, per * len(binned))
             for values in zip(*binned)]
-    return [[point.add_exact(sums, s) for s in range(per * slot, per * slot + per)]
-            for slot, (_, point, _) in enumerate(kept)]
+    outcomes = []
+    for first, (_, point, _) in zip(range(0, per * len(kept), per), kept):
+        try:
+            outcomes.append([point.add_exact(sums, s) for s in range(first, first + per)])
+        except OverflowError:
+            outcomes.append(QuadratureNodeError(
+                "the trapezoid sum of finite values left the double range"))
+    return outcomes
 
 
 def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> None:
@@ -834,8 +850,9 @@ def _trapezoid_joint(
 
     Returns, per point, one QuadratureResult per integrand, or the
     QuadratureNodeError of its first non-finite node on the coarsest level
-    that has one (its chunk-mates go on).  Floating-point warnings are
-    silenced: a non-finite node is reported that way instead.
+    that has one, or of a sum past the double range (its chunk-mates go
+    on).  Floating-point warnings are silenced: a non-finite node is
+    reported that way instead.
     """
     if noise is None:
         noise = [1.0] * len(grids)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from unigamma import DomainError
+from unigamma import DomainError, evaluate_many, recip_gamma
 from unigamma.cli import GridRequest, main, parse_complex
 from unigamma.oracle import oracle_digamma, oracle_recip_gamma
 
@@ -133,6 +133,23 @@ class TestEval:
         rec = json.loads(capsys.readouterr().out)
         assert rec["spec_used"]["sigma"] == 2.0
 
+    def test_tol_and_max_refine_reach_the_engine(self, capsys):
+        assert main(["eval", "recip_gamma", "2.5", "--tol", "1e-8",
+                     "--max-refine", "3", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        want = recip_gamma(2.5, tol=1e-8, max_refinements=3)
+        assert complex(rec["value"]["re"], rec["value"]["im"]) == want.value
+        assert rec["err_estimate"] == want.err_estimate
+        assert rec["spec_used"]["tol"] == want.spec_used.tol
+        assert rec["spec_used"]["max_refinements"] == 3
+        assert want.err_estimate != recip_gamma(2.5).err_estimate
+
+    def test_engine_failure_exits_two(self, capsys):
+        # Past the mirror's reach the direct line's kernel overflows: a
+        # QuadratureNodeError, neither a pole nor a domain error.
+        assert main(["eval", "recip_gamma", "--", "-150.3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 HEADER = ("re_z,im_z,re_value,im_value,err_estimate,"
           "oracle_re,oracle_im,abs_err,rel_err,converged")
@@ -219,6 +236,17 @@ class TestGrid:
         ref = oracle(0.5 + 2j)
         assert code == 0
         assert row[5:7] == [format(ref.real, ".17g"), format(ref.imag, ".17g")]
+
+    def test_tol_reaches_the_engine(self, capsys):
+        code, out = run_grid(capsys, "--tol", "1e-8")
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        points = [complex(float(row[0]), float(row[1])) for row in rows]
+        want = evaluate_many("recip_gamma", points, tol=1e-8)
+        assert code == 0
+        assert [[float(f) for f in row[2:5]] for row in rows] == [
+            [res.value.real, res.value.imag, res.err_estimate] for res in want]
+        default = evaluate_many("recip_gamma", points)
+        assert [res.value for res in want] != [res.value for res in default]
 
     def test_deterministic_reruns(self, capsys):
         _, first = run_grid(capsys)

@@ -956,6 +956,13 @@ class TestLonePoint:
         for z in far_left:      # the mirrored line's node text
             assert isinstance(TestEvaluateMany._one_point(fn, z), QuadratureNodeError), (name, z)
 
+    def test_lone_bad_point_is_its_one_point_error(self):
+        # One point: ``_lines`` passes its DomainError through unintegrated.
+        with pytest.raises(DomainError) as raised:
+            recip_gamma(None)
+        (many,) = evaluate_many("recip_gamma", [None])
+        assert isinstance(many, DomainError) and str(many) == str(raised.value)
+
     @pytest.mark.parametrize("name", sorted(ONE_POINT))
     @pytest.mark.parametrize("z", ["abc", complex("nan"), math.inf])
     def test_bad_point_error_wins_over_bad_options(self, name, z):

@@ -213,6 +213,10 @@ class TestBroadcastArguments:
         with pytest.raises(DomainError):
             g_integrand(np.ones(2), np.array([1.0, 30.0]), np.zeros(2))
 
+    def test_rejects_scalar_sigma_past_the_exp_limit(self):
+        with pytest.raises(DomainError, match="sigma=27.0 overflows exp"):
+            g_integrand(0.5, 27.0, 0.0)
+
 
 class TestLaplaceIntegrand:
     def test_at_origin_of_t(self):

@@ -13,10 +13,12 @@ from unigamma import (
     TRUNCATION_CAP,
     ContourSpec,
     DomainError,
+    G,
     QuadratureNodeError,
     SegmentPath,
     contour_loop,
     default_sigma,
+    evaluate_many,
     g_integrand,
     g_log_integrand,
     integrate_segment,
@@ -24,6 +26,7 @@ from unigamma import (
     tail_bound,
     trapezoid_line,
 )
+from unigamma import integrands
 from unigamma.quadrature import (_FSUM_TERMS, _UNIT, _Grid, _exact_sums, _line_grid,
                                  _only, _trapezoid_joint)
 
@@ -659,6 +662,72 @@ class TestSummationRoutes:
         spec = ContourSpec(half_width=10.0, step=0.25, tol=1e-13)
         (size,) = self._check(lambda t, _: g_integrand(0.5 + 3j, 1.0, t), spec, 1, romberg)
         assert 161 < _FSUM_TERMS <= 321 <= size
+
+
+class TestSumPastTheDoubleRange:
+    """Finite node values whose trapezoid sum leaves the double range are a
+    QuadratureNodeError naming no node, on a pass below the fsum cutover
+    (fsum overflows, and the exact bins decide) and above it alike; the
+    point's chunk-mates go on."""
+
+    MESSAGE = "the trapezoid sum of finite values left the double range"
+
+    @staticmethod
+    def _huge(*args):
+        return np.full(np.shape(args[-1]), 1e307 + 0j)
+
+    @pytest.mark.parametrize("half_width", [6.0, 60.0])
+    def test_lone_line(self, half_width):
+        # 49 level-1 terms are below the fsum cutover, 481 above it.
+        with pytest.raises(QuadratureNodeError, match=self.MESSAGE) as info:
+            trapezoid_line(self._huge, ContourSpec(half_width=half_width))
+        assert info.value.node is None
+
+    @pytest.mark.parametrize("y", [-342.0, -341.5])
+    def test_ray(self, y):
+        spec = ContourSpec(sigma=1, half_width=20, step=0.25, tol=1e-10)
+        with pytest.raises(QuadratureNodeError, match=self.MESSAGE):
+            integrate_segment(y, "ray_cd", spec)
+
+    @pytest.mark.parametrize("half_width", [6.0, 60.0])
+    def test_chunk_mates_go_on(self, half_width):
+        # Four points of 49 level-1 terms are below the cutover, of 481 above.
+        spec = ContourSpec(half_width=half_width, tol=1e-13)
+        grid, rule = _line_grid(spec), (spec.tol, spec.max_refinements)
+        huge = np.array([True, False, True, False])
+
+        def f(t, rows):
+            return np.where(huge[rows], 1e307, np.exp(-t * t)) + 0j
+
+        outcomes = _trapezoid_joint((f,), [grid] * 4, *rule)
+        alone = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,), [grid], *rule))
+        for outcome, failed in zip(outcomes, huge):
+            if failed:
+                assert isinstance(outcome, QuadratureNodeError)
+                assert outcome.node is None and self.MESSAGE in str(outcome)
+            else:
+                assert outcome == alone
+
+    def test_partial_sums_past_the_doubles_go_to_the_bins(self):
+        # The terms cancel to the one at t = 0, but fsum's partial sums of
+        # the 24 terms of 1e308 overflow: the 49 level-1 terms, below the
+        # cutover, go to the bins.
+        def f(t):
+            return np.where(t < 0, 1e308, np.where(t > 0, -1e308, 1.0)) + 0j
+
+        res = trapezoid_line(f, ContourSpec(half_width=6.0))
+        assert res.value == res.step_used
+
+    def test_line_function_at_either_conjugate(self, monkeypatch):
+        # The G line's kernel is looked up per call; the point below the
+        # axis is integrated at its conjugate and keeps the message.
+        monkeypatch.setattr(integrands, "g_integrand", self._huge)
+        outcomes = evaluate_many("G", [2 + 1j, 2 - 1j])
+        for outcome in outcomes:
+            assert isinstance(outcome, QuadratureNodeError)
+            assert outcome.node is None and self.MESSAGE in str(outcome)
+        with pytest.raises(QuadratureNodeError, match=self.MESSAGE):
+            G(2 - 1j)
 
 
 class TestSegments:

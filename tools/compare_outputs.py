@@ -16,6 +16,9 @@ corpus is fixed by its seed:
 - ``laplace_recip_gamma`` (at random tolerances and at 1e-3 and 1e-6),
   ``euler_mascheroni``, contour loops and segments, ``trapezoid_line``,
   tolerances whose tail share underflows, and some bad arguments;
+- rays and lines whose node values are finite but whose sum leaves the
+  double range, by fsum and by the bins, and a line whose sum fits though
+  fsum's partial sums overflow;
 - lone lines and a chunk whose levels cross the fsum cutover (see
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
   the chunks call ``quadrature._trapezoid_joint`` in the signature of the
@@ -213,6 +216,20 @@ def _corpus(ug) -> dict[str, str]:
     out["_trapezoid_joint chunk with poles"] = _outcome(lambda: _joint(
         ug, (lambda t, rows: np.exp(-t * t) / ((t + shifts[rows]) * (t - ends[rows])),),
         spec, len(shifts)))
+    # Finite node values whose sum leaves the double range, summed by fsum
+    # (y = -342, half-width 6) and by the bins (y = -341.5, half-width 60).
+    ray = ug.ContourSpec(sigma=1, half_width=20, step=0.25, tol=1e-10)
+    for y in (-342, -341.5):
+        out[f"integrate_segment sum past the doubles {y!r} ray_cd"] = _outcome(
+            lambda: ug.integrate_segment(y, "ray_cd", ray))
+    for width in (6.0, 60.0):
+        out[f"trapezoid_line sum past the doubles half_width={width!r}"] = _outcome(
+            lambda: ug.trapezoid_line(lambda t: np.full(np.shape(t), 1e307 + 0j),
+                                      ug.ContourSpec(half_width=width)))
+    # A sum that fits, whose fsum partials overflow.
+    out["trapezoid_line partial sums past the doubles"] = _outcome(lambda: ug.trapezoid_line(
+        lambda t: np.where(t < 0, 1e308, np.where(t > 0, -1e308, 1.0)) + 0j,
+        ug.ContourSpec(half_width=6.0)))
     # Small batches, whose refinement passes hold few terms in all.
     for batch in range(24):
         name = _LINE_FUNCTIONS[batch % len(_LINE_FUNCTIONS)]
