@@ -38,7 +38,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from . import integrands
 from .errors import DomainError, PoleError, QuadratureNodeError, UnigammaError
 from .quadrature import (
     ContourSpec,
-    QuadratureResult,
     Truncation,
     select_truncation,
     # tail_bound and trapezoid_line are unused here; bench/spans.py patches
@@ -59,6 +57,7 @@ from .quadrature import (
     _check_refinements,
     _check_sigma,
     _check_tol,
+    _Quad,
     _line_grid,
     _nonfinite_node,
     _only,
@@ -88,6 +87,7 @@ POLE_TOL = 1e-12
 _POLE_REACH = 1e-3
 
 _EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
 
 # Documented accuracy box: promises used by the convergence gate.
 _ABS_PROMISE = 1e-6
@@ -142,7 +142,7 @@ def default_sigma(z) -> float:
     return min(_SIGMA_CAP, max(floor, cmath.sqrt(z - 0.5).real))
 
 
-def _gate(quad: QuadratureResult, capped: bool, tol: float,
+def _gate(quad: _Quad, capped: bool, tol: float,
           magnitude: float) -> bool:
     """The one convergence verdict for a line integral at the API level.
 
@@ -153,17 +153,6 @@ def _gate(quad: QuadratureResult, capped: bool, tol: float,
     return (not capped and quad.converged
             and quad.tol_effective <= max(tol, _ABS_PROMISE,
                                           _REL_PROMISE * magnitude))
-
-
-class _Line(NamedTuple):
-    """The line integrals of one point, as ``_lines`` returns them; its last
-    three fields are those of the point's EvalResult."""
-
-    values: list[complex]
-    errs: list[float]
-    spec: ContourSpec
-    converged: bool
-    evaluations: int
 
 
 def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
@@ -181,7 +170,7 @@ def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
 
 
 def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
-    """Integrate each ``(kernel name, log_weight)`` along the G line at each point.
+    """Integrate the kernels ``(names, log_weight)`` along the G line at each point.
 
     ``points`` are the line's z values, or the UnigammaError a point has
     already met, which is passed through.  A point the public functions
@@ -189,18 +178,20 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     point, so it shares lines with the points that integrate 1 - w.
     ``tol``, ``sigma`` and ``max_refinements`` are checked once per call;
     a bad one is the outcome of every other point.  Each window is sized
-    for the heaviest kernel,
+    for the heaviest kernel (the log weight's, where there is one),
     each side's tail to half the tail share of tol (never below the least
     positive double), or less where ``select_truncation`` caps it against
     the integrand's magnitude at the saddle height.  The start step is
     ``_T_GRID`` for every z: on the saddle line the integrand is close to a
     Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
     the rest.  The kernels of a point share one node set; the points share
-    ``_trapezoid_joint``'s kernel calls.  Returns per point a ``_Line``:
-    each integral's value, its error estimate with the analytic tail added,
-    the spec used (the point's one ContourSpec, built after the
-    quadrature), the joint ``_gate`` verdict and the kernel evaluation
-    count.  A point that fails gets its UnigammaError instead.
+    ``_trapezoid_joint``'s kernel calls.  Returns per point its line, the
+    tuple ``(values, errs, spec, converged, evaluations)``: each integral's
+    value and its error estimate with the analytic tail added, then the
+    last three fields of the point's EvalResult: the spec used (the point's
+    one ContourSpec, built after the quadrature), the joint ``_gate``
+    verdict and the kernel evaluation count.  A point that fails gets its
+    UnigammaError instead.
 
     The integrand is real-symmetric, f(-t; conj z) = conj f(t; z), and the
     nodes k*h sit symmetrically about 0, so the line at conj z is the line
@@ -211,7 +202,7 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the result at conj z.  A node error names the first non-finite node of
     the point's own line, the mirror of the last one of the line integrated.
     Points equal bit for bit after that, 0.0 told from -0.0, are integrated
-    once, and those that read a line the same way share one ``_Line``.
+    once, and those that read a line the same way share one line tuple.
     A lone point skips that sharing table and its lists: one line,
     its kernels called on its own z and sigma, scalars.
     """
@@ -221,11 +212,11 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         _check_refinements(max_refinements)
     except DomainError as exc:
         return [z if isinstance(z, UnigammaError) else exc for z in points]
-    # Looked up on every call, where a tracer may have wrapped them.
-    fns = [getattr(integrands, name) for name, _ in kernels]
-    log_weight = any(lw for _, lw in kernels)
+    # The kernels are looked up by name at each call, where a tracer may
+    # have wrapped them.
+    names, log_weight = kernels
     line_tol = (1.0 - _TAIL_SHARE) * tol
-    tail_tol = max(0.5 * _TAIL_SHARE * tol, math.ulp(0.0))
+    tail_tol = max(0.5 * _TAIL_SHARE * tol, _TINY)
     if len(points) == 1:
         (z,) = points
         if isinstance(z, UnigammaError):
@@ -238,7 +229,7 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         except UnigammaError as exc:
             return [exc]
         (quads,) = _trapezoid_joint(
-            [lambda t, _, fn=fn: fn(z, sig, t) for fn in fns],
+            [lambda t, _, name=name: getattr(integrands, name)(z, sig, t) for name in names],
             [_window_grid(trunc.lower, trunc.upper, _T_GRID)], line_tol, max_refinements,
             noise=[_phase_noise(z, sig, trunc)])
         return [_read(quads if isinstance(quads, UnigammaError) else (sig, trunc, quads),
@@ -275,13 +266,14 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     if len(zs) > 1:
         z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
     quads_of = _trapezoid_joint(
-        [lambda t, rows, fn=fn: fn(z_of[rows], sigma_of[rows], t) for fn in fns],
+        [lambda t, rows, name=name: getattr(integrands, name)(z_of[rows], sigma_of[rows], t)
+         for name in names],
         [_window_grid(trunc.lower, trunc.upper, _T_GRID) for trunc in truncs],
         line_tol, max_refinements,
         noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)])
     for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
-    # Points that read one line the same way share its _Line.
+    # Points that read one line the same way share its tuple.
     read = {}
     for index, slot, flip in reads:
         if (slot, flip) not in read:
@@ -291,31 +283,32 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
 
 
 def _read(line, flip: bool, line_tol: float, max_refinements: int):
-    """A point's ``_Line`` from the quadrature of its line point, a ``(sigma,
-    truncation, results)`` triple, or its UnigammaError; conjugated where
-    ``flip``."""
+    """A point's line tuple (see ``_lines``) from the quadrature of its line
+    point, a ``(sigma, truncation, results)`` triple, or its UnigammaError;
+    conjugated where ``flip``."""
     if isinstance(line, UnigammaError):
         if flip and isinstance(line, QuadratureNodeError) and line.node is not None:
             line = _nonfinite_node(line._mirror_node)
         return line
-    sig, trunc, quads = line
+    sig, (lower, upper, tail, capped), quads = line
     values, errs, converged, tol, evaluations = [], [], True, 0.0, 0
     for quad in quads:
         values.append(quad.value.conjugate() if flip else quad.value)
         # The heaviest kernel's tail bound, which covers the others'.
-        errs.append(quad.err_estimate + trunc.tail)
-        converged = converged and _gate(quad, trunc.capped, line_tol, abs(quad.value))
+        errs.append(quad.err_estimate + tail)
+        converged = converged and _gate(quad, capped, line_tol, abs(quad.value))
         tol = max(tol, quad.tol_effective)
         evaluations += quad.evaluations
-    spec = ContourSpec(sigma=sig, half_width=max(sig, trunc.half_width),
+    spec = ContourSpec(sigma=sig, half_width=max(sig, -lower, upper),
                        step=quads[0].step_used, tol=tol, max_refinements=max_refinements,
-                       window=(-trunc.upper, -trunc.lower) if flip
-                       else (trunc.lower, trunc.upper))
-    return _Line(values, errs, spec, converged, evaluations)
+                       window=(-upper, -lower) if flip else (lower, upper))
+    return values, errs, spec, converged, evaluations
 
 
-_G_LINE = (("g_integrand", False),)
-_DIGAMMA_LINE = (("g_log_integrand", True), ("g_integrand", False))
+# A line's kernels, as ``_lines`` takes them: their names in ``integrands``,
+# and whether one carries the log weight.
+_G_LINE = (("g_integrand",), False)
+_DIGAMMA_LINE = (("g_log_integrand", "g_integrand"), True)
 
 
 def _nearest_pole(z: complex) -> int:
@@ -352,41 +345,38 @@ def _mirrors(w: complex) -> bool:
     return w.real < 0.5 and cmath.sqrt(0.5 - w).real < _SIGMA_CAP
 
 
-# What reading a line point w from the line at 1 - w needs: m = 1 - w as
-# rounded, the point integrated; delta = (1 - w) - m exactly; sin(pi w),
-# cos(pi w), and dx, a bound on the error of their rounded argument.
-_Mirror = NamedTuple("_Mirror", [("m", complex), ("delta", float), ("sin", complex),
-                                 ("cos", complex), ("dx", float)])
-
-
-def _mirror(w: complex) -> _Mirror:
-    """w's mirror record.  1 - Re w rounds where it leaves the binade of
-    Re w, by up to half an ulp of m, and TwoSum recovers that exactly.  sin
-    and cos come from the reduced argument r = w - round(Re w), which is
-    exact; the rounded pi r errs by at most eps |pi r|."""
+def _mirror(w: complex) -> tuple:
+    """w's mirror record, what reading a line point w from the line at 1 - w
+    needs, as a plain tuple ``(m, delta, sin, cos, dx)``: m = 1 - w as
+    rounded, the point integrated; delta = (1 - w) - m exactly; sin(pi w),
+    cos(pi w), and dx, a bound on the error of their rounded argument.
+    1 - Re w rounds where it leaves the binade of Re w, by up to half an ulp
+    of m, and TwoSum recovers that exactly.  sin and cos come from the
+    reduced argument r = w - round(Re w), which is exact; the rounded pi r
+    errs by at most eps |pi r|."""
     m = 1.0 - w
     back = m.real - 1.0
     n = round(w.real)
     x = math.pi * complex(w.real - n, w.imag)
     s, c = cmath.sin(x), cmath.cos(x)
     s, c = (-s, -c) if n % 2 else (s, c)
-    return _Mirror(m, (1.0 - (m.real - back)) + (-w.real - back), s, c, _EPS * abs(x))
+    return m, (1.0 - (m.real - back)) + (-w.real - back), s, c, _EPS * abs(x)
 
 
-def _route(w: complex, may_mirror: bool, sigma) -> tuple[complex, _Mirror | None]:
+def _route(w: complex, may_mirror: bool, sigma) -> tuple[complex, tuple | None]:
     """The point whose line ``_lines`` integrates for line point w, and w's
     mirror record: the line at 1 - w where the function may mirror, no sigma
     is forced and ``_mirrors`` says so; else w's own line, and None."""
     if may_mirror and sigma is None and _mirrors(w):
         mirror = _mirror(w)
-        return mirror.m, mirror
+        return mirror[0], mirror
     return w, None
 
 
-def _g_at(mirror: _Mirror | None, line: _Line) -> tuple[complex, float]:
-    """G at a line point w and its error bound: ``line``'s last integral (its
-    G kernel), or, with w's ``mirror`` record, G(w) = pi sin(pi w)/G(1 - w)
-    rebuilt from it on the line at m.
+def _g_at(mirror: tuple | None, g: complex, err: float) -> tuple[complex, float]:
+    """G at a line point w and its error bound, from a line's G integral g
+    known within err: g itself, or, with w's ``mirror`` record, G(w) = pi
+    sin(pi w)/G(1 - w) rebuilt from g on the line at m.
 
     m misses 1 - w by delta, which moves G by -psi(m) delta relatively; a
     first-order step with psi ~ Log m - 1/(2m) takes it back.  On Re m >= 1/2
@@ -396,7 +386,6 @@ def _g_at(mirror: _Mirror | None, line: _Line) -> tuple[complex, float]:
     G(1 - w) known within err adds at most |sin| err/|G| to it before the
     division by |G| - err; the product and the quotient round once each.
     """
-    g, err = line.values[-1], line.errs[-1]
     if mirror is None:
         return g, err
     m, delta, s, c, dx = mirror
@@ -414,21 +403,21 @@ def _g_at(mirror: _Mirror | None, line: _Line) -> tuple[complex, float]:
     return g_w, err + 2.0 * _EPS * abs(g_w)
 
 
-def _recip_gamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
-    g, err = _g_at(mirror, line)
+def _recip_gamma_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
+    g, err = _g_at(mirror, values[-1], errs[-1])
     return g / math.pi, err / math.pi
 
 
-def _gamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
+def _gamma_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
     """Gamma(z) = pi/G(z); its error term divides by |G| twice, never by
     |G|^2, which overflows where Gamma(z) is small."""
-    g, err = _g_at(mirror, line)
+    g, err = _g_at(mirror, values[-1], errs[-1])
     mag = abs(g)
     _pole_guard("gamma", z, mag, err)
     return math.pi / g, math.pi * (err / mag) / mag
 
 
-def _digamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
+def _digamma_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
     """psi(z) as the ratio of the line's two integrals; where mirrored, that
     ratio is psi(1 - z) and psi(z) = psi(1 - z) - pi cot(pi z), from z's
     mirror record.  The pole guard reads G(z) through ``_g_at``.
@@ -438,9 +427,9 @@ def _digamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
     argument's error over |sin|^2 and by the rounding of sin, cos and their
     quotient (9 ulps of cot); times pi and the final subtraction round once each.
     """
-    g, err_g = _g_at(mirror, line)
+    (num, den), (err_num, err_den) = values, errs
+    g, err_g = _g_at(mirror, den, err_den)
     _pole_guard("digamma", z, abs(g), err_g)
-    (num, den), (err_num, err_den) = line.values, line.errs
     value = num / den
     err = (err_num + abs(value) * err_den) / abs(den)
     if mirror is not None:
@@ -454,18 +443,20 @@ def _digamma_result(z: complex, mirror: _Mirror | None, line: _Line) -> tuple:
     return value, err
 
 
+def _g_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
+    return _g_at(mirror, values[-1], errs[-1])
+
+
 # name: (the point w of the G line for input z, its kernels, the reader that
-# returns (value, err) from the line as ``read(z, mirror, line)``, and whether
-# w may be read from the line at 1 - w, as ``_route`` decides).  G, g_tilde
-# and gamma_sin_pi return G at w itself.
+# returns (value, err) from the line's values and errs as ``read(z, mirror,
+# values, errs)``, and whether w may be read from the line at 1 - w, as
+# ``_route`` decides).  G, g_tilde and gamma_sin_pi return G at w itself.
 _ENGINE = {
-    "G": (lambda z: z, _G_LINE, lambda z, mirror, line: _g_at(mirror, line), False),
-    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE,
-                lambda z, mirror, line: _g_at(mirror, line), False),
+    "G": (lambda z: z, _G_LINE, _g_result, False),
+    "g_tilde": (lambda y: (y + 1.0) / 2.0, _G_LINE, _g_result, False),
     "recip_gamma": (lambda z: z, _G_LINE, _recip_gamma_result, True),
     "gamma": (lambda z: z, _G_LINE, _gamma_result, True),
-    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE,
-                     lambda z, mirror, line: _g_at(mirror, line), True),
+    "gamma_sin_pi": (lambda z: 1.0 - z, _G_LINE, _g_result, True),
     "digamma": (lambda z: z, _DIGAMMA_LINE, _digamma_result, True),
 }
 
@@ -520,8 +511,10 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     outcomes = []
     for (z, _, mirror), line in zip(points, lines):
         if not isinstance(line, UnigammaError):
+            values, errs, spec, converged, evaluations = line
             try:
-                line = EvalResult(z, *read(z, mirror, line), *line[2:])
+                value, err = read(z, mirror, values, errs)
+                line = EvalResult(z, value, err, spec, converged, evaluations)
             except UnigammaError as exc:
                 line = exc
         outcomes.append(line)
@@ -537,7 +530,9 @@ def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
     (line,) = _lines((point,), kernels, sigma, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    return EvalResult(z, *read(z, mirror, line), *line[2:])
+    values, errs, spec, converged, evaluations = line
+    value, err = read(z, mirror, values, errs)
+    return EvalResult(z, value, err, spec, converged, evaluations)
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,
@@ -585,12 +580,11 @@ def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
                      max_refinements: int = 12) -> EvalResult:
     """gamma = -(1/pi) int w^{-1} e^{w^2} (2 Log w) dt  (the z = 1 line)."""
     z = 1.0 + 0.0j
-    (line,) = _lines([z], (("g_log_integrand", True),), sigma, tol,
-                     max_refinements)
+    (line,) = _lines([z], (("g_log_integrand",), True), sigma, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    (total,), (err,) = line.values, line.errs
-    return EvalResult(z, -total / math.pi, err / math.pi, *line[2:])
+    (total,), (err,), spec, converged, evaluations = line
+    return EvalResult(z, -total / math.pi, err / math.pi, spec, converged, evaluations)
 
 
 def _laplace_tail(z: complex, sigma: float, half_width: float, terms: int) -> complex:

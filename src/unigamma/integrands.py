@@ -51,14 +51,13 @@ _SIGMA_LIMIT = 26.0
 _SIGMA_MIN = 2.0 ** -511
 
 
-def _is_array(x) -> bool:
-    # np.ndim of a Python scalar costs microseconds, a visible share of a
-    # kernel call; numpy's scalars subclass float and complex.
-    return not isinstance(x, (float, complex, int)) and np.ndim(x) > 0
+# What is surely no array: np.ndim of a Python scalar costs microseconds, a
+# visible share of a kernel call; numpy's scalars subclass float and complex.
+_SCALARS = (float, complex, int)
 
 
 def _check_complex(name: str, value):
-    if _is_array(value):
+    if not isinstance(value, _SCALARS) and np.ndim(value) > 0:
         z = np.asarray(value, dtype=complex)
         if not np.isfinite(z).all():
             raise DomainError(f"{name} must be finite")
@@ -70,7 +69,7 @@ def _check_complex(name: str, value):
 
 
 def _check_sigma(sigma):
-    if _is_array(sigma):
+    if not isinstance(sigma, _SCALARS) and np.ndim(sigma) > 0:
         s = np.asarray(sigma, dtype=float)
         if not (np.isfinite(s) & (s >= _SIGMA_MIN)).all():
             raise DomainError("sigma must be finite reals of at least 2**-511")
@@ -90,7 +89,9 @@ def _check_sigma(sigma):
 
 def _check_t(t):
     arr = np.asarray(t, dtype=float)
-    if not np.isfinite(arr).all():
+    # A finite sum has finite terms: only a sum past the double range, whose
+    # terms square past it too, needs the test of every node.
+    if not (math.isfinite(np.add.reduce(arr.ravel())) or np.isfinite(arr).all()):
         raise DomainError("t must be finite")
     return arr if arr.ndim else float(arr)
 

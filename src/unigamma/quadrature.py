@@ -57,7 +57,9 @@ For heavily cancelling integrands (deep left half-plane z) the requested
 absolute tolerance may lie below what double precision can represent of the
 summand mass; converging to the roundoff floor is then reported as
 convergence against the recorded effective tolerance rather than a silent
-failure or a fake success at the unreachable one.
+failure or a fake success at the unreachable one.  A floor past the double
+range (int |f| overflows while the sum fits) is no tolerance at all: the
+integral stops there, unconverged, with err_estimate inf.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import atan2, erfc, fsum, hypot, log, pi, sqrt
 from typing import Callable, NamedTuple, Sequence
 
@@ -111,6 +113,7 @@ _SIGMA_MIN = integrands._SIGMA_MIN
 # The largest sigma a line takes: exp(sigma**2) stays far from overflow.
 _SIGMA_CAP = 8.0
 _MAX = sys.float_info.max
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,13 @@ class ContourSpec:
         # The all-valid case in one test, the same bounds as the checks
         # below, which run only to name a failure.
         try:
-            lower, upper = ((-self.half_width, self.half_width) if self.window is None
-                            else self.window)
-            if (_SIGMA_MIN <= self.sigma <= _SIGMA_CAP and self.sigma <= self.half_width <= _MAX
-                    and 0.0 < self.step <= self.half_width
-                    and -self.half_width <= lower < upper <= self.half_width
-                    and self.step <= upper - lower and 0.0 < self.tol <= _MAX
-                    and 0.5 < self.max_refinements <= math.inf
-                    and self.max_refinements % 1 == 0):
+            sigma, half_width, step, refinements = (self.sigma, self.half_width, self.step,
+                                                    self.max_refinements)
+            lower, upper = (-half_width, half_width) if self.window is None else self.window
+            if (_SIGMA_MIN <= sigma <= _SIGMA_CAP and sigma <= half_width <= _MAX
+                    and 0.0 < step <= half_width and -half_width <= lower < upper <= half_width
+                    and step <= upper - lower and 0.0 < self.tol <= _MAX
+                    and 0.5 < refinements <= _INF and refinements % 1 == 0):
                 return
         except Exception:   # whatever it is, the checks below name it
             pass
@@ -176,6 +178,18 @@ class QuadratureResult:
     the tolerance actually enforced (the requested one, raised to the
     cancellation floor ``16*eps*int|f|`` when roundoff dominates).
     """
+
+    value: complex
+    err_estimate: float
+    evaluations: int
+    converged: bool
+    step_used: float
+    tol_effective: float
+
+
+class _Quad(NamedTuple):
+    """One line integral as the driver returns it: the fields of a
+    QuadratureResult in a tuple, a third of the dataclass's cost to build."""
 
     value: complex
     err_estimate: float
@@ -243,19 +257,21 @@ def _log_magnitude(p: float, y: float, sigma: float, t: float,
     exactly u^p e^{2 y atan(t/sigma)} e^{sigma^2 - t^2}, and d/dt log|f| =
     D(t) - 2t with D = 2(p t + y sigma)/u.
     """
-    u = sigma * sigma + t * t
+    s2, t2 = sigma * sigma, t * t
+    u = s2 + t2
     log_u = log(u)
-    lm = p * log_u + 2.0 * y * atan2(t, sigma) + sigma * sigma - t * t
+    lm = p * log_u + 2.0 * y * atan2(t, sigma) + s2 - t2
     if log_weight:
         lm += log(abs(log_u) + pi)
     drift = 2.0 * (p * t + y * sigma) / u
     return lm, 2.0 * t - drift, 1.0 + (drift * t - p) / u
 
 
-def _log_tail(p: float, y: float, sigma: float, end: float,
-              log_weight: bool) -> tuple[float, float, float]:
+def _log_tail(p: float, y: float, sigma: float, end: float, log_weight: bool,
+              lead: float) -> tuple[float, float, float]:
     """log of a bound on the integral of |f| over t > end; and the slope and
     half the curvature of -log|f| at end, which steer ``_upper_end``.
+    ``lead`` is y + hypot(p, y), the same for every end of one side.
 
     On t >= end, d/dt log|f| = D(t) - 2t (``_log_magnitude``).  D is at
     most R, its supremum over [end, inf), which (p tau + y)/(tau^2 + 1)
@@ -269,7 +285,6 @@ def _log_tail(p: float, y: float, sigma: float, end: float,
     where it passes the double range its log is inf.
     """
     lm, slope, curve = _log_magnitude(p, y, sigma, end, log_weight)
-    lead = y + hypot(p, y)
     if lead > 0.0 and end * lead <= p * sigma:
         kappa = 2.0 * end - lead / sigma    # the supremum lies inside the tail
     else:
@@ -299,26 +314,41 @@ def _check_point(z, name: str = "z") -> complex:
     return z
 
 
+# The three checks below are on every call's path: each tests its range
+# itself, as ``_inside`` would, a TypeError meaning no real number.
+
 def _check_sigma(sigma) -> float:
     """sigma as a float; DomainError unless it is a real in [2**-511, _SIGMA_CAP]."""
-    if not _inside(sigma, _SIGMA_CAP):
-        raise DomainError(f"sigma must lie in (0, {_SIGMA_CAP:g}], got {sigma!r}")
-    if sigma < _SIGMA_MIN:
+    try:
+        if _SIGMA_MIN <= sigma <= _SIGMA_CAP:
+            return float(sigma)
+        small = 0.0 < sigma < _SIGMA_MIN
+    except TypeError:
+        small = False
+    if small:
         raise DomainError(f"sigma must be at least 2**-511, where sigma**2 is a "
                           f"normal double, got {sigma!r}")
-    return float(sigma)
+    raise DomainError(f"sigma must lie in (0, {_SIGMA_CAP:g}], got {sigma!r}")
 
 
 def _check_tol(tol, name: str = "tol") -> None:
     """DomainError unless tol is a positive finite real."""
-    if not _inside(tol, sys.float_info.max):
-        raise DomainError(f"{name} must be a positive finite real, got {tol!r}")
+    try:
+        if 0.0 < tol <= _MAX:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be a positive finite real, got {tol!r}")
 
 
 def _check_refinements(max_refinements) -> None:
     """DomainError unless max_refinements is a whole number >= 1."""
-    if not (_inside(max_refinements, math.inf, 0.5) and max_refinements % 1 == 0):
-        raise DomainError(f"max_refinements must be an integer >= 1, got {max_refinements!r}")
+    try:
+        if 0.5 < max_refinements <= _INF and max_refinements % 1 == 0:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"max_refinements must be an integer >= 1, got {max_refinements!r}")
 
 
 def _inside(value, high: float, low: float = 0.0) -> bool:
@@ -347,7 +377,7 @@ def tail_bound(z, sigma: float, end: float, *, lower: bool = False,
     p, y = 0.5 - z.real, z.imag
     if lower:
         y, end = -y, -end     # |f(-t)| at z is |f(t)| at conj(z)
-    log_tail = _log_tail(p, y, sigma, end, log_weight)[0]
+    log_tail = _log_tail(p, y, sigma, end, log_weight, y + hypot(p, y))[0]
     return math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
 
 
@@ -370,6 +400,7 @@ def _upper_end(p: float, y: float, sigma: float, start: float, floor: int,
     elif floor > _CAP_STEPS:
         floor = _CAP_STEPS
     low, high = floor - 1, _CAP_STEPS + 1     # k known to miss and to meet
+    lead = y + hypot(p, y)
     end = start
     log_tail, slope, curve = _log_magnitude(p, y, sigma, start, log_weight)
     if slope > 1.0:
@@ -387,7 +418,7 @@ def _upper_end(p: float, y: float, sigma: float, start: float, floor: int,
             k = (low + 1 if guess <= low + 1 else high - 1 if guess >= high - 1
                  else math.ceil(guess))
         end = k * _T_GRID
-        log_tail, slope, curve = _log_tail(p, y, sigma, end, log_weight)
+        log_tail, slope, curve = _log_tail(p, y, sigma, end, log_weight, lead)
         # A bound equal to the budget meets it, whichever way the logs round.
         if log_tail <= log_budget or (log_tail - log_budget < 1e-9
                                       and math.exp(log_tail) <= math.exp(log_budget)):
@@ -424,7 +455,9 @@ def select_truncation(z, sigma: float, tol: float, *,
     # of the two crests at +-Im w0, and z and conj(z) see the same numbers.
     height = cmath.sqrt(complex(-p, abs(y))).imag
     magnitude = _log_magnitude(p, abs(y), sigma, height, False)[0]
-    peak = _log_magnitude(p, abs(y), sigma, height, True)[0] if log_weight else magnitude
+    # The log weight's bound at the height, as _log_magnitude adds it.
+    peak = (magnitude + log(abs(log(sigma * sigma + height * height)) + pi) if log_weight
+            else magnitude)
     log_budget = min(log(tol), _LOG_TAIL_REL + magnitude)
     # Gaussian start: peak - 2 d^2 - log(4 d) = log(budget).
     excess = peak - log_budget
@@ -594,8 +627,6 @@ def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | No
     ``_mirror_node`` is the node that the mirror image of the line, t -> -t,
     would name: the negation of the last such node.
     """
-    if all(cmath.isfinite(np.add.reduce(new)) for new in news):
-        return None         # a finite sum has no non-finite term
     finite = [np.isfinite(new) for new in news]
     looks = (slice(None, None, 2), slice(None)) if level == 1 else (slice(None),)
     for look in looks:
@@ -614,133 +645,149 @@ def _nonfinite_node(node: float) -> QuadratureNodeError:
 
 
 class _Point:
-    """Refinement state of one point: kept trapezoid terms and sums per integrand."""
+    """Refinement state of one point: the step of its last level, kept
+    trapezoid terms, their mass and sums per integrand."""
 
-    __slots__ = ("grid", "tol", "floor", "romberg", "values", "exact", "sums", "rows")
+    __slots__ = ("grid", "tol", "floor", "romberg", "h", "values", "added", "mass", "exact",
+                 "sums", "rows")
 
-    def __init__(self, grid: _Grid, tol, count: int, noise: float, romberg: bool):
+    def __init__(self, grid: _Grid, tol, noise: float, romberg: bool):
         self.grid = grid
         self.tol = tol      # a float, or a function that the first settle calls
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
-        self.values: list = []
         # Exact running sums of the terms, real and imaginary per
         # integrand, once the bins sum this point; None before and after fsum.
         self.exact: list[int] | None = None
-        self.sums = [0j] * count
-        self.rows: list[list[complex]] = [[]] * count     # replaced, never changed
-
-    def step(self, level: int) -> float:
-        return math.ldexp(self.grid.step, -level)
 
     def next_nodes(self, level: int) -> np.ndarray:
-        """The nodes that the kernel call of ``level`` (1 or more) evaluates.
+        """The nodes that the kernel call of ``level`` (1 or more) evaluates,
+        whose step ``h`` the point takes.
 
         Level 1 evaluates the whole grid at half its step, level 0's nodes
         at its even k; each later level adds the odd k.
         """
         grid = self.grid
         k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
-        k = (np.arange(k_lo, k_hi + 1, dtype=float) if level == 1
-             else np.arange(k_lo + 1, k_hi, 2, dtype=float))
-        return grid.origin + k * self.step(level)
+        nodes = (np.arange(k_lo, k_hi + 1, dtype=float) if level == 1
+                 else np.arange(k_lo + 1, k_hi, 2, dtype=float))
+        self.h = math.ldexp(grid.step, -level)
+        nodes *= self.h
+        if grid.origin:
+            nodes += grid.origin
+        return nodes
 
-    def keep(self, news, level: int) -> list:
-        """Keep the integrands' new values as trapezoid terms; the terms this level adds.
+    def keep(self, news: list, level: int) -> bool:
+        """Keep the integrands' new values as trapezoid terms, and each
+        integrand's mass, the sum of |term| over the level; whether the
+        masses add up to a finite number, as they do unless a value is not
+        finite or they pass the double range.
 
-        Level 1 keeps a copy with the end weights 1/2 applied, at level 0's
-        ends; a later level's nodes are interior, so its terms are its
-        values, interleaved with the kept ones.
+        Level 1 keeps the arrays themselves, which the driver owns, with the
+        end weights 1/2 applied at level 0's ends; a later level's nodes are
+        interior, so its terms are its values, interleaved with the kept
+        ones, and ``added`` holds them for the bins.
         """
         if level == 1:
-            self.values = [new.copy() for new in news]
-            for terms in self.values:
-                terms[::terms.size - 1] *= 0.5      # its two ends
-            return self.values
-        for i, new in enumerate(news):
-            merged = np.empty(2 * new.size + 1, dtype=complex)
-            merged[0::2] = self.values[i]
-            merged[1::2] = new
-            self.values[i] = merged
-        return news
+            for terms in news:
+                terms[0] *= 0.5         # its two ends
+                terms[-1] *= 0.5
+            self.values = news
+        else:
+            values = self.values
+            for i, new in enumerate(news):
+                merged = np.empty(2 * new.size + 1, dtype=complex)
+                merged[0::2] = values[i]
+                merged[1::2] = new
+                values[i] = merged
+            self.added = news
+        mass = self.mass = [float(np.add.reduce(np.abs(terms))) for terms in self.values]
+        return sum(mass) < _INF
 
-    def add_exact(self, sums: list[list[int]], slot: int) -> list[float]:
+    def add_exact(self, sums: list[list[int]], slot: int, step: float) -> list[complex]:
         """Add slot ``slot``'s exact sums, from one ``_exact_sums`` pass per
-        integrand, to the running sums; those, each rounded once."""
+        integrand, to the running sums; those, each rounded once, times ``step``."""
         part = [total for each in sums for total in each[2 * slot:2 * slot + 2]]
-        self.exact = (part if self.exact is None
-                      else [total + more for total, more in zip(self.exact, part)])
-        return [total / _UNIT for total in self.exact]
+        exact = self.exact = (part if self.exact is None
+                              else [total + more for total, more in zip(self.exact, part)])
+        return [complex(step * (exact[j] / _UNIT), step * (exact[j + 1] / _UNIT))
+                for j in range(0, len(exact), 2)]
 
-    def fsum_levels(self, level: int) -> list[list[float]]:
-        """fsum of the kept terms, real and imaginary per integrand, of each
+    def fsum_levels(self, level: int) -> list[list[complex]]:
+        """The trapezoid sum by fsum of the kept terms, per integrand, of each
         level this step settles; drops the running sum, so the next bin
         pass takes every kept term."""
         self.exact = None
-        sums = [[], []] if level == 1 else [[]]
+        h = self.h
+        if level > 1:
+            return [[complex(h * fsum(v.real.tolist()), h * fsum(v.imag.tolist()))
+                     for v in self.values]]
+        coarse, fine, h0 = [], [], self.grid.step
         for v in self.values:
             # Each part converted once; level 0 is its even terms.
             re, im = v.real.tolist(), v.imag.tolist()
-            if level == 1:
-                sums[0] += fsum(re[0::2]), fsum(im[0::2])
-            sums[-1] += fsum(re), fsum(im)
-        return sums
+            coarse.append(complex(h0 * fsum(re[0::2]), h0 * fsum(im[0::2])))
+            fine.append(complex(h * fsum(re), h * fsum(im)))
+        return [coarse, fine]
 
-    def settle(self, sums: list[list[float]], level: int, max_refinements: int):
-        """Take the sums of the levels this step settles; the outcome once the point stops.
+    def settle(self, sums, level: int, max_refinements: int):
+        """Take the trapezoid sums of the levels this step settles; the outcome once the point stops.
 
         ``sums`` holds one list per level, the last one ``level``'s: levels 0
         and 1 on the first step, one level after it; or an overflow error,
-        the outcome.  Else the outcome is one QuadratureResult per integrand;
-        None while the point goes on refining toward the tolerance the first step fixes.
+        the outcome.  Else the outcome is one ``_Quad`` per integrand;
+        None while the point goes on refining toward the tolerance the first
+        step fixes.  An integrand whose roundoff floor, and so its effective
+        tolerance, is past the double range cannot converge, at this level
+        or a finer one, whose mass holds this one's: the point stops there,
+        unconverged.
         """
         if isinstance(sums, QuadratureNodeError):
             return sums
-        for at, level_sums in enumerate(sums, level + 1 - len(sums)):
-            step = self.step(at)
-            last, self.sums = self.sums, []
-            for i in range(len(last)):
-                total = complex(step * level_sums[2 * i], step * level_sums[2 * i + 1])
-                if self.romberg:
-                    self.rows[i] = _romberg_row(self.rows[i], total)
-                    total = self.rows[i][-1]
-                self.sums.append(total)
-        if callable(self.tol):      # the first step: ``last`` holds level 0's values
-            self.tol = self.tol(last[0])
-        checks, done = [], True
-        for total, previous, values in zip(self.sums, last, self.values):
+        if level == 1:
+            last, totals = sums
+            if callable(self.tol):
+                self.tol = self.tol(last[0])    # from the first integrand's level 0
+            if self.romberg:
+                self.rows = [[total] for total in last]
+        else:
+            last, (totals,) = self.sums, sums
+        if self.romberg:
+            self.rows = [_romberg_row(row, total) for row, total in zip(self.rows, totals)]
+            totals = [row[-1] for row in self.rows]
+        self.sums = totals
+        h, tol, evaluations = self.h, self.tol, self.values[0].size
+        results, done, refining = [], True, level < max_refinements
+        for total, previous, mass in zip(totals, last, self.mass):
             diff = abs(total - previous)
-            floor = self.floor * (step * float(np.add.reduce(np.abs(values))))
-            tol_eff = max(self.tol, floor)
-            converged = diff <= _RICHARDSON_MARGIN * tol_eff
+            floor = self.floor * (h * mass)
+            tol_eff = max(tol, floor)
+            converged = diff <= _RICHARDSON_MARGIN * tol_eff < _INF
             done = done and converged
-            checks.append((total, max(diff, floor), converged, tol_eff))
-        if not done and level < max_refinements:
-            return None
-        evaluations = self.values[0].size
-        return [QuadratureResult(total, err, evaluations, converged, step, tol_eff)
-                for total, err, converged, tol_eff in checks]
+            refining = refining and tol_eff < _INF
+            results.append(_Quad(total, max(diff, floor), evaluations, converged, h, tol_eff))
+        return None if refining and not done else results
 
 
-def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
-    """The sums of the levels a pass settles, per (index, point, added terms)
-    of ``kept``, as ``_Point.settle`` takes them: by fsum below
-    ``_FSUM_TERMS`` kept terms in all, else by one ``_exact_sums`` pass per
-    integrand, a slot per point (on level 1 two: the even and the odd k).  A
-    binned point adds its new terms to its running sum, or all its kept ones
-    where it has none (level 1, or after fsum).  Both routes give the same
-    bits.  A pass whose points have all failed sums nothing.  fsum refuses
-    partial sums past the double range, even where the sum fits, so such a
-    pass goes to the exact bins; a point whose sum does not fit gets its
-    error in place of its sums.
+def _pass_sums(points: list, level: int) -> list:
+    """The trapezoid sums of the levels a pass settles, per point of
+    ``points`` that this pass keeps terms of, as ``_Point.settle`` takes
+    them: by fsum below ``_FSUM_TERMS`` kept terms in all, else by one
+    ``_exact_sums`` pass per integrand, a slot per point (on level 1 two:
+    the even and the odd k).  A binned point adds its new terms to its
+    running sum, or all its kept ones where it has none (level 1, or after
+    fsum).  Both routes give the same bits.  A pass whose points have all
+    failed sums nothing.  fsum refuses partial sums past the double range,
+    even where the sum fits, so such a pass goes to the exact bins; a point
+    whose sum does not fit gets its error in place of its sums.
     """
-    if not kept or sum([point.values[0].size for _, point, _ in kept]) < _FSUM_TERMS:
+    if not points or sum([point.values[0].size for point in points]) < _FSUM_TERMS:
         try:
-            return [point.fsum_levels(level) for _, point, _ in kept]
+            return [point.fsum_levels(level) for point in points]
         except OverflowError:
             pass
-    binned = [point.values if point.exact is None else terms for _, point, terms in kept]
+    binned = [point.values if point.exact is None else point.added for point in points]
     per = 2 if level == 1 else 1
     sizes = [terms[0].size for terms in binned]
     if len(binned) == 1:    # its terms go in as they are: no copy of a long level
@@ -753,9 +800,11 @@ def _pass_sums(kept: list, level: int) -> list[list[list[float]]]:
                         slots, per * len(binned))
             for values in zip(*binned)]
     outcomes = []
-    for first, (_, point, _) in zip(range(0, per * len(kept), per), kept):
+    for first, point in zip(range(0, per * len(points), per), points):
         try:
-            outcomes.append([point.add_exact(sums, s) for s in range(first, first + per)])
+            steps = (point.grid.step, point.h) if per == 2 else (point.h,)
+            outcomes.append([point.add_exact(sums, first + j, step)
+                             for j, step in enumerate(steps)])
         except OverflowError:
             outcomes.append(QuadratureNodeError(
                 "the trapezoid sum of finite values left the double range"))
@@ -766,20 +815,22 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
     Each pass is one level, level 1's first (it settles levels 0 and 1): one
-    kernel call per integrand on the new nodes of the points still refining,
-    then one ``_pass_sums`` over those whose nodes are all finite.  A chunk
-    of one point takes the same steps without the per-pass lists: it hands
-    the kernel its nodes and its index as ``rows``, scalars, and none of the
-    joining and splitting, which cost about 5% of a small integral.
+    kernel call per integrand on the new nodes of the points still refining;
+    each point keeps its terms and their mass, a point whose masses are not
+    all finite is looked at for a non-finite node (``_node_error``) and,
+    with one, leaves the pass; then one ``_pass_sums`` over the rest.  A
+    chunk of one point takes the same steps without the per-pass lists: it
+    hands the kernel its nodes and its index as ``rows``, scalars, and none
+    of the joining and splitting, which cost about 5% of a small integral.
     """
     if len(points) == 1:
         ((p, point),) = points.items()
         for level in itertools.count(1):
             nodes = point.next_nodes(level)
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
-            outcome = _node_error(nodes, news, level)
+            outcome = None if point.keep(news, level) else _node_error(nodes, news, level)
             if outcome is None:
-                (sums,) = _pass_sums(((p, point, point.keep(news, level)),), level)
+                (sums,) = _pass_sums((point,), level)
                 outcome = point.settle(sums, level, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
@@ -794,13 +845,13 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
         parts = zip(*(np.split(np.asarray(f(t, rows), dtype=complex), cuts) for f in fs))
         kept = []
         for (p, point), block, part in zip(active, nodes, parts):
-            error = _node_error(block, part, level)
+            error = None if point.keep(list(part), level) else _node_error(block, part, level)
             if error is None:
-                kept.append((p, point, point.keep(part, level)))
+                kept.append((p, point))
             else:           # out of the sums, so it cannot spoil its chunk-mates'
                 outcomes[p] = error
                 del points[p]
-        for (p, point, _), sums in zip(kept, _pass_sums(kept, level)):
+        for (p, point), sums in zip(kept, _pass_sums([point for _, point in kept], level)):
             outcome = point.settle(sums, level, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
@@ -808,6 +859,7 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
         level += 1
 
 
+@np.errstate(all="ignore")      # as a decorator it costs half what a with block does
 def _trapezoid_joint(
     fs: Sequence[Callable],
     grids: Sequence[_Grid],
@@ -842,29 +894,33 @@ def _trapezoid_joint(
     calls each integrand once as ``f(t, rows)`` on the new nodes of the
     chunk's points still refining, concatenated in point order: ``rows`` is
     the point's index in a chunk of one point, else an array naming the
-    point of every node.  Each point keeps its own terms,
-    exact sums, roundoff floor and Richardson stop, so its result does not
-    depend on its chunk-mates beyond the bits of the kernel layout.  One
-    summation pass per step (``_pass_sums``) sums the terms of them all,
-    by ``fsum`` below ``_FSUM_TERMS`` terms in all and binned above.
+    point of every node.  An integrand returns a new array each call: the
+    driver keeps it, its end weights written in place, with no copy.  Each
+    point keeps its own terms, their mass (sum of |term|, which also tells
+    it whether a node is not finite), exact sums, roundoff floor and
+    Richardson stop, so its result does not depend on its chunk-mates
+    beyond the bits of the kernel layout.  One summation pass per step
+    (``_pass_sums``) sums the terms of them all, by ``fsum`` below
+    ``_FSUM_TERMS`` terms in all and binned above.
 
-    Returns, per point, one QuadratureResult per integrand, or the
+    Returns, per point, one ``_Quad`` per integrand, or the
     QuadratureNodeError of its first non-finite node on the coarsest level
     that has one, or of a sum past the double range (its chunk-mates go
-    on).  Floating-point warnings are silenced: a non-finite node is
-    reported that way instead.
+    on).  A point whose mass, and so its roundoff floor, leaves the double
+    range while its sum fits stops there, unconverged.  Floating-point
+    warnings are silenced, once per call: a non-finite node is reported
+    that way instead.
     """
     if noise is None:
         noise = [1.0] * len(grids)
     outcomes: list = [None] * len(grids)
-    with np.errstate(all="ignore"):
-        for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
-            _refine_chunk(fs, {p: _Point(grids[p], tol, len(fs), noise[p], romberg)
-                               for p in chunk}, outcomes, max_refinements)
+    for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
+        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg) for p in chunk},
+                      outcomes, max_refinements)
     return outcomes
 
 
-def _only(outcomes: list) -> list[QuadratureResult]:
+def _only(outcomes: list) -> list[_Quad]:
     """The results of a one-point ``_trapezoid_joint`` call; raises its node error."""
     (outcome,) = outcomes
     if isinstance(outcome, QuadratureNodeError):
@@ -874,8 +930,10 @@ def _only(outcomes: list) -> list[QuadratureResult]:
 
 def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: ContourSpec) -> QuadratureResult:
     """Composite trapezoid over t in [-T, T] with step-halving refinement."""
-    return _only(_trapezoid_joint((lambda t, _: f(t),), [_line_grid(spec)], spec.tol,
-                                  spec.max_refinements))[0]
+    # A copy of f's values: the driver writes the end weights into the arrays it keeps.
+    return QuadratureResult(*_only(_trapezoid_joint(
+        (lambda t, _: np.array(f(t), dtype=complex),), [_line_grid(spec)], spec.tol,
+        spec.max_refinements))[0])
 
 
 def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
@@ -897,7 +955,7 @@ def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
     return cmath.exp(a * math.log(x)) * total, converged
 
 
-def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult:
+def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> _Quad:
     """J(y, R) = int_0^R r^{-y} e^{-r^2} dr, shared by both rays.
 
     The endpoint r = 0 carries the r^{-y} weight, so a head cell [0, H] is
@@ -918,12 +976,11 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult
     quad = _only(_trapezoid_joint(
         (lambda r, _: np.exp(-y * np.log(r) - r * r),), [grid], spec.tol,
         spec.max_refinements, romberg=True))[0]
-    return replace(quad, value=0.5 * head + quad.value,
-                   converged=quad.converged and head_ok)
+    return quad._replace(value=0.5 * head + quad.value, converged=quad.converged and head_ok)
 
 
 def _arc(y: complex, big_r: float, theta0: float, theta1: float,
-         spec: ContourSpec) -> QuadratureResult:
+         spec: ContourSpec) -> _Quad:
     """int f(w) dw over the arc w = R e^{i theta}, theta in [theta0, theta1].
 
     The arc's ends meet the line and a ray where the integrand has not
@@ -972,7 +1029,7 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
 
 
 def _ray_value(y: complex, path: SegmentPath,
-               radial: QuadratureResult) -> tuple[complex, bool]:
+               radial: _Quad) -> tuple[complex, bool]:
     """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J."""
     half_turn = -0.5j if path is SegmentPath.RAY_CD else 0.5j
     return -1j * cmath.exp(half_turn * math.pi * y) * radial.value, radial.converged

@@ -1001,6 +1001,120 @@ class TestLonePoint:
         assert sum(nodes) == res.evaluations
 
 
+class TestPinnedBits:
+    """One-point results pinned to their repr, which round-trips every float:
+    the value, the error estimate, the spec and the flag keep their bits
+    whatever the glue around the nodes.  The points: direct, mirrored (Re z
+    < 1/2) and conjugated (Im z < 0) lines; lines that stop at level 2 (step
+    0.0625); digamma's two kernels; gamma_sin_pi's line at 1 - z; a point
+    1e-9 from the zero at -3; the real axis; and a far-left point's node
+    error, past the mirror's reach."""
+
+    PINNED = {
+        ("recip_gamma", (3+4j)):
+            "EvalResult(z=(3+4j), value=(0.1753548120003251+5.790209146222017j), "
+            "err_estimate=2.2238647342541374e-14, "
+            "spec_used=ContourSpec(sigma=1.899603980574412, half_width=6.0, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-4.25, 6.0)), converged=True, "
+            "evaluations=83)",
+        ("recip_gamma", (2.5-1j)):
+            "EvalResult(z=(2.5-1j), value=(0.7036905931010078+0.6427178342636966j), "
+            "err_estimate=3.701165901512786e-15, "
+            "spec_used=ContourSpec(sigma=1.455346690225355, half_width=5.5, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.25)), converged=True, "
+            "evaluations=173)",
+        ("recip_gamma", (0.5+3j)):
+            "EvalResult(z=(0.5+3j), value=(42.294980209691694-13.539817708865503j), "
+            "err_estimate=1.733069007638739e-13, "
+            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=6.25, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-4.75, 6.25)), converged=True, "
+            "evaluations=177)",
+        ("recip_gamma", (-3.3+0.7j)):
+            "EvalResult(z=(-3.3+0.7j), value=(0.16490745401784876-11.968321483459933j), "
+            "err_estimate=1.0410260412618396e-13, "
+            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
+            "evaluations=83)",
+        ("gamma", (-3.3+0.7j)):
+            "EvalResult(z=(-3.3+0.7j), value=(0.0011510424761154183+0.08353804548929625j), "
+            "err_estimate=7.266288836797912e-16, "
+            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
+            "evaluations=83)",
+        ("gamma", (7.2+9j)):
+            "EvalResult(z=(7.2+9j), value=(7.586533911190438+1.1429017469792577j), "
+            "err_estimate=6.043779606043756e-14, "
+            "spec_used=ContourSpec(sigma=2.9933318644130673, half_width=6.25, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-3.25, 6.25)), converged=True, "
+            "evaluations=77)",
+        ("gamma_sin_pi", (2.5+0.7j)):
+            "EvalResult(z=(2.5+0.7j), value=(4.718037225199027+2.609998908357085j), "
+            "err_estimate=3.079214639681343e-14, "
+            "spec_used=ContourSpec(sigma=1.4350891975835003, half_width=5.5, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.5)), converged=True, "
+            "evaluations=173)",
+        ("gamma_sin_pi", (-1.5-0.5j)):
+            "EvalResult(z=(-1.5-0.5j), value=(2.353400305042147-0.8762193471418795j), "
+            "err_estimate=9.514374517444357e-15, "
+            "spec_used=ContourSpec(sigma=1.425053124063947, half_width=5.5, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.5)), converged=True, "
+            "evaluations=173)",
+        ("digamma", (3+4j)):
+            "EvalResult(z=(3+4j), value=(1.550359817333411+1.0105022091860445j), "
+            "err_estimate=1.369263175666702e-14, "
+            "spec_used=ContourSpec(sigma=1.899603980574412, half_width=6.25, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-4.5, 6.25)), converged=True, "
+            "evaluations=174)",
+        ("digamma", (-2.5-1.5j)):
+            "EvalResult(z=(-2.5-1.5j), value=(1.2124201004669808-2.680346743809672j), "
+            "err_estimate=1.368195069180185e-13, "
+            "spec_used=ContourSpec(sigma=1.782428394950227, half_width=5.75, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.0, 5.75)), converged=True, "
+            "evaluations=174)",
+        ("G", (1.5+0.5j)):
+            "EvalResult(z=(1.5+0.5j), value=(3.96821013113416-0.1376288681917454j), "
+            "err_estimate=1.480876227591066e-14, "
+            "spec_used=ContourSpec(sigma=1.0290855136357462, half_width=5.75, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.75)), converged=True, "
+            "evaluations=181)",
+        ("g_tilde", (-0.5+2j)):
+            "EvalResult(z=(-0.5+2j), value=(1.1256252241723121+5.86504668211665j), "
+            "err_estimate=3.8256867541529114e-14, spec_used=ContourSpec(sigma=1.0, "
+            "half_width=6.0, step=0.0625, tol=7.5e-13, max_refinements=12, window=(-5.5, "
+            "6.0)), converged=True, evaluations=185)",
+        ("recip_gamma", (-3+1e-09j)):
+            "EvalResult(z=(-3+1e-09j), value=(-7.53670583708436e-18-6e-09j), "
+            "err_estimate=1.1029496919413382e-22, "
+            "spec_used=ContourSpec(sigma=1.8708286933869707, half_width=5.25, step=0.125, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.25)), converged=True, "
+            "evaluations=85)",
+        ("recip_gamma", (-120.3-0.5j)):
+            "QuadratureNodeError: integrand returned a non-finite value at node t=-29.0",
+        ("recip_gamma", 2.0):
+            "EvalResult(z=(2+0j), value=(1.0000000000000002+0j), "
+            "err_estimate=3.742883299839828e-15, "
+            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=5.5, step=0.0625, "
+            "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.5)), converged=True, "
+            "evaluations=177)",
+    }
+
+    @pytest.mark.parametrize("name, z", list(PINNED), ids=[f"{n}({z})" for n, z in PINNED])
+    def test_repr(self, name, z):
+        fn = getattr(functions, name)
+        try:
+            outcome = repr(fn(z))
+        except QuadratureNodeError as exc:
+            outcome = f"QuadratureNodeError: {exc}"
+        assert outcome == self.PINNED[name, z]
+
+    def test_euler_mascheroni(self):
+        assert repr(euler_mascheroni()) == (
+            "EvalResult(z=(1+0j), value=(0.5772156649015329-0j), "
+            "err_estimate=4.928061332637618e-15, spec_used=ContourSpec(sigma=1.0, "
+            "half_width=5.75, step=0.0625, tol=7.5e-13, max_refinements=12, "
+            "window=(-5.75, 5.75)), converged=True, evaluations=185)")
+
+
 def test_malformed_point_raises_domain_error():
     with pytest.raises(DomainError, match="complex number"):
         G(None)

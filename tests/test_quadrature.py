@@ -718,6 +718,7 @@ class TestSumPastTheDoubleRange:
         res = trapezoid_line(f, ContourSpec(half_width=6.0))
         assert res.value == res.step_used
 
+
     def test_line_function_at_either_conjugate(self, monkeypatch):
         # The G line's kernel is looked up per call; the point below the
         # axis is integrated at its conjugate and keeps the message.
@@ -728,6 +729,31 @@ class TestSumPastTheDoubleRange:
             assert outcome.node is None and self.MESSAGE in str(outcome)
         with pytest.raises(QuadratureNodeError, match=self.MESSAGE):
             G(2 - 1j)
+
+
+class TestFloorPastTheDoubleRange:
+    """Where the sum of |f| over a level leaves the double range while the
+    signed sum fits, the roundoff floor and the effective tolerance are inf:
+    no Richardson difference meets that, so the integral comes back
+    unconverged, err_estimate inf, from the level where it happened."""
+
+    def test_line(self):
+        res = trapezoid_line(lambda t: 1e306 * np.cos(40 * t) + 0j,
+                             ContourSpec(half_width=60.0))
+        assert cmath.isfinite(res.value)
+        assert res.tol_effective == res.err_estimate == math.inf
+        assert not res.converged
+        assert res.evaluations == 961       # level 1, where the floor left the range
+
+    def test_contour_segments(self):
+        # The line's ends at t = +-8 have not decayed, so plain halving goes
+        # on until the 1e304-sized terms near them sum past the doubles.
+        y, spec = -290.0, ContourSpec(sigma=8.0, half_width=8.0, step=0.25, tol=1e-10)
+        line = trapezoid_line(lambda t: g_integrand((y + 1.0) / 2.0, spec.sigma, t), spec)
+        assert line.tol_effective == math.inf and not line.converged
+        loop = contour_loop(y, spec)
+        assert loop.i_ab == integrate_segment(y, SegmentPath.LINE_AB, spec) == 1j * line.value
+        assert not loop.converged
 
 
 class TestSegments:

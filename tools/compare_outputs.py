@@ -17,8 +17,9 @@ corpus is fixed by its seed:
   ``euler_mascheroni``, contour loops and segments, ``trapezoid_line``,
   tolerances whose tail share underflows, and some bad arguments;
 - rays and lines whose node values are finite but whose sum leaves the
-  double range, by fsum and by the bins, and a line whose sum fits though
-  fsum's partial sums overflow;
+  double range, by fsum and by the bins, a line whose sum fits though
+  fsum's partial sums overflow, and a line and a contour loop whose sums fit
+  though their sums of |f| overflow;
 - lone lines and a chunk whose levels cross the fsum cutover (see
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
   the chunks call ``quadrature._trapezoid_joint`` in the signature of the
@@ -132,12 +133,18 @@ def _spec_key(spec) -> str:
 def _joint(ug, fs, spec, count: int) -> list:
     """``_trapezoid_joint`` of ``fs`` at ``count`` points on ``spec``'s line, in
     this checkout's signature: a spec per point, or a grid per point and the
-    tolerance and refinement cap once."""
+    tolerance and refinement cap once.  Each integral is shown as a
+    QuadratureResult, also where the driver returns its fields in a tuple
+    (``quadrature._Quad``)."""
     joint = ug.quadrature._trapezoid_joint
     if "specs" in inspect.signature(joint).parameters:
-        return joint(fs, [spec] * count)
-    return joint(fs, [ug.quadrature._line_grid(spec)] * count, spec.tol,
-                 spec.max_refinements)
+        outcomes = joint(fs, [spec] * count)
+    else:
+        outcomes = joint(fs, [ug.quadrature._line_grid(spec)] * count, spec.tol,
+                         spec.max_refinements)
+    return [[ug.QuadratureResult(*quad) if isinstance(quad, tuple) else quad
+             for quad in outcome] if isinstance(outcome, list) else outcome
+            for outcome in outcomes]
 
 
 def _corpus(ug) -> dict[str, str]:
@@ -230,6 +237,12 @@ def _corpus(ug) -> dict[str, str]:
     out["trapezoid_line partial sums past the doubles"] = _outcome(lambda: ug.trapezoid_line(
         lambda t: np.where(t < 0, 1e308, np.where(t > 0, -1e308, 1.0)) + 0j,
         ug.ContourSpec(half_width=6.0)))
+    # Sums that fit, whose sum of |f|, and so the roundoff floor, does not:
+    # at level 1 of a line, and at a later level of the closed contour's.
+    out["trapezoid_line floor past the doubles"] = _outcome(lambda: ug.trapezoid_line(
+        lambda t: 1e306 * np.cos(40 * t) + 0j, ug.ContourSpec(half_width=60.0)))
+    out["contour_loop floor past the doubles"] = _outcome(lambda: ug.contour_loop(
+        -290.0, ug.ContourSpec(sigma=8.0, half_width=8.0, step=0.25, tol=1e-10)))
     # Small batches, whose refinement passes hold few terms in all.
     for batch in range(24):
         name = _LINE_FUNCTIONS[batch % len(_LINE_FUNCTIONS)]

@@ -1,0 +1,216 @@
+"""Lone-point cost of each layer of the G line, per checkout, as JSON.
+
+    python3 tools/layer_costs.py [CHECKOUT ...] [--processes P] [--repeats N]
+
+With no checkout, the one this script lives in is measured.  Each
+checkout's ``src/unigamma`` runs in its own subprocesses (this script with
+``--emit``), P of them per checkout, started in turn across the checkouts so
+that a drift of the machine's speed falls on all of them alike.  A process
+times every layer at every point N times, the layers interleaved, each time
+over enough calls to last about a millisecond, with the garbage collector
+off.  A layer's figure at a point is the least time a call took over all
+repeats and processes, in microseconds; the figure printed is its mean over
+the points.
+
+The points are drawn from a fixed seed over the box Re z, Im z in [-15, 15].
+Each is the input of a lone ``recip_gamma`` call; the layers below the
+functions run on the point whose line that call integrates (z, or 1 - z
+where the left half-plane is read from the mirror line), as the call does:
+
+- ``select_truncation``: the window of the line, ``quadrature.select_truncation``;
+- ``kernel``: ``integrands.g_integrand`` on the level-1 nodes of that window;
+- ``summation``: one level-1 pass of ``quadrature._pass_sums`` over those
+  nodes' kept terms;
+- ``driver``: ``quadrature._trapezoid_joint`` of the line, kernel included;
+- ``reader``: from the line's quadrature to the EvalResult: ``_read``, the
+  route, the function's reader and the EvalResult;
+- ``recip_gamma``, ``gamma``, ``gamma_sin_pi``, ``digamma`` and ``G``: the
+  public call at the input point, each whole.
+
+``readers`` times, at two fixed points, route + read + EvalResult on a line
+already integrated, one figure per function and route (mirrored at
+-3.3+0.7i, direct at 2.5+0.7i; gamma_sin_pi, whose line point is 1 - z,
+the other way round).  The summation and reader layers call private
+helpers; the script follows their layout in this checkout and in the one
+before the driver returned ``_Quad`` tuples (``_pass_sums`` over
+``(index, point, terms)`` triples, readers of ``(z, mirror, line)``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import inspect
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import tempfile
+from time import perf_counter_ns
+
+SEED = 2025
+POINTS = 8
+TARGET_NS = 1_000_000
+_FUNCTIONS = ("recip_gamma", "gamma", "gamma_sin_pi", "digamma", "G")
+_READERS = {"mirrored": -3.3 + 0.7j, "direct": 2.5 + 0.7j}
+
+
+def _points() -> list[complex]:
+    rng = random.Random(SEED)
+    return [complex(rng.uniform(-15, 15), rng.uniform(-15, 15)) for _ in range(POINTS)]
+
+
+def _number(call) -> int:
+    """Calls per timing: about TARGET_NS of them, at least one, from five
+    calls timed after three that warm up."""
+    for _ in range(3):
+        call()
+    start = perf_counter_ns()
+    for _ in range(5):
+        call()
+    return max(1, 5 * TARGET_NS // max(1, perf_counter_ns() - start))
+
+
+def _cases(ug) -> dict:
+    """Per layer, one zero-argument call per point."""
+    import numpy as np
+
+    F, Q, I = ug.functions, ug.quadrature, ug.integrands
+    cases: dict = {name: [] for name in ("select_truncation", "kernel", "summation",
+                                         "driver", "reader", *_FUNCTIONS)}
+    tol, max_refinements = 1e-12, 12
+    line_tol = (1.0 - F._TAIL_SHARE) * tol
+    tail_tol = 0.5 * F._TAIL_SHARE * tol
+    reader = _reader(F, "recip_gamma")
+    for z in _points():
+        w, mirror = F._route(z, True, None)
+        flip = w.imag < 0.0
+        w = w.conjugate() if flip else w
+        sigma = F.default_sigma(w)
+        trunc = Q.select_truncation(w, sigma, tail_tol)
+        grid = Q._window_grid(trunc.lower, trunc.upper, Q._T_GRID)
+        noise = F._phase_noise(w, sigma, trunc)
+        nodes = np.arange(2 * grid.k_lo, 2 * grid.k_hi + 1, dtype=float) * (0.5 * grid.step)
+        fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
+        (quads,) = Q._trapezoid_joint(fs, [grid], line_tol, max_refinements, noise=[noise])
+        cases["select_truncation"].append(
+            lambda w=w, sigma=sigma: Q.select_truncation(w, sigma, tail_tol))
+        cases["kernel"].append(lambda w=w, sigma=sigma: I.g_integrand(w, sigma, nodes))
+        cases["summation"].append(_summation(Q, grid, line_tol, noise, I.g_integrand(w, sigma, nodes)))
+        cases["driver"].append(lambda fs=fs, grid=grid, noise=noise: Q._trapezoid_joint(
+            fs, [grid], line_tol, max_refinements, noise=[noise]))
+        line = (sigma, trunc, quads)
+        cases["reader"].append(lambda z=z, line=line, flip=flip: reader(
+            z, F._read(line, flip, line_tol, max_refinements)))
+        for name in _FUNCTIONS:
+            cases[name].append(lambda fn=getattr(F, name), z=z: fn(z))
+    return cases
+
+
+def _summation(Q, grid, tol, noise, values):
+    """One level-1 ``_pass_sums`` of a lone point that keeps ``values``."""
+    init = inspect.signature(Q._Point).parameters
+    count = (1,) if "count" in init else ()
+    point = Q._Point(grid, tol, *count, noise, False)
+    point.next_nodes(1)     # where a point takes its level's step
+    kept = point.keep([values.copy()], 1)
+    if "kept" in inspect.signature(Q._pass_sums).parameters:   # (index, point, terms) triples
+        return lambda: Q._pass_sums(((0, point, kept),), 1)
+    return lambda: Q._pass_sums((point,), 1)
+
+
+def _reader(F, name: str):
+    """Route + read + EvalResult of ``name``, as a call ``(z, line)`` on a
+    line already integrated, in this checkout's layout."""
+    line_point, _, read, may_mirror = F._ENGINE[name]
+    route, result = F._route, F.EvalResult
+    if len(inspect.signature(read).parameters) == 3:    # read(z, mirror, line)
+        def call(z, line):
+            _, mirror = route(line_point(z), may_mirror, None)
+            _, _, spec, converged, evaluations = line
+            return result(z, *read(z, mirror, line), spec, converged, evaluations)
+    else:
+        def call(z, line):
+            _, mirror = route(line_point(z), may_mirror, None)
+            values, errs, spec, converged, evaluations = line
+            return result(z, *read(z, mirror, values, errs), spec, converged, evaluations)
+    return call
+
+
+def _reader_cases(ug) -> dict:
+    F = ug.functions
+    cases = {}
+    for name in ("recip_gamma", "gamma", "gamma_sin_pi", "digamma"):
+        line_point, kernels, _, may_mirror = F._ENGINE[name]
+        for route, z in _READERS.items():
+            if name == "gamma_sin_pi":
+                z = 1.0 - z
+            point, _ = F._route(line_point(z), may_mirror, None)
+            (line,) = F._lines((point,), kernels, None, 1e-12, 12)
+            cases[f"{route} {name}"] = [lambda read=_reader(F, name), z=z, line=line:
+                                        read(z, line)]
+    return cases
+
+
+def _emit(checkout: str, repeats: int) -> None:
+    sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    import unigamma
+
+    layers = {**_cases(unigamma), **{f"readers {k}": v
+                                     for k, v in _reader_cases(unigamma).items()}}
+    numbers = {layer: [_number(call) for call in calls] for layer, calls in layers.items()}
+    best = {layer: [float("inf")] * len(calls) for layer, calls in layers.items()}
+    gc.disable()
+    for _ in range(repeats):
+        for layer, calls in layers.items():
+            for i, (call, number) in enumerate(zip(calls, numbers[layer])):
+                start = perf_counter_ns()
+                for _ in range(number):
+                    call()
+                best[layer][i] = min(best[layer][i], (perf_counter_ns() - start) / number)
+    gc.enable()
+    json.dump(best, sys.stdout)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*",
+                        default=[os.path.dirname(os.path.dirname(os.path.abspath(__file__)))])
+    parser.add_argument("--processes", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        _emit(args.emit, args.repeats)
+        return
+    best: dict = {checkout: {} for checkout in args.checkouts}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(args.processes):
+            for checkout in args.checkouts:
+                run = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--emit", checkout,
+                     "--repeats", str(args.repeats)],
+                    cwd=tmp, capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+                if run.returncode:
+                    sys.exit(f"{checkout}: the timing failed\n{run.stderr}")
+                for layer, times in json.loads(run.stdout).items():
+                    seen = best[checkout].setdefault(layer, times)
+                    best[checkout][layer] = [min(a, b) for a, b in zip(seen, times)]
+    print(json.dumps({
+        "what": "lone-point cost of each layer, microseconds a call: per point the least "
+                "over all repeats and processes, then the mean over the points",
+        "points": [repr(z) for z in _points()],
+        "processes": args.processes,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "figures": {checkout: {layer: round(sum(times) / len(times) / 1e3, 2)
+                               for layer, times in layers.items()}
+                    for checkout, layers in best.items()},
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()
