@@ -3,9 +3,10 @@
 Every operation returns an :class:`EvalResult` carrying the value together
 with quadrature diagnostics: the ContourSpec actually used after refinement
 (sigma, the window [lower, upper] of t, step h, effective tolerance), an
-error estimate combining the Richardson difference with the bound on both
-truncated tails, and a ``converged`` flag.  Every line integral of G,
-digamma and Euler's constant goes through one helper, ``_lines``, which
+error estimate combining the Richardson difference, or the a-priori bound of
+a line certified at its start step, with the bound on both truncated tails,
+and a ``converged`` flag.  Every line integral of G, digamma and Euler's
+constant goes through one helper, ``_lines``, which
 refines many points together (the public functions are its one-point case,
 ``evaluate_many`` its many-point one), and every ``converged`` flag comes
 from one rule, ``_gate``: the flag is true only when the truncation was not capped, the
@@ -61,6 +62,7 @@ from .quadrature import (
     _line_grid,
     _nonfinite_node,
     _only,
+    _start_certificate,
     _trapezoid_joint,
     _window_grid,
 )
@@ -184,11 +186,16 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the integrand's magnitude at the saddle height.  The start step is
     ``_T_GRID`` for every z: on the saddle line the integrand is close to a
     Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
-    the rest.  The kernels of a point share one node set; the points share
-    ``_trapezoid_joint``'s kernel calls.  Returns per point its line, the
-    tuple ``(values, errs, spec, converged, evaluations)``: each integral's
-    value and its error estimate with the analytic tail added, then the
-    last three fields of the point's EvalResult: the spec used (the point's
+    the rest.  Each line's ``_start_certificate``, a rigorous bound on the
+    error of its sum at that step, for the heaviest kernel, which covers
+    the others, goes to the driver: a line it certifies settles on level
+    0's nodes alone, with the certificate as its estimate, and every other
+    line refines by halving.  The kernels of a point share one node set;
+    the points share ``_trapezoid_joint``'s kernel calls.  Returns per
+    point its line, the tuple ``(values, errs, spec, converged,
+    evaluations)``: each integral's value and its error estimate with the
+    analytic tail added, then the last three fields of the point's
+    EvalResult: the spec used (the point's
     one ContourSpec, built after the quadrature), the joint ``_gate``
     verdict and the kernel evaluation count.  A point that fails gets its
     UnigammaError instead.
@@ -231,7 +238,8 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
         (quads,) = _trapezoid_joint(
             [lambda t, _, name=name: getattr(integrands, name)(z, sig, t) for name in names],
             [_window_grid(trunc.lower, trunc.upper, _T_GRID)], line_tol, max_refinements,
-            noise=[_phase_noise(z, sig, trunc)])
+            noise=[_phase_noise(z, sig, trunc)],
+            certificates=[_start_certificate(z, sig, trunc, line_tol, log_weight)])
         return [_read(quads if isinstance(quads, UnigammaError) else (sig, trunc, quads),
                       flip, line_tol, max_refinements)]
     outcomes: list = list(points)
@@ -270,7 +278,9 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
          for name in names],
         [_window_grid(trunc.lower, trunc.upper, _T_GRID) for trunc in truncs],
         line_tol, max_refinements,
-        noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)])
+        noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)],
+        certificates=[_start_certificate(*point, line_tol, log_weight)
+                      for point in zip(zs, sigmas, truncs)])
     for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
     # Points that read one line the same way share its tuple.

@@ -21,18 +21,23 @@ It takes many points at once and refines them in chunks, one kernel call
 per level for the whole chunk; the rays, arcs and Laplace are one-point
 calls.  Its levels are nested -- nodes are ``origin + k*h`` over integer
 k, so halving keeps every old node at an even k and evaluates only the
-odd k -- and ``evaluations`` counts each node once.  No point stops on
-level 0, which has no Richardson difference, so a point's first kernel
-call evaluates level 1's nodes, level 0's at the even k and the odd k
-between them.  The point keeps them as trapezoid terms, its values with
-the end weights 1/2 applied once, and settles level 0 from the even terms
-and level 1 from all of them: a point that stops at level 1 makes one
-kernel call per integrand.  The rays, the arcs and the Laplace integrand
-end where they have not decayed, so their Euler-Maclaurin endpoint terms
-hold plain halving to O(h^2); those paths ask for Romberg by name, which
-extrapolates the level sums with a Romberg table, removing h^2, h^4, ...
-in turn.  The G line keeps plain halving: its ends have decayed below the
-tolerance, and the trapezoid rule is spectral there.
+odd k -- and ``evaluations`` counts each node once.  Level 0 has no
+Richardson difference, so a point stops there only on an a-priori
+certificate: a G-line point whose ``_start_certificate`` (the trapezoid
+error bound of Trefethen & Weideman on a strip about its line, plus the
+nodes beyond its window) meets the tolerance evaluates level 0's nodes
+alone and settles there, the certificate standing for the difference.
+Every other point's first kernel call evaluates level 1's nodes, level
+0's at the even k and the odd k between them.  The point keeps them as
+trapezoid terms, its values with the end weights 1/2 applied once, and
+settles level 0 from the even terms and level 1 from all of them: a point
+that stops at level 0 or 1 makes one kernel call per integrand.  The
+rays, the arcs and the Laplace integrand end where they have not
+decayed, so their Euler-Maclaurin endpoint terms hold plain halving to
+O(h^2); those paths ask for Romberg by name, which extrapolates the level
+sums with a Romberg table, removing h^2, h^4, ... in turn.  The G line
+keeps plain halving: its ends have decayed below the tolerance, and the
+trapezoid rule is spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -47,8 +52,9 @@ adds only its new terms.  Both give the same bits.
 One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
 and the error estimate: the gate enforces the *effective* tolerance
 ``max(tol, floor)`` and ``err_estimate`` is ``max(Richardson difference,
-floor)``.  The floor covers the kernels' few-ulp pointwise error summed over
-the line, so an estimate below it would claim more than the nodes carry.
+floor)``, or ``max(certificate, floor)`` for a point settled on level 0.
+The floor covers the kernels' few-ulp pointwise error summed over the
+line, so an estimate below it would claim more than the nodes carry.
 A G-line point off the real axis scales its floor by max(1, Phi/16), with
 Phi = |Im z| max|log(sigma^2 + t^2)| over the window: the kernel's phase
 carries Im z log(sigma^2 + t^2), rounded to an ulp of Phi, which past 16
@@ -70,7 +76,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from math import atan2, erfc, fsum, hypot, log, pi, sqrt
+from math import atan2, erfc, exp, expm1, fsum, hypot, log, pi, sqrt
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -285,6 +291,13 @@ def _log_tail(p: float, y: float, sigma: float, end: float, log_weight: bool,
     where it passes the double range its log is inf.
     """
     lm, slope, curve = _log_magnitude(p, y, sigma, end, log_weight)
+    return lm + _log_spread(p, sigma, end, log_weight, lead, slope), slope, curve
+
+
+def _log_spread(p: float, sigma: float, end: float, log_weight: bool, lead: float,
+                slope: float) -> float:
+    """log J(kappa), the tail bound of ``_log_tail`` over the magnitude at
+    ``end``, from the slope of -log|f| there (``_log_magnitude``)."""
     if lead > 0.0 and end * lead <= p * sigma:
         kappa = 2.0 * end - lead / sigma    # the supremum lies inside the tail
     else:
@@ -293,10 +306,8 @@ def _log_tail(p: float, y: float, sigma: float, end: float, log_weight: bool,
         kappa -= (2.0 * end / (sigma * sigma + end * end) if end >= sigma
                   else 1.0 / sigma) / pi
     if kappa >= 8.0:
-        lm -= log(kappa)
-    else:
-        lm += 0.25 * kappa * kappa + log(_HALF_SQRT_PI * erfc(0.5 * kappa))
-    return lm, slope, curve
+        return -log(kappa)
+    return 0.25 * kappa * kappa + log(_HALF_SQRT_PI * erfc(0.5 * kappa))
 
 
 def _check_point(z, name: str = "z") -> complex:
@@ -481,6 +492,78 @@ def select_truncation(z, sigma: float, tol: float, *,
     return Truncation(-lower, upper, tail, upper_capped or lower_capped)
 
 
+# The lines Re w = sigma/4 and Re w = sigma + 3 whose integrals of |f| bound
+# the G line's aliasing error at the start step (see _start_certificate):
+# the left one 3/4 of the way from the line to the branch point at w = 0,
+# the right one far enough that e^{2 pi 3/h} outweighs the growth of
+# e^{w^2}.  Of the pairs measured (left at 0.1 to 0.65 sigma, right at 1 to
+# 4 past it), this one certifies the most lines: 71% of plane-mix's and 302
+# of the 41 x 41 lattice's 462, against 58% and 218 at sigma/2, sigma + 2.
+_LEFT_LINE = 0.25
+_RIGHT_SHIFT = 3.0
+_LOG_ALIAS_RIGHT = math.log(math.expm1(2.0 * math.pi * _RIGHT_SHIFT / _T_GRID))
+# Past a window's end e, the nodes beyond it weigh at most 1 + 4h/sqrt(pi)
+# times e's tail bound and the end node's half weight at most (2e + sqrt 2)
+# h/2 times it (see _start_certificate): this, plus h e.
+_DISCRETE_TAIL = 1.0 + 4.0 * _T_GRID / math.sqrt(math.pi) + 0.5 * _T_GRID * math.sqrt(2.0)
+
+
+def _start_certificate(z: complex, sigma: float, trunc: Truncation, tol: float,
+                       log_weight: bool) -> float:
+    """A rigorous bound on the error of the G line's trapezoid sum at the
+    start step h = _T_GRID over ``trunc``'s window, against the integral
+    over the whole line; inf where it passes _RICHARDSON_MARGIN * tol, where
+    the driver would not take it (its parts are summed only that far).
+
+    f is analytic in Re w > 0 and decays like e^{-t^2} along every line
+    Re w = s > 0, so the trapezoid sum over all nodes k*h errs by at most
+    M(s)/(e^{2 pi (sigma - s)/h} - 1) + M(s')/(e^{2 pi (s' - sigma)/h} - 1)
+    for any 0 < s < sigma < s' (Trefethen & Weideman, SIAM Rev. 56 (2014),
+    Thm 5.1, one side of the strip per sign of the aliased frequency),
+    where M(s) is the integral of |f| over the line Re w = s.  Here s =
+    sigma/4 and s' = sigma + 3, and M is bounded by the tail bound of
+    ``_log_tail`` on both sides of the saddle height; with ``log_weight`` it
+    bounds the log weight's integrand, which covers the plain one.
+
+    The window then drops its end nodes' half weights and the nodes beyond
+    its ends.  Past an end e (measured away from the window), |f(e + d)| <=
+    |f(e)| g(d) with g(d) = e^{-kappa d - d^2} and kappa <= 2e, and |f(e)|
+    J(kappa) is the tail bound ``trunc`` holds for e, J the integral of g
+    (``_log_tail``).  h times the sum of g over d = h, 2h, ... is at most
+    J(kappa) where g falls (kappa >= 0), and J(kappa) + 2h e^{kappa^2/4} <=
+    (1 + 4h/sqrt(pi)) J(kappa) where it first rises.  The end node's own
+    g(0) = 1 is below (kappa + sqrt 2) J(kappa) <= (2e + sqrt 2) J(kappa)
+    (the Mills ratio bound, A&S 7.1.13) where kappa >= 0, and below
+    (2/sqrt(pi)) J(kappa) where it is not.  So both ends together weigh at
+    most _DISCRETE_TAIL + h max(e) times the tail bound.  A capped window
+    is not certified.
+    """
+    lower, upper, tail, capped = trunc
+    budget = _RICHARDSON_MARGIN * tol
+    total = (_DISCRETE_TAIL + _T_GRID * max(upper, -lower)) * tail
+    if capped or not total <= budget:
+        return _INF
+    log_budget = log(budget)
+    p, y = 0.5 - z.real, z.imag
+    crest = cmath.sqrt(complex(-p, abs(y))).imag
+    if y < 0.0:
+        crest = -crest
+    hyp = hypot(p, y)
+    for line, log_alias in (
+            (_LEFT_LINE * sigma, log(expm1(2.0 * pi * (1.0 - _LEFT_LINE) * sigma / _T_GRID))),
+            (sigma + _RIGHT_SHIFT, _LOG_ALIAS_RIGHT)):
+        # M over t > crest, and over t < crest as the upper tail at conj(z)
+        # beyond -crest, where |f| and its slope are those at crest mirrored.
+        lm, slope, _ = _log_magnitude(p, y, line, crest, log_weight)
+        lm -= log_alias
+        for lead, end, rate in ((y + hyp, crest, slope), (hyp - y, -crest, -slope)):
+            part = lm + _log_spread(p, line, end, log_weight, lead, rate)
+            if part > log_budget:
+                return _INF
+            total += exp(part)
+    return total if total <= budget else _INF
+
+
 # Exact summation (mantissas binned by exponent, as in R. Neal, "Fast exact
 # summation using small and large superaccumulators", arXiv:1505.05571).
 # frexp writes a finite double as m * 2^e with 0.5 <= |m| < 1 and e >= -1073.
@@ -645,32 +728,39 @@ def _nonfinite_node(node: float) -> QuadratureNodeError:
 
 
 class _Point:
-    """Refinement state of one point: the step of its last level, kept
-    trapezoid terms, their mass and sums per integrand."""
+    """Refinement state of one point: its last level and that level's step,
+    kept trapezoid terms, their mass and sums per integrand."""
 
-    __slots__ = ("grid", "tol", "floor", "romberg", "h", "values", "added", "mass", "exact",
-                 "sums", "rows")
+    __slots__ = ("grid", "tol", "floor", "romberg", "certificate", "level", "h", "values",
+                 "added", "mass", "exact", "sums", "rows")
 
-    def __init__(self, grid: _Grid, tol, noise: float, romberg: bool):
+    def __init__(self, grid: _Grid, tol, noise: float, romberg: bool,
+                 certificate: float = _INF):
         self.grid = grid
         self.tol = tol      # a float, or a function that the first settle calls
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
+        # A certified point's first level is 0, every other point's 1; a
+        # tol function comes with no certificate.
+        self.certificate = certificate
+        self.level = (-1 if certificate < _INF and certificate <= _RICHARDSON_MARGIN * tol
+                      else 0)
         # Exact running sums of the terms, real and imaginary per
         # integrand, once the bins sum this point; None before and after fsum.
         self.exact: list[int] | None = None
 
-    def next_nodes(self, level: int) -> np.ndarray:
-        """The nodes that the kernel call of ``level`` (1 or more) evaluates,
-        whose step ``h`` the point takes.
+    def next_nodes(self) -> np.ndarray:
+        """The nodes that the point's next kernel call evaluates, on its next
+        level, whose number and step ``h`` the point takes.
 
-        Level 1 evaluates the whole grid at half its step, level 0's nodes
-        at its even k; each later level adds the odd k.
+        Level 0 evaluates the grid, level 1 the whole grid at half its step,
+        level 0's nodes at its even k; each later level adds the odd k.
         """
         grid = self.grid
+        level = self.level = self.level + 1
         k_lo, k_hi = grid.k_lo << level, grid.k_hi << level
-        nodes = (np.arange(k_lo, k_hi + 1, dtype=float) if level == 1
+        nodes = (np.arange(k_lo, k_hi + 1, dtype=float) if level <= 1
                  else np.arange(k_lo + 1, k_hi, 2, dtype=float))
         self.h = math.ldexp(grid.step, -level)
         nodes *= self.h
@@ -678,18 +768,18 @@ class _Point:
             nodes += grid.origin
         return nodes
 
-    def keep(self, news: list, level: int) -> bool:
+    def keep(self, news: list) -> bool:
         """Keep the integrands' new values as trapezoid terms, and each
         integrand's mass, the sum of |term| over the level; whether the
         masses add up to a finite number, as they do unless a value is not
         finite or they pass the double range.
 
-        Level 1 keeps the arrays themselves, which the driver owns, with the
-        end weights 1/2 applied at level 0's ends; a later level's nodes are
-        interior, so its terms are its values, interleaved with the kept
-        ones, and ``added`` holds them for the bins.
+        The first level keeps the arrays themselves, which the driver owns,
+        with the end weights 1/2 applied at level 0's ends; a later level's
+        nodes are interior, so its terms are its values, interleaved with
+        the kept ones, and ``added`` holds them for the bins.
         """
-        if level == 1:
+        if self.level <= 1:
             for terms in news:
                 terms[0] *= 0.5         # its two ends
                 terms[-1] *= 0.5
@@ -714,13 +804,13 @@ class _Point:
         return [complex(step * (exact[j] / _UNIT), step * (exact[j + 1] / _UNIT))
                 for j in range(0, len(exact), 2)]
 
-    def fsum_levels(self, level: int) -> list[list[complex]]:
+    def fsum_levels(self) -> list[list[complex]]:
         """The trapezoid sum by fsum of the kept terms, per integrand, of each
         level this step settles; drops the running sum, so the next bin
         pass takes every kept term."""
         self.exact = None
         h = self.h
-        if level > 1:
+        if self.level != 1:
             return [[complex(h * fsum(v.real.tolist()), h * fsum(v.imag.tolist()))
                      for v in self.values]]
         coarse, fine, h0 = [], [], self.grid.step
@@ -731,22 +821,25 @@ class _Point:
             fine.append(complex(h * fsum(re), h * fsum(im)))
         return [coarse, fine]
 
-    def settle(self, sums, level: int, max_refinements: int):
+    def settle(self, sums, max_refinements: int):
         """Take the trapezoid sums of the levels this step settles; the outcome once the point stops.
 
-        ``sums`` holds one list per level, the last one ``level``'s: levels 0
-        and 1 on the first step, one level after it; or an overflow error,
-        the outcome.  Else the outcome is one ``_Quad`` per integrand;
-        None while the point goes on refining toward the tolerance the first
-        step fixes.  An integrand whose roundoff floor, and so its effective
-        tolerance, is past the double range cannot converge, at this level
-        or a finer one, whose mass holds this one's: the point stops there,
-        unconverged.
+        ``sums`` holds one list per level, the last one the point's level's:
+        levels 0 and 1 on an uncertified point's first step, one level
+        otherwise; or an overflow error, the outcome.  Else the outcome is
+        one ``_Quad`` per integrand; None while the point goes on refining
+        toward the tolerance the first step fixes.  A certified point
+        settles level 0 with its certificate as the difference, which meets
+        the tolerance, so it stops there.  An integrand whose roundoff
+        floor, and so its effective tolerance, is past the double range
+        cannot converge, at this level or a finer one, whose mass holds
+        this one's: the point stops there, unconverged.
         """
         if isinstance(sums, QuadratureNodeError):
             return sums
-        if level == 1:
-            last, totals = sums
+        level = self.level
+        if level <= 1:
+            last, totals = sums[0], sums[-1]
             if callable(self.tol):
                 self.tol = self.tol(last[0])    # from the first integrand's level 0
             if self.romberg:
@@ -760,7 +853,7 @@ class _Point:
         h, tol, evaluations = self.h, self.tol, self.values[0].size
         results, done, refining = [], True, level < max_refinements
         for total, previous, mass in zip(totals, last, self.mass):
-            diff = abs(total - previous)
+            diff = abs(total - previous) if level else self.certificate
             floor = self.floor * (h * mass)
             tol_eff = max(tol, floor)
             converged = diff <= _RICHARDSON_MARGIN * tol_eff < _INF
@@ -770,39 +863,41 @@ class _Point:
         return None if refining and not done else results
 
 
-def _pass_sums(points: list, level: int) -> list:
+def _pass_sums(points: list) -> list:
     """The trapezoid sums of the levels a pass settles, per point of
     ``points`` that this pass keeps terms of, as ``_Point.settle`` takes
     them: by fsum below ``_FSUM_TERMS`` kept terms in all, else by one
     ``_exact_sums`` pass per integrand, a slot per point (on level 1 two:
     the even and the odd k).  A binned point adds its new terms to its
-    running sum, or all its kept ones where it has none (level 1, or after
-    fsum).  Both routes give the same bits.  A pass whose points have all
-    failed sums nothing.  fsum refuses partial sums past the double range,
-    even where the sum fits, so such a pass goes to the exact bins; a point
-    whose sum does not fit gets its error in place of its sums.
+    running sum, or all its kept ones where it has none (its first level,
+    or after fsum).  Both routes give the same bits.  A pass whose points
+    have all failed sums nothing.  fsum refuses partial sums past the
+    double range, even where the sum fits, so such a pass goes to the exact
+    bins; a point whose sum does not fit gets its error in place of its sums.
     """
     if not points or sum([point.values[0].size for point in points]) < _FSUM_TERMS:
         try:
-            return [point.fsum_levels(level) for point in points]
+            return [point.fsum_levels() for point in points]
         except OverflowError:
             pass
     binned = [point.values if point.exact is None else point.added for point in points]
-    per = 2 if level == 1 else 1
+    pers = [2 if point.level == 1 else 1 for point in points]
+    firsts = list(itertools.accumulate(pers, initial=0))
     sizes = [terms[0].size for terms in binned]
     if len(binned) == 1:    # its terms go in as they are: no copy of a long level
-        slots = np.arange(sizes[0]) & 1 if per == 2 else None
+        slots = np.arange(sizes[0]) & 1 if pers[0] == 2 else None
     else:
-        slots = np.repeat(np.arange(0, per * len(binned), per), sizes)
-        if per == 2:
-            slots += np.concatenate([np.arange(size) & 1 for size in sizes])
+        slots = np.repeat(firsts[:-1], sizes)
+        if 2 in pers:
+            slots += np.concatenate([np.arange(size) & (per - 1)
+                                     for size, per in zip(sizes, pers)])
     sums = [_exact_sums(np.concatenate(values) if len(values) > 1 else values[0],
-                        slots, per * len(binned))
+                        slots, firsts[-1])
             for values in zip(*binned)]
     outcomes = []
-    for first, point in zip(range(0, per * len(points), per), points):
+    for first, point in zip(firsts, points):
         try:
-            steps = (point.grid.step, point.h) if per == 2 else (point.h,)
+            steps = (point.grid.step, point.h) if point.level == 1 else (point.h,)
             outcomes.append([point.add_exact(sums, first + j, step)
                              for j, step in enumerate(steps)])
         except OverflowError:
@@ -814,49 +909,50 @@ def _pass_sums(points: list, level: int) -> list:
 def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> None:
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
-    Each pass is one level, level 1's first (it settles levels 0 and 1): one
-    kernel call per integrand on the new nodes of the points still refining;
-    each point keeps its terms and their mass, a point whose masses are not
-    all finite is looked at for a non-finite node (``_node_error``) and,
-    with one, leaves the pass; then one ``_pass_sums`` over the rest.  A
+    Each pass takes each point to its next level, level 1 first (it
+    settles levels 0 and 1), or level 0 for a certified point, which stops
+    there: one kernel call per integrand on the new nodes of the points
+    still refining; each point keeps its terms and their mass, a point
+    whose masses are not all finite is looked at for a non-finite node
+    (``_node_error``) and, with one, leaves the pass; then one
+    ``_pass_sums`` over the rest.  A
     chunk of one point takes the same steps without the per-pass lists: it
     hands the kernel its nodes and its index as ``rows``, scalars, and none
     of the joining and splitting, which cost about 5% of a small integral.
     """
     if len(points) == 1:
         ((p, point),) = points.items()
-        for level in itertools.count(1):
-            nodes = point.next_nodes(level)
+        while True:
+            nodes = point.next_nodes()
             news = [np.asarray(f(nodes, p), dtype=complex) for f in fs]
-            outcome = None if point.keep(news, level) else _node_error(nodes, news, level)
+            outcome = None if point.keep(news) else _node_error(nodes, news, point.level)
             if outcome is None:
-                (sums,) = _pass_sums((point,), level)
-                outcome = point.settle(sums, level, max_refinements)
+                (sums,) = _pass_sums((point,))
+                outcome = point.settle(sums, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
                 return
-    level = 1
     while points:
         active = list(points.items())
-        nodes = [point.next_nodes(level) for _, point in active]
+        nodes = [point.next_nodes() for _, point in active]
         sizes = [block.size for block in nodes]
         t, rows = np.concatenate(nodes), np.repeat([p for p, _ in active], sizes)
         cuts = list(itertools.accumulate(sizes[:-1]))
         parts = zip(*(np.split(np.asarray(f(t, rows), dtype=complex), cuts) for f in fs))
         kept = []
         for (p, point), block, part in zip(active, nodes, parts):
-            error = None if point.keep(list(part), level) else _node_error(block, part, level)
+            error = (None if point.keep(list(part))
+                     else _node_error(block, part, point.level))
             if error is None:
                 kept.append((p, point))
             else:           # out of the sums, so it cannot spoil its chunk-mates'
                 outcomes[p] = error
                 del points[p]
-        for (p, point), sums in zip(kept, _pass_sums([point for _, point in kept], level)):
-            outcome = point.settle(sums, level, max_refinements)
+        for (p, point), sums in zip(kept, _pass_sums([point for _, point in kept])):
+            outcome = point.settle(sums, max_refinements)
             if outcome is not None:
                 outcomes[p] = outcome
                 del points[p]
-        level += 1
 
 
 @np.errstate(all="ignore")      # as a decorator it costs half what a with block does
@@ -868,20 +964,27 @@ def _trapezoid_joint(
     *,
     romberg: bool = False,
     noise: Sequence[float] | None = None,
+    certificates: Sequence[float] | None = None,
 ) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
     Point p integrates over ``grids[p]`` to ``tol`` in at most
     ``max_refinements`` halvings (one pair for all points, checked by the
-    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  A
+    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  A point
+    whose ``certificates[p]``, a rigorous bound on the error of its level-0
+    sum for every integrand (default inf), is at most _RICHARDSON_MARGIN *
+    tol evaluates level 0's nodes alone, one kernel call per integrand, and
+    settles there: value the level-0 sum, err_estimate max(certificate,
+    floor), step_used the grid's step.  A
     ``tol`` function turns a point's level-0 value (its first integrand's)
     into its tolerance, called once when the first kernel call has settled
     level 0, so a relative tolerance costs no pass of its own.  Every
     integrand of a point sees the same nodes each level, and the point
     stops only when all of them meet their effective tolerance; sharing
-    nodes lets ratio-type consumers (digamma) cancel common error.  The first kernel
-    call evaluates the grid at half its step and settles two levels: level
-    0 from the terms at even k, level 1 from all of them.  The levels are
+    nodes lets ratio-type consumers (digamma) cancel common error.  Every
+    other point's first kernel call evaluates the grid at half its step and
+    settles two levels: level 0 from the terms at even k, level 1 from all
+    of them.  The levels are
     nested: after that, only the new odd-k nodes are evaluated and
     interleaved with the kept terms, so every node costs one kernel
     evaluation however many halvings follow.  With ``romberg``, each
@@ -913,9 +1016,12 @@ def _trapezoid_joint(
     """
     if noise is None:
         noise = [1.0] * len(grids)
+    if certificates is None:
+        certificates = [_INF] * len(grids)
     outcomes: list = [None] * len(grids)
     for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
-        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg) for p in chunk},
+        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg, certificates[p])
+                           for p in chunk},
                       outcomes, max_refinements)
     return outcomes
 
@@ -1030,9 +1136,19 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
 
 def _ray_value(y: complex, path: SegmentPath,
                radial: _Quad) -> tuple[complex, bool]:
-    """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J."""
-    half_turn = -0.5j if path is SegmentPath.RAY_CD else 0.5j
-    return -1j * cmath.exp(half_turn * math.pi * y) * radial.value, radial.converged
+    """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J.
+
+    Its size is decided in logs before the product is formed: where it, or
+    the factor e^{-+i pi y/2} alone, passes e^709 (where the product or its
+    complex parts could leave the double range) the ray raises the
+    QuadratureNodeError of a sum past the double range, ``node`` None.
+    """
+    shift = (-0.5j if path is SegmentPath.RAY_CD else 0.5j) * math.pi * y
+    value = radial.value
+    if shift.real > _LOG_MAX or (value and shift.real + log(abs(value)) > _LOG_MAX):
+        raise QuadratureNodeError("the ray's integral or its factor e^{-+i pi y/2} "
+                                  "left the double range")
+    return -1j * cmath.exp(shift) * value, radial.converged
 
 
 def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:

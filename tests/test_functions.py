@@ -30,6 +30,7 @@ from unigamma import (
     recip_gamma,
 )
 from unigamma import functions, integrands, quadrature
+from unigamma.errors import UnigammaError
 from unigamma.functions import _TAIL_SHARE
 
 SQRT_PI = math.sqrt(math.pi)
@@ -1001,6 +1002,147 @@ class TestLonePoint:
         assert sum(nodes) == res.evaluations
 
 
+class TestPromiseSlice:
+    """A seeded slice of the plane, |z| log-uniform in [1e-2, 1e3] and arg z
+    uniform, judged against mpmath at 30 digits for the four functions.
+    What holds at every point: each exception is a UnigammaError and no
+    warning leaks, and a converged result whose true value fits a double
+    ([1e-300, 1e300]) lies within its err_estimate.  Each point that is not
+    "ok" (converged and within 1e-9 relative) is pinned to its present
+    class, so a change that moves one shows up here."""
+
+    SEED, SIZE = 13, 40
+    FUNCTIONS = ("recip_gamma", "gamma", "gamma_sin_pi", "digamma")
+    FAILING = {
+        ("recip_gamma", 7): "converged, > 1e-9 relative",
+        ("gamma", 7): "PoleError",
+        ("gamma_sin_pi", 7): "QuadratureNodeError (out of range)",
+        ("digamma", 7): "PoleError",
+        ("recip_gamma", 12): "QuadratureNodeError (out of range)",
+        ("gamma", 12): "QuadratureNodeError (out of range)",
+        ("gamma_sin_pi", 12): "QuadratureNodeError",
+        ("digamma", 12): "QuadratureNodeError",
+        ("recip_gamma", 19): "QuadratureNodeError (out of range)",
+        ("gamma", 19): "QuadratureNodeError (out of range)",
+        ("gamma_sin_pi", 19): "QuadratureNodeError (out of range)",
+        ("digamma", 19): "QuadratureNodeError",
+        ("recip_gamma", 30): "returned (out of range)",
+        ("gamma", 30): "PoleError (out of range)",
+        ("gamma_sin_pi", 30): "QuadratureNodeError (out of range)",
+        ("digamma", 30): "PoleError",
+        ("recip_gamma", 36): "QuadratureNodeError (out of range)",
+        ("gamma", 36): "QuadratureNodeError (out of range)",
+        ("gamma_sin_pi", 36): "converged, > 1e-9 relative",
+        ("digamma", 36): "QuadratureNodeError",
+    }
+
+    @classmethod
+    def _points(cls) -> list[complex]:
+        rng = random.Random(cls.SEED)
+        points = []
+        for _ in range(cls.SIZE):
+            size, angle = 10.0 ** rng.uniform(-2, 3), rng.uniform(-math.pi, math.pi)
+            points.append(complex(size * math.cos(angle), size * math.sin(angle)))
+        return points
+
+    @staticmethod
+    def _exact(mpmath, name: str, z: complex):
+        w = mpmath.mpc(z.real, z.imag)
+        with mpmath.workdps(30):
+            try:
+                return {"recip_gamma": lambda: mpmath.rgamma(w),
+                        "gamma": lambda: mpmath.gamma(w),
+                        "gamma_sin_pi": lambda: mpmath.pi * mpmath.rgamma(1 - w),
+                        "digamma": lambda: mpmath.digamma(w)}[name]()
+            except (ValueError, ZeroDivisionError):     # at a pole
+                return None
+
+    def test_slice(self):
+        mpmath = pytest.importorskip("mpmath")
+        classes = {}
+        for index, z in enumerate(self._points()):
+            for name in self.FUNCTIONS:
+                exact = self._exact(mpmath, name, z)
+                fits = exact is not None and 1e-300 <= abs(exact) <= 1e300
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        res = getattr(functions, name)(z)
+                    except Exception as exc:
+                        assert isinstance(exc, UnigammaError), (name, z, exc)
+                        classes[name, index] = (type(exc).__name__
+                                                + ("" if fits else " (out of range)"))
+                        continue
+                if not fits:
+                    classes[name, index] = "returned (out of range)"
+                elif not res.converged:
+                    classes[name, index] = "unconverged"
+                else:
+                    err = abs(res.value - complex(exact))
+                    assert err <= res.err_estimate, (name, z, err, res.err_estimate)
+                    if err > 1e-9 * abs(exact):
+                        classes[name, index] = "converged, > 1e-9 relative"
+        assert classes == self.FAILING
+
+
+class TestCertifiedLine:
+    """A line certified at the start step (``quadrature._start_certificate``)
+    costs one kernel call per integrand, on level 0's nodes alone."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("g_integrand", "g_log_integrand"):
+            kernel = getattr(integrands, name)
+
+            def spy(z, sigma, t, name=name, kernel=kernel):
+                calls.append((name, np.array(t, copy=True)))
+                return kernel(z, sigma, t)
+
+            monkeypatch.setattr(integrands, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("fn, z, kernels", [
+        (recip_gamma, 10.0, 1), (gamma, -3.3 + 0.7j, 1), (gamma_sin_pi, -6.5 - 2j, 1),
+        (digamma, 7.2 + 9j, 2)])
+    def test_one_call_per_kernel_on_level_zero(self, fn, z, kernels, monkeypatch):
+        calls = self._spy(monkeypatch)
+        res = fn(z)
+        assert res.converged and res.spec_used.step == 0.25
+        assert len(calls) == kernels
+        assert len({name for name, _ in calls}) == kernels
+        lower, upper = res.spec_used.window
+        level0 = np.arange(round(lower / 0.25), round(upper / 0.25) + 1) * 0.25
+        for _, nodes in calls:
+            # A line point below the axis is integrated at its conjugate,
+            # over the window mirrored.
+            assert np.array_equal(nodes, level0) or np.array_equal(-nodes[::-1], level0)
+        assert res.evaluations == kernels * level0.size
+
+    def test_direct_line_near_the_branch_point_still_refines(self, monkeypatch):
+        # G(-5)'s line at sigma = 0.45 cannot be certified at the start step;
+        # Richardson stops it at level 1 with the bits it had.
+        calls = self._spy(monkeypatch)
+        res = G(-5)
+        assert [nodes.size for _, nodes in calls] == [117]
+        assert repr(res) == (
+            "EvalResult(z=(-5+0j), value=(6.950774544121495e-14+0j), "
+            "err_estimate=6.575378418360048e-13, spec_used=ContourSpec(sigma=0.4472135954999579, "
+            "half_width=7.25, step=0.125, tol=7.5e-13, max_refinements=12, "
+            "window=(-7.25, 7.25)), converged=True, evaluations=117)")
+
+    def test_batch_certifies_the_same_lines(self):
+        zs = [10.0, 3 + 4j, 7.2 + 9j, -3.3 + 0.7j, 0.5 + 3j, 2.5 - 1j]
+        many = evaluate_many("recip_gamma", zs)
+        steps = [res.spec_used.step for res in many]
+        assert steps == [recip_gamma(z).spec_used.step for z in zs]
+        assert steps.count(0.25) == 3
+        for res, z in zip(many, zs):
+            alone = recip_gamma(z)
+            assert res.evaluations == alone.evaluations
+            assert abs(res.value - alone.value) <= res.err_estimate + alone.err_estimate
+
+
 class TestPinnedBits:
     """One-point results pinned to their repr, which round-trips every float:
     the value, the error estimate, the spec and the flag keep their bits
@@ -1008,7 +1150,14 @@ class TestPinnedBits:
     < 1/2) and conjugated (Im z < 0) lines; lines that stop at level 2 (step
     0.0625); digamma's two kernels; gamma_sin_pi's line at 1 - z; a point
     1e-9 from the zero at -3; the real axis; and a far-left point's node
-    error, past the mirror's reach."""
+    error, past the mirror's reach.  The lines at 4.3-0.7i (for -3.3+0.7i),
+    7.2+9i and 4-1e-9i are certified at the start step (step 0.25), the
+    others refine."""
+
+    # The certified entries, each within its err_estimate of mpmath
+    # (test_certified_entries_hold_their_estimate).
+    CERTIFIED = (("recip_gamma", -3.3 + 0.7j), ("gamma", -3.3 + 0.7j), ("gamma", 7.2 + 9j),
+                 ("recip_gamma", -3 + 1e-9j))
 
     PINNED = {
         ("recip_gamma", (3+4j)):
@@ -1030,23 +1179,23 @@ class TestPinnedBits:
             "tol=7.5e-13, max_refinements=12, window=(-4.75, 6.25)), converged=True, "
             "evaluations=177)",
         ("recip_gamma", (-3.3+0.7j)):
-            "EvalResult(z=(-3.3+0.7j), value=(0.16490745401784876-11.968321483459933j), "
-            "err_estimate=1.0410260412618396e-13, "
-            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.125, "
+            "EvalResult(z=(-3.3+0.7j), value=(0.16490745401788204-11.968321483460006j), "
+            "err_estimate=1.1737706173373858e-11, "
+            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
-            "evaluations=83)",
+            "evaluations=42)",
         ("gamma", (-3.3+0.7j)):
-            "EvalResult(z=(-3.3+0.7j), value=(0.0011510424761154183+0.08353804548929625j), "
-            "err_estimate=7.266288836797912e-16, "
-            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.125, "
+            "EvalResult(z=(-3.3+0.7j), value=(0.0011510424761156368+0.08353804548929573j), "
+            "err_estimate=8.192836678112195e-14, "
+            "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
-            "evaluations=83)",
+            "evaluations=42)",
         ("gamma", (7.2+9j)):
-            "EvalResult(z=(7.2+9j), value=(7.586533911190438+1.1429017469792577j), "
-            "err_estimate=6.043779606043756e-14, "
-            "spec_used=ContourSpec(sigma=2.9933318644130673, half_width=6.25, step=0.125, "
+            "EvalResult(z=(7.2+9j), value=(7.586533911190436+1.1429017469792646j), "
+            "err_estimate=6.043779606043755e-14, "
+            "spec_used=ContourSpec(sigma=2.9933318644130673, half_width=6.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-3.25, 6.25)), converged=True, "
-            "evaluations=77)",
+            "evaluations=39)",
         ("gamma_sin_pi", (2.5+0.7j)):
             "EvalResult(z=(2.5+0.7j), value=(4.718037225199027+2.609998908357085j), "
             "err_estimate=3.079214639681343e-14, "
@@ -1083,11 +1232,11 @@ class TestPinnedBits:
             "half_width=6.0, step=0.0625, tol=7.5e-13, max_refinements=12, window=(-5.5, "
             "6.0)), converged=True, evaluations=185)",
         ("recip_gamma", (-3+1e-09j)):
-            "EvalResult(z=(-3+1e-09j), value=(-7.53670583708436e-18-6e-09j), "
-            "err_estimate=1.1029496919413382e-22, "
-            "spec_used=ContourSpec(sigma=1.8708286933869707, half_width=5.25, step=0.125, "
+            "EvalResult(z=(-3+1e-09j), value=(-7.53670602140882e-18-5.999999999999901e-09j), "
+            "err_estimate=2.5105404412814454e-21, "
+            "spec_used=ContourSpec(sigma=1.8708286933869707, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.25)), converged=True, "
-            "evaluations=85)",
+            "evaluations=43)",
         ("recip_gamma", (-120.3-0.5j)):
             "QuadratureNodeError: integrand returned a non-finite value at node t=-29.0",
         ("recip_gamma", 2.0):
@@ -1106,6 +1255,16 @@ class TestPinnedBits:
         except QuadratureNodeError as exc:
             outcome = f"QuadratureNodeError: {exc}"
         assert outcome == self.PINNED[name, z]
+
+    def test_certified_entries_hold_their_estimate(self):
+        mpmath = pytest.importorskip("mpmath")
+        for name, z in self.CERTIFIED:
+            res = getattr(functions, name)(z)
+            assert res.spec_used.step == 0.25
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z.real, z.imag)
+                want = complex(mpmath.rgamma(w) if name == "recip_gamma" else mpmath.gamma(w))
+            assert abs(res.value - want) <= res.err_estimate, (name, z)
 
     def test_euler_mascheroni(self):
         assert repr(euler_mascheroni()) == (

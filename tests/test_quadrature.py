@@ -27,8 +27,9 @@ from unigamma import (
     trapezoid_line,
 )
 from unigamma import integrands
-from unigamma.quadrature import (_FSUM_TERMS, _UNIT, _Grid, _exact_sums, _line_grid,
-                                 _only, _trapezoid_joint)
+from unigamma.quadrature import (_FSUM_TERMS, _RICHARDSON_MARGIN, _T_GRID, _UNIT, _Grid,
+                                 _exact_sums, _line_grid, _only, _start_certificate,
+                                 _trapezoid_joint, _window_grid)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -592,6 +593,120 @@ class TestFirstStep:
         assert res.err_estimate == max(abs(romberg - coarse), floor)
 
 
+class TestCertifiedStart:
+    """A point whose certificate meets the tolerance settles on level 0."""
+
+    @staticmethod
+    def _level_zero(f, grid):
+        terms = f(np.arange(grid.k_lo, grid.k_hi + 1, dtype=float) * grid.step)
+        terms[[0, -1]] *= 0.5
+        floor = 16.0 * math.ulp(1.0) * (grid.step * float(np.abs(terms).sum()))
+        return _fsum_trapezoid(terms, grid.step), floor, terms.size
+
+    def test_certified_point_makes_one_call_on_level_zero(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-1.25 * t * t + 0.2j * t)
+
+        grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
+        for certificate in (0.0, 1e-300, 2e-13, _RICHARDSON_MARGIN * tol):
+            calls.clear()
+            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], tol, 12,
+                                            certificates=[certificate]))
+            assert calls == [29]
+            value, floor, size = self._level_zero(f, grid)
+            assert res.value == value and res.evaluations == size
+            assert res.step_used == 0.5 and res.converged and res.tol_effective == tol
+            assert res.err_estimate == max(certificate, floor)
+
+    def test_uncertified_point_refines_as_without_one(self):
+        def f(t, _):
+            return np.exp(-1.25 * t * t + 0.2j * t)
+
+        grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
+        plain = _trapezoid_joint((f,), [grid], tol, 12)
+        for certificate in (math.nextafter(_RICHARDSON_MARGIN * tol, 1.0), 1.0, math.inf):
+            assert _trapezoid_joint((f,), [grid], tol, 12, certificates=[certificate]) == plain
+
+    def test_chunk_mixes_certified_and_refining_points(self):
+        # Points 0 and 2 are certified; 1 and 3 refine with the same bits as
+        # alone.  One call covers level 0 of the first and level 1 of the rest.
+        widths = np.array([1.3, 0.8, 1.0, 0.2])
+        calls = []
+
+        def f(t, rows):
+            calls.append(t.size)
+            return np.exp(-widths[rows] * t * t + 0.3j * t)
+
+        grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
+        certificates = [1e-13, math.inf, 0.0, math.inf]
+        outcomes = _trapezoid_joint((f,), [grid] * 4, tol, 12, certificates=certificates)
+        assert calls[0] == 29 + 57 + 29 + 57
+        for p, certificate in enumerate(certificates):
+            alone = _trapezoid_joint((lambda t, _: f(t, np.full(t.size, p)),), [grid], tol, 12,
+                                     certificates=[certificate])
+            assert outcomes[p] == alone[0]
+            (res,) = outcomes[p]
+            assert (res.step_used == 0.5) == (certificate < math.inf)
+
+    def test_tol_function_takes_no_certificate(self):
+        # The Laplace path's relative tolerance comes with none; the default
+        # certificate leaves such a point refining.
+        grid = _Grid(0.0, -14, 14, 0.5)
+        (res,) = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,), [grid],
+                                        lambda level0: 1e-12 * abs(level0), 12))
+        assert res.step_used < 0.5
+
+    def test_certificate_bounds_the_level_zero_error(self):
+        """At seeded certified line points, T(0.25) over the window, summed
+        at 30 digits, lies within the certificate of the whole line's
+        integral: G(w) = pi/Gamma(w), or G psi with the log weight."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2611)
+        certified = 0
+        for k in range(60):
+            w = (complex(rng.uniform(0.5, 16.0), rng.uniform(0.0, 16.0)) if k % 3
+                 else complex(rng.uniform(2.0, 40.0), rng.uniform(0.0, 3.0)))
+            log_weight = k % 4 == 1
+            tol = 10.0 ** rng.uniform(-14, -8)
+            sigma = default_sigma(w)
+            trunc = select_truncation(w, sigma, tol / 8, log_weight=log_weight)
+            certificate = _start_certificate(w, sigma, trunc, tol, log_weight)
+            if certificate == math.inf:
+                continue
+            assert certificate <= _RICHARDSON_MARGIN * tol
+            certified += 1
+            grid = _window_grid(trunc.lower, trunc.upper, _T_GRID)
+            with mpmath.workdps(30):
+                z, s, h = mpmath.mpc(w.real, w.imag), mpmath.mpf(sigma), mpmath.mpf(_T_GRID)
+
+                def f(k):
+                    v = s + 1j * k * h
+                    value = v ** (1 - 2 * z) * mpmath.exp(v * v)
+                    return value * 2 * mpmath.log(v) if log_weight else value
+
+                level0 = h * (mpmath.fsum(f(k) for k in range(grid.k_lo + 1, grid.k_hi))
+                              + (f(grid.k_lo) + f(grid.k_hi)) / 2)
+                exact = mpmath.pi * mpmath.rgamma(z)
+                if log_weight:
+                    exact *= mpmath.digamma(z)
+                error = float(abs(level0 - exact))
+            assert error <= certificate, (w, log_weight, tol, error, certificate)
+        assert certified >= 25
+
+    def test_capped_or_heavy_lines_are_not_certified(self):
+        # A capped window, a line near the branch point and a far-left line.
+        for w, sigma in ((0.5 + 3j, 1.224744871391589), (-120.3 + 0.5j, 0.09)):
+            trunc = select_truncation(w, sigma, 1.25e-13)
+            assert _start_certificate(w, sigma, trunc, 7.5e-13, False) == math.inf
+        trunc = select_truncation(12.0, 3.39, 1.25e-13)
+        capped = trunc._replace(capped=True)
+        assert _start_certificate(12.0, 3.39, trunc, 7.5e-13, False) < math.inf
+        assert _start_certificate(12.0, 3.39, capped, 7.5e-13, False) == math.inf
+
+
 def _waves(widths, freqs):
     """f(t, rows) = exp(-a t^2 + i b t) with (a, b) of the point of each node."""
     widths, freqs = np.array(widths), np.array(freqs)
@@ -688,6 +803,20 @@ class TestSumPastTheDoubleRange:
         spec = ContourSpec(sigma=1, half_width=20, step=0.25, tol=1e-10)
         with pytest.raises(QuadratureNodeError, match=self.MESSAGE):
             integrate_segment(y, "ray_cd", spec)
+
+    def test_ray_phase_past_the_doubles(self):
+        # The radial integral fits (its nodes near 1e307), but times
+        # e^{pi Im y/2} ~ 1e136 it does not: decided before the product.
+        spec = ContourSpec(sigma=1, half_width=20, step=0.25, tol=1e-10)
+        with pytest.raises(QuadratureNodeError, match="left the double range") as info:
+            integrate_segment(-342 + 200j, "ray_cd", spec)
+        assert info.value.node is None
+        # The other ray takes e^{-pi Im y/2} and fits.
+        assert cmath.isfinite(integrate_segment(-342 + 200j, "ray_de", spec))
+        # e^{pi Im y/2} alone past the doubles, where a bare OverflowError escaped.
+        with pytest.raises(QuadratureNodeError, match="left the double range") as info:
+            integrate_segment(-1 + 460j, "ray_cd", spec)
+        assert info.value.node is None
 
     @pytest.mark.parametrize("half_width", [6.0, 60.0])
     def test_chunk_mates_go_on(self, half_width):

@@ -18,10 +18,13 @@ functions run on the point whose line that call integrates (z, or 1 - z
 where the left half-plane is read from the mirror line), as the call does:
 
 - ``select_truncation``: the window of the line, ``quadrature.select_truncation``;
+- ``certify``: the line's a-priori bound at the start step,
+  ``quadrature._start_certificate`` (absent from a checkout without it);
 - ``kernel``: ``integrands.g_integrand`` on the level-1 nodes of that window;
 - ``summation``: one level-1 pass of ``quadrature._pass_sums`` over those
   nodes' kept terms;
-- ``driver``: ``quadrature._trapezoid_joint`` of the line, kernel included;
+- ``driver``: ``quadrature._trapezoid_joint`` of the line, kernel included,
+  with the line's certificate where the checkout has one;
 - ``reader``: from the line's quadrature to the EvalResult: ``_read``, the
   route, the function's reader and the EvalResult;
 - ``recip_gamma``, ``gamma``, ``gamma_sin_pi``, ``digamma`` and ``G``: the
@@ -33,7 +36,10 @@ already integrated, one figure per function and route (mirrored at
 the other way round).  The summation and reader layers call private
 helpers; the script follows their layout in this checkout and in the one
 before the driver returned ``_Quad`` tuples (``_pass_sums`` over
-``(index, point, terms)`` triples, readers of ``(z, mirror, line)``).
+``(index, point, terms)`` triples, readers of ``(z, mirror, line)``), and
+in the one before a point kept its own level (``next_nodes``, ``keep`` and
+``_pass_sums`` taking the level).  ``certified`` counts, per checkout, the
+points whose line the certificate settles on level 0.
 """
 
 from __future__ import annotations
@@ -78,8 +84,11 @@ def _cases(ug) -> dict:
     import numpy as np
 
     F, Q, I = ug.functions, ug.quadrature, ug.integrands
-    cases: dict = {name: [] for name in ("select_truncation", "kernel", "summation",
+    certify = getattr(Q, "_start_certificate", None)
+    cases: dict = {name: [] for name in ("select_truncation", "certify", "kernel", "summation",
                                          "driver", "reader", *_FUNCTIONS)}
+    if certify is None:
+        del cases["certify"]
     tol, max_refinements = 1e-12, 12
     line_tol = (1.0 - F._TAIL_SHARE) * tol
     tail_tol = 0.5 * F._TAIL_SHARE * tol
@@ -94,13 +103,19 @@ def _cases(ug) -> dict:
         noise = F._phase_noise(w, sigma, trunc)
         nodes = np.arange(2 * grid.k_lo, 2 * grid.k_hi + 1, dtype=float) * (0.5 * grid.step)
         fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
-        (quads,) = Q._trapezoid_joint(fs, [grid], line_tol, max_refinements, noise=[noise])
+        extra = {}
+        if certify is not None:
+            extra["certificates"] = [certify(w, sigma, trunc, line_tol, False)]
+            cases["certify"].append(lambda w=w, sigma=sigma, trunc=trunc: certify(
+                w, sigma, trunc, line_tol, False))
+        (quads,) = Q._trapezoid_joint(fs, [grid], line_tol, max_refinements, noise=[noise],
+                                      **extra)
         cases["select_truncation"].append(
             lambda w=w, sigma=sigma: Q.select_truncation(w, sigma, tail_tol))
         cases["kernel"].append(lambda w=w, sigma=sigma: I.g_integrand(w, sigma, nodes))
         cases["summation"].append(_summation(Q, grid, line_tol, noise, I.g_integrand(w, sigma, nodes)))
-        cases["driver"].append(lambda fs=fs, grid=grid, noise=noise: Q._trapezoid_joint(
-            fs, [grid], line_tol, max_refinements, noise=[noise]))
+        cases["driver"].append(lambda fs=fs, grid=grid, noise=noise, extra=extra: Q._trapezoid_joint(
+            fs, [grid], line_tol, max_refinements, noise=[noise], **extra))
         line = (sigma, trunc, quads)
         cases["reader"].append(lambda z=z, line=line, flip=flip: reader(
             z, F._read(line, flip, line_tol, max_refinements)))
@@ -114,6 +129,10 @@ def _summation(Q, grid, tol, noise, values):
     init = inspect.signature(Q._Point).parameters
     count = (1,) if "count" in init else ()
     point = Q._Point(grid, tol, *count, noise, False)
+    if "level" not in inspect.signature(point.next_nodes).parameters:  # the point's own level
+        point.next_nodes()
+        point.keep([values.copy()])
+        return lambda: Q._pass_sums((point,))
     point.next_nodes(1)     # where a point takes its level's step
     kept = point.keep([values.copy()], 1)
     if "kept" in inspect.signature(Q._pass_sums).parameters:   # (index, point, terms) triples
@@ -154,6 +173,12 @@ def _reader_cases(ug) -> dict:
     return cases
 
 
+def _certified(ug) -> int:
+    """How many of the points' lone recip_gamma lines settle on level 0, at
+    the start step."""
+    return sum(ug.recip_gamma(z).spec_used.step == ug.quadrature._T_GRID for z in _points())
+
+
 def _emit(checkout: str, repeats: int) -> None:
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
     import unigamma
@@ -171,7 +196,7 @@ def _emit(checkout: str, repeats: int) -> None:
                     call()
                 best[layer][i] = min(best[layer][i], (perf_counter_ns() - start) / number)
     gc.enable()
-    json.dump(best, sys.stdout)
+    json.dump({"layers": best, "certified": _certified(unigamma)}, sys.stdout)
 
 
 def main() -> None:
@@ -186,6 +211,7 @@ def main() -> None:
         _emit(args.emit, args.repeats)
         return
     best: dict = {checkout: {} for checkout in args.checkouts}
+    certified = {}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.processes):
             for checkout in args.checkouts:
@@ -196,7 +222,9 @@ def main() -> None:
                     env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
                 if run.returncode:
                     sys.exit(f"{checkout}: the timing failed\n{run.stderr}")
-                for layer, times in json.loads(run.stdout).items():
+                emitted = json.loads(run.stdout)
+                certified[checkout] = emitted["certified"]
+                for layer, times in emitted["layers"].items():
                     seen = best[checkout].setdefault(layer, times)
                     best[checkout][layer] = [min(a, b) for a, b in zip(seen, times)]
     print(json.dumps({
@@ -206,6 +234,7 @@ def main() -> None:
         "processes": args.processes,
         "repeats": args.repeats,
         "python": platform.python_version(),
+        "certified": {checkout: f"{count} of {POINTS}" for checkout, count in certified.items()},
         "figures": {checkout: {layer: round(sum(times) / len(times) / 1e3, 2)
                                for layer, times in layers.items()}
                     for checkout, layers in best.items()},
