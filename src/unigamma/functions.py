@@ -1,13 +1,13 @@
 """Public special-function API built on the contour engine.
 
 Every operation returns an :class:`EvalResult` carrying the value together
-with quadrature diagnostics: the ContourSpec actually used after refinement
-(sigma, the window [lower, upper] of t, step h, effective tolerance), an
-error estimate combining the Richardson difference, or the a-priori bound of
-a line certified at its start step, with the bound on both truncated tails,
-and a ``converged`` flag.  Every line integral of G, digamma and Euler's
-constant goes through one helper, ``_lines``, which
-refines many points together (the public functions are its one-point case,
+with quadrature diagnostics: the ContourSpec actually used after
+refinement (sigma, the window [lower, upper] of t, step h, effective
+tolerance), an error estimate combining the Richardson difference, or the
+a-priori bound of a line certified at its start step or at half of it,
+with the bound on both truncated tails, and a ``converged`` flag.  Every
+line integral of G, digamma and Euler's constant goes through one helper,
+``_lines``, which refines many points together (the public functions are its one-point case,
 ``evaluate_many`` its many-point one), and every ``converged`` flag comes
 from one rule, ``_gate``: the flag is true only when the truncation was not capped, the
 refinement met its (possibly roundoff-floored) tolerance, *and* that
@@ -186,11 +186,12 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     the integrand's magnitude at the saddle height.  The start step is
     ``_T_GRID`` for every z: on the saddle line the integrand is close to a
     Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
-    the rest.  Each line's ``_start_certificate``, a rigorous bound on the
-    error of its sum at that step, for the heaviest kernel, which covers
-    the others, goes to the driver: a line it certifies settles on level
-    0's nodes alone, with the certificate as its estimate, and every other
-    line refines by halving.  The kernels of a point share one node set;
+    the rest.  Each line's ``_start_certificate``, the first level (0 at
+    that step, or 1 at half of it) whose sum a rigorous bound certifies,
+    with the bound, for the heaviest kernel, which covers the others, goes
+    to the driver: a line it certifies settles on that level's nodes alone,
+    with the bound as its estimate, and a line certified at neither level
+    refines by halving.  The kernels of a point share one node set;
     the points share ``_trapezoid_joint``'s kernel calls.  Returns per
     point its line, the tuple ``(values, errs, spec, converged,
     evaluations)``: each integral's value and its error estimate with the

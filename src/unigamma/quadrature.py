@@ -21,23 +21,26 @@ It takes many points at once and refines them in chunks, one kernel call
 per level for the whole chunk; the rays, arcs and Laplace are one-point
 calls.  Its levels are nested -- nodes are ``origin + k*h`` over integer
 k, so halving keeps every old node at an even k and evaluates only the
-odd k -- and ``evaluations`` counts each node once.  Level 0 has no
-Richardson difference, so a point stops there only on an a-priori
-certificate: a G-line point whose ``_start_certificate`` (the trapezoid
-error bound of Trefethen & Weideman on a strip about its line, plus the
-nodes beyond its window) meets the tolerance evaluates level 0's nodes
-alone and settles there, the certificate standing for the difference.
-Every other point's first kernel call evaluates level 1's nodes, level
-0's at the even k and the odd k between them.  The point keeps them as
-trapezoid terms, its values with the end weights 1/2 applied once, and
-settles level 0 from the even terms and level 1 from all of them: a point
-that stops at level 0 or 1 makes one kernel call per integrand.  The
-rays, the arcs and the Laplace integrand end where they have not
-decayed, so their Euler-Maclaurin endpoint terms hold plain halving to
-O(h^2); those paths ask for Romberg by name, which extrapolates the level
-sums with a Romberg table, removing h^2, h^4, ... in turn.  The G line
-keeps plain halving: its ends have decayed below the tolerance, and the
-trapezoid rule is spectral there.
+odd k -- and ``evaluations`` counts each node once.  A G-line point
+settles on the first level, 0 or 1, that an a-priori certificate covers:
+its ``_start_certificate`` (the trapezoid error bound of Trefethen &
+Weideman on a strip about its line, plus the nodes beyond its window),
+taken at the start step and, where that one misses the tolerance, at half
+of it.  Such a point evaluates that level's nodes alone, sums them alone
+and settles there, the certificate standing for a Richardson difference.
+A point certified at neither level (a line near the branch point, a
+forced sigma far off the saddle, the other paths) refines by Richardson:
+its first kernel call evaluates level 1's nodes, level 0's at the even k
+and the odd k between them.  The point keeps them as trapezoid terms, its
+values with the end weights 1/2 applied once, and settles level 0 from
+the even terms and level 1 from all of them: a point that stops at level
+0 or 1 makes one kernel call per integrand.  The rays, the arcs and the
+Laplace integrand end where they have not decayed, so their
+Euler-Maclaurin endpoint terms hold plain halving to O(h^2); those paths
+ask for Romberg by name, which extrapolates the level sums with a Romberg
+table, removing h^2, h^4, ... in turn.  The G line keeps plain halving:
+its ends have decayed below the tolerance, and the trapezoid rule is
+spectral there.
 
 Summation is exactly rounded: each level's trapezoid sum is the float
 nearest the exact sum of its terms, which has two consequences worth
@@ -52,7 +55,7 @@ adds only its new terms.  Both give the same bits.
 One roundoff floor, ``16*eps*int |f|``, serves both the convergence gate
 and the error estimate: the gate enforces the *effective* tolerance
 ``max(tol, floor)`` and ``err_estimate`` is ``max(Richardson difference,
-floor)``, or ``max(certificate, floor)`` for a point settled on level 0.
+floor)``, or ``max(certificate, floor)`` for a point its certificate settles.
 The floor covers the kernels' few-ulp pointwise error summed over the
 line, so an estimate below it would claim more than the nodes carry.
 A G-line point off the real axis scales its floor by max(1, Phi/16), with
@@ -493,27 +496,37 @@ def select_truncation(z, sigma: float, tol: float, *,
 
 
 # The lines Re w = sigma/4 and Re w = sigma + 3 whose integrals of |f| bound
-# the G line's aliasing error at the start step (see _start_certificate):
+# the G line's aliasing error at levels 0 and 1 (see _start_certificate):
 # the left one 3/4 of the way from the line to the branch point at w = 0,
 # the right one far enough that e^{2 pi 3/h} outweighs the growth of
 # e^{w^2}.  Of the pairs measured (left at 0.1 to 0.65 sigma, right at 1 to
-# 4 past it), this one certifies the most lines: 71% of plane-mix's and 302
-# of the 41 x 41 lattice's 462, against 58% and 218 at sigma/2, sigma + 2.
+# 4 past it), this one certifies the most lines at the start step: 71% of
+# plane-mix's and 302 of the 41 x 41 lattice's 462, against 58% and 218 at
+# sigma/2, sigma + 2.
 _LEFT_LINE = 0.25
 _RIGHT_SHIFT = 3.0
 _LOG_ALIAS_RIGHT = math.log(math.expm1(2.0 * math.pi * _RIGHT_SHIFT / _T_GRID))
+# Halving h squares e^{2 pi a/h}: expm1(2x) = expm1(x) (expm1(x) + 2), so a
+# part of level 1's bound is level 0's over expm1(x) + 2, e^x + 1 (its gain).
+_GAIN_RIGHT = math.log(math.exp(2.0 * math.pi * _RIGHT_SHIFT / _T_GRID) + 1.0)
 # Past a window's end e, the nodes beyond it weigh at most 1 + 4h/sqrt(pi)
 # times e's tail bound and the end node's half weight at most (2e + sqrt 2)
-# h/2 times it (see _start_certificate): this, plus h e.
+# h/2 times it (see _start_certificate): this, plus h e, at h = _T_GRID and
+# at h = _T_GRID/2.
 _DISCRETE_TAIL = 1.0 + 4.0 * _T_GRID / math.sqrt(math.pi) + 0.5 * _T_GRID * math.sqrt(2.0)
+_DISCRETE_TAIL_FINE = 1.0 + 2.0 * _T_GRID / math.sqrt(math.pi) + 0.25 * _T_GRID * math.sqrt(2.0)
+# A line that neither level's bound certifies: its first level, and no bound.
+_UNCERTIFIED = (0, _INF)
 
 
 def _start_certificate(z: complex, sigma: float, trunc: Truncation, tol: float,
-                       log_weight: bool) -> float:
-    """A rigorous bound on the error of the G line's trapezoid sum at the
-    start step h = _T_GRID over ``trunc``'s window, against the integral
-    over the whole line; inf where it passes _RICHARDSON_MARGIN * tol, where
-    the driver would not take it (its parts are summed only that far).
+                       log_weight: bool) -> tuple[int, float]:
+    """The first level, 0 or 1, whose trapezoid sum over ``trunc``'s window
+    a rigorous bound certifies against the integral over the whole line, and
+    that bound: at the start step h = _T_GRID where its bound is at most
+    _RICHARDSON_MARGIN * tol, else at h = _T_GRID/2 where that one is;
+    ``_UNCERTIFIED`` where neither is, where the driver would take no bound
+    (each level's parts are summed only that far).
 
     f is analytic in Re w > 0 and decays like e^{-t^2} along every line
     Re w = s > 0, so the trapezoid sum over all nodes k*h errs by at most
@@ -523,7 +536,10 @@ def _start_certificate(z: complex, sigma: float, trunc: Truncation, tol: float,
     where M(s) is the integral of |f| over the line Re w = s.  Here s =
     sigma/4 and s' = sigma + 3, and M is bounded by the tail bound of
     ``_log_tail`` on both sides of the saddle height; with ``log_weight`` it
-    bounds the log weight's integrand, which covers the plain one.
+    bounds the log weight's integrand, which covers the plain one.  The
+    same four parts of M bound both levels, each over its own alias factor,
+    so a line the start step misses costs four more exponentials, no second
+    pass over the strip.
 
     The window then drops its end nodes' half weights and the nodes beyond
     its ends.  Past an end e (measured away from the window), |f(e + d)| <=
@@ -535,33 +551,46 @@ def _start_certificate(z: complex, sigma: float, trunc: Truncation, tol: float,
     g(0) = 1 is below (kappa + sqrt 2) J(kappa) <= (2e + sqrt 2) J(kappa)
     (the Mills ratio bound, A&S 7.1.13) where kappa >= 0, and below
     (2/sqrt(pi)) J(kappa) where it is not.  So both ends together weigh at
-    most _DISCRETE_TAIL + h max(e) times the tail bound.  A capped window
-    is not certified.
+    most _DISCRETE_TAIL + h max(e) times the tail bound (_DISCRETE_TAIL_FINE
+    at level 1).  A capped window is not certified.
     """
     lower, upper, tail, capped = trunc
     budget = _RICHARDSON_MARGIN * tol
-    total = (_DISCRETE_TAIL + _T_GRID * max(upper, -lower)) * tail
-    if capped or not total <= budget:
-        return _INF
+    reach = max(upper, -lower)
+    total = (_DISCRETE_TAIL + _T_GRID * reach) * tail
+    fine = (_DISCRETE_TAIL_FINE + 0.5 * _T_GRID * reach) * tail
+    if capped or not fine <= budget:
+        return _UNCERTIFIED
     log_budget = log(budget)
     p, y = 0.5 - z.real, z.imag
     crest = cmath.sqrt(complex(-p, abs(y))).imag
     if y < 0.0:
         crest = -crest
     hyp = hypot(p, y)
-    for line, log_alias in (
-            (_LEFT_LINE * sigma, log(expm1(2.0 * pi * (1.0 - _LEFT_LINE) * sigma / _T_GRID))),
-            (sigma + _RIGHT_SHIFT, _LOG_ALIAS_RIGHT)):
+    alias = expm1(2.0 * pi * (1.0 - _LEFT_LINE) * sigma / _T_GRID)
+    parts = []      # the logs of level 0's four parts
+    for line, log_alias in ((_LEFT_LINE * sigma, log(alias)),
+                            (sigma + _RIGHT_SHIFT, _LOG_ALIAS_RIGHT)):
         # M over t > crest, and over t < crest as the upper tail at conj(z)
         # beyond -crest, where |f| and its slope are those at crest mirrored.
         lm, slope, _ = _log_magnitude(p, y, line, crest, log_weight)
         lm -= log_alias
         for lead, end, rate in ((y + hyp, crest, slope), (hyp - y, -crest, -slope)):
             part = lm + _log_spread(p, line, end, log_weight, lead, rate)
+            parts.append(part)
             if part > log_budget:
-                return _INF
-            total += exp(part)
-    return total if total <= budget else _INF
+                total = _INF
+            else:
+                total += exp(part)
+    if total <= budget:
+        return 0, total
+    left = log(alias + 2.0)
+    for part, gain in zip(parts, (left, left, _GAIN_RIGHT, _GAIN_RIGHT)):
+        part -= gain
+        if part > log_budget:
+            return _UNCERTIFIED
+        fine += exp(part)
+    return (1, fine) if fine <= budget else _UNCERTIFIED
 
 
 # Exact summation (mantissas binned by exponent, as in R. Neal, "Fast exact
@@ -735,17 +764,20 @@ class _Point:
                  "added", "mass", "exact", "sums", "rows")
 
     def __init__(self, grid: _Grid, tol, noise: float, romberg: bool,
-                 certificate: float = _INF):
+                 certificate: tuple[int, float] = _UNCERTIFIED):
         self.grid = grid
         self.tol = tol      # a float, or a function that the first settle calls
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
-        # A certified point's first level is 0, every other point's 1; a
-        # tol function comes with no certificate.
-        self.certificate = certificate
-        self.level = (-1 if certificate < _INF and certificate <= _RICHARDSON_MARGIN * tol
-                      else 0)
+        # A certified point's first level is the one its bound certifies,
+        # every other point's 1, and its certificate inf; a tol function
+        # comes with no certificate.
+        level, bound = certificate
+        if bound < _INF and bound <= _RICHARDSON_MARGIN * tol:
+            self.certificate, self.level = bound, level - 1
+        else:
+            self.certificate, self.level = _INF, 0
         # Exact running sums of the terms, real and imaginary per
         # integrand, once the bins sum this point; None before and after fsum.
         self.exact: list[int] | None = None
@@ -804,16 +836,26 @@ class _Point:
         return [complex(step * (exact[j] / _UNIT), step * (exact[j + 1] / _UNIT))
                 for j in range(0, len(exact), 2)]
 
+    def steps(self) -> tuple[float, ...]:
+        """The step of each level this step settles: levels 0 and 1 on an
+        uncertified point's first step, level 0 from the even terms and 1
+        from all; else the point's own level alone.  The fsum and the bin
+        routes both read them here."""
+        if self.level == 1 and self.certificate == _INF:
+            return self.grid.step, self.h
+        return (self.h,)
+
     def fsum_levels(self) -> list[list[complex]]:
         """The trapezoid sum by fsum of the kept terms, per integrand, of each
         level this step settles; drops the running sum, so the next bin
         pass takes every kept term."""
         self.exact = None
-        h = self.h
-        if self.level != 1:
+        steps = self.steps()
+        if len(steps) == 1:
+            (h,) = steps
             return [[complex(h * fsum(v.real.tolist()), h * fsum(v.imag.tolist()))
                      for v in self.values]]
-        coarse, fine, h0 = [], [], self.grid.step
+        coarse, fine, (h0, h) = [], [], steps
         for v in self.values:
             # Each part converted once; level 0 is its even terms.
             re, im = v.real.tolist(), v.imag.tolist()
@@ -829,9 +871,9 @@ class _Point:
         otherwise; or an overflow error, the outcome.  Else the outcome is
         one ``_Quad`` per integrand; None while the point goes on refining
         toward the tolerance the first step fixes.  A certified point
-        settles level 0 with its certificate as the difference, which meets
-        the tolerance, so it stops there.  An integrand whose roundoff
-        floor, and so its effective tolerance, is past the double range
+        settles its first level with its certificate as the difference,
+        which meets the tolerance, so it stops there.  An integrand whose
+        roundoff floor, and so its effective tolerance, is past the double range
         cannot converge, at this level or a finer one, whose mass holds
         this one's: the point stops there, unconverged.
         """
@@ -850,10 +892,10 @@ class _Point:
             self.rows = [_romberg_row(row, total) for row, total in zip(self.rows, totals)]
             totals = [row[-1] for row in self.rows]
         self.sums = totals
-        h, tol, evaluations = self.h, self.tol, self.values[0].size
+        h, tol, evaluations, bound = self.h, self.tol, self.values[0].size, self.certificate
         results, done, refining = [], True, level < max_refinements
         for total, previous, mass in zip(totals, last, self.mass):
-            diff = abs(total - previous) if level else self.certificate
+            diff = abs(total - previous) if bound == _INF else bound
             floor = self.floor * (h * mass)
             tol_eff = max(tol, floor)
             converged = diff <= _RICHARDSON_MARGIN * tol_eff < _INF
@@ -867,8 +909,9 @@ def _pass_sums(points: list) -> list:
     """The trapezoid sums of the levels a pass settles, per point of
     ``points`` that this pass keeps terms of, as ``_Point.settle`` takes
     them: by fsum below ``_FSUM_TERMS`` kept terms in all, else by one
-    ``_exact_sums`` pass per integrand, a slot per point (on level 1 two:
-    the even and the odd k).  A binned point adds its new terms to its
+    ``_exact_sums`` pass per integrand, a slot per level the point settles
+    (``_Point.steps``; two on an uncertified point's first step, the even
+    and the odd k, one otherwise).  A binned point adds its new terms to its
     running sum, or all its kept ones where it has none (its first level,
     or after fsum).  Both routes give the same bits.  A pass whose points
     have all failed sums nothing.  fsum refuses partial sums past the
@@ -881,7 +924,8 @@ def _pass_sums(points: list) -> list:
         except OverflowError:
             pass
     binned = [point.values if point.exact is None else point.added for point in points]
-    pers = [2 if point.level == 1 else 1 for point in points]
+    steps_of = [point.steps() for point in points]
+    pers = [len(steps) for steps in steps_of]
     firsts = list(itertools.accumulate(pers, initial=0))
     sizes = [terms[0].size for terms in binned]
     if len(binned) == 1:    # its terms go in as they are: no copy of a long level
@@ -895,9 +939,8 @@ def _pass_sums(points: list) -> list:
                         slots, firsts[-1])
             for values in zip(*binned)]
     outcomes = []
-    for first, point in zip(firsts, points):
+    for first, steps, point in zip(firsts, steps_of, points):
         try:
-            steps = (point.grid.step, point.h) if point.level == 1 else (point.h,)
             outcomes.append([point.add_exact(sums, first + j, step)
                              for j, step in enumerate(steps)])
         except OverflowError:
@@ -910,13 +953,12 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
     """Halve the step of every point (index: _Point) of a chunk until each one stops.
 
     Each pass takes each point to its next level, level 1 first (it
-    settles levels 0 and 1), or level 0 for a certified point, which stops
-    there: one kernel call per integrand on the new nodes of the points
-    still refining; each point keeps its terms and their mass, a point
-    whose masses are not all finite is looked at for a non-finite node
-    (``_node_error``) and, with one, leaves the pass; then one
-    ``_pass_sums`` over the rest.  A
-    chunk of one point takes the same steps without the per-pass lists: it
+    settles levels 0 and 1), or for a certified point the level its bound
+    certifies, where it stops: one kernel call per integrand on the new
+    nodes of the points still refining; each point keeps its terms and
+    their mass, a point whose masses are not all finite is looked at for a
+    non-finite node (``_node_error``) and, with one, leaves the pass; then
+    one ``_pass_sums`` over the rest.  A chunk of one point takes the same steps without the per-pass lists: it
     hands the kernel its nodes and its index as ``rows``, scalars, and none
     of the joining and splitting, which cost about 5% of a small integral.
     """
@@ -964,18 +1006,19 @@ def _trapezoid_joint(
     *,
     romberg: bool = False,
     noise: Sequence[float] | None = None,
-    certificates: Sequence[float] | None = None,
+    certificates: Sequence[tuple[int, float]] | None = None,
 ) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
     Point p integrates over ``grids[p]`` to ``tol`` in at most
     ``max_refinements`` halvings (one pair for all points, checked by the
-    caller), its roundoff floor scaled by ``noise[p]`` (default 1).  A point
-    whose ``certificates[p]``, a rigorous bound on the error of its level-0
-    sum for every integrand (default inf), is at most _RICHARDSON_MARGIN *
-    tol evaluates level 0's nodes alone, one kernel call per integrand, and
-    settles there: value the level-0 sum, err_estimate max(certificate,
-    floor), step_used the grid's step.  A
+    caller), its roundoff floor scaled by ``noise[p]`` (default 1).
+    ``certificates[p]`` is a pair (level, bound): a level, 0 or 1, and a
+    rigorous bound on the error of that level's sum for every integrand
+    (default ``_UNCERTIFIED``, no bound).  A point whose bound is at most
+    _RICHARDSON_MARGIN * tol evaluates that level's nodes alone, one kernel
+    call per integrand, and settles there: value that level's sum alone,
+    err_estimate max(bound, floor), step_used that level's step.  A
     ``tol`` function turns a point's level-0 value (its first integrand's)
     into its tolerance, called once when the first kernel call has settled
     level 0, so a relative tolerance costs no pass of its own.  Every
@@ -1017,7 +1060,7 @@ def _trapezoid_joint(
     if noise is None:
         noise = [1.0] * len(grids)
     if certificates is None:
-        certificates = [_INF] * len(grids)
+        certificates = [_UNCERTIFIED] * len(grids)
     outcomes: list = [None] * len(grids)
     for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
         _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg, certificates[p])

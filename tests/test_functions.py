@@ -138,7 +138,15 @@ class TestG:
         assert abs(res.value - want) <= 1e-12 * abs(want)
 
     def test_refinement_exhausted_is_unconverged(self):
-        assert G(0.5 + 3j, max_refinements=1).converged is False
+        # A line that neither a certificate nor Richardson settles at level
+        # 1: sigma = 0.5 is far off the saddle (1.22) of 0.5+3i, so the
+        # strip bound certifies neither level and the halving goes on.
+        z, sigma = 0.5 + 3j, 0.5
+        trunc = quadrature.select_truncation(z, sigma, 0.125 * 1e-12)
+        assert quadrature._start_certificate(z, sigma, trunc, 0.75e-12, False)[1] == math.inf
+        res = G(z, sigma=sigma, max_refinements=1)
+        assert res.converged is False and res.spec_used.step == 0.125
+        assert G(z, sigma=sigma).converged
 
 
 class TestGTilde:
@@ -1086,8 +1094,9 @@ class TestPromiseSlice:
 
 
 class TestCertifiedLine:
-    """A line certified at the start step (``quadrature._start_certificate``)
-    costs one kernel call per integrand, on level 0's nodes alone."""
+    """A line certified a priori (``quadrature._start_certificate``) costs
+    one kernel call per integrand, on the nodes of the level certified
+    alone: level 0's at the start step, or level 1's where only that one is."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -1102,22 +1111,33 @@ class TestCertifiedLine:
             monkeypatch.setattr(integrands, name, spy)
         return calls
 
+    @staticmethod
+    def _one_call_per_kernel(calls, res, kernels, step):
+        assert res.converged and res.spec_used.step == step
+        assert len(calls) == kernels
+        assert len({name for name, _ in calls}) == kernels
+        lower, upper = res.spec_used.window
+        level = np.arange(round(lower / step), round(upper / step) + 1) * step
+        for _, nodes in calls:
+            # A line point below the axis is integrated at its conjugate,
+            # over the window mirrored.
+            assert np.array_equal(nodes, level) or np.array_equal(-nodes[::-1], level)
+        assert res.evaluations == kernels * level.size
+
     @pytest.mark.parametrize("fn, z, kernels", [
         (recip_gamma, 10.0, 1), (gamma, -3.3 + 0.7j, 1), (gamma_sin_pi, -6.5 - 2j, 1),
         (digamma, 7.2 + 9j, 2)])
     def test_one_call_per_kernel_on_level_zero(self, fn, z, kernels, monkeypatch):
         calls = self._spy(monkeypatch)
-        res = fn(z)
-        assert res.converged and res.spec_used.step == 0.25
-        assert len(calls) == kernels
-        assert len({name for name, _ in calls}) == kernels
-        lower, upper = res.spec_used.window
-        level0 = np.arange(round(lower / 0.25), round(upper / 0.25) + 1) * 0.25
-        for _, nodes in calls:
-            # A line point below the axis is integrated at its conjugate,
-            # over the window mirrored.
-            assert np.array_equal(nodes, level0) or np.array_equal(-nodes[::-1], level0)
-        assert res.evaluations == kernels * level0.size
+        self._one_call_per_kernel(calls, fn(z), kernels, 0.25)
+
+    @pytest.mark.parametrize("fn, z, kernels", [
+        (recip_gamma, 1.761 - 0.2085j, 1), (digamma, 0.288 - 1.018j, 2)])
+    def test_one_call_per_kernel_on_level_one(self, fn, z, kernels, monkeypatch):
+        # Both lines refined to level 2 by Richardson before the level-1
+        # bound; it certifies them at step 0.125.
+        calls = self._spy(monkeypatch)
+        self._one_call_per_kernel(calls, fn(z), kernels, 0.125)
 
     def test_direct_line_near_the_branch_point_still_refines(self, monkeypatch):
         # G(-5)'s line at sigma = 0.45 cannot be certified at the start step;
@@ -1130,6 +1150,30 @@ class TestCertifiedLine:
             "err_estimate=6.575378418360048e-13, spec_used=ContourSpec(sigma=0.4472135954999579, "
             "half_width=7.25, step=0.125, tol=7.5e-13, max_refinements=12, "
             "window=(-7.25, 7.25)), converged=True, evaluations=117)")
+
+    @pytest.mark.parametrize("zs", [
+        # 39 + 89 + 117 terms on the first pass: summed by fsum.
+        [10.0, 1.761 - 0.2085j, -5.0],
+        # Past _FSUM_TERMS: binned, one slot for a certified line, two for
+        # the Richardson lines' levels 0 and 1.
+        [10.0, 1.761 - 0.2085j, -5.0, 7.2 + 9j, 0.288 - 1.018j, -5.3 + 0.2j, 3 + 4j]])
+    def test_batch_mixing_levels_keeps_each_lines_lone_bits(self, zs):
+        # G's direct lines: certified at level 0 (10, 7.2+9i), at level 1
+        # (1.761-0.2085i, 0.288-1.018i, 3+4i), and neither (-5, -5.3+0.2i,
+        # near the branch point), which Richardson stops at level 1.
+        steps = {10.0: 0.25, 7.2 + 9j: 0.25}
+        many = evaluate_many("G", zs)
+        for z, res in zip(zs, many):
+            assert res == G(z)
+            assert res.converged and res.spec_used.step == steps.get(z, 0.125)
+            w = complex(z).conjugate() if complex(z).imag < 0 else complex(z)
+            sigma = res.spec_used.sigma
+            trunc = quadrature.select_truncation(w, sigma, 0.125 * 1e-12)
+            level, bound = quadrature._start_certificate(w, sigma, trunc, 0.75e-12, False)
+            if z.real < 0:
+                assert bound == math.inf
+            else:
+                assert level == (0 if z in steps else 1) and bound < math.inf
 
     def test_batch_certifies_the_same_lines(self):
         zs = [10.0, 3 + 4j, 7.2 + 9j, -3.3 + 0.7j, 0.5 + 3j, 2.5 - 1j]
@@ -1147,17 +1191,22 @@ class TestPinnedBits:
     """One-point results pinned to their repr, which round-trips every float:
     the value, the error estimate, the spec and the flag keep their bits
     whatever the glue around the nodes.  The points: direct, mirrored (Re z
-    < 1/2) and conjugated (Im z < 0) lines; lines that stop at level 2 (step
-    0.0625); digamma's two kernels; gamma_sin_pi's line at 1 - z; a point
-    1e-9 from the zero at -3; the real axis; and a far-left point's node
-    error, past the mirror's reach.  The lines at 4.3-0.7i (for -3.3+0.7i),
-    7.2+9i and 4-1e-9i are certified at the start step (step 0.25), the
-    others refine."""
+    < 1/2) and conjugated (Im z < 0) lines; digamma's two kernels;
+    gamma_sin_pi's line at 1 - z; a point 1e-9 from the zero at -3; the real
+    axis; and a far-left point's node error, past the mirror's reach.  Every
+    line that returns is certified a priori (``_start_certificate``): those
+    at 4.3-0.7i (for -3.3+0.7i), 7.2+9i and 4-1e-9i at the start step (step
+    0.25), the others at level 1 (step 0.125)."""
 
-    # The certified entries, each within its err_estimate of mpmath
-    # (test_certified_entries_hold_their_estimate).
-    CERTIFIED = (("recip_gamma", -3.3 + 0.7j), ("gamma", -3.3 + 0.7j), ("gamma", 7.2 + 9j),
-                 ("recip_gamma", -3 + 1e-9j))
+    # The step each returning entry settles at; each is within its
+    # err_estimate of mpmath (test_certified_entries_hold_their_estimate).
+    CERTIFIED = {("recip_gamma", -3.3 + 0.7j): 0.25, ("gamma", -3.3 + 0.7j): 0.25,
+                 ("gamma", 7.2 + 9j): 0.25, ("recip_gamma", -3 + 1e-9j): 0.25,
+                 ("recip_gamma", 3 + 4j): 0.125, ("recip_gamma", 2.5 - 1j): 0.125,
+                 ("recip_gamma", 0.5 + 3j): 0.125, ("recip_gamma", 2.0): 0.125,
+                 ("gamma_sin_pi", 2.5 + 0.7j): 0.125, ("gamma_sin_pi", -1.5 - 0.5j): 0.125,
+                 ("digamma", 3 + 4j): 0.125, ("digamma", -2.5 - 1.5j): 0.125,
+                 ("G", 1.5 + 0.5j): 0.125, ("g_tilde", -0.5 + 2j): 0.125}
 
     PINNED = {
         ("recip_gamma", (3+4j)):
@@ -1168,16 +1217,16 @@ class TestPinnedBits:
             "evaluations=83)",
         ("recip_gamma", (2.5-1j)):
             "EvalResult(z=(2.5-1j), value=(0.7036905931010078+0.6427178342636966j), "
-            "err_estimate=3.701165901512786e-15, "
-            "spec_used=ContourSpec(sigma=1.455346690225355, half_width=5.5, step=0.0625, "
+            "err_estimate=3.7011659015127845e-15, "
+            "spec_used=ContourSpec(sigma=1.455346690225355, half_width=5.5, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.25)), converged=True, "
-            "evaluations=173)",
+            "evaluations=87)",
         ("recip_gamma", (0.5+3j)):
-            "EvalResult(z=(0.5+3j), value=(42.294980209691694-13.539817708865503j), "
-            "err_estimate=1.733069007638739e-13, "
-            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=6.25, step=0.0625, "
+            "EvalResult(z=(0.5+3j), value=(42.2949802096917-13.539817708865499j), "
+            "err_estimate=1.7330690076387388e-13, "
+            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=6.25, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-4.75, 6.25)), converged=True, "
-            "evaluations=177)",
+            "evaluations=89)",
         ("recip_gamma", (-3.3+0.7j)):
             "EvalResult(z=(-3.3+0.7j), value=(0.16490745401788204-11.968321483460006j), "
             "err_estimate=1.1737706173373858e-11, "
@@ -1199,15 +1248,15 @@ class TestPinnedBits:
         ("gamma_sin_pi", (2.5+0.7j)):
             "EvalResult(z=(2.5+0.7j), value=(4.718037225199027+2.609998908357085j), "
             "err_estimate=3.079214639681343e-14, "
-            "spec_used=ContourSpec(sigma=1.4350891975835003, half_width=5.5, step=0.0625, "
+            "spec_used=ContourSpec(sigma=1.4350891975835003, half_width=5.5, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.5)), converged=True, "
-            "evaluations=173)",
+            "evaluations=87)",
         ("gamma_sin_pi", (-1.5-0.5j)):
-            "EvalResult(z=(-1.5-0.5j), value=(2.353400305042147-0.8762193471418795j), "
-            "err_estimate=9.514374517444357e-15, "
-            "spec_used=ContourSpec(sigma=1.425053124063947, half_width=5.5, step=0.0625, "
+            "EvalResult(z=(-1.5-0.5j), value=(2.3534003050421473-0.8762193471418795j), "
+            "err_estimate=9.514374517444359e-15, "
+            "spec_used=ContourSpec(sigma=1.425053124063947, half_width=5.5, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.5)), converged=True, "
-            "evaluations=173)",
+            "evaluations=87)",
         ("digamma", (3+4j)):
             "EvalResult(z=(3+4j), value=(1.550359817333411+1.0105022091860445j), "
             "err_estimate=1.369263175666702e-14, "
@@ -1216,21 +1265,21 @@ class TestPinnedBits:
             "evaluations=174)",
         ("digamma", (-2.5-1.5j)):
             "EvalResult(z=(-2.5-1.5j), value=(1.2124201004669808-2.680346743809672j), "
-            "err_estimate=1.368195069180185e-13, "
+            "err_estimate=1.7962712796156102e-14, "
             "spec_used=ContourSpec(sigma=1.782428394950227, half_width=5.75, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.0, 5.75)), converged=True, "
             "evaluations=174)",
         ("G", (1.5+0.5j)):
-            "EvalResult(z=(1.5+0.5j), value=(3.96821013113416-0.1376288681917454j), "
+            "EvalResult(z=(1.5+0.5j), value=(3.96821013113416-0.13762886819174547j), "
             "err_estimate=1.480876227591066e-14, "
-            "spec_used=ContourSpec(sigma=1.0290855136357462, half_width=5.75, step=0.0625, "
+            "spec_used=ContourSpec(sigma=1.0290855136357462, half_width=5.75, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.75)), converged=True, "
-            "evaluations=181)",
+            "evaluations=91)",
         ("g_tilde", (-0.5+2j)):
-            "EvalResult(z=(-0.5+2j), value=(1.1256252241723121+5.86504668211665j), "
+            "EvalResult(z=(-0.5+2j), value=(1.1256252241723126+5.865046682116649j), "
             "err_estimate=3.8256867541529114e-14, spec_used=ContourSpec(sigma=1.0, "
-            "half_width=6.0, step=0.0625, tol=7.5e-13, max_refinements=12, window=(-5.5, "
-            "6.0)), converged=True, evaluations=185)",
+            "half_width=6.0, step=0.125, tol=7.5e-13, max_refinements=12, window=(-5.5, "
+            "6.0)), converged=True, evaluations=93)",
         ("recip_gamma", (-3+1e-09j)):
             "EvalResult(z=(-3+1e-09j), value=(-7.53670602140882e-18-5.999999999999901e-09j), "
             "err_estimate=2.5105404412814454e-21, "
@@ -1242,9 +1291,9 @@ class TestPinnedBits:
         ("recip_gamma", 2.0):
             "EvalResult(z=(2+0j), value=(1.0000000000000002+0j), "
             "err_estimate=3.742883299839828e-15, "
-            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=5.5, step=0.0625, "
+            "spec_used=ContourSpec(sigma=1.224744871391589, half_width=5.5, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.5)), converged=True, "
-            "evaluations=177)",
+            "evaluations=89)",
     }
 
     @pytest.mark.parametrize("name, z", list(PINNED), ids=[f"{n}({z})" for n, z in PINNED])
@@ -1258,20 +1307,34 @@ class TestPinnedBits:
 
     def test_certified_entries_hold_their_estimate(self):
         mpmath = pytest.importorskip("mpmath")
-        for name, z in self.CERTIFIED:
+        assert len(self.CERTIFIED) == len(self.PINNED) - 1     # all but the node error
+        for (name, z), step in self.CERTIFIED.items():
             res = getattr(functions, name)(z)
-            assert res.spec_used.step == 0.25
+            assert res.spec_used.step == step
             with mpmath.workdps(30):
                 w = mpmath.mpc(z.real, z.imag)
-                want = complex(mpmath.rgamma(w) if name == "recip_gamma" else mpmath.gamma(w))
+                want = complex({
+                    "G": lambda: mpmath.pi * mpmath.rgamma(w),
+                    "g_tilde": lambda: mpmath.pi * mpmath.rgamma((w + 1) / 2),
+                    "recip_gamma": lambda: mpmath.rgamma(w),
+                    "gamma": lambda: mpmath.gamma(w),
+                    "gamma_sin_pi": lambda: mpmath.pi * mpmath.rgamma(1 - w),
+                    "digamma": lambda: mpmath.digamma(w),
+                }[name]())
             assert abs(res.value - want) <= res.err_estimate, (name, z)
 
     def test_euler_mascheroni(self):
-        assert repr(euler_mascheroni()) == (
+        # Its line at z = 1 is certified at level 1; the value is within its
+        # err_estimate of Euler's constant.
+        res = euler_mascheroni()
+        assert repr(res) == (
             "EvalResult(z=(1+0j), value=(0.5772156649015329-0j), "
-            "err_estimate=4.928061332637618e-15, spec_used=ContourSpec(sigma=1.0, "
-            "half_width=5.75, step=0.0625, tol=7.5e-13, max_refinements=12, "
-            "window=(-5.75, 5.75)), converged=True, evaluations=185)")
+            "err_estimate=4.916013094324326e-15, spec_used=ContourSpec(sigma=1.0, "
+            "half_width=5.75, step=0.125, tol=7.5e-13, max_refinements=12, "
+            "window=(-5.75, 5.75)), converged=True, evaluations=93)")
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            assert abs(res.value - complex(mpmath.euler)) <= res.err_estimate
 
 
 def test_malformed_point_raises_domain_error():

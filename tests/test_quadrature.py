@@ -594,7 +594,8 @@ class TestFirstStep:
 
 
 class TestCertifiedStart:
-    """A point whose certificate meets the tolerance settles on level 0."""
+    """A point whose certificate (level, bound) meets the tolerance settles
+    on that level: level 0, or level 1's nodes alone."""
 
     @staticmethod
     def _level_zero(f, grid):
@@ -614,11 +615,31 @@ class TestCertifiedStart:
         for certificate in (0.0, 1e-300, 2e-13, _RICHARDSON_MARGIN * tol):
             calls.clear()
             (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], tol, 12,
-                                            certificates=[certificate]))
+                                            certificates=[(0, certificate)]))
             assert calls == [29]
             value, floor, size = self._level_zero(f, grid)
             assert res.value == value and res.evaluations == size
             assert res.step_used == 0.5 and res.converged and res.tol_effective == tol
+            assert res.err_estimate == max(certificate, floor)
+
+    def test_level_one_certificate_makes_one_call_on_level_one(self):
+        # Level 1's nodes alone, summed alone: no level-0 sum, no Richardson
+        # difference; the bound stands for it.
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-1.25 * t * t + 0.2j * t)
+
+        grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
+        _, fine, floor, size = _level_one(f, -7.0, 28, 0.5)
+        for certificate in (0.0, 2e-13, _RICHARDSON_MARGIN * tol):
+            calls.clear()
+            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], tol, 12,
+                                            certificates=[(1, certificate)]))
+            assert calls == [57]
+            assert res.value == fine and res.evaluations == size
+            assert res.step_used == 0.25 and res.converged and res.tol_effective == tol
             assert res.err_estimate == max(certificate, floor)
 
     def test_uncertified_point_refines_as_without_one(self):
@@ -627,29 +648,47 @@ class TestCertifiedStart:
 
         grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
         plain = _trapezoid_joint((f,), [grid], tol, 12)
-        for certificate in (math.nextafter(_RICHARDSON_MARGIN * tol, 1.0), 1.0, math.inf):
-            assert _trapezoid_joint((f,), [grid], tol, 12, certificates=[certificate]) == plain
+        for level in (0, 1):
+            for bound in (math.nextafter(_RICHARDSON_MARGIN * tol, 1.0), 1.0, math.inf):
+                assert _trapezoid_joint((f,), [grid], tol, 12,
+                                        certificates=[(level, bound)]) == plain
 
     def test_chunk_mixes_certified_and_refining_points(self):
-        # Points 0 and 2 are certified; 1 and 3 refine with the same bits as
-        # alone.  One call covers level 0 of the first and level 1 of the rest.
-        widths = np.array([1.3, 0.8, 1.0, 0.2])
+        # Points certified at level 0 (0, 3), at level 1 (1, 4) and at
+        # neither (2, 5), in one chunk: one call covers level 0 of the first
+        # and level 1 of the rest, and each point gets its lone bits, summed
+        # by fsum (k_hi 12: 2 x 25 + 4 x 49 terms) or binned (k_hi 70:
+        # 2 x 141 + 4 x 281), one bin slot for a certified point and two for
+        # the levels 0 and 1 of a refining one.
+        widths = np.array([1.3, 0.8, 1.0, 1.0, 0.6, 1.2])
+        freqs = np.array([0.3, 0.3, 8.0, 0.3, 0.3, 9.0])
         calls = []
 
         def f(t, rows):
             calls.append(t.size)
-            return np.exp(-widths[rows] * t * t + 0.3j * t)
+            return np.exp(-widths[rows] * t * t + 1j * freqs[rows] * t)
 
-        grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
-        certificates = [1e-13, math.inf, 0.0, math.inf]
-        outcomes = _trapezoid_joint((f,), [grid] * 4, tol, 12, certificates=certificates)
-        assert calls[0] == 29 + 57 + 29 + 57
-        for p, certificate in enumerate(certificates):
-            alone = _trapezoid_joint((lambda t, _: f(t, np.full(t.size, p)),), [grid], tol, 12,
-                                     certificates=[certificate])
-            assert outcomes[p] == alone[0]
-            (res,) = outcomes[p]
-            assert (res.step_used == 0.5) == (certificate < math.inf)
+        certificates = [(0, 1e-13), (1, 2e-13), (0, math.inf),
+                        (0, 0.0), (1, 0.0), (1, math.inf)]
+        for k_hi in (12, 70):
+            grid, tol = _Grid(0.0, -k_hi, k_hi, 0.5), 1e-12
+            calls.clear()
+            outcomes = _trapezoid_joint((f,), [grid] * 6, tol, 12, certificates=certificates)
+            assert calls[0] == 2 * (2 * k_hi + 1) + 4 * (4 * k_hi + 1)
+            assert (calls[0] < _FSUM_TERMS) == (k_hi == 12)
+            for p, (level, bound) in enumerate(certificates):
+                def alone(t, p=p):
+                    return f(t, np.full(t.size, p))
+
+                assert [outcomes[p]] == _trapezoid_joint((lambda t, _: alone(t),), [grid], tol,
+                                                         12, certificates=[(level, bound)])
+                (res,) = outcomes[p]
+                if bound == math.inf:
+                    assert res.step_used < 0.25     # fast waves refine past level 1
+                    continue
+                assert res.step_used == 0.5 / 2 ** level
+                assert res.value == (_level_one(alone, -0.5 * k_hi, 2 * k_hi, 0.5)[1] if level
+                                     else self._level_zero(alone, grid)[0])
 
     def test_tol_function_takes_no_certificate(self):
         # The Laplace path's relative tolerance comes with none; the default
@@ -659,52 +698,89 @@ class TestCertifiedStart:
                                         lambda level0: 1e-12 * abs(level0), 12))
         assert res.step_used < 0.5
 
-    def test_certificate_bounds_the_level_zero_error(self):
-        """At seeded certified line points, T(0.25) over the window, summed
-        at 30 digits, lies within the certificate of the whole line's
-        integral: G(w) = pi/Gamma(w), or G psi with the log weight."""
-        mpmath = pytest.importorskip("mpmath")
-        rng = random.Random(2611)
-        certified = 0
-        for k in range(60):
-            w = (complex(rng.uniform(0.5, 16.0), rng.uniform(0.0, 16.0)) if k % 3
-                 else complex(rng.uniform(2.0, 40.0), rng.uniform(0.0, 3.0)))
+    @staticmethod
+    def _seeded_lines(seed: int, count: int, level: int):
+        """(w, log_weight, tol, sigma, trunc, bound) at seeded line points
+        whose certificate is at ``level``."""
+        rng = random.Random(seed)
+        for k in range(count):
+            if level == 0:
+                w = (complex(rng.uniform(0.5, 16.0), rng.uniform(0.0, 16.0)) if k % 3
+                     else complex(rng.uniform(2.0, 40.0), rng.uniform(0.0, 3.0)))
+            else:
+                w = complex(rng.uniform(0.5, 4.0), rng.uniform(0.0, 6.0))
             log_weight = k % 4 == 1
             tol = 10.0 ** rng.uniform(-14, -8)
             sigma = default_sigma(w)
             trunc = select_truncation(w, sigma, tol / 8, log_weight=log_weight)
-            certificate = _start_certificate(w, sigma, trunc, tol, log_weight)
-            if certificate == math.inf:
+            first, bound = _start_certificate(w, sigma, trunc, tol, log_weight)
+            if bound == math.inf or first != level:
                 continue
-            assert certificate <= _RICHARDSON_MARGIN * tol
+            assert bound <= _RICHARDSON_MARGIN * tol
+            yield w, log_weight, tol, sigma, trunc, bound
+
+    @staticmethod
+    def _trapezoid_and_exact(mpmath, w, log_weight, sigma, grid, level):
+        """T(h) over the grid at ``level``, summed at 30 digits, and the whole
+        line's integral: G(w) = pi/Gamma(w), or G psi with the log weight."""
+        z, s = mpmath.mpc(w.real, w.imag), mpmath.mpf(sigma)
+        h = mpmath.mpf(grid.step) / 2 ** level
+        lo, hi = grid.k_lo << level, grid.k_hi << level
+
+        def f(k):
+            v = s + 1j * k * h
+            value = v ** (1 - 2 * z) * mpmath.exp(v * v)
+            return value * 2 * mpmath.log(v) if log_weight else value
+
+        total = h * (mpmath.fsum(f(k) for k in range(lo + 1, hi)) + (f(lo) + f(hi)) / 2)
+        exact = mpmath.pi * mpmath.rgamma(z)
+        if log_weight:
+            exact *= mpmath.digamma(z)
+        return total, exact
+
+    def test_certificate_bounds_the_level_zero_error(self):
+        """At seeded line points certified at level 0, T(0.25) over the
+        window, summed at 30 digits, lies within the bound of the whole
+        line's integral."""
+        mpmath = pytest.importorskip("mpmath")
+        certified = 0
+        for w, log_weight, tol, sigma, trunc, bound in self._seeded_lines(2611, 60, 0):
             certified += 1
             grid = _window_grid(trunc.lower, trunc.upper, _T_GRID)
             with mpmath.workdps(30):
-                z, s, h = mpmath.mpc(w.real, w.imag), mpmath.mpf(sigma), mpmath.mpf(_T_GRID)
-
-                def f(k):
-                    v = s + 1j * k * h
-                    value = v ** (1 - 2 * z) * mpmath.exp(v * v)
-                    return value * 2 * mpmath.log(v) if log_weight else value
-
-                level0 = h * (mpmath.fsum(f(k) for k in range(grid.k_lo + 1, grid.k_hi))
-                              + (f(grid.k_lo) + f(grid.k_hi)) / 2)
-                exact = mpmath.pi * mpmath.rgamma(z)
-                if log_weight:
-                    exact *= mpmath.digamma(z)
+                level0, exact = self._trapezoid_and_exact(mpmath, w, log_weight, sigma, grid, 0)
                 error = float(abs(level0 - exact))
-            assert error <= certificate, (w, log_weight, tol, error, certificate)
+            assert error <= bound, (w, log_weight, tol, error, bound)
         assert certified >= 25
+
+    def test_certificate_bounds_the_level_one_error(self):
+        """At seeded line points certified at level 1 alone, T(0.125) over
+        the window, summed at 30 digits, lies within the bound of the whole
+        line's integral; at many of them the Richardson difference T(0.125)
+        - T(0.25) misses the tolerance, so halving would have gone on to
+        level 2."""
+        mpmath = pytest.importorskip("mpmath")
+        certified = refining = 0
+        for w, log_weight, tol, sigma, trunc, bound in self._seeded_lines(2711, 60, 1):
+            certified += 1
+            grid = _window_grid(trunc.lower, trunc.upper, _T_GRID)
+            with mpmath.workdps(30):
+                level1, exact = self._trapezoid_and_exact(mpmath, w, log_weight, sigma, grid, 1)
+                level0, _ = self._trapezoid_and_exact(mpmath, w, log_weight, sigma, grid, 0)
+                error = float(abs(level1 - exact))
+                refining += float(abs(level1 - level0)) > _RICHARDSON_MARGIN * tol
+            assert error <= bound, (w, log_weight, tol, error, bound)
+        assert certified >= 25 and refining >= 15
 
     def test_capped_or_heavy_lines_are_not_certified(self):
         # A capped window, a line near the branch point and a far-left line.
-        for w, sigma in ((0.5 + 3j, 1.224744871391589), (-120.3 + 0.5j, 0.09)):
+        for w, sigma in ((0.5 + 3j, 0.5), (-120.3 + 0.5j, 0.09)):
             trunc = select_truncation(w, sigma, 1.25e-13)
-            assert _start_certificate(w, sigma, trunc, 7.5e-13, False) == math.inf
+            assert _start_certificate(w, sigma, trunc, 7.5e-13, False)[1] == math.inf
         trunc = select_truncation(12.0, 3.39, 1.25e-13)
         capped = trunc._replace(capped=True)
-        assert _start_certificate(12.0, 3.39, trunc, 7.5e-13, False) < math.inf
-        assert _start_certificate(12.0, 3.39, capped, 7.5e-13, False) == math.inf
+        assert _start_certificate(12.0, 3.39, trunc, 7.5e-13, False)[1] < math.inf
+        assert _start_certificate(12.0, 3.39, capped, 7.5e-13, False)[1] == math.inf
 
 
 def _waves(widths, freqs):

@@ -38,9 +38,12 @@ outcome, or a row of a grid CSV) differ only in ``err_estimate``,
 and the largest such move; of the values that changed where both sides
 returned (results and grid rows), how many lie within the sum of the two
 ``err_estimate``s; how many changed results (outcomes whose text moved)
-stop at the G line's start step 0.25, the lines a certificate settles on
-level 0, and how many at another step, naming the first few of those
-(a grid CSV row records no step, so its rows are counted apart); and how
+went from each step to each other (old step -> new step: "0.25 -> 0.25"
+counts results that stayed at the G line's start step, "0.0625 -> 0.125"
+lines that now stop a level sooner; a grid CSV row records no step, so its
+rows are counted apart), and how many changed results (outcomes and grid
+rows) differ only in ``err_estimate``, their values and every other field
+the same; and how
 many ``converged`` flags (and how many of them from False to True) and
 exception types changed, naming the first few.
 Where mpmath is importable, each result of a line function (an outcome or
@@ -392,7 +395,7 @@ _LAST_BITS_REL = 1e-15
 _GRID_ERR = 4       # a grid CSV's err_estimate column
 # The step a result stopped at: a ContourSpec's, or a QuadratureResult's.
 _STEP = re.compile(r"\bstep(?:_used)?=([^,)]+)")
-_START_STEP = 0.25
+_ERR = re.compile(r"\berr_estimate=[^,]+")
 
 
 def _facts(key: str, outcome: str):
@@ -500,9 +503,9 @@ def _judge(changed: list) -> None:
 def _summary(old: dict, new: dict, differing: list[str]) -> None:
     """How the differing counts, values, flags and exception types moved."""
     within = compared = counts = counts_and_tol = last_bits = 0
-    at_start = grid_rows = 0
+    grid_rows = err_only = 0
     largest = 0.0
-    flags, kinds, changed, elsewhere = [], [], [], []
+    flags, kinds, changed, steps = [], [], [], {}
     for key in differing:
         if key not in old or key not in new:
             continue
@@ -520,13 +523,16 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
             for (text_a, za, va, ea, ca), (text_b, zb, vb, eb, cb) in zip(a, b):
                 if text_a == text_b:
                     continue
-                step = _STEP.search(text_b)
                 if key.startswith("cli grid"):
                     grid_rows += 1
-                elif step and float(step[1]) == _START_STEP:
-                    at_start += 1
+                    fields_a, fields_b = text_a.split(","), text_b.split(",")
+                    del fields_a[_GRID_ERR], fields_b[_GRID_ERR]
+                    err_only += fields_a == fields_b
                 else:
-                    elsewhere.append(f"{key}: step {step[1] if step else 'not recorded'}")
+                    move = " -> ".join(step[1] if step else "not recorded"
+                                       for step in (_STEP.search(text_a), _STEP.search(text_b)))
+                    steps[move] = steps.get(move, 0) + 1
+                    err_only += _ERR.sub("", text_a) == _ERR.sub("", text_b)
                 if va != vb:
                     compared += 1
                     within += abs(va - vb) <= ea + eb
@@ -544,11 +550,11 @@ def _summary(old: dict, new: dict, differing: list[str]) -> None:
     print(f"{last_bits} differing results differ only in err_estimate, tol_effective "
           f"and the spec's tol, each by at most {_LAST_BITS_REL:g} relative; the "
           f"largest move is {largest:.2e}")
-    print(f"of the changed results, {at_start} stop at the start step {_START_STEP:g} "
-          f"(certified lines), {len(elsewhere)} at another step, and {grid_rows} are grid "
-          f"CSV rows, which record no step")
-    for line in elsewhere[:SHOW]:
-        print(f"- {line}")
+    print(f"changed results by old step -> new step, apart from {grid_rows} grid CSV "
+          f"rows, which record no step:")
+    for move, count in sorted(steps.items(), key=lambda item: -item[1]):
+        print(f"- {move}: {count}")
+    print(f"{err_only} changed results (outcomes and grid rows) differ only in err_estimate")
     raised = sum(flag.endswith("False -> True") for flag in flags)
     print(f"{within} of {compared} changed values lie within the sum of their "
           f"err_estimates; {len(flags)} converged flags ({raised} of them False -> "

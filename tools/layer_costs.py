@@ -18,8 +18,9 @@ functions run on the point whose line that call integrates (z, or 1 - z
 where the left half-plane is read from the mirror line), as the call does:
 
 - ``select_truncation``: the window of the line, ``quadrature.select_truncation``;
-- ``certify``: the line's a-priori bound at the start step,
-  ``quadrature._start_certificate`` (absent from a checkout without it);
+- ``certify``: the line's a-priori bound, ``quadrature._start_certificate``,
+  at the start step and, where that one misses, at half of it (absent from
+  a checkout without it);
 - ``kernel``: ``integrands.g_integrand`` on the level-1 nodes of that window;
 - ``summation``: one level-1 pass of ``quadrature._pass_sums`` over those
   nodes' kept terms;
@@ -30,6 +31,11 @@ where the left half-plane is read from the mirror line), as the call does:
 - ``recip_gamma``, ``gamma``, ``gamma_sin_pi``, ``digamma`` and ``G``: the
   public call at the input point, each whole.
 
+``level_two`` times a lone ``recip_gamma(1.761-0.2085j)`` and a lone
+``digamma(0.288-1.018j)``, one figure each: lines that Richardson refines
+to level 2 (step 0.0625) and that a level-1 certificate settles at step
+0.125, so what certifying level 1 saves shows as a layer.
+
 ``readers`` times, at two fixed points, route + read + EvalResult on a line
 already integrated, one figure per function and route (mirrored at
 -3.3+0.7i, direct at 2.5+0.7i; gamma_sin_pi, whose line point is 1 - z,
@@ -38,8 +44,10 @@ helpers; the script follows their layout in this checkout and in the one
 before the driver returned ``_Quad`` tuples (``_pass_sums`` over
 ``(index, point, terms)`` triples, readers of ``(z, mirror, line)``), and
 in the one before a point kept its own level (``next_nodes``, ``keep`` and
-``_pass_sums`` taking the level).  ``certified`` counts, per checkout, the
-points whose line the certificate settles on level 0.
+``_pass_sums`` taking the level).  ``levels`` gives, per checkout, the
+level each point's line settles on (0 at step 0.25, 1 at 0.125, ...),
+marked "certified" where the checkout's certificate settles it there and
+"Richardson" where the halving does.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import argparse
 import gc
 import inspect
 import json
+import math
 import os
 import platform
 import random
@@ -61,6 +70,7 @@ POINTS = 8
 TARGET_NS = 1_000_000
 _FUNCTIONS = ("recip_gamma", "gamma", "gamma_sin_pi", "digamma", "G")
 _READERS = {"mirrored": -3.3 + 0.7j, "direct": 2.5 + 0.7j}
+_LEVEL_TWO = {"recip_gamma": 1.761 - 0.2085j, "digamma": 0.288 - 1.018j}
 
 
 def _points() -> list[complex]:
@@ -79,8 +89,10 @@ def _number(call) -> int:
     return max(1, 5 * TARGET_NS // max(1, perf_counter_ns() - start))
 
 
-def _cases(ug) -> dict:
-    """Per layer, one zero-argument call per point."""
+def _cases(ug) -> tuple[dict, list[str]]:
+    """Per layer, one zero-argument call per point; and per point, the level
+    its line settles on, and whether the certificate or the halving settles
+    it there."""
     import numpy as np
 
     F, Q, I = ug.functions, ug.quadrature, ug.integrands
@@ -93,6 +105,7 @@ def _cases(ug) -> dict:
     line_tol = (1.0 - F._TAIL_SHARE) * tol
     tail_tol = 0.5 * F._TAIL_SHARE * tol
     reader = _reader(F, "recip_gamma")
+    levels = []
     for z in _points():
         w, mirror = F._route(z, True, None)
         flip = w.imag < 0.0
@@ -103,13 +116,18 @@ def _cases(ug) -> dict:
         noise = F._phase_noise(w, sigma, trunc)
         nodes = np.arange(2 * grid.k_lo, 2 * grid.k_hi + 1, dtype=float) * (0.5 * grid.step)
         fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
-        extra = {}
+        extra, bound = {}, math.inf
         if certify is not None:
             extra["certificates"] = [certify(w, sigma, trunc, line_tol, False)]
             cases["certify"].append(lambda w=w, sigma=sigma, trunc=trunc: certify(
                 w, sigma, trunc, line_tol, False))
+            (bound,) = extra["certificates"]
+            bound = bound[1] if isinstance(bound, tuple) else bound   # (level, bound)
         (quads,) = Q._trapezoid_joint(fs, [grid], line_tol, max_refinements, noise=[noise],
                                       **extra)
+        level = round(math.log2(grid.step / quads[0].step_used))
+        how = "certified" if bound <= Q._RICHARDSON_MARGIN * line_tol else "Richardson"
+        levels.append(f"{level} {how}")
         cases["select_truncation"].append(
             lambda w=w, sigma=sigma: Q.select_truncation(w, sigma, tail_tol))
         cases["kernel"].append(lambda w=w, sigma=sigma: I.g_integrand(w, sigma, nodes))
@@ -121,7 +139,7 @@ def _cases(ug) -> dict:
             z, F._read(line, flip, line_tol, max_refinements)))
         for name in _FUNCTIONS:
             cases[name].append(lambda fn=getattr(F, name), z=z: fn(z))
-    return cases
+    return cases, levels
 
 
 def _summation(Q, grid, tol, noise, values):
@@ -173,18 +191,15 @@ def _reader_cases(ug) -> dict:
     return cases
 
 
-def _certified(ug) -> int:
-    """How many of the points' lone recip_gamma lines settle on level 0, at
-    the start step."""
-    return sum(ug.recip_gamma(z).spec_used.step == ug.quadrature._T_GRID for z in _points())
-
-
 def _emit(checkout: str, repeats: int) -> None:
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
     import unigamma
 
-    layers = {**_cases(unigamma), **{f"readers {k}": v
-                                     for k, v in _reader_cases(unigamma).items()}}
+    cases, levels = _cases(unigamma)
+    layers = {**cases,
+              **{f"level_two {name}": [lambda fn=getattr(unigamma, name), z=z: fn(z)]
+                 for name, z in _LEVEL_TWO.items()},
+              **{f"readers {k}": v for k, v in _reader_cases(unigamma).items()}}
     numbers = {layer: [_number(call) for call in calls] for layer, calls in layers.items()}
     best = {layer: [float("inf")] * len(calls) for layer, calls in layers.items()}
     gc.disable()
@@ -196,7 +211,7 @@ def _emit(checkout: str, repeats: int) -> None:
                     call()
                 best[layer][i] = min(best[layer][i], (perf_counter_ns() - start) / number)
     gc.enable()
-    json.dump({"layers": best, "certified": _certified(unigamma)}, sys.stdout)
+    json.dump({"layers": best, "levels": levels}, sys.stdout)
 
 
 def main() -> None:
@@ -211,7 +226,7 @@ def main() -> None:
         _emit(args.emit, args.repeats)
         return
     best: dict = {checkout: {} for checkout in args.checkouts}
-    certified = {}
+    levels = {}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.processes):
             for checkout in args.checkouts:
@@ -223,7 +238,7 @@ def main() -> None:
                 if run.returncode:
                     sys.exit(f"{checkout}: the timing failed\n{run.stderr}")
                 emitted = json.loads(run.stdout)
-                certified[checkout] = emitted["certified"]
+                levels[checkout] = emitted["levels"]
                 for layer, times in emitted["layers"].items():
                     seen = best[checkout].setdefault(layer, times)
                     best[checkout][layer] = [min(a, b) for a, b in zip(seen, times)]
@@ -231,10 +246,11 @@ def main() -> None:
         "what": "lone-point cost of each layer, microseconds a call: per point the least "
                 "over all repeats and processes, then the mean over the points",
         "points": [repr(z) for z in _points()],
+        "level_two": {name: repr(z) for name, z in _LEVEL_TWO.items()},
         "processes": args.processes,
         "repeats": args.repeats,
         "python": platform.python_version(),
-        "certified": {checkout: f"{count} of {POINTS}" for checkout, count in certified.items()},
+        "levels": levels,
         "figures": {checkout: {layer: round(sum(times) / len(times) / 1e3, 2)
                                for layer, times in layers.items()}
                     for checkout, layers in best.items()},
