@@ -158,17 +158,20 @@ def _gate(quad: _Quad, capped: bool, tol: float,
 
 
 def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
-    """Factor on a G-line point's roundoff floor for the kernel's phase error.
+    """Factor on a G-line point's roundoff floor for the kernel's exponent error.
 
-    The phase carries -Im z * log(sigma^2 + t^2), rounded to an ulp of its
-    size Phi = |Im z| max|log u| over the window (u from sigma^2 to sigma^2
-    plus the larger end squared); past Phi = 16 that noise outgrows the
-    floor's 16 eps.  1 for real z.
+    The kernel rounds its exponent (1 - 2z) Log w + w^2 as a whole, so each
+    node errs by an ulp of its size, relative to the node; the term in Log w
+    leads it, of size |1 - 2z| |Log w|.  Over the window |Log w| is at most
+    hypot(max|log u|/2, atan(T/sigma)), u = sigma^2 + t^2 running from
+    sigma^2 to sigma^2 plus the larger end T squared; past 16 that noise
+    outgrows the floor's 16 eps.
     """
     u_lo = sigma ** 2
     u_hi = u_lo + trunc.half_width ** 2
-    phase = abs(z.imag) * max(abs(math.log(u_lo)), abs(math.log(u_hi)))
-    return max(1.0, phase / 16.0)
+    log_w = math.hypot(0.5 * max(abs(math.log(u_lo)), abs(math.log(u_hi))),
+                       math.atan(trunc.half_width / sigma))
+    return max(1.0, abs(1.0 - 2.0 * z) * log_w / 16.0)
 
 
 def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
@@ -420,12 +423,15 @@ def _recip_gamma_result(z: complex, mirror: tuple | None, values: list, errs: li
 
 
 def _gamma_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
-    """Gamma(z) = pi/G(z); its error term divides by |G| twice, never by
-    |G|^2, which overflows where Gamma(z) is small."""
+    """Gamma(z) = pi/G(z), within pi err/(|G| (|G| - err)) of pi over a G
+    known within err, and within nothing known where err reaches |G|; the
+    error term divides by |G| and by that room in turn, never by |G|^2,
+    which overflows where Gamma(z) is small."""
     g, err = _g_at(mirror, values[-1], errs[-1])
     mag = abs(g)
     _pole_guard("gamma", z, mag, err)
-    return math.pi / g, math.pi * (err / mag) / mag
+    room = mag - err
+    return math.pi / g, math.pi * (err / mag) / room if room > 0.0 else math.inf
 
 
 def _digamma_result(z: complex, mirror: tuple | None, values: list, errs: list) -> tuple:
@@ -484,9 +490,9 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     z is valid.  A one-point function returns or raises this call's
     outcome on its one point, by ``_lines`` without this call's lists.
     Points are refined together, in chunks, one kernel call per halving
-    level; values on more than one point may differ in the last bits from
-    the one-point values (see ``integrands``) and stay within
-    ``err_estimate`` of them.
+    level, and each gets the one-point call's outcome bit for bit: the
+    kernels round a node alike in every layout (see ``integrands``), and the
+    sums are exactly rounded.
 
     Each point has a G-line point w: z, (y + 1)/2 or 1 - z.  ``_route``
     decides once which line it reads: unless sigma is forced, recip_gamma,

@@ -1,31 +1,37 @@
 """Pointwise integrand kernels on the vertical line w = sigma + i*t.
 
-Everything here reduces to one primitive: w**c times an exponential weight
-(e^{w^2} for the contour kernels, e^w for the half-plane kernel), built in
-plain doubles as ``mag*cos(phase) + i*mag*sin(phase)`` from a separately
-assembled magnitude and phase.
+Every kernel is w**c times an exponential weight: e^{w^2} for the contour
+kernels, e^w for the half-plane one.  The contour kernels, ``g_integrand``
+and ``g_log_integrand``, form the paper's integrand as the one exponential
+exp((1 - 2z) Log w + w^2): one complex log and one complex exp a node, so
+no factor of a node can overflow before the node does, and the log weight
+2 Log w comes from the same Log w.  The exponent rounds as a whole, to an
+ulp of its size, which reaches O(100) for large |z| or |t|.  Against mpmath
+at 3,000 seeded nodes (z in the accuracy box, the default sigma, t within
+the selected truncation) the relative error of ``g_integrand`` is 2.7e-15
+in the median and 2.8e-14 at worst (a magnitude from libm ``pow`` with a
+separate phase gave 2.1e-15 and 1.8e-14 on the same nodes).  Node errors
+are relative to each node and vary in sign, so their sum over the line
+stays inside the roundoff floor that the quadrature driver applies to both
+its convergence gate and ``err_estimate``: 16 eps int|f|, scaled by the
+exponent's size where that passes 16 (``functions._phase_noise``).  On
+12,000 seeded results of the four contour functions in the box the true
+error never exceeded that estimate.
 
-Phase and real exponent reach O(100) for large |z| or |t|, so rounding
-them costs up to an ulp of 100 in absolute phase.  Against mpmath at 3,000
-seeded nodes (z in the accuracy box, the default sigma, t within the
-selected truncation) the relative error of ``g_integrand`` is 2.4e-15 in
-the median and 2.3e-14 at worst (a double-double carry of the phase gave
-1.5e-15 and 8.9e-15).  Node errors are relative to each node and vary in
-sign, so their sum over the line stays inside the ``16*eps*int|f|`` floor
-that the quadrature driver applies to both its convergence gate and
-``err_estimate``; on 12,000 seeded points of the box the true error of the
-four contour functions never exceeded that estimate.
+``laplace_integrand`` and ``principal_power`` keep the assembly from a
+magnitude and a phase, ``mag*cos(phase) + i*mag*sin(phase)``, with |w|**cr
+from libm ``pow``.  numpy runs complex exp and log through libm one element
+at a time, so past about a thousand nodes they cost more than the real
+ufuncs, and a Laplace call takes thousands.
 
 All kernels are pure, stateless, and accept ``t`` as a scalar or ndarray;
 scalars come back as built-in ``complex``.  ``g_integrand`` and
 ``g_log_integrand`` also take ``z`` and ``sigma`` as arrays broadcast
-against ``t``, so one call can carry the nodes of many points.  Scalar
-arguments keep the scalar arithmetic.  The two layouts give the same bits
-at every node except where numpy rounds a scalar exponent differently from
-an array one: ``np.power`` evaluates a scalar exponent of 0.5, 2 or -1 as
-``sqrt``, ``square`` or ``reciprocal``, an array exponent always as ``pow``
-(``exp``, ``log``, ``cos``, ``sin`` and ``arctan2`` agree bit for bit).  For
-``g_integrand`` those exponents are Re z = 0, -1.5 and 1.5.
+against ``t``, so one call can carry the nodes of many points.  A scalar
+``t`` goes through a one-element array, so every operation takes numpy's
+array loops, and the two layouts give the same bits at every node (a
+product of numpy or Python scalars, or a complex product numpy forms in
+place, may round differently from the array loop).
 """
 
 from __future__ import annotations
@@ -87,28 +93,27 @@ def _check_sigma(sigma):
     return s
 
 
-def _check_t(t):
+def _check_t(t) -> tuple[np.ndarray, bool]:
+    """t as a float array of at least one dimension, and whether it was a scalar."""
     arr = np.asarray(t, dtype=float)
     # A finite sum has finite terms: only a sum past the double range, whose
     # terms square past it too, needs the test of every node.
     if not (math.isfinite(np.add.reduce(arr.ravel())) or np.isfinite(arr).all()):
         raise DomainError("t must be finite")
-    return arr if arr.ndim else float(arr)
+    return (arr, False) if arr.ndim else (arr.reshape(1), True)
 
 
-def _wpow_parts(cr, ci, u, theta, log_u=None):
-    """Magnitude and phase of w**c from u = |w|^2, theta = arg w and, if known, log u.
+def _wpow_parts(cr, ci, u, theta):
+    """Magnitude and phase of w**c from u = |w|^2 and theta = arg w.
 
     The |w|**cr factor leans on the libm ``pow``, whose internal extended
-    precision beats any explicit exp(cr*log) assembly.  ``cr`` and ``ci``
-    may be arrays; an array ``ci`` always takes the complex-exponent branch,
-    which is exact for its zero entries.
+    precision beats an explicit exp(cr*log) assembly.
     """
     mag = np.power(u, 0.5 * cr)
     ph = cr * theta
-    if isinstance(ci, np.ndarray) or ci != 0.0:
+    if ci != 0.0:
         mag = mag * np.exp(-ci * theta)
-        ph = ph + 0.5 * ci * (np.log(u) if log_u is None else log_u)
+        ph = ph + 0.5 * ci * np.log(u)
     return mag, ph
 
 
@@ -142,20 +147,27 @@ def principal_power(w, a) -> complex:
 
 
 def _g_line(z, sigma, t, log_weight: bool):
-    """``g_integrand``, times log(w**2) = log u + 2i theta with ``log_weight``;
-    u, theta and log u serve both factors."""
+    """``g_integrand``, times 2 Log w with ``log_weight``: one complex log and
+    one complex exp a node, exp((1 - 2z) Log w + w^2), Log w serving both."""
     z = _check_complex("z", z)
     sigma = _check_sigma(sigma)
-    t = _check_t(t)
-    t_sq = t * t
-    u, theta = sigma * sigma + t_sq, np.arctan2(t, sigma)
-    log_u = np.log(u) if log_weight else None
-    mag, ph = _wpow_parts(1.0 - 2.0 * z.real, -2.0 * z.imag, u, theta, log_u)
-    # e^{w^2}: magnitude e^{sigma^2 - t^2}, phase 2*sigma*t.
-    out = _assemble(mag * np.exp(sigma * sigma - t_sq), ph + 2.0 * sigma * t)
+    t, scalar = _check_t(t)
+    shape = t.shape
+    if isinstance(sigma, np.ndarray):
+        shape = np.broadcast_shapes(sigma.shape, shape)
+    w = np.empty(shape, dtype=complex)
+    w.real = sigma
+    w.imag = t
+    log_w = np.log(w)
+    # No complex multiply in place: numpy rounds that one by the array's size.
+    out = (1.0 - 2.0 * z) * log_w
+    out += w * w
+    np.exp(out, out=out)
     if log_weight:
-        out = out * (log_u + 2j * theta)
-    return out if isinstance(out, np.ndarray) else complex(out)
+        out = out * (2.0 * log_w)
+    if scalar and not isinstance(z, np.ndarray) and not isinstance(sigma, np.ndarray):
+        return complex(out[0])
+    return out
 
 
 def g_integrand(z, sigma, t):
@@ -164,12 +176,13 @@ def g_integrand(z, sigma, t):
 
 
 def g_log_integrand(z, sigma, t):
-    """g_integrand weighted by log(w**2) = log(sigma^2 + t^2) + 2i atan2(t, sigma).
+    """g_integrand weighted by log(w**2) = 2 Log w, w = sigma + i*t.
 
     ``log(w**2)`` is always realized as ``2*Log(w)``: Re(w) = sigma > 0 puts
     arg(w) in (-pi/2, pi/2), hence arg(w^2) in (-pi, pi), and doubling the
     principal logarithm is the unambiguous reading.  Computed in one body
-    with ``g_integrand``, whose value times the weight it equals bit for bit.
+    with ``g_integrand`` from the same Log w, ``np.log(w)``; its value is
+    ``g_integrand``'s times ``2*np.log(w)`` bit for bit.
     """
     return _g_line(z, sigma, t, True)
 
@@ -178,9 +191,9 @@ def laplace_integrand(z, sigma, t):
     """w**(-z) * e^{w} with w = sigma + i*t; vectorized over t."""
     z = _check_complex("z", z)
     sigma = _check_sigma(sigma)
-    t = _check_t(t)
+    t, scalar = _check_t(t)
     u, theta = sigma * sigma + t * t, np.arctan2(t, sigma)
     mag, ph = _wpow_parts(-z.real, -z.imag, u, theta)
     # e^{w}: magnitude e^{sigma}, phase t.
     out = _assemble(mag * np.exp(sigma), ph + t)
-    return out if isinstance(out, np.ndarray) else complex(out)
+    return complex(out[0]) if scalar else out

@@ -58,10 +58,10 @@ and the error estimate: the gate enforces the *effective* tolerance
 floor)``, or ``max(certificate, floor)`` for a point its certificate settles.
 The floor covers the kernels' few-ulp pointwise error summed over the
 line, so an estimate below it would claim more than the nodes carry.
-A G-line point off the real axis scales its floor by max(1, Phi/16), with
-Phi = |Im z| max|log(sigma^2 + t^2)| over the window: the kernel's phase
-carries Im z log(sigma^2 + t^2), rounded to an ulp of Phi, which past 16
-outgrows the few ulps above (the ``noise`` of ``_trapezoid_joint``).
+A G-line point scales its floor by max(1, Phi/16), with Phi = |1 - 2z|
+max|Log w| over the window: the kernel rounds its exponent (1 - 2z) Log w
++ w^2 as a whole, to an ulp of Phi, which past 16 outgrows the few ulps
+above (the ``noise`` of ``_trapezoid_joint``).
 For heavily cancelling integrands (deep left half-plane z) the requested
 absolute tolerance may lie below what double precision can represent of the
 summand mass; converging to the roundoff floor is then reported as
@@ -1044,8 +1044,8 @@ def _trapezoid_joint(
     driver keeps it, its end weights written in place, with no copy.  Each
     point keeps its own terms, their mass (sum of |term|, which also tells
     it whether a node is not finite), exact sums, roundoff floor and
-    Richardson stop, so its result does not depend on its chunk-mates
-    beyond the bits of the kernel layout.  One summation pass per step
+    Richardson stop, so its result does not depend on its chunk-mates.
+    One summation pass per step
     (``_pass_sums``) sums the terms of them all, by ``fsum`` below
     ``_FSUM_TERMS`` terms in all and binned above.
 

@@ -145,9 +145,9 @@ class TestEval:
         assert want.err_estimate != recip_gamma(2.5).err_estimate
 
     def test_engine_failure_exits_two(self, capsys):
-        # Past the mirror's reach the direct line's kernel overflows: a
-        # QuadratureNodeError, neither a pole nor a domain error.
-        assert main(["eval", "recip_gamma", "--", "-150.3"]) == 2
+        # High on the line Re z = 1/2 the kernel's nodes leave the double
+        # range: a QuadratureNodeError, neither a pole nor a domain error.
+        assert main(["eval", "recip_gamma", "--", "0.5+400i"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -269,10 +269,11 @@ class TestGrid:
             assert all(math.isnan(float(f)) for f in row[5:9])
 
     def test_failing_points_keep_rows(self, tmp_path):
-        # Far left the kernel overflows; each point becomes a NaN row with
-        # converged=false instead of losing the whole CSV.  A subprocess, so
-        # that the suite's RuntimeWarning-as-error filter does not apply.
-        target = tmp_path / "far_left.csv"
+        # High on the line Re z = 1/2 the kernel's nodes leave the double
+        # range; each point becomes a NaN row with converged=false instead of
+        # losing the whole CSV.  A subprocess, so that the suite's
+        # RuntimeWarning-as-error filter does not apply.
+        target = tmp_path / "high_im.csv"
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ)
@@ -281,8 +282,8 @@ class TestGrid:
         proc = subprocess.run([
             sys.executable, "-m", "unigamma.cli", "grid",
             "--function", "recip_gamma",
-            "--re-min", "-121", "--re-max", "-119", "--re-steps", "3",
-            "--im-min", "0", "--im-max", "0", "--im-steps", "1",
+            "--re-min", "0.5", "--re-max", "0.5", "--re-steps", "1",
+            "--im-min", "400", "--im-max", "420", "--im-steps", "3",
             "--out", str(target),
         ], capture_output=True, env=env)
         assert proc.returncode == 2, proc.stderr

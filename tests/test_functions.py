@@ -221,6 +221,13 @@ class TestGamma:
         assert res.err_estimate > 0.0
         assert abs(res.value - want) <= res.err_estimate
 
+    def test_err_estimate_is_inf_where_the_error_reaches_g(self):
+        # A direct line whose G is known only within more than |G|: pi/G
+        # bounds nothing (Gamma is about 1.7e9 here, the value 0.1).
+        res = gamma(75.89830749339087 + 253.4421653116848j)
+        assert not res.converged
+        assert res.err_estimate == math.inf
+
 
 class TestGammaSinPi:
     def test_at_half(self):
@@ -525,6 +532,7 @@ class TestMirror:
             w = mpmath.mpc(z.real, z.imag)
             return complex({"recip_gamma": mpmath.rgamma, "gamma": mpmath.gamma,
                             "digamma": mpmath.digamma,
+                            "G": lambda x: mpmath.pi * mpmath.rgamma(x),
                             "gamma_sin_pi": lambda x: mpmath.pi * mpmath.rgamma(1 - x),
                             }[name](w))
 
@@ -603,9 +611,40 @@ class TestMirror:
         if name == "recip_gamma":
             assert recip_gamma(-63.6 + 0.5j).value == direct.value / math.pi
 
-    def test_far_left_keeps_its_node_error(self):
-        with pytest.raises(QuadratureNodeError):
-            recip_gamma(-111.3)
+    def test_past_the_reach_keeps_the_direct_lines_node_error(self):
+        # -2+400i is past the reach (Re sqrt(1/2 - w) is 14): its direct
+        # line's nodes leave the double range, though |1/Gamma| fits.
+        assert not functions._mirrors(-2 + 400j)
+        with pytest.raises(QuadratureNodeError) as raised:
+            recip_gamma(-2 + 400j)
+        assert str(raised.value) == str(TestEvaluateMany._one_point(G, -2 + 400j))
+
+    @pytest.mark.parametrize("name, z", [
+        ("recip_gamma", -111.3), ("recip_gamma", -150.3), ("digamma", -130.2 + 0.7j)])
+    def test_far_left_converges_on_its_direct_line(self, name, z):
+        # Past the reach the direct line's nodes reach e^416 (at -111.3) and
+        # e^606 (at -150.3); formed as one exponential, no factor of a node
+        # overflows before the node does.
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(z)
+        assert not functions._mirrors(z)
+        res = getattr(functions, name)(z)
+        assert res.converged and res.spec_used.sigma == default_sigma(z)
+        err = abs(res.value - self._exact(mpmath, name, z))
+        assert err <= res.err_estimate and err <= 1e-9 * abs(res.value)
+
+    @pytest.mark.parametrize("name, z", [("G", 64.499 + 0.014j),
+                                         ("recip_gamma", -63.499 - 0.014j)])
+    def test_floor_covers_the_whole_exponent(self, name, z):
+        # The line at 64.499+0.014i is all but real, so the rounding of its
+        # exponent comes from (1 - 2 Re z) Log w, not from Im z; the point
+        # at -63.499-0.014i is read from that line's conjugate.  A floor
+        # that counts Im z log u alone sits at 1.0 and 0.8 of the error.
+        mpmath = pytest.importorskip("mpmath")
+        res = getattr(functions, name)(z)
+        err = abs(res.value - self._exact(mpmath, name, z))
+        assert res.converged
+        assert err <= 0.25 * res.err_estimate and err <= 1e-9 * abs(res.value)
 
     @pytest.mark.parametrize("z", [-3.5, -10 + 2j, 0.25 - 1j])
     def test_g_and_forced_sigma_keep_the_direct_line(self, z):
@@ -752,16 +791,12 @@ class TestEvaluateMany:
             if isinstance(one, Exception):
                 assert str(many) == str(one)
                 continue
-            assert many.converged == one.converged, z
-            assert many.evaluations == one.evaluations, z
-            assert many.spec_used == one.spec_used, z
-            assert abs(many.value - one.value) <= one.err_estimate, z
+            # Bit for bit: the kernels round a node alike in every layout.
+            assert repr(many) == repr(one), z
 
     def test_failing_point_leaves_chunk_mates_bit_identical(self):
-        # Re z away from 0 and +-1.5, where the batched kernel layout rounds
-        # like the one-point one (see unigamma.integrands).
-        mates = [0.3 + 2j, -4.7 + 1.1j, 5.2 - 3.3j, 2.5 + 0.5j, -9.1 - 7.4j]
-        outcomes = evaluate_many("recip_gamma", mates[:2] + [-150.3] + mates[2:])
+        mates = [0.3 + 2j, -4.7 + 1.1j, 5.2 - 3.3j, 2.5 + 0.5j, -9.1 - 7.4j, 1.5 + 0j, 0j]
+        outcomes = evaluate_many("recip_gamma", mates[:2] + [0.5 + 400j] + mates[2:])
         assert isinstance(outcomes[2], QuadratureNodeError)
         del outcomes[2]
         assert outcomes == [recip_gamma(z) for z in mates]
@@ -780,13 +815,13 @@ class TestEvaluateMany:
         # the chunk goes on: two node errors, and no numpy warning escapes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcomes = evaluate_many("recip_gamma", [-150.3, -151.7])
+            outcomes = evaluate_many("recip_gamma", [0.5 + 400j, 0.5 + 420j])
         assert [type(outcome) for outcome in outcomes] == [QuadratureNodeError] * 2
 
     def test_pass_with_every_point_failed_sums_nothing(self, monkeypatch):
         # With the fsum cutover at 0 every pass is binned, the empty one too.
         monkeypatch.setattr(quadrature, "_FSUM_TERMS", 0)
-        outcomes = evaluate_many("recip_gamma", [-120.3, -130.3])
+        outcomes = evaluate_many("recip_gamma", [0.5 + 400j, 0.5 + 500j])
         assert [type(outcome) for outcome in outcomes] == [QuadratureNodeError] * 2
 
     def test_rejects_unknown_function(self):
@@ -880,7 +915,7 @@ class TestConjugateSharing:
         evaluate_many("G", [z, z.conjugate(), z])
         assert np.array_equal(np.concatenate(nodes), alone)
 
-    @pytest.mark.parametrize("z", [-120.5 - 0.3j, -139.25 - 1.5j, -139.25 + 1.5j])
+    @pytest.mark.parametrize("z", [0.5 - 400j, 0.3 - 410j, 0.3 + 410j])
     def test_node_error_names_the_points_own_first_bad_node(self, z):
         # The first kernel call evaluates the window at half the start step
         # and looks at its even k first, in the point's own node order.
@@ -953,16 +988,16 @@ class TestLonePoint:
         sample += [complex(2.5, 0.0), complex(2.5, -0.0), complex(-3.5, -0.0),
                    complex(0.0, -0.0), complex(-0.0, 2.0)]
         to_input = self.FROM_LINE.get(name, lambda w: w)
-        far_left = [to_input(w) for w in (-120.3 - 0.5j, -139.25 - 1.5j)]
+        failing = [to_input(w) for w in (0.5 - 400j, -2.0 - 400j)]
         fn = self.ONE_POINT[name]
-        for z in sample + far_left:
+        for z in sample + failing:
             for options in ({}, {"tol": 1e-9, "max_refinements": 3}):
                 one = self._described(TestEvaluateMany._one_point(fn, z, **options))
                 # A duplicate is integrated once, with the lone layout, but
                 # through the batch's sharing table.
                 many = evaluate_many(name, [z], **options) + evaluate_many(name, [z, z], **options)
                 assert [self._described(out) for out in many] == [one] * 3, (name, z, options)
-        for z in far_left:      # the mirrored line's node text
+        for z in failing:       # the conjugated line's node text
             assert isinstance(TestEvaluateMany._one_point(fn, z), QuadratureNodeError), (name, z)
 
     def test_lone_bad_point_is_its_one_point_error(self):
@@ -1028,12 +1063,12 @@ class TestPromiseSlice:
         ("digamma", 7): "PoleError",
         ("recip_gamma", 12): "QuadratureNodeError (out of range)",
         ("gamma", 12): "QuadratureNodeError (out of range)",
-        ("gamma_sin_pi", 12): "QuadratureNodeError",
+        ("gamma_sin_pi", 12): "unconverged",
         ("digamma", 12): "QuadratureNodeError",
-        ("recip_gamma", 19): "QuadratureNodeError (out of range)",
-        ("gamma", 19): "QuadratureNodeError (out of range)",
+        ("recip_gamma", 19): "returned (out of range)",
+        ("gamma", 19): "PoleError (out of range)",
         ("gamma_sin_pi", 19): "QuadratureNodeError (out of range)",
-        ("digamma", 19): "QuadratureNodeError",
+        ("digamma", 19): "PoleError",
         ("recip_gamma", 30): "returned (out of range)",
         ("gamma", 30): "PoleError (out of range)",
         ("gamma_sin_pi", 30): "QuadratureNodeError (out of range)",
@@ -1141,14 +1176,14 @@ class TestCertifiedLine:
 
     def test_direct_line_near_the_branch_point_still_refines(self, monkeypatch):
         # G(-5)'s line at sigma = 0.45 cannot be certified at the start step;
-        # Richardson stops it at level 1 with the bits it had.
+        # Richardson stops it at level 1, within its estimate of 0.
         calls = self._spy(monkeypatch)
         res = G(-5)
         assert [nodes.size for _, nodes in calls] == [117]
         assert repr(res) == (
-            "EvalResult(z=(-5+0j), value=(6.950774544121495e-14+0j), "
-            "err_estimate=6.575378418360048e-13, spec_used=ContourSpec(sigma=0.4472135954999579, "
-            "half_width=7.25, step=0.125, tol=7.5e-13, max_refinements=12, "
+            "EvalResult(z=(-5+0j), value=(5.220482215724265e-14+0j), "
+            "err_estimate=1.120554514765391e-12, spec_used=ContourSpec(sigma=0.4472135954999579, "
+            "half_width=7.25, step=0.125, tol=1.1122461535836966e-12, max_refinements=12, "
             "window=(-7.25, 7.25)), converged=True, evaluations=117)")
 
     @pytest.mark.parametrize("zs", [
@@ -1193,10 +1228,12 @@ class TestPinnedBits:
     whatever the glue around the nodes.  The points: direct, mirrored (Re z
     < 1/2) and conjugated (Im z < 0) lines; digamma's two kernels;
     gamma_sin_pi's line at 1 - z; a point 1e-9 from the zero at -3; the real
-    axis; and a far-left point's node error, past the mirror's reach.  Every
-    line that returns is certified a priori (``_start_certificate``): those
-    at 4.3-0.7i (for -3.3+0.7i), 7.2+9i and 4-1e-9i at the start step (step
-    0.25), the others at level 1 (step 0.125)."""
+    axis; a far-left point past the mirror's reach, whose direct line
+    Richardson settles at level 1 (step 0.125); and the node error of a line
+    whose nodes leave the double range.  Every other line is certified a
+    priori (``_start_certificate``): those at 4.3-0.7i (for -3.3+0.7i),
+    7.2+9i and 4-1e-9i at the start step (step 0.25), the others at level 1
+    (step 0.125)."""
 
     # The step each returning entry settles at; each is within its
     # err_estimate of mpmath (test_certified_entries_hold_their_estimate).
@@ -1210,8 +1247,8 @@ class TestPinnedBits:
 
     PINNED = {
         ("recip_gamma", (3+4j)):
-            "EvalResult(z=(3+4j), value=(0.1753548120003251+5.790209146222017j), "
-            "err_estimate=2.2238647342541374e-14, "
+            "EvalResult(z=(3+4j), value=(0.17535481200032257+5.7902091462220175j), "
+            "err_estimate=2.8800298223531845e-14, "
             "spec_used=ContourSpec(sigma=1.899603980574412, half_width=6.0, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-4.25, 6.0)), converged=True, "
             "evaluations=83)",
@@ -1222,26 +1259,26 @@ class TestPinnedBits:
             "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.25)), converged=True, "
             "evaluations=87)",
         ("recip_gamma", (0.5+3j)):
-            "EvalResult(z=(0.5+3j), value=(42.2949802096917-13.539817708865499j), "
-            "err_estimate=1.7330690076387388e-13, "
+            "EvalResult(z=(0.5+3j), value=(42.2949802096917-13.53981770886549j), "
+            "err_estimate=1.733069007638739e-13, "
             "spec_used=ContourSpec(sigma=1.224744871391589, half_width=6.25, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-4.75, 6.25)), converged=True, "
             "evaluations=89)",
         ("recip_gamma", (-3.3+0.7j)):
-            "EvalResult(z=(-3.3+0.7j), value=(0.16490745401788204-11.968321483460006j), "
-            "err_estimate=1.1737706173373858e-11, "
+            "EvalResult(z=(-3.3+0.7j), value=(0.164907454017882-11.96832148346j), "
+            "err_estimate=1.173770617337385e-11, "
             "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
             "evaluations=42)",
         ("gamma", (-3.3+0.7j)):
-            "EvalResult(z=(-3.3+0.7j), value=(0.0011510424761156368+0.08353804548929573j), "
-            "err_estimate=8.192836678112195e-14, "
+            "EvalResult(z=(-3.3+0.7j), value=(0.0011510424761156375+0.08353804548929578j), "
+            "err_estimate=8.19283667812023e-14, "
             "spec_used=ContourSpec(sigma=1.9575412916810122, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.0)), converged=True, "
             "evaluations=42)",
         ("gamma", (7.2+9j)):
-            "EvalResult(z=(7.2+9j), value=(7.586533911190436+1.1429017469792646j), "
-            "err_estimate=6.043779606043755e-14, "
+            "EvalResult(z=(7.2+9j), value=(7.586533911190442+1.142901746979259j), "
+            "err_estimate=8.675109474618714e-14, "
             "spec_used=ContourSpec(sigma=2.9933318644130673, half_width=6.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-3.25, 6.25)), converged=True, "
             "evaluations=39)",
@@ -1258,36 +1295,42 @@ class TestPinnedBits:
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.5)), converged=True, "
             "evaluations=87)",
         ("digamma", (3+4j)):
-            "EvalResult(z=(3+4j), value=(1.550359817333411+1.0105022091860445j), "
-            "err_estimate=1.369263175666702e-14, "
+            "EvalResult(z=(3+4j), value=(1.5503598173334106+1.0105022091860445j), "
+            "err_estimate=1.8226054225608794e-14, "
             "spec_used=ContourSpec(sigma=1.899603980574412, half_width=6.25, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-4.5, 6.25)), converged=True, "
             "evaluations=174)",
         ("digamma", (-2.5-1.5j)):
-            "EvalResult(z=(-2.5-1.5j), value=(1.2124201004669808-2.680346743809672j), "
+            "EvalResult(z=(-2.5-1.5j), value=(1.212420100466981-2.680346743809672j), "
             "err_estimate=1.7962712796156102e-14, "
             "spec_used=ContourSpec(sigma=1.782428394950227, half_width=5.75, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.0, 5.75)), converged=True, "
             "evaluations=174)",
         ("G", (1.5+0.5j)):
-            "EvalResult(z=(1.5+0.5j), value=(3.96821013113416-0.13762886819174547j), "
+            "EvalResult(z=(1.5+0.5j), value=(3.96821013113416-0.13762886819174566j), "
             "err_estimate=1.480876227591066e-14, "
             "spec_used=ContourSpec(sigma=1.0290855136357462, half_width=5.75, step=0.125, "
             "tol=7.5e-13, max_refinements=12, window=(-5.5, 5.75)), converged=True, "
             "evaluations=91)",
         ("g_tilde", (-0.5+2j)):
-            "EvalResult(z=(-0.5+2j), value=(1.1256252241723126+5.865046682116649j), "
+            "EvalResult(z=(-0.5+2j), value=(1.1256252241723124+5.86504668211665j), "
             "err_estimate=3.8256867541529114e-14, spec_used=ContourSpec(sigma=1.0, "
             "half_width=6.0, step=0.125, tol=7.5e-13, max_refinements=12, window=(-5.5, "
             "6.0)), converged=True, evaluations=93)",
         ("recip_gamma", (-3+1e-09j)):
-            "EvalResult(z=(-3+1e-09j), value=(-7.53670602140882e-18-5.999999999999901e-09j), "
-            "err_estimate=2.5105404412814454e-21, "
+            "EvalResult(z=(-3+1e-09j), value=(-7.53670598862622e-18-5.999999999999895e-09j), "
+            "err_estimate=2.510540441281441e-21, "
             "spec_used=ContourSpec(sigma=1.8708286933869707, half_width=5.25, step=0.25, "
             "tol=7.5e-13, max_refinements=12, window=(-5.25, 5.25)), converged=True, "
             "evaluations=43)",
         ("recip_gamma", (-120.3-0.5j)):
-            "QuadratureNodeError: integrand returned a non-finite value at node t=-29.0",
+            "EvalResult(z=(-120.3-0.5j), value=(2.15860260106649e+199-3.4113358326189744e+198j), "
+            "err_estimate=4.536485767760719e+186, "
+            "spec_used=ContourSpec(sigma=0.1, half_width=29.0, step=0.125, "
+            "tol=1.4251790361111729e+187, max_refinements=12, window=(-29.0, 29.0)), "
+            "converged=True, evaluations=465)",
+        ("recip_gamma", (0.5+400j)):
+            "QuadratureNodeError: integrand returned a non-finite value at node t=13.0",
         ("recip_gamma", 2.0):
             "EvalResult(z=(2+0j), value=(1.0000000000000002+0j), "
             "err_estimate=3.742883299839828e-15, "
@@ -1307,7 +1350,8 @@ class TestPinnedBits:
 
     def test_certified_entries_hold_their_estimate(self):
         mpmath = pytest.importorskip("mpmath")
-        assert len(self.CERTIFIED) == len(self.PINNED) - 1     # all but the node error
+        # All but the far-left line and the node error.
+        assert len(self.CERTIFIED) == len(self.PINNED) - 2
         for (name, z), step in self.CERTIFIED.items():
             res = getattr(functions, name)(z)
             assert res.spec_used.step == step

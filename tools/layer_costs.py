@@ -22,6 +22,8 @@ where the left half-plane is read from the mirror line), as the call does:
   at the start step and, where that one misses, at half of it (absent from
   a checkout without it);
 - ``kernel``: ``integrands.g_integrand`` on the level-1 nodes of that window;
+- ``kernel_log``: ``integrands.g_log_integrand``, digamma's weighted kernel,
+  on the same nodes;
 - ``summation``: one level-1 pass of ``quadrature._pass_sums`` over those
   nodes' kept terms;
 - ``driver``: ``quadrature._trapezoid_joint`` of the line, kernel included,
@@ -97,8 +99,8 @@ def _cases(ug) -> tuple[dict, list[str]]:
 
     F, Q, I = ug.functions, ug.quadrature, ug.integrands
     certify = getattr(Q, "_start_certificate", None)
-    cases: dict = {name: [] for name in ("select_truncation", "certify", "kernel", "summation",
-                                         "driver", "reader", *_FUNCTIONS)}
+    cases: dict = {name: [] for name in ("select_truncation", "certify", "kernel", "kernel_log",
+                                         "summation", "driver", "reader", *_FUNCTIONS)}
     if certify is None:
         del cases["certify"]
     tol, max_refinements = 1e-12, 12
@@ -130,7 +132,9 @@ def _cases(ug) -> tuple[dict, list[str]]:
         levels.append(f"{level} {how}")
         cases["select_truncation"].append(
             lambda w=w, sigma=sigma: Q.select_truncation(w, sigma, tail_tol))
-        cases["kernel"].append(lambda w=w, sigma=sigma: I.g_integrand(w, sigma, nodes))
+        cases["kernel"].append(lambda w=w, sigma=sigma, nodes=nodes: I.g_integrand(w, sigma, nodes))
+        cases["kernel_log"].append(
+            lambda w=w, sigma=sigma, nodes=nodes: I.g_log_integrand(w, sigma, nodes))
         cases["summation"].append(_summation(Q, grid, line_tol, noise, I.g_integrand(w, sigma, nodes)))
         cases["driver"].append(lambda fs=fs, grid=grid, noise=noise, extra=extra: Q._trapezoid_joint(
             fs, [grid], line_tol, max_refinements, noise=[noise], **extra))
