@@ -58,6 +58,7 @@ from .quadrature import (
     _check_refinements,
     _check_sigma,
     _check_tol,
+    _crest_rate,
     _Quad,
     _line_grid,
     _nonfinite_node,
@@ -157,7 +158,7 @@ def _gate(quad: _Quad, capped: bool, tol: float,
                                           _REL_PROMISE * magnitude))
 
 
-def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
+def _exponent_noise(z: complex, sigma: float, trunc: Truncation) -> float:
     """Factor on a G-line point's roundoff floor for the kernel's exponent error.
 
     The kernel rounds its exponent (1 - 2z) Log w + w^2 as a whole, so each
@@ -172,6 +173,13 @@ def _phase_noise(z: complex, sigma: float, trunc: Truncation) -> float:
     log_w = math.hypot(0.5 * max(abs(math.log(u_lo)), abs(math.log(u_hi))),
                        math.atan(trunc.half_width / sigma))
     return max(1.0, abs(1.0 - 2.0 * z) * log_w / 16.0)
+
+
+def _rate(z: complex, sigma: float, certificate: tuple[int, float]) -> float:
+    """The phase rate at the crest of a line that refines by Richardson,
+    which its steps must resolve; 0 for a line its certificate settles,
+    whose bound covers aliasing."""
+    return 0.0 if certificate[1] < math.inf else _crest_rate(z, sigma)
 
 
 def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
@@ -194,7 +202,8 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     with the bound, for the heaviest kernel, which covers the others, goes
     to the driver: a line it certifies settles on that level's nodes alone,
     with the bound as its estimate, and a line certified at neither level
-    refines by halving.  The kernels of a point share one node set;
+    refines by halving, to a step that resolves the phase rate at its
+    crest (``_rate``).  The kernels of a point share one node set;
     the points share ``_trapezoid_joint``'s kernel calls.  Returns per
     point its line, the tuple ``(values, errs, spec, converged,
     evaluations)``: each integral's value and its error estimate with the
@@ -239,11 +248,12 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
             trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
         except UnigammaError as exc:
             return [exc]
+        certificate = _start_certificate(z, sig, trunc, line_tol, log_weight)
         (quads,) = _trapezoid_joint(
             [lambda t, _, name=name: getattr(integrands, name)(z, sig, t) for name in names],
             [_window_grid(trunc.lower, trunc.upper, _T_GRID)], line_tol, max_refinements,
-            noise=[_phase_noise(z, sig, trunc)],
-            certificates=[_start_certificate(z, sig, trunc, line_tol, log_weight)])
+            noise=[_exponent_noise(z, sig, trunc)], certificates=[certificate],
+            rates=[_rate(z, sig, certificate)])
         return [_read(quads if isinstance(quads, UnigammaError) else (sig, trunc, quads),
                       flip, line_tol, max_refinements)]
     outcomes: list = list(points)
@@ -277,14 +287,16 @@ def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
     z_of, sigma_of = zs, sigmas
     if len(zs) > 1:
         z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
+    certificates = [_start_certificate(*point, line_tol, log_weight)
+                    for point in zip(zs, sigmas, truncs)]
     quads_of = _trapezoid_joint(
         [lambda t, rows, name=name: getattr(integrands, name)(z_of[rows], sigma_of[rows], t)
          for name in names],
         [_window_grid(trunc.lower, trunc.upper, _T_GRID) for trunc in truncs],
         line_tol, max_refinements,
-        noise=[_phase_noise(*point) for point in zip(zs, sigmas, truncs)],
-        certificates=[_start_certificate(*point, line_tol, log_weight)
-                      for point in zip(zs, sigmas, truncs)])
+        noise=[_exponent_noise(*point) for point in zip(zs, sigmas, truncs)],
+        certificates=certificates,
+        rates=[_rate(*point) for point in zip(zs, sigmas, certificates)])
     for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
         lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
     # Points that read one line the same way share its tuple.

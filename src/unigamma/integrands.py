@@ -9,14 +9,13 @@ no factor of a node can overflow before the node does, and the log weight
 ulp of its size, which reaches O(100) for large |z| or |t|.  Against mpmath
 at 3,000 seeded nodes (z in the accuracy box, the default sigma, t within
 the selected truncation) the relative error of ``g_integrand`` is 2.7e-15
-in the median and 2.8e-14 at worst (a magnitude from libm ``pow`` with a
-separate phase gave 2.1e-15 and 1.8e-14 on the same nodes).  Node errors
-are relative to each node and vary in sign, so their sum over the line
-stays inside the roundoff floor that the quadrature driver applies to both
-its convergence gate and ``err_estimate``: 16 eps int|f|, scaled by the
-exponent's size where that passes 16 (``functions._phase_noise``).  On
-12,000 seeded results of the four contour functions in the box the true
-error never exceeded that estimate.
+in the median and 2.8e-14 at worst.  Node errors are relative to each
+node and vary in sign, so their sum over the line stays inside the
+roundoff floor that the quadrature driver applies to both its convergence
+gate and ``err_estimate``: 16 eps int|f|, scaled by the exponent's size
+where that passes 16 (``functions._exponent_noise``).  On 12,000 seeded
+results of the four contour functions in the box the true error never
+exceeded that estimate.
 
 ``laplace_integrand`` and ``principal_power`` keep the assembly from a
 magnitude and a phase, ``mag*cos(phase) + i*mag*sin(phase)``, with |w|**cr

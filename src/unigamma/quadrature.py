@@ -29,7 +29,8 @@ taken at the start step and, where that one misses the tolerance, at half
 of it.  Such a point evaluates that level's nodes alone, sums them alone
 and settles there, the certificate standing for a Richardson difference.
 A point certified at neither level (a line near the branch point, a
-forced sigma far off the saddle, the other paths) refines by Richardson:
+sigma far off the saddle, the other paths) refines by Richardson, on
+levels whose step resolves the phase rate at its integrand's crest:
 its first kernel call evaluates level 1's nodes, level 0's at the even k
 and the odd k between them.  The point keeps them as trapezoid terms, its
 values with the end weights 1/2 applied once, and settles level 0 from
@@ -274,6 +275,32 @@ def _log_magnitude(p: float, y: float, sigma: float, t: float,
         lm += log(abs(log_u) + pi)
     drift = 2.0 * (p * t + y * sigma) / u
     return lm, 2.0 * t - drift, 1.0 + (drift * t - p) / u
+
+
+def _crest_rate(z: complex, sigma: float) -> float:
+    """|d/dt arg f| at the crest of the G-line integrand f, the t where |f| peaks.
+
+    On w = sigma + it the exponent h(w) = (1 - 2z) Log w + w^2 turns at the
+    rate Re h'(w) = 2 (p sigma - y t)/u + 2 sigma, with p = 1/2 - Re z,
+    y = Im z and u = sigma^2 + t^2: 0 at the saddle, growing as the line
+    leaves it.  The crest is a real root of d/dt log|f| = 0, that is of
+    t^3 + (sigma^2 - p) t - y sigma = 0 (``_log_magnitude``), the highest
+    one where there are three.  inf where the cubic leaves the double range.
+    """
+    p, y = 0.5 - z.real, z.imag
+    a, b = sigma * sigma - p, -y * sigma
+    q = 0.25 * b * b + a * a * a / 27.0
+    if q > 0.0:     # one real root, by Cardano's formula without cancellation
+        c = -0.5 * b - math.copysign(sqrt(q), b)
+        r = math.copysign(abs(c) ** (1.0 / 3.0), c)
+        roots = (r - a / (3.0 * r) if r else 0.0,)
+    else:           # three, by the trigonometric form; here a < 0
+        r = 2.0 * sqrt(-a / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * b / (a * r)))) / 3.0
+        roots = [r * math.cos(phi - 2.0 * pi * k / 3.0) for k in range(3)]
+    t = max(roots, key=lambda t: _log_magnitude(p, y, sigma, t, False)[0])
+    rate = abs(2.0 * (p * sigma - y * t) / (sigma * sigma + t * t) + 2.0 * sigma)
+    return rate if rate == rate else _INF
 
 
 def _log_tail(p: float, y: float, sigma: float, end: float, log_weight: bool,
@@ -760,16 +787,19 @@ class _Point:
     """Refinement state of one point: its last level and that level's step,
     kept trapezoid terms, their mass and sums per integrand."""
 
-    __slots__ = ("grid", "tol", "floor", "romberg", "certificate", "level", "h", "values",
-                 "added", "mass", "exact", "sums", "rows")
+    __slots__ = ("grid", "tol", "floor", "romberg", "rate", "certificate", "level", "h",
+                 "values", "added", "mass", "exact", "sums", "rows")
 
     def __init__(self, grid: _Grid, tol, noise: float, romberg: bool,
-                 certificate: tuple[int, float] = _UNCERTIFIED):
+                 certificate: tuple[int, float] = _UNCERTIFIED, rate: float = 0.0):
         self.grid = grid
         self.tol = tol      # a float, or a function that the first settle calls
         # The roundoff floor per unit of int |f|.
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
+        # The phase rate at the integrand's crest: a step h with h * rate >= pi
+        # does not resolve it.
+        self.rate = rate
         # A certified point's first level is the one its bound certifies,
         # every other point's 1, and its certificate inf; a tol function
         # comes with no certificate.
@@ -894,8 +924,12 @@ class _Point:
         self.sums = totals
         h, tol, evaluations, bound = self.h, self.tol, self.values[0].size, self.certificate
         results, done, refining = [], True, level < max_refinements
+        # A step that does not resolve the crest's phase aliases it, and two
+        # such levels can alias it alike: their difference proves nothing.
+        unresolved = bound == _INF and h * self.rate >= pi
         for total, previous, mass in zip(totals, last, self.mass):
-            diff = abs(total - previous) if bound == _INF else bound
+            diff = (_INF if unresolved else abs(total - previous) if bound == _INF
+                    else bound)
             floor = self.floor * (h * mass)
             tol_eff = max(tol, floor)
             converged = diff <= _RICHARDSON_MARGIN * tol_eff < _INF
@@ -1007,6 +1041,7 @@ def _trapezoid_joint(
     romberg: bool = False,
     noise: Sequence[float] | None = None,
     certificates: Sequence[tuple[int, float]] | None = None,
+    rates: Sequence[float] | None = None,
 ) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
@@ -1018,7 +1053,13 @@ def _trapezoid_joint(
     (default ``_UNCERTIFIED``, no bound).  A point whose bound is at most
     _RICHARDSON_MARGIN * tol evaluates that level's nodes alone, one kernel
     call per integrand, and settles there: value that level's sum alone,
-    err_estimate max(bound, floor), step_used that level's step.  A
+    err_estimate max(bound, floor), step_used that level's step.
+    ``rates[p]`` (default 0) is the phase rate at the crest of an uncertified
+    point's integrand (``_crest_rate``): a level whose step h has h * rate
+    >= pi aliases that oscillation, and two such levels may alias it to the
+    same frequency and agree on a wrong sum, so its Richardson difference
+    counts as inf and the point refines on, or stops at
+    ``max_refinements`` unconverged with err_estimate inf.  A
     ``tol`` function turns a point's level-0 value (its first integrand's)
     into its tolerance, called once when the first kernel call has settled
     level 0, so a relative tolerance costs no pass of its own.  Every
@@ -1061,9 +1102,12 @@ def _trapezoid_joint(
         noise = [1.0] * len(grids)
     if certificates is None:
         certificates = [_UNCERTIFIED] * len(grids)
+    if rates is None:
+        rates = [0.0] * len(grids)
     outcomes: list = [None] * len(grids)
     for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
-        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg, certificates[p])
+        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg, certificates[p],
+                                     rates[p])
                            for p in chunk},
                       outcomes, max_refinements)
     return outcomes

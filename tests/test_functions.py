@@ -1127,6 +1127,29 @@ class TestPromiseSlice:
                         classes[name, index] = "converged, > 1e-9 relative"
         assert classes == self.FAILING
 
+    # Lines whose sigma is capped at 8 well left of the saddle abscissa
+    # (17.9, 26.3 and 18.0) and that no certificate settles: at the crest
+    # the integrand turns at 55 to 111 radians per unit t, which steps 0.25
+    # and 0.125 alias to one frequency, so their two sums agreed, on values
+    # up to 1e101 times the true one, and the lines passed as converged.
+    PAST_THE_CAP = (("recip_gamma", 205.93858051401375 - 380.4951468265725j),
+                    ("recip_gamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("gamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("digamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("gamma_sin_pi", -194.11912460191417 - 408.7371974233468j))
+
+    @pytest.mark.parametrize("name,z", PAST_THE_CAP)
+    def test_aliased_crest_is_no_convergence(self, name, z):
+        mpmath = pytest.importorskip("mpmath")
+        res = getattr(functions, name)(z)
+        exact = complex(self._exact(mpmath, name, z))
+        assert abs(res.value - exact) <= res.err_estimate, (res, exact)
+        # The step it stops on resolves the crest; |rate| is the same at conj(w).
+        w = 1.0 - z if name == "gamma_sin_pi" else z
+        spec = res.spec_used
+        assert spec.sigma == 8.0
+        assert spec.step * quadrature._crest_rate(w, spec.sigma) < math.pi
+
 
 class TestCertifiedLine:
     """A line certified a priori (``quadrature._start_certificate``) costs

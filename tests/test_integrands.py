@@ -186,8 +186,7 @@ class TestBroadcastArguments:
     def test_array_z_equals_scalar_calls(self, kernel):
         rng = np.random.default_rng(3)
         # Scalar arguments take the array loops too, so every entry is the
-        # scalar call bit for bit; Re z = 0, -1.5 and 1.5 are exponents that
-        # numpy's pow would round differently as a scalar.
+        # scalar call bit for bit.
         re = np.concatenate([rng.uniform(-12, 12, 300), [0.0, -1.5, 1.5] * 20])
         z = re + 1j * rng.uniform(-12, 12, re.size)
         z[::7] = z[::7].real

@@ -28,8 +28,8 @@ from unigamma import (
 )
 from unigamma import integrands
 from unigamma.quadrature import (_FSUM_TERMS, _RICHARDSON_MARGIN, _T_GRID, _UNIT, _Grid,
-                                 _exact_sums, _line_grid, _only, _start_certificate,
-                                 _trapezoid_joint, _window_grid)
+                                 _crest_rate, _exact_sums, _line_grid, _only,
+                                 _start_certificate, _trapezoid_joint, _window_grid)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -802,6 +802,56 @@ def _reference(f, half_width: float, step: float, step_used: float,
             new.append(new[-1] + (new[-1] - below) / (4.0 ** j - 1.0))
         row, step = new, 0.5 * step
     return row[-1]
+
+
+class TestCrestRate:
+    """A Richardson level must resolve the phase rate at the integrand's crest
+    (``_crest_rate``), or two levels that alias it alike pass for converged."""
+
+    def test_matches_the_sampled_crest(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(-60.0, 60.0, 240001)
+        for _ in range(200):
+            z = complex(rng.uniform(-300, 300), rng.uniform(-400, 400) * (rng.random() < 0.8))
+            sigma = rng.uniform(0.05, 8.0)
+            p, y = 0.5 - z.real, z.imag
+            u = sigma * sigma + t * t
+            crest = t[np.argmax(p * np.log(u) + 2 * y * np.arctan2(t, sigma) - t * t)]
+            rate = abs(2 * (p * sigma - y * crest) / (sigma * sigma + crest * crest) + 2 * sigma)
+            assert _crest_rate(z, sigma) == pytest.approx(rate, rel=0.01, abs=0.05), (z, sigma)
+        assert _crest_rate(4.0 + 3.0j, cmath.sqrt(3.5 + 3.0j).real) < 1e-12     # the saddle
+
+    # e^{-t^2 + i omega t} with omega = 2 pi/0.125: steps 0.25 and 0.125 both
+    # alias omega to 0 and sum to sqrt(pi), where the integral is e^{-omega^2/4}
+    # sqrt(pi), about 1e-274.
+    OMEGA = 16.0 * math.pi
+
+    def _f(self, t, _):
+        return np.exp(-t * t + 1j * self.OMEGA * t)
+
+    def test_unresolved_levels_refine_past_the_alias(self):
+        grid = _Grid(0.0, -24, 24, 0.25)
+        (fooled,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 12))
+        assert fooled.converged and fooled.step_used == 0.125
+        assert fooled.value == pytest.approx(math.sqrt(math.pi))
+        (res,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 12, rates=[self.OMEGA]))
+        assert res.converged and res.step_used * self.OMEGA < math.pi
+        assert abs(res.value) <= res.err_estimate <= 1e-12
+
+    def test_stops_unconverged_where_no_level_resolves(self):
+        grid = _Grid(0.0, -24, 24, 0.25)
+        (res,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 2, rates=[self.OMEGA]))
+        assert not res.converged and res.err_estimate == math.inf
+        assert res.step_used == 0.0625
+
+    def test_resolved_levels_keep_their_bits(self):
+        grid = _Grid(0.0, -24, 24, 0.25)
+
+        def f(t, _):
+            return np.exp(-t * t + 3j * t)
+
+        plain = _trapezoid_joint((f,), [grid], 1e-12, 12)
+        assert _trapezoid_joint((f,), [grid], 1e-12, 12, rates=[3.0]) == plain
 
 
 class TestSummationRoutes:

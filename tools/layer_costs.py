@@ -115,7 +115,7 @@ def _cases(ug) -> tuple[dict, list[str]]:
         sigma = F.default_sigma(w)
         trunc = Q.select_truncation(w, sigma, tail_tol)
         grid = Q._window_grid(trunc.lower, trunc.upper, Q._T_GRID)
-        noise = F._phase_noise(w, sigma, trunc)
+        noise = getattr(F, "_exponent_noise", getattr(F, "_phase_noise", None))(w, sigma, trunc)
         nodes = np.arange(2 * grid.k_lo, 2 * grid.k_hi + 1, dtype=float) * (0.5 * grid.step)
         fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
         extra, bound = {}, math.inf
