@@ -29,10 +29,11 @@ taken at the start step and, where that one misses the tolerance, at half
 of it.  Such a point evaluates that level's nodes alone, sums them alone
 and settles there, the certificate standing for a Richardson difference.
 A point certified at neither level (a line near the branch point, a
-sigma far off the saddle, the other paths) refines by Richardson, on
-levels whose step resolves the phase rate at its integrand's crest:
-its first kernel call evaluates level 1's nodes, level 0's at the even k
-and the odd k between them.  The point keeps them as trapezoid terms, its
+sigma far off the saddle, the other paths) refines by Richardson, whose
+difference a G line counts only on a level that resolves the phase rate
+at its integrand's crest (``_crest_rate``).  Its first kernel call
+evaluates level 1's nodes, level 0's at the even k and the odd k between
+them.  The point keeps them as trapezoid terms, its
 values with the end weights 1/2 applied once, and settles level 0 from
 the even terms and level 1 from all of them: a point that stops at level
 0 or 1 makes one kernel call per integrand.  The rays, the arcs and the
