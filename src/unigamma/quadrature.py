@@ -63,7 +63,7 @@ line, so an estimate below it would claim more than the nodes carry.
 A G-line point scales its floor by max(1, Phi/16), with Phi = |1 - 2z|
 max|Log w| over the window: the kernel rounds its exponent (1 - 2z) Log w
 + w^2 as a whole, to an ulp of Phi, which past 16 outgrows the few ulps
-above (the ``noise`` of ``_trapezoid_joint``).
+above (the ``noise`` of a ``_Point``).
 For heavily cancelling integrands (deep left half-plane z) the requested
 absolute tolerance may lie below what double precision can represent of the
 summand mass; converging to the roundoff floor is then reported as
@@ -181,26 +181,14 @@ class ContourSpec:
         _check_refinements(self.max_refinements)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """One line integral: value, error estimate, and convergence diagnostics.
 
     ``step_used`` and ``tol_effective`` record the step after refinement and
     the tolerance actually enforced (the requested one, raised to the
-    cancellation floor ``16*eps*int|f|`` when roundoff dominates).
+    cancellation floor ``16*eps*int|f|`` when roundoff dominates).  A tuple,
+    since the driver builds one per integrand and point.
     """
-
-    value: complex
-    err_estimate: float
-    evaluations: int
-    converged: bool
-    step_used: float
-    tol_effective: float
-
-
-class _Quad(NamedTuple):
-    """One line integral as the driver returns it: the fields of a
-    QuadratureResult in a tuple, a third of the dataclass's cost to build."""
 
     value: complex
     err_estimate: float
@@ -745,17 +733,17 @@ def _romberg_row(previous: list[complex], trapezoid: complex) -> list[complex]:
 _CHUNK_NODES = 4096
 
 
-def _chunks(grids: Sequence[_Grid]):
+def _chunks(points: Sequence[_Point]):
     """Consecutive runs of points within the level-0 node budget, one point at least."""
     start = budget = 0
-    for index, grid in enumerate(grids):
-        size = grid.k_hi - grid.k_lo + 1
+    for index, point in enumerate(points):
+        size = point.grid.k_hi - point.grid.k_lo + 1
         if index > start and budget + size > _CHUNK_NODES:
             yield range(start, index)
             start, budget = index, 0
         budget += size
-    if start < len(grids):
-        yield range(start, len(grids))
+    if start < len(points):
+        yield range(start, len(points))
 
 
 def _node_error(nodes: np.ndarray, news, level: int) -> QuadratureNodeError | None:
@@ -785,25 +773,32 @@ def _nonfinite_node(node: float) -> QuadratureNodeError:
 
 
 class _Point:
-    """Refinement state of one point: its last level and that level's step,
-    kept trapezoid terms, their mass and sums per integrand."""
+    """One integral of ``_trapezoid_joint``: what its caller sets, and its
+    refinement state (its last level and that level's step, kept trapezoid
+    terms, their mass and sums per integrand).
+
+    ``grid`` holds its level-0 nodes; ``tol`` is its absolute tolerance, or
+    a function of its level-0 sum that gives one; ``romberg`` asks for
+    Romberg extrapolation; ``noise`` scales its roundoff floor;
+    ``certificate`` is a pair (level, bound), a level, 0 or 1, and a
+    rigorous bound on the error of that level's sum for every integrand
+    (``_UNCERTIFIED``: none); ``rate`` is the phase rate at the crest of its
+    integrand (``_crest_rate``).  A point serves one driver call.
+    """
 
     __slots__ = ("grid", "tol", "floor", "romberg", "rate", "certificate", "level", "h",
                  "values", "added", "mass", "exact", "sums", "rows")
 
-    def __init__(self, grid: _Grid, tol, noise: float, romberg: bool,
+    def __init__(self, grid: _Grid, tol: float | Callable[[complex], float], *,
+                 romberg: bool = False, noise: float = 1.0,
                  certificate: tuple[int, float] = _UNCERTIFIED, rate: float = 0.0):
         self.grid = grid
-        self.tol = tol      # a float, or a function that the first settle calls
-        # The roundoff floor per unit of int |f|.
+        self.tol = tol
         self.floor = _CANCEL_FLOOR * _EPS * noise
         self.romberg = romberg
-        # The phase rate at the integrand's crest: a step h with h * rate >= pi
-        # does not resolve it.
         self.rate = rate
         # A certified point's first level is the one its bound certifies,
-        # every other point's 1, and its certificate inf; a tol function
-        # comes with no certificate.
+        # every other point's 1, and its certificate inf.
         level, bound = certificate
         if bound < _INF and bound <= _RICHARDSON_MARGIN * tol:
             self.certificate, self.level = bound, level - 1
@@ -900,8 +895,8 @@ class _Point:
         ``sums`` holds one list per level, the last one the point's level's:
         levels 0 and 1 on an uncertified point's first step, one level
         otherwise; or an overflow error, the outcome.  Else the outcome is
-        one ``_Quad`` per integrand; None while the point goes on refining
-        toward the tolerance the first step fixes.  A certified point
+        one ``QuadratureResult`` per integrand; None while the point goes on
+        refining toward the tolerance the first step fixes.  A certified point
         settles its first level with its certificate as the difference,
         which meets the tolerance, so it stops there.  An integrand whose
         roundoff floor, and so its effective tolerance, is past the double range
@@ -936,7 +931,8 @@ class _Point:
             converged = diff <= _RICHARDSON_MARGIN * tol_eff < _INF
             done = done and converged
             refining = refining and tol_eff < _INF
-            results.append(_Quad(total, max(diff, floor), evaluations, converged, h, tol_eff))
+            results.append(QuadratureResult(total, max(diff, floor), evaluations, converged, h,
+                                            tol_eff))
         return None if refining and not done else results
 
 
@@ -1033,51 +1029,36 @@ def _refine_chunk(fs, points: dict, outcomes: list, max_refinements: int) -> Non
 
 
 @np.errstate(all="ignore")      # as a decorator it costs half what a with block does
-def _trapezoid_joint(
-    fs: Sequence[Callable],
-    grids: Sequence[_Grid],
-    tol: float | Callable[[complex], float],
-    max_refinements: int,
-    *,
-    romberg: bool = False,
-    noise: Sequence[float] | None = None,
-    certificates: Sequence[tuple[int, float]] | None = None,
-    rates: Sequence[float] | None = None,
-) -> list:
+def _trapezoid_joint(fs: Sequence[Callable], points: Sequence[_Point],
+                     max_refinements: int) -> list:
     """Trapezoid-with-halving on several integrands at many points.
 
-    Point p integrates over ``grids[p]`` to ``tol`` in at most
-    ``max_refinements`` halvings (one pair for all points, checked by the
-    caller), its roundoff floor scaled by ``noise[p]`` (default 1).
-    ``certificates[p]`` is a pair (level, bound): a level, 0 or 1, and a
-    rigorous bound on the error of that level's sum for every integrand
-    (default ``_UNCERTIFIED``, no bound).  A point whose bound is at most
+    Each ``_Point`` integrates over its grid to its tolerance in at most
+    ``max_refinements`` halvings (one cap for all points, checked by the
+    caller).  A point whose certificate's bound is at most
     _RICHARDSON_MARGIN * tol evaluates that level's nodes alone, one kernel
     call per integrand, and settles there: value that level's sum alone,
-    err_estimate max(bound, floor), step_used that level's step.
-    ``rates[p]`` (default 0) is the phase rate at the crest of an uncertified
-    point's integrand (``_crest_rate``): a level whose step h has h * rate
-    >= pi aliases that oscillation, and two such levels may alias it to the
-    same frequency and agree on a wrong sum, so its Richardson difference
-    counts as inf and the point refines on, or stops at
-    ``max_refinements`` unconverged with err_estimate inf.  A
-    ``tol`` function turns a point's level-0 value (its first integrand's)
-    into its tolerance, called once when the first kernel call has settled
-    level 0, so a relative tolerance costs no pass of its own.  Every
-    integrand of a point sees the same nodes each level, and the point
-    stops only when all of them meet their effective tolerance; sharing
-    nodes lets ratio-type consumers (digamma) cancel common error.  Every
+    err_estimate max(bound, floor), step_used that level's step.  Every
     other point's first kernel call evaluates the grid at half its step and
     settles two levels: level 0 from the terms at even k, level 1 from all
-    of them.  The levels are
-    nested: after that, only the new odd-k nodes are evaluated and
+    of them; a tol function turns level 0's sum (the first integrand's)
+    into the tolerance then, so a relative tolerance costs no pass of its
+    own.  A level whose step h has h * rate >= pi aliases the oscillation
+    at the crest, and two such levels may alias it to the same frequency
+    and agree on a wrong sum, so its Richardson difference counts as inf:
+    the point refines on, or stops at ``max_refinements`` unconverged with
+    err_estimate inf.  With ``romberg``, each level's trapezoid sum is
+    replaced by the diagonal of a Romberg table, for integrands whose
+    interval ends carry Euler-Maclaurin terms in h^2.  Every integrand of a
+    point sees the same nodes each level, and the point stops only when
+    all of them meet their effective tolerance; sharing nodes lets
+    ratio-type consumers (digamma) cancel common error.  The levels are
+    nested: after the first, only the new odd-k nodes are evaluated and
     interleaved with the kept terms, so every node costs one kernel
-    evaluation however many halvings follow.  With ``romberg``, each
-    level's trapezoid sum is replaced by the diagonal of a Romberg table,
-    for integrands whose interval ends carry Euler-Maclaurin terms in h^2.
+    evaluation however many halvings follow.
 
     Points are refined together in chunks of about ``_CHUNK_NODES`` level-0
-    nodes, one grid as a chunk of one, by the same steps (``_refine_chunk``,
+    nodes, one point as a chunk of one, by the same steps (``_refine_chunk``,
     whose chunk of one builds no per-pass lists).  Each refinement step
     calls each integrand once as ``f(t, rows)`` on the new nodes of the
     chunk's points still refining, concatenated in point order: ``rows`` is
@@ -1087,11 +1068,10 @@ def _trapezoid_joint(
     point keeps its own terms, their mass (sum of |term|, which also tells
     it whether a node is not finite), exact sums, roundoff floor and
     Richardson stop, so its result does not depend on its chunk-mates.
-    One summation pass per step
-    (``_pass_sums``) sums the terms of them all, by ``fsum`` below
-    ``_FSUM_TERMS`` terms in all and binned above.
+    One summation pass per step (``_pass_sums``) sums the terms of them
+    all, by ``fsum`` below ``_FSUM_TERMS`` terms in all and binned above.
 
-    Returns, per point, one ``_Quad`` per integrand, or the
+    Returns, per point, one ``QuadratureResult`` per integrand, or the
     QuadratureNodeError of its first non-finite node on the coarsest level
     that has one, or of a sum past the double range (its chunk-mates go
     on).  A point whose mass, and so its roundoff floor, leaves the double
@@ -1099,22 +1079,13 @@ def _trapezoid_joint(
     warnings are silenced, once per call: a non-finite node is reported
     that way instead.
     """
-    if noise is None:
-        noise = [1.0] * len(grids)
-    if certificates is None:
-        certificates = [_UNCERTIFIED] * len(grids)
-    if rates is None:
-        rates = [0.0] * len(grids)
-    outcomes: list = [None] * len(grids)
-    for chunk in (range(1),) if len(grids) == 1 else _chunks(grids):
-        _refine_chunk(fs, {p: _Point(grids[p], tol, noise[p], romberg, certificates[p],
-                                     rates[p])
-                           for p in chunk},
-                      outcomes, max_refinements)
+    outcomes: list = [None] * len(points)
+    for chunk in (range(1),) if len(points) == 1 else _chunks(points):
+        _refine_chunk(fs, {p: points[p] for p in chunk}, outcomes, max_refinements)
     return outcomes
 
 
-def _only(outcomes: list) -> list[_Quad]:
+def _only(outcomes: list) -> list[QuadratureResult]:
     """The results of a one-point ``_trapezoid_joint`` call; raises its node error."""
     (outcome,) = outcomes
     if isinstance(outcome, QuadratureNodeError):
@@ -1125,9 +1096,8 @@ def _only(outcomes: list) -> list[_Quad]:
 def trapezoid_line(f: Callable[[np.ndarray], np.ndarray], spec: ContourSpec) -> QuadratureResult:
     """Composite trapezoid over t in [-T, T] with step-halving refinement."""
     # A copy of f's values: the driver writes the end weights into the arrays it keeps.
-    return QuadratureResult(*_only(_trapezoid_joint(
-        (lambda t, _: np.array(f(t), dtype=complex),), [_line_grid(spec)], spec.tol,
-        spec.max_refinements))[0])
+    return _only(_trapezoid_joint((lambda t, _: np.array(f(t), dtype=complex),),
+                                  [_Point(_line_grid(spec), spec.tol)], spec.max_refinements))[0]
 
 
 def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
@@ -1149,7 +1119,7 @@ def _lower_gamma_series(a: complex, x: float) -> tuple[complex, bool]:
     return cmath.exp(a * math.log(x)) * total, converged
 
 
-def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> _Quad:
+def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> QuadratureResult:
     """J(y, R) = int_0^R r^{-y} e^{-r^2} dr, shared by both rays.
 
     The endpoint r = 0 carries the r^{-y} weight, so a head cell [0, H] is
@@ -1167,14 +1137,14 @@ def _ray_radial(y: complex, big_r: float, spec: ContourSpec) -> _Quad:
     head, head_ok = _lower_gamma_series(a, head_end * head_end)
     n = max(4, math.ceil((big_r - head_end) / spec.step))
     grid = _Grid(head_end, 0, n, (big_r - head_end) / n)
-    quad = _only(_trapezoid_joint(
-        (lambda r, _: np.exp(-y * np.log(r) - r * r),), [grid], spec.tol,
-        spec.max_refinements, romberg=True))[0]
+    quad = _only(_trapezoid_joint((lambda r, _: np.exp(-y * np.log(r) - r * r),),
+                                  [_Point(grid, spec.tol, romberg=True)],
+                                  spec.max_refinements))[0]
     return quad._replace(value=0.5 * head + quad.value, converged=quad.converged and head_ok)
 
 
 def _arc(y: complex, big_r: float, theta0: float, theta1: float,
-         spec: ContourSpec) -> _Quad:
+         spec: ContourSpec) -> QuadratureResult:
     """int f(w) dw over the arc w = R e^{i theta}, theta in [theta0, theta1].
 
     The arc's ends meet the line and a ray where the integrand has not
@@ -1190,12 +1160,13 @@ def _arc(y: complex, big_r: float, theta0: float, theta1: float,
         w_sq = (big_r * big_r) * np.exp(2j * theta)
         return np.exp(-y * (log_r + 1j * theta) + w_sq) * (1j * big_r * np.exp(1j * theta))
 
-    return _only(_trapezoid_joint((f,), [_Grid(theta0, 0, n, span / n)], spec.tol,
-                                  spec.max_refinements, romberg=True))[0]
+    return _only(_trapezoid_joint((f,), [_Point(_Grid(theta0, 0, n, span / n), spec.tol,
+                                                romberg=True)],
+                                  spec.max_refinements))[0]
 
 
-def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex, bool]:
-    """One segment integral and whether its quadrature converged."""
+def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> QuadratureResult:
+    """One segment integral's result (see ``integrate_segment``)."""
     if spec.window is not None:
         raise DomainError(f"the closed contour's line runs over [-half_width, "
                           f"half_width], not a window; got {spec.window!r}")
@@ -1207,13 +1178,11 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
         quad = trapezoid_line(
             lambda t: integrands.g_integrand(z_equiv, spec.sigma, t), spec
         )
-        return 1j * quad.value, quad.converged
+        return quad._replace(value=1j * quad.value)
     if path is SegmentPath.ARC_BC:
-        quad = _arc(y, big_r, big_theta, 0.5 * math.pi, spec)
-        return quad.value, quad.converged
+        return _arc(y, big_r, big_theta, 0.5 * math.pi, spec)
     if path is SegmentPath.ARC_EA:
-        quad = _arc(y, big_r, -0.5 * math.pi, -big_theta, spec)
-        return quad.value, quad.converged
+        return _arc(y, big_r, -0.5 * math.pi, -big_theta, spec)
 
     if y.real > 0.0:
         raise DomainError(
@@ -1223,8 +1192,9 @@ def _segment(y: complex, path: SegmentPath, spec: ContourSpec) -> tuple[complex,
 
 
 def _ray_value(y: complex, path: SegmentPath,
-               radial: _Quad) -> tuple[complex, bool]:
-    """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J.
+               radial: QuadratureResult) -> QuadratureResult:
+    """A ray's integral -i e^{-+i pi y/2} J(y, R) from the shared radial J,
+    its error estimate and effective tolerance times |e^{-+i pi y/2}|.
 
     Its size is decided in logs before the product is formed: where it, or
     the factor e^{-+i pi y/2} alone, passes e^709 (where the product or its
@@ -1236,11 +1206,15 @@ def _ray_value(y: complex, path: SegmentPath,
     if shift.real > _LOG_MAX or (value and shift.real + log(abs(value)) > _LOG_MAX):
         raise QuadratureNodeError("the ray's integral or its factor e^{-+i pi y/2} "
                                   "left the double range")
-    return -1j * cmath.exp(shift) * value, radial.converged
+    scale = math.exp(shift.real)
+    return radial._replace(value=-1j * cmath.exp(shift) * value,
+                           err_estimate=scale * radial.err_estimate,
+                           tol_effective=scale * radial.tol_effective)
 
 
-def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
-    """Path integral of w^{-y} e^{w^2} along one contour segment.
+def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> QuadratureResult:
+    """Path integral of w^{-y} e^{w^2} along one contour segment, as the
+    QuadratureResult of its quadrature.
 
     The vertical segment reuses trapezoid_line (dw = i dt); the arcs are
     parametrized by angle; the two rays reduce to the shared radial integral
@@ -1251,8 +1225,11 @@ def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
 
     Rays pass through the origin, so Re(y) <= 0 is required for
     integrability there; the arcs and the vertical line have no such
-    restriction.  Raises DomainError unless y is a finite number and
-    ``path`` a SegmentPath or the value of one.
+    restriction.  A ray's ``converged`` also needs the head series of
+    ``_ray_radial`` to converge, and its ``err_estimate`` and
+    ``tol_effective`` are the radial integral's times |e^{-+i pi y/2}|.
+    Raises DomainError unless y is a finite number and ``path`` a
+    SegmentPath or the value of one.
     """
     y = _check_point(y, "y")
     try:
@@ -1260,7 +1237,7 @@ def integrate_segment(y, path: SegmentPath, spec: ContourSpec) -> complex:
     except ValueError:
         raise DomainError(f"path must be one of "
                           f"{', '.join(p.value for p in SegmentPath)}, got {path!r}") from None
-    return _segment(y, path, spec)[0]
+    return _segment(y, path, spec)
 
 
 def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
@@ -1283,7 +1260,7 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
     parts += [_ray_value(y, SegmentPath.RAY_CD, radial),
               _ray_value(y, SegmentPath.RAY_DE, radial),
               _segment(y, SegmentPath.ARC_EA, spec)]
-    i_ab, i_bc, i_cd, i_de, i_ea = (value for value, _ in parts)
+    i_ab, i_bc, i_cd, i_de, i_ea = (part.value for part in parts)
     return ContourLoopReport(
         i_ab=i_ab,
         i_bc=i_bc,
@@ -1293,5 +1270,5 @@ def contour_loop(y, spec: ContourSpec) -> ContourLoopReport:
         loop_sum=i_ab + i_bc + i_cd + i_de + i_ea,
         big_r=big_r,
         big_theta=math.acos(spec.sigma / big_r),
-        converged=all(ok for _, ok in parts),
+        converged=all(part.converged for part in parts),
     )

@@ -208,8 +208,8 @@ def test_08_proof_limit_rays():
     spec = ContourSpec(sigma=1.0, half_width=8.0, step=0.25, tol=1e-10)
     worst = 0.0
     for y in (0, -1, -2.5):
-        got = (integrate_segment(y, SegmentPath.RAY_CD, spec)
-               + integrate_segment(y, SegmentPath.RAY_DE, spec))
+        got = (integrate_segment(y, SegmentPath.RAY_CD, spec).value
+               + integrate_segment(y, SegmentPath.RAY_DE, spec).value)
         want = -1j * 2 * cmath.cos(math.pi * y / 2) * 0.5 * lanczos_gamma((1 - y) / 2)
         worst = max(worst, abs(got - want))
     _report(

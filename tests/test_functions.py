@@ -716,9 +716,10 @@ class TestTruncationWindow:
             seen["trunc"] = select(*args, **kwargs)
             return seen["trunc"]
 
-        def joining(fs, grids, tol, *args, **kwargs):
-            seen["tol"] = tol
-            return joint(fs, grids, tol, *args, **kwargs)
+        def joining(fs, points, *args, **kwargs):
+            (point,) = points
+            seen["tol"] = point.tol
+            return joint(fs, points, *args, **kwargs)
 
         monkeypatch.setattr(functions, "select_truncation", selecting)
         monkeypatch.setattr(functions, "_trapezoid_joint", joining)
@@ -1149,6 +1150,15 @@ class TestPromiseSlice:
         spec = res.spec_used
         assert spec.sigma == 8.0
         assert spec.step * quadrature._crest_rate(w, spec.sigma) < math.pi
+
+    @pytest.mark.parametrize("name,z", PAST_THE_CAP)
+    def test_aliased_crest_in_a_batch_is_the_lone_result(self, name, z):
+        # Beside a box point, in one chunk, the line refines past the alias
+        # as it does alone: a batch builds its points as a lone call does.
+        mate = 3.0 + 4.0j
+        outcomes = evaluate_many(name, [z, mate])
+        assert [repr(outcome) for outcome in outcomes] == [
+            repr(getattr(functions, name)(point)) for point in (z, mate)]
 
 
 class TestCertifiedLine:

@@ -28,7 +28,7 @@ from unigamma import (
 )
 from unigamma import integrands
 from unigamma.quadrature import (_FSUM_TERMS, _RICHARDSON_MARGIN, _T_GRID, _UNIT, _Grid,
-                                 _crest_rate, _exact_sums, _line_grid, _only,
+                                 _Point, _crest_rate, _exact_sums, _line_grid, _only,
                                  _start_certificate, _trapezoid_joint, _window_grid)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -455,7 +455,7 @@ class TestTrapezoidLine:
             return np.exp(-a * t * t + 1j * b * t) / np.where(a == 0.0, t, 1.0)
 
         spec = ContourSpec(half_width=8.0, step=0.5, tol=1e-13)
-        outcomes = _trapezoid_joint((f,), [_line_grid(spec)] * len(widths), spec.tol,
+        outcomes = _trapezoid_joint((f,), [_Point(_line_grid(spec), spec.tol) for _ in widths],
                                     spec.max_refinements)
         assert isinstance(outcomes[3], QuadratureNodeError)
         for p in (0, 1, 2, 4):
@@ -471,8 +471,8 @@ class TestTrapezoidLine:
         spec = ContourSpec(half_width=6.0, step=0.5, tol=1e-12, max_refinements=6)
         plain = trapezoid_line(np.cos, spec)
         extrapolated = _trapezoid_joint(
-            (lambda t, _: np.cos(t),), [_line_grid(spec)], spec.tol, spec.max_refinements,
-            romberg=True)[0][0]
+            (lambda t, _: np.cos(t),), [_Point(_line_grid(spec), spec.tol, romberg=True)],
+            spec.max_refinements)[0][0]
         assert not plain.converged
         assert extrapolated.converged
         assert extrapolated.evaluations < plain.evaluations
@@ -487,9 +487,9 @@ class TestTrapezoidLine:
             return np.exp(1j * t)
 
         grid = _Grid(0.5, 0, n, step)
-        (plain,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], 1e-13, 4))
-        (extrapolated,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], 1e-13, 4,
-                                                 romberg=True))
+        (plain,) = _only(_trapezoid_joint((lambda t, _: f(t),), [_Point(grid, 1e-13)], 4))
+        (extrapolated,) = _only(_trapezoid_joint((lambda t, _: f(t),),
+                                                 [_Point(grid, 1e-13, romberg=True)], 4))
         assert plain.step_used == step / 16 and not plain.converged
         terms = f(0.5 + np.arange(16 * n + 1, dtype=float) * plain.step_used)
         terms[[0, -1]] *= 0.5
@@ -559,7 +559,7 @@ class TestFirstStep:
             return np.exp(-widths[rows] * t * t) / (t - poles[rows])
 
         spec = ContourSpec(half_width=7.0, step=0.5, tol=1e-12)
-        outcomes = _trapezoid_joint((f,), [_line_grid(spec)] * len(widths), spec.tol,
+        outcomes = _trapezoid_joint((f,), [_Point(_line_grid(spec), spec.tol) for _ in widths],
                                     spec.max_refinements)
         assert calls == [4 * 57]
         assert isinstance(outcomes[2], QuadratureNodeError)
@@ -583,8 +583,9 @@ class TestFirstStep:
 
         step = 2 * math.pi / 24
         spec = ContourSpec(half_width=7.0, step=step, tol=1e-12)
-        (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [_Grid(0.0, 0, 24, step)],
-                                        spec.tol, spec.max_refinements, romberg=True))
+        (res,) = _only(_trapezoid_joint((lambda t, _: f(t),),
+                                        [_Point(_Grid(0.0, 0, 24, step), spec.tol, romberg=True)],
+                                        spec.max_refinements))
         assert calls == [49]
         coarse, fine, floor, size = _level_one(f, 0.0, 24, step)
         assert res.converged and res.evaluations == size
@@ -614,8 +615,9 @@ class TestCertifiedStart:
         grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
         for certificate in (0.0, 1e-300, 2e-13, _RICHARDSON_MARGIN * tol):
             calls.clear()
-            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], tol, 12,
-                                            certificates=[(0, certificate)]))
+            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),),
+                                            [_Point(grid, tol, certificate=(0, certificate))],
+                                            12))
             assert calls == [29]
             value, floor, size = self._level_zero(f, grid)
             assert res.value == value and res.evaluations == size
@@ -635,8 +637,9 @@ class TestCertifiedStart:
         _, fine, floor, size = _level_one(f, -7.0, 28, 0.5)
         for certificate in (0.0, 2e-13, _RICHARDSON_MARGIN * tol):
             calls.clear()
-            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),), [grid], tol, 12,
-                                            certificates=[(1, certificate)]))
+            (res,) = _only(_trapezoid_joint((lambda t, _: f(t),),
+                                            [_Point(grid, tol, certificate=(1, certificate))],
+                                            12))
             assert calls == [57]
             assert res.value == fine and res.evaluations == size
             assert res.step_used == 0.25 and res.converged and res.tol_effective == tol
@@ -647,11 +650,11 @@ class TestCertifiedStart:
             return np.exp(-1.25 * t * t + 0.2j * t)
 
         grid, tol = _Grid(0.0, -14, 14, 0.5), 1e-12
-        plain = _trapezoid_joint((f,), [grid], tol, 12)
+        plain = _trapezoid_joint((f,), [_Point(grid, tol)], 12)
         for level in (0, 1):
             for bound in (math.nextafter(_RICHARDSON_MARGIN * tol, 1.0), 1.0, math.inf):
-                assert _trapezoid_joint((f,), [grid], tol, 12,
-                                        certificates=[(level, bound)]) == plain
+                point = _Point(grid, tol, certificate=(level, bound))
+                assert _trapezoid_joint((f,), [point], 12) == plain
 
     def test_chunk_mixes_certified_and_refining_points(self):
         # Points certified at level 0 (0, 3), at level 1 (1, 4) and at
@@ -673,15 +676,16 @@ class TestCertifiedStart:
         for k_hi in (12, 70):
             grid, tol = _Grid(0.0, -k_hi, k_hi, 0.5), 1e-12
             calls.clear()
-            outcomes = _trapezoid_joint((f,), [grid] * 6, tol, 12, certificates=certificates)
+            outcomes = _trapezoid_joint(
+                (f,), [_Point(grid, tol, certificate=pair) for pair in certificates], 12)
             assert calls[0] == 2 * (2 * k_hi + 1) + 4 * (4 * k_hi + 1)
             assert (calls[0] < _FSUM_TERMS) == (k_hi == 12)
             for p, (level, bound) in enumerate(certificates):
                 def alone(t, p=p):
                     return f(t, np.full(t.size, p))
 
-                assert [outcomes[p]] == _trapezoid_joint((lambda t, _: alone(t),), [grid], tol,
-                                                         12, certificates=[(level, bound)])
+                assert [outcomes[p]] == _trapezoid_joint(
+                    (lambda t, _: alone(t),), [_Point(grid, tol, certificate=(level, bound))], 12)
                 (res,) = outcomes[p]
                 if bound == math.inf:
                     assert res.step_used < 0.25     # fast waves refine past level 1
@@ -694,8 +698,8 @@ class TestCertifiedStart:
         # The Laplace path's relative tolerance comes with none; the default
         # certificate leaves such a point refining.
         grid = _Grid(0.0, -14, 14, 0.5)
-        (res,) = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,), [grid],
-                                        lambda level0: 1e-12 * abs(level0), 12))
+        (res,) = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,),
+                                        [_Point(grid, lambda level0: 1e-12 * abs(level0))], 12))
         assert res.step_used < 0.5
 
     @staticmethod
@@ -831,16 +835,16 @@ class TestCrestRate:
 
     def test_unresolved_levels_refine_past_the_alias(self):
         grid = _Grid(0.0, -24, 24, 0.25)
-        (fooled,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 12))
+        (fooled,) = _only(_trapezoid_joint((self._f,), [_Point(grid, 1e-12)], 12))
         assert fooled.converged and fooled.step_used == 0.125
         assert fooled.value == pytest.approx(math.sqrt(math.pi))
-        (res,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 12, rates=[self.OMEGA]))
+        (res,) = _only(_trapezoid_joint((self._f,), [_Point(grid, 1e-12, rate=self.OMEGA)], 12))
         assert res.converged and res.step_used * self.OMEGA < math.pi
         assert abs(res.value) <= res.err_estimate <= 1e-12
 
     def test_stops_unconverged_where_no_level_resolves(self):
         grid = _Grid(0.0, -24, 24, 0.25)
-        (res,) = _only(_trapezoid_joint((self._f,), [grid], 1e-12, 2, rates=[self.OMEGA]))
+        (res,) = _only(_trapezoid_joint((self._f,), [_Point(grid, 1e-12, rate=self.OMEGA)], 2))
         assert not res.converged and res.err_estimate == math.inf
         assert res.step_used == 0.0625
 
@@ -850,8 +854,8 @@ class TestCrestRate:
         def f(t, _):
             return np.exp(-t * t + 3j * t)
 
-        plain = _trapezoid_joint((f,), [grid], 1e-12, 12)
-        assert _trapezoid_joint((f,), [grid], 1e-12, 12, rates=[3.0]) == plain
+        plain = _trapezoid_joint((f,), [_Point(grid, 1e-12)], 12)
+        assert _trapezoid_joint((f,), [_Point(grid, 1e-12, rate=3.0)], 12) == plain
 
 
 class TestSummationRoutes:
@@ -861,11 +865,14 @@ class TestSummationRoutes:
 
     @staticmethod
     def _check(f, spec, count, romberg):
-        grid, rule = _line_grid(spec), (spec.tol, spec.max_refinements)
-        outcomes = _trapezoid_joint((f,), [grid] * count, *rule, romberg=romberg)
+        grid = _line_grid(spec)
+        outcomes = _trapezoid_joint(
+            (f,), [_Point(grid, spec.tol, romberg=romberg) for _ in range(count)],
+            spec.max_refinements)
         for p, (res,) in enumerate(outcomes):
-            alone = _trapezoid_joint((lambda t, _: f(t, p),), [grid], *rule,
-                                     romberg=romberg)
+            alone = _trapezoid_joint((lambda t, _: f(t, p),),
+                                     [_Point(grid, spec.tol, romberg=romberg)],
+                                     spec.max_refinements)
             assert [res] == _only(alone)
             assert res.value == _reference(lambda t: f(t, p), spec.half_width,
                                            spec.step, res.step_used, romberg)
@@ -938,7 +945,7 @@ class TestSumPastTheDoubleRange:
             integrate_segment(-342 + 200j, "ray_cd", spec)
         assert info.value.node is None
         # The other ray takes e^{-pi Im y/2} and fits.
-        assert cmath.isfinite(integrate_segment(-342 + 200j, "ray_de", spec))
+        assert cmath.isfinite(integrate_segment(-342 + 200j, "ray_de", spec).value)
         # e^{pi Im y/2} alone past the doubles, where a bare OverflowError escaped.
         with pytest.raises(QuadratureNodeError, match="left the double range") as info:
             integrate_segment(-1 + 460j, "ray_cd", spec)
@@ -948,14 +955,16 @@ class TestSumPastTheDoubleRange:
     def test_chunk_mates_go_on(self, half_width):
         # Four points of 49 level-1 terms are below the cutover, of 481 above.
         spec = ContourSpec(half_width=half_width, tol=1e-13)
-        grid, rule = _line_grid(spec), (spec.tol, spec.max_refinements)
+        grid = _line_grid(spec)
         huge = np.array([True, False, True, False])
 
         def f(t, rows):
             return np.where(huge[rows], 1e307, np.exp(-t * t)) + 0j
 
-        outcomes = _trapezoid_joint((f,), [grid] * 4, *rule)
-        alone = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,), [grid], *rule))
+        outcomes = _trapezoid_joint((f,), [_Point(grid, spec.tol) for _ in huge],
+                                    spec.max_refinements)
+        alone = _only(_trapezoid_joint((lambda t, _: np.exp(-t * t) + 0j,),
+                                       [_Point(grid, spec.tol)], spec.max_refinements))
         for outcome, failed in zip(outcomes, huge):
             if failed:
                 assert isinstance(outcome, QuadratureNodeError)
@@ -1007,8 +1016,12 @@ class TestFloorPastTheDoubleRange:
         line = trapezoid_line(lambda t: g_integrand((y + 1.0) / 2.0, spec.sigma, t), spec)
         assert line.tol_effective == math.inf and not line.converged
         loop = contour_loop(y, spec)
-        assert loop.i_ab == integrate_segment(y, SegmentPath.LINE_AB, spec) == 1j * line.value
+        segment = integrate_segment(y, SegmentPath.LINE_AB, spec)
+        assert loop.i_ab == segment.value == 1j * line.value
         assert not loop.converged
+        # The segment keeps its line's verdict, where it once returned the value alone.
+        assert segment == line._replace(value=1j * line.value)
+        assert segment.converged is False and segment.err_estimate == math.inf
 
 
 class TestSegments:
@@ -1018,14 +1031,16 @@ class TestSegments:
         # y = 0 maps to z = 1/2: integral of e^{w^2} i dt = i sqrt(pi) e^0...
         # the vertical line carries the full Gaussian mass i sqrt(pi).
         got = integrate_segment(0.0, SegmentPath.LINE_AB, self.SPEC)
-        assert got == pytest.approx(1j * SQRT_PI, abs=1e-10)
+        assert got.converged
+        assert got.value == pytest.approx(1j * SQRT_PI, abs=1e-10)
 
     def test_rays_reference_value(self):
         # At y = 0 each ray reduces to -i * (1/2)Gamma(1/2) = -i sqrt(pi)/2.
         cd = integrate_segment(0.0, SegmentPath.RAY_CD, self.SPEC)
         de = integrate_segment(0.0, SegmentPath.RAY_DE, self.SPEC)
-        assert cd == pytest.approx(-0.5j * SQRT_PI, abs=1e-9)
-        assert cd == pytest.approx(de, abs=1e-12)
+        assert cd.converged and de.converged
+        assert cd.value == pytest.approx(-0.5j * SQRT_PI, abs=1e-9)
+        assert cd.value == pytest.approx(de.value, abs=1e-12)
 
     def test_rays_reject_right_half_plane(self):
         with pytest.raises(DomainError):
@@ -1038,13 +1053,27 @@ class TestSegments:
         # live where cos 2theta <= ~0, so they are tiny for R ~ 8.
         for path in (SegmentPath.ARC_BC, SegmentPath.ARC_EA):
             val = integrate_segment(-1.0, path, self.SPEC)
-            assert abs(val) < 1e-6
+            assert val.converged and abs(val.value) < 1e-6
 
     def test_loop_closes(self):
         rep = contour_loop(-1.0, self.SPEC)
         assert abs(rep.loop_sum) < 1e-10
         parts = rep.i_ab + rep.i_bc + rep.i_cd + rep.i_de + rep.i_ea
         assert parts == rep.loop_sum
+
+    def test_segments_are_the_loop_parts(self):
+        # Each segment returns its quadrature's record; the loop sums their
+        # values and joins their verdicts.  Both rays scale one radial
+        # integral, by |e^{-+i pi y/2}| = e^{+-pi Im y/2}, its estimate too.
+        y = -1.5 + 2.0j
+        loop = contour_loop(y, self.SPEC)
+        parts = [integrate_segment(y, path, self.SPEC) for path in SegmentPath]
+        assert [part.value for part in parts] == [loop.i_ab, loop.i_bc, loop.i_cd,
+                                                  loop.i_de, loop.i_ea]
+        assert loop.converged and all(part.converged for part in parts)
+        _, _, cd, de, _ = parts
+        assert cd.evaluations == de.evaluations and cd.step_used == de.step_used
+        assert cd.err_estimate / de.err_estimate == pytest.approx(math.exp(math.pi * y.imag))
 
     def test_loop_report_geometry(self):
         rep = contour_loop(0.0, ContourSpec(sigma=3.0, half_width=4.0, step=0.25, tol=1e-8))

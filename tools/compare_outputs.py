@@ -24,6 +24,10 @@ corpus is fixed by its seed:
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
   the chunks call ``quadrature._trapezoid_joint`` in the signature of the
   checkout they run in;
+- ``evaluate_many`` batches that put each of five points whose line has
+  its sigma capped far below its saddle (no certificate settles it, and
+  steps 0.25 and 0.125 alias its crest) amid box points, so the batch path
+  is seen on uncertified lines;
 - the CLI: the 41 x 41 ``grid --function recip_gamma`` CSV, a ``digamma``
   grid out to |Im z| = 30, ``verify --json`` and ``constants --json``.
 
@@ -139,19 +143,18 @@ def _spec_key(spec) -> str:
 
 def _joint(ug, fs, spec, count: int) -> list:
     """``_trapezoid_joint`` of ``fs`` at ``count`` points on ``spec``'s line, in
-    this checkout's signature: a spec per point, or a grid per point and the
-    tolerance and refinement cap once.  Each integral is shown as a
-    QuadratureResult, also where the driver returns its fields in a tuple
-    (``quadrature._Quad``)."""
-    joint = ug.quadrature._trapezoid_joint
-    if "specs" in inspect.signature(joint).parameters:
-        outcomes = joint(fs, [spec] * count)
+    this checkout's signature: a ``_Point`` per point, or a grid per point
+    and the tolerance once.  Each integral is shown as a QuadratureResult,
+    also where the driver returns its fields in another tuple."""
+    Q = ug.quadrature
+    grid = Q._line_grid(spec)
+    if "points" in inspect.signature(Q._trapezoid_joint).parameters:
+        outcomes = Q._trapezoid_joint(fs, [Q._Point(grid, spec.tol) for _ in range(count)],
+                                      spec.max_refinements)
     else:
-        outcomes = joint(fs, [ug.quadrature._line_grid(spec)] * count, spec.tol,
-                         spec.max_refinements)
-    return [[ug.QuadratureResult(*quad) if isinstance(quad, tuple) else quad
-             for quad in outcome] if isinstance(outcome, list) else outcome
-            for outcome in outcomes]
+        outcomes = Q._trapezoid_joint(fs, [grid] * count, spec.tol, spec.max_refinements)
+    return [[ug.QuadratureResult(*quad) for quad in outcome]
+            if isinstance(outcome, list) else outcome for outcome in outcomes]
 
 
 def _corpus(ug) -> dict[str, str]:
@@ -333,6 +336,18 @@ def _corpus(ug) -> dict[str, str]:
                complex(-0.0, 2.0), complex(0.0, 2.0), complex(0.0, -2.0)]
         for index, (z, outcome) in enumerate(zip(zs, ug.evaluate_many(name, zs))):
             out[f"evaluate_many pairs {name}/{batch}/{index} {z!r}"] = _described(outcome)
+    # Lines capped at sigma 8 far below their saddle abscissa, which no
+    # certificate settles, each amid box points; an rng of their own.
+    capped = random.Random(SEED + 3)
+    for name, z in (("recip_gamma", 205.93858051401375 - 380.4951468265725j),
+                    ("recip_gamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("gamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("digamma", 288.12975620914966 + 1061.3329137533183j),
+                    ("gamma_sin_pi", -194.11912460191417 - 408.7371974233468j)):
+        zs = [complex(capped.uniform(-15, 15), capped.uniform(-15, 15)) for _ in range(4)]
+        zs.insert(2, z)
+        for index, (w, outcome) in enumerate(zip(zs, ug.evaluate_many(name, zs))):
+            out[f"evaluate_many capped crest {name} {z!r}/{index} {w!r}"] = _described(outcome)
     return out
 
 

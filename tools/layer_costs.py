@@ -19,15 +19,16 @@ where the left half-plane is read from the mirror line), as the call does:
 
 - ``select_truncation``: the window of the line, ``quadrature.select_truncation``;
 - ``certify``: the line's a-priori bound, ``quadrature._start_certificate``,
-  at the start step and, where that one misses, at half of it (absent from
-  a checkout without it);
+  at the start step and, where that one misses, at half of it;
 - ``kernel``: ``integrands.g_integrand`` on the level-1 nodes of that window;
 - ``kernel_log``: ``integrands.g_log_integrand``, digamma's weighted kernel,
   on the same nodes;
 - ``summation``: one level-1 pass of ``quadrature._pass_sums`` over those
   nodes' kept terms;
-- ``driver``: ``quadrature._trapezoid_joint`` of the line, kernel included,
-  with the line's certificate where the checkout has one;
+- ``driver``: the line's driver point, built as ``functions._line_point``
+  builds it (window grid, certificate, roundoff noise and, for a line no
+  certificate settles, the crest rate), and ``quadrature._trapezoid_joint``
+  on it, kernel included;
 - ``reader``: from the line's quadrature to the EvalResult: ``_read``, the
   route, the function's reader and the EvalResult;
 - ``recip_gamma``, ``gamma``, ``gamma_sin_pi``, ``digamma`` and ``G``: the
@@ -41,12 +42,10 @@ to level 2 (step 0.0625) and that a level-1 certificate settles at step
 ``readers`` times, at two fixed points, route + read + EvalResult on a line
 already integrated, one figure per function and route (mirrored at
 -3.3+0.7i, direct at 2.5+0.7i; gamma_sin_pi, whose line point is 1 - z,
-the other way round).  The summation and reader layers call private
-helpers; the script follows their layout in this checkout and in the one
-before the driver returned ``_Quad`` tuples (``_pass_sums`` over
-``(index, point, terms)`` triples, readers of ``(z, mirror, line)``), and
-in the one before a point kept its own level (``next_nodes``, ``keep`` and
-``_pass_sums`` taking the level).  ``levels`` gives, per checkout, the
+the other way round).  The layers call private helpers; the driver's
+follows its signature in this checkout and in the one before the driver
+took its points built (``_trapezoid_joint(fs, grids, tol,
+max_refinements, noise=, certificates=, rates=)``).  ``levels`` gives, per checkout, the
 level each point's line settles on (0 at step 0.25, 1 at 0.125, ...),
 marked "certified" where the checkout's certificate settles it there and
 "Richardson" where the halving does.
@@ -98,11 +97,10 @@ def _cases(ug) -> tuple[dict, list[str]]:
     import numpy as np
 
     F, Q, I = ug.functions, ug.quadrature, ug.integrands
-    certify = getattr(Q, "_start_certificate", None)
+    certify = Q._start_certificate
+    built = "points" in inspect.signature(Q._trapezoid_joint).parameters
     cases: dict = {name: [] for name in ("select_truncation", "certify", "kernel", "kernel_log",
                                          "summation", "driver", "reader", *_FUNCTIONS)}
-    if certify is None:
-        del cases["certify"]
     tol, max_refinements = 1e-12, 12
     line_tol = (1.0 - F._TAIL_SHARE) * tol
     tail_tol = 0.5 * F._TAIL_SHARE * tol
@@ -115,19 +113,25 @@ def _cases(ug) -> tuple[dict, list[str]]:
         sigma = F.default_sigma(w)
         trunc = Q.select_truncation(w, sigma, tail_tol)
         grid = Q._window_grid(trunc.lower, trunc.upper, Q._T_GRID)
-        noise = getattr(F, "_exponent_noise", getattr(F, "_phase_noise", None))(w, sigma, trunc)
+        noise = F._exponent_noise(w, sigma, trunc)
         nodes = np.arange(2 * grid.k_lo, 2 * grid.k_hi + 1, dtype=float) * (0.5 * grid.step)
         fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
-        extra, bound = {}, math.inf
-        if certify is not None:
-            extra["certificates"] = [certify(w, sigma, trunc, line_tol, False)]
-            cases["certify"].append(lambda w=w, sigma=sigma, trunc=trunc: certify(
-                w, sigma, trunc, line_tol, False))
-            (bound,) = extra["certificates"]
-            bound = bound[1] if isinstance(bound, tuple) else bound   # (level, bound)
-        (quads,) = Q._trapezoid_joint(fs, [grid], line_tol, max_refinements, noise=[noise],
-                                      **extra)
+        cases["certify"].append(lambda w=w, sigma=sigma, trunc=trunc: certify(
+            w, sigma, trunc, line_tol, False))
+        if built:
+            def drive(fs=fs, w=w, sigma=sigma, trunc=trunc):
+                return Q._trapezoid_joint(fs, [F._line_point(w, sigma, trunc, line_tol, False)],
+                                          max_refinements)
+        else:
+            def drive(fs=fs, w=w, sigma=sigma, trunc=trunc, grid=grid):
+                certificate = certify(w, sigma, trunc, line_tol, False)
+                return Q._trapezoid_joint(
+                    fs, [grid], line_tol, max_refinements,
+                    noise=[F._exponent_noise(w, sigma, trunc)], certificates=[certificate],
+                    rates=[F._rate(w, sigma, certificate)])
+        (quads,) = drive()
         level = round(math.log2(grid.step / quads[0].step_used))
+        bound = certify(w, sigma, trunc, line_tol, False)[1]
         how = "certified" if bound <= Q._RICHARDSON_MARGIN * line_tol else "Richardson"
         levels.append(f"{level} {how}")
         cases["select_truncation"].append(
@@ -135,9 +139,9 @@ def _cases(ug) -> tuple[dict, list[str]]:
         cases["kernel"].append(lambda w=w, sigma=sigma, nodes=nodes: I.g_integrand(w, sigma, nodes))
         cases["kernel_log"].append(
             lambda w=w, sigma=sigma, nodes=nodes: I.g_log_integrand(w, sigma, nodes))
-        cases["summation"].append(_summation(Q, grid, line_tol, noise, I.g_integrand(w, sigma, nodes)))
-        cases["driver"].append(lambda fs=fs, grid=grid, noise=noise, extra=extra: Q._trapezoid_joint(
-            fs, [grid], line_tol, max_refinements, noise=[noise], **extra))
+        point = Q._Point(grid, line_tol, noise=noise, romberg=False)
+        cases["summation"].append(_summation(Q, point, I.g_integrand(w, sigma, nodes)))
+        cases["driver"].append(drive)
         line = (sigma, trunc, quads)
         cases["reader"].append(lambda z=z, line=line, flip=flip: reader(
             z, F._read(line, flip, line_tol, max_refinements)))
@@ -146,37 +150,23 @@ def _cases(ug) -> tuple[dict, list[str]]:
     return cases, levels
 
 
-def _summation(Q, grid, tol, noise, values):
-    """One level-1 ``_pass_sums`` of a lone point that keeps ``values``."""
-    init = inspect.signature(Q._Point).parameters
-    count = (1,) if "count" in init else ()
-    point = Q._Point(grid, tol, *count, noise, False)
-    if "level" not in inspect.signature(point.next_nodes).parameters:  # the point's own level
-        point.next_nodes()
-        point.keep([values.copy()])
-        return lambda: Q._pass_sums((point,))
-    point.next_nodes(1)     # where a point takes its level's step
-    kept = point.keep([values.copy()], 1)
-    if "kept" in inspect.signature(Q._pass_sums).parameters:   # (index, point, terms) triples
-        return lambda: Q._pass_sums(((0, point, kept),), 1)
-    return lambda: Q._pass_sums((point,), 1)
+def _summation(Q, point, values):
+    """One level-1 ``_pass_sums`` of a lone uncertified ``point`` that keeps ``values``."""
+    point.next_nodes()
+    point.keep([values.copy()])
+    return lambda: Q._pass_sums((point,))
 
 
 def _reader(F, name: str):
     """Route + read + EvalResult of ``name``, as a call ``(z, line)`` on a
-    line already integrated, in this checkout's layout."""
+    line already integrated."""
     line_point, _, read, may_mirror = F._ENGINE[name]
     route, result = F._route, F.EvalResult
-    if len(inspect.signature(read).parameters) == 3:    # read(z, mirror, line)
-        def call(z, line):
-            _, mirror = route(line_point(z), may_mirror, None)
-            _, _, spec, converged, evaluations = line
-            return result(z, *read(z, mirror, line), spec, converged, evaluations)
-    else:
-        def call(z, line):
-            _, mirror = route(line_point(z), may_mirror, None)
-            values, errs, spec, converged, evaluations = line
-            return result(z, *read(z, mirror, values, errs), spec, converged, evaluations)
+
+    def call(z, line):
+        _, mirror = route(line_point(z), may_mirror, None)
+        values, errs, spec, converged, evaluations = line
+        return result(z, *read(z, mirror, values, errs), spec, converged, evaluations)
     return call
 
 
