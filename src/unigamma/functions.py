@@ -189,146 +189,89 @@ def _line_point(z: complex, sigma: float, trunc: Truncation, tol: float,
                   rate=0.0 if certificate[1] < math.inf else _crest_rate(z, sigma))
 
 
-def _lines(points, kernels, sigma, tol: float, max_refinements: int) -> list:
+def _lines(zs, kernels, sigma, tol: float, max_refinements: int) -> list:
     """Integrate the kernels ``(names, log_weight)`` along the G line at each point.
 
-    ``points`` are the line's z values, or the UnigammaError a point has
-    already met, which is passed through.  A point the public functions
-    read from the line at 1 - w comes here as 1 - w, like any other line
-    point, so it shares lines with the points that integrate 1 - w.
-    ``tol``, ``sigma`` and ``max_refinements`` are checked once per call;
-    a bad one is the outcome of every other point.  Each window is sized
-    for the heaviest kernel (the log weight's, where there is one),
-    each side's tail to half the tail share of tol (never below the least
+    ``zs`` are distinct line points, each a valid z with Im z >= 0 (-0.0
+    included).  ``tol``, ``sigma`` and ``max_refinements`` are checked once
+    per call; a bad one is the outcome of every point.  Each window is sized
+    for the heaviest kernel (the log weight's, where there is one), each
+    side's tail to half the tail share of tol (never below the least
     positive double), or less where ``select_truncation`` caps it against
-    the integrand's magnitude at the saddle height.  The start step is
-    ``_T_GRID`` for every z: on the saddle line the integrand is close to a
-    Gaussian e^{-2 (t - Im w0)^2} whatever Im z is, and the halving does
-    the rest.  Each line's driver point (``_line_point``) carries its
-    ``_start_certificate``, the first level (0 at that step, or 1 at half
-    of it) whose sum a rigorous bound certifies, with the bound, for the
-    heaviest kernel, which covers the others: a line it certifies settles
-    on that level's nodes alone, with the bound as its estimate, and a line
-    certified at neither level refines by halving, to a step that resolves
-    the phase rate at its crest.  The kernels of a point share one node set;
-    the points share ``_trapezoid_joint``'s kernel calls.  Returns per
-    point its line, the tuple ``(values, errs, spec, converged,
-    evaluations)``: each integral's value and its error estimate with the
-    analytic tail added, then the last three fields of the point's
-    EvalResult: the spec used (the point's
-    one ContourSpec, built after the quadrature), the joint ``_gate``
-    verdict and the kernel evaluation count.  A point that fails gets its
-    UnigammaError instead.
-
-    The integrand is real-symmetric, f(-t; conj z) = conj f(t; z), and the
-    nodes k*h sit symmetrically about 0, so the line at conj z is the line
-    at z mirrored.  A point with Im z < 0 (strictly: a signed zero is
-    integrated as given) is integrated at conj z and read back conjugated:
-    its values conjugated and its window mirrored to (-upper, -lower);
-    every other field is the same, so its result is exactly the conjugate of
-    the result at conj z.  A node error names the first non-finite node of
-    the point's own line, the mirror of the last one of the line integrated.
-    Points equal bit for bit after that, 0.0 told from -0.0, are integrated
-    once, and those that read a line the same way share one line tuple.
-    A lone point skips that sharing table and its lists: one line,
-    its kernels called on its own z and sigma, scalars.
+    the integrand's magnitude at the saddle height.  The start step is ``_T_GRID`` for every z: on the
+    saddle line the integrand is close to a Gaussian e^{-2 (t - Im w0)^2}
+    whatever Im z is, and the halving does the rest.  Each line's driver
+    point (``_line_point``) carries its ``_start_certificate``, the first
+    level (0 at that step, or 1 at half of it) whose sum a rigorous bound
+    certifies, with the bound, for the heaviest kernel, which covers the
+    others: a line it certifies settles on that level's nodes alone, with
+    the bound as its estimate, and a line certified at neither level
+    refines by halving, to a step that resolves the phase rate at its
+    crest.  The kernels of a point share one node set; the points share
+    ``_trapezoid_joint``'s kernel calls.  Returns per point the triple
+    ``(sigma, truncation, results)``, one QuadratureResult per kernel, which
+    ``_read`` turns into the point's line tuple; a point whose quadrature
+    fails gets its QuadratureNodeError instead.
     """
     try:
         _check_tol(tol)
         sigma = None if sigma is None else _check_sigma(sigma)
         _check_refinements(max_refinements)
     except DomainError as exc:
-        return [z if isinstance(z, UnigammaError) else exc for z in points]
+        return [exc] * len(zs)
     # The kernels are looked up by name at each call, where a tracer may
     # have wrapped them.
     names, log_weight = kernels
     line_tol = (1.0 - _TAIL_SHARE) * tol
     tail_tol = max(0.5 * _TAIL_SHARE * tol, _TINY)
-    if len(points) == 1:
-        (z,) = points
-        if isinstance(z, UnigammaError):
-            return [z]
-        flip = z.imag < 0.0
-        z = z.conjugate() if flip else z
+    # ``select_truncation`` cannot fail here: z is valid, sigma checked and
+    # the tail tolerance positive.
+    sigmas, truncs, points = [], [], []
+    for z in zs:
         sig = default_sigma(z) if sigma is None else sigma
-        try:
-            trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
-        except UnigammaError as exc:
-            return [exc]
-        (quads,) = _trapezoid_joint(
-            [lambda t, _, name=name: getattr(integrands, name)(z, sig, t) for name in names],
-            [_line_point(z, sig, trunc, line_tol, log_weight)], max_refinements)
-        return [_read(quads if isinstance(quads, UnigammaError) else (sig, trunc, quads),
-                      flip, line_tol, max_refinements)]
-    outcomes: list = list(points)
-    # Per point (index, slot, conjugated): the slot of ``lines`` it reads.
-    reads, slots, lines = [], {}, []
-    todo, zs, sigmas, truncs = [], [], [], []
-    for index, z in enumerate(points):
-        if isinstance(z, UnigammaError):
-            continue
-        flip = z.imag < 0.0
-        if flip:
-            z = z.conjugate()
-        key = (z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(lines)
-            sig = default_sigma(z) if sigma is None else sigma
-            try:
-                trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
-            except UnigammaError as exc:
-                lines.append(exc)
-            else:
-                lines.append(None)
-                todo.append(slot)
-                zs.append(z)
-                sigmas.append(sig)
-                truncs.append(trunc)
-        reads.append((index, slot, flip))
+        trunc = select_truncation(z, sig, tail_tol, log_weight=log_weight)
+        sigmas.append(sig)
+        truncs.append(trunc)
+        points.append(_line_point(z, sig, trunc, line_tol, log_weight))
     # ``rows`` is one line's index, or per-node indices for many lines;
-    # lists hand one line its scalars without numpy scalar boxing.
+    # sequences hand one line its scalars without numpy scalar boxing.
     z_of, sigma_of = zs, sigmas
     if len(zs) > 1:
-        z_of, sigma_of = np.array(z_of, dtype=complex), np.array(sigma_of)
-    # The points are built here, not in the loop above: built there, the
-    # 41 x 41 lattice took 4.5% longer in process (26.0 -> 27.0 ms on a
-    # 2-core x86_64 VM, Python 3.11).
-    quads_of = _trapezoid_joint(
+        z_of, sigma_of = np.array(zs, dtype=complex), np.array(sigmas)
+    lines = _trapezoid_joint(
         [lambda t, rows, name=name: getattr(integrands, name)(z_of[rows], sigma_of[rows], t)
-         for name in names],
-        [_line_point(*line, line_tol, log_weight) for line in zip(zs, sigmas, truncs)],
-        max_refinements)
-    for slot, sig, trunc, quads in zip(todo, sigmas, truncs, quads_of):
-        lines[slot] = quads if isinstance(quads, UnigammaError) else (sig, trunc, quads)
-    # Points that read one line the same way share its tuple.
-    read = {}
-    for index, slot, flip in reads:
-        if (slot, flip) not in read:
-            read[slot, flip] = _read(lines[slot], flip, line_tol, max_refinements)
-        outcomes[index] = read[slot, flip]
-    return outcomes
+         for name in names], points, max_refinements)
+    for index, quads in enumerate(lines):
+        if not isinstance(quads, UnigammaError):
+            lines[index] = (sigmas[index], truncs[index], quads)
+    return lines
 
 
-def _read(line, flip: bool, line_tol: float, max_refinements: int):
-    """A point's line tuple (see ``_lines``) from the quadrature of its line
-    point, a ``(sigma, truncation, results)`` triple, or its UnigammaError;
-    conjugated where ``flip``."""
+def _read(line, flip: bool, tol: float, max_refinements: int):
+    """A point's line tuple ``(values, errs, spec, converged, evaluations)``
+    from its ``_lines`` outcome, conjugated where ``flip``: each integral's
+    value and its error estimate with the analytic tail added, then the
+    last three fields of the point's EvalResult: the spec used (one
+    ContourSpec, built after the quadrature), the joint ``_gate`` verdict at
+    the line's share of ``tol`` and the kernel evaluation count.  A
+    UnigammaError passes through; a node error read conjugated names the
+    mirror of the node it named."""
     if isinstance(line, UnigammaError):
         if flip and isinstance(line, QuadratureNodeError) and line.node is not None:
             line = _nonfinite_node(line._mirror_node)
         return line
     sig, (lower, upper, tail, capped), quads = line
-    values, errs, converged, tol, evaluations = [], [], True, 0.0, 0
+    line_tol = (1.0 - _TAIL_SHARE) * tol
+    values, errs, converged, tol_used, evaluations = [], [], True, 0.0, 0
     for quad in quads:
         values.append(quad.value.conjugate() if flip else quad.value)
         # The heaviest kernel's tail bound, which covers the others'.
         errs.append(quad.err_estimate + tail)
         converged = converged and _gate(quad, capped, line_tol, abs(quad.value))
-        tol = max(tol, quad.tol_effective)
+        tol_used = max(tol_used, quad.tol_effective)
         evaluations += quad.evaluations
     spec = ContourSpec(sigma=sig, half_width=max(sig, -lower, upper),
-                       step=quads[0].step_used, tol=tol, max_refinements=max_refinements,
+                       step=quads[0].step_used, tol=tol_used, max_refinements=max_refinements,
                        window=(-upper, -lower) if flip else (lower, upper))
     return values, errs, spec, converged, evaluations
 
@@ -502,7 +445,7 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     raises; a failing point does not stop the others.  The options are
     checked once per call, and a bad one is the error of every point whose
     z is valid.  A one-point function returns or raises this call's
-    outcome on its one point, by ``_lines`` without this call's lists.
+    outcome on its one point (``_one``), without this call's sharing table.
     Points are refined together, in chunks, one kernel call per halving
     level, and each gets the one-point call's outcome bit for bit: the
     kernels round a node alike in every layout (see ``integrands``), and the
@@ -514,42 +457,67 @@ def evaluate_many(function: str, zs, *, sigma=None, tol: float = 1e-12,
     line at 1 - w within the sigma cap's reach, with w's mirror record (see
     the module docstring); G and g_tilde always integrate w.
 
-    Points share integrals.  The line integrated at a point (w, or 1 - w) is
-    integrated at its conjugate when its imaginary part is negative, and
-    read back conjugated, since G(conj w) = conj G(w); so two points whose
-    lines are conjugates or equal, bit for bit, are integrated once, and the
-    left half of a lattice symmetric about Re z = 1/2 reads the lines of its
-    right half.  The result at conj z is then exactly the conjugate of the
-    result at z, value conjugated and window mirrored, every other field
-    equal, in a batch or alone.  A signed-zero imaginary part is integrated
-    as given.
+    Points share integrals.  The integrand is real-symmetric, f(-t; conj w)
+    = conj f(t; w), and the nodes k*h sit symmetrically about 0, so the line
+    at conj w is the line at w mirrored.  The line integrated at a point (w,
+    or 1 - w) is integrated at its conjugate when its imaginary part is
+    negative (strictly: a signed-zero imaginary part is integrated as
+    given), and read back conjugated (``_read``): its values conjugated and
+    its window mirrored to (-upper, -lower), every other field the same.  So
+    two points whose lines are conjugates or equal, bit for bit, 0.0 told
+    from -0.0, are integrated once, and the left half of a lattice symmetric
+    about Re z = 1/2 reads the lines of its right half; points that read a
+    line the same way share one line tuple.  The result at conj z is then
+    exactly the conjugate of the result at z, in a batch or alone, and a
+    node error names the first non-finite node of the point's own line, the
+    mirror of the last one of the line integrated.  ``_one`` conjugates and
+    reads its point the same way.
     """
     if function not in _ENGINE:
         raise DomainError(
             f"function must be one of {', '.join(_ENGINE)}; got {function!r}")
     line_point, kernels, read, may_mirror = _ENGINE[function]
-    # Per point: its z, the point whose line it reads and its mirror record;
-    # or its z's DomainError twice, which ``_lines`` passes through, and None.
-    points = []
+    # Per point: its z's DomainError; or its z, its mirror record, the slot
+    # of the line it reads in ``slots`` and whether it reads it conjugated.
+    points, slots = [], {}
     for z in zs:
         try:
             z = _check_point(z)
         except DomainError as exc:
-            points.append((exc, exc, None))
-        else:
-            points.append((z, *_route(line_point(z), may_mirror, sigma)))
-    lines = _lines([point for _, point, _ in points], kernels, sigma, tol, max_refinements)
-    outcomes = []
-    for (z, _, mirror), line in zip(points, lines):
+            points.append(exc)
+            continue
+        w, mirror = _route(line_point(z), may_mirror, sigma)
+        flip = w.imag < 0.0
+        if flip:
+            w = w.conjugate()
+        key = (w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
+        points.append((z, mirror, slots.setdefault(key, len(slots)), flip))
+    lines = _lines([w for w, _, _ in slots], kernels, sigma, tol, max_refinements)
+    # Points that read one line the same way share its line tuple.
+    reads, outcomes = {}, []
+    for point in points:
+        if isinstance(point, DomainError):
+            outcomes.append(point)
+            continue
+        z, mirror, slot, flip = point
+        line = reads.get((slot, flip))
+        if line is None:
+            line = reads[slot, flip] = _read(lines[slot], flip, tol, max_refinements)
         if not isinstance(line, UnigammaError):
-            values, errs, spec, converged, evaluations = line
             try:
-                value, err = read(z, mirror, values, errs)
-                line = EvalResult(z, value, err, spec, converged, evaluations)
+                line = _result(read, z, mirror, line)
             except UnigammaError as exc:
                 line = exc
         outcomes.append(line)
     return outcomes
+
+
+def _result(read, z: complex, mirror: tuple | None, line: tuple) -> EvalResult:
+    """The EvalResult at z from its line tuple (see ``_read``), its value and
+    error estimate by the function's ``read``; raises what ``read`` raises."""
+    values, errs, spec, converged, evaluations = line
+    value, err = read(z, mirror, values, errs)
+    return EvalResult(z, value, err, spec, converged, evaluations)
 
 
 def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
@@ -557,13 +525,13 @@ def _one(function: str, z, *, sigma=None, tol: float = 1e-12,
     """``evaluate_many`` of one point, its outcome returned or raised."""
     line_point, kernels, read, may_mirror = _ENGINE[function]
     z = _check_point(z)
-    point, mirror = _route(line_point(z), may_mirror, sigma)
-    (line,) = _lines((point,), kernels, sigma, tol, max_refinements)
+    w, mirror = _route(line_point(z), may_mirror, sigma)
+    flip = w.imag < 0.0
+    (line,) = _lines((w.conjugate() if flip else w,), kernels, sigma, tol, max_refinements)
+    line = _read(line, flip, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
-    values, errs, spec, converged, evaluations = line
-    value, err = read(z, mirror, values, errs)
-    return EvalResult(z, value, err, spec, converged, evaluations)
+    return _result(read, z, mirror, line)
 
 
 def G(z, *, sigma=None, tol: float = 1e-12,
@@ -611,7 +579,8 @@ def euler_mascheroni(*, sigma=None, tol: float = 1e-12,
                      max_refinements: int = 12) -> EvalResult:
     """gamma = -(1/pi) int w^{-1} e^{w^2} (2 Log w) dt  (the z = 1 line)."""
     z = 1.0 + 0.0j
-    (line,) = _lines([z], (("g_log_integrand",), True), sigma, tol, max_refinements)
+    (line,) = _lines((z,), (("g_log_integrand",), True), sigma, tol, max_refinements)
+    line = _read(line, False, tol, max_refinements)
     if isinstance(line, UnigammaError):
         raise line
     (total,), (err,), spec, converged, evaluations = line

@@ -397,9 +397,9 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     factors there come from one integral, G(z) and its conjugate; their
     product is still judged against pi sin(pi z), which the oracle computes
     apart.  A point whose evaluation or reference value raises
-    counts as a failure there.  ``checks`` restricts the run to a subset of
-    ``SUITE_CHECKS`` names, preserving suite order, and only their points
-    are evaluated; by default all five run.
+    counts as a failure there.  ``checks`` restricts the run to a sequence
+    of ``SUITE_CHECKS`` names (a bare string is refused), preserving suite
+    order, and only their points are evaluated; by default all five run.
     """
     pts = (default_verification_grid() if grid is None
            else [_check_point(z) for z in grid])
@@ -411,6 +411,9 @@ def run_identity_suite(grid=None, *, rel_tol: float | None = None,
     rel = 1e-9 if rel_tol is None else float(rel_tol)
     loop_abs = 1e-8 if abs_tol is None else float(abs_tol)
     near_zero_abs = 1e-10 if abs_tol is None else float(abs_tol)
+    if isinstance(checks, str):
+        raise DomainError(f"checks must be a sequence of check names, got the string "
+                          f"{checks!r}; pass ({checks!r},) for one check")
     selected = SUITE_CHECKS if checks is None else tuple(checks)
     unknown = [name for name in selected if name not in SUITE_CHECKS]
     if unknown:

@@ -145,21 +145,8 @@ class ContourSpec:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        # The all-valid case in one test, the same bounds as the checks
-        # below, which run only to name a failure.
-        try:
-            sigma, half_width, step, refinements = (self.sigma, self.half_width, self.step,
-                                                    self.max_refinements)
-            lower, upper = (-half_width, half_width) if self.window is None else self.window
-            if (_SIGMA_MIN <= sigma <= _SIGMA_CAP and sigma <= half_width <= _MAX
-                    and 0.0 < step <= half_width and -half_width <= lower < upper <= half_width
-                    and step <= upper - lower and 0.0 < self.tol <= _MAX
-                    and 0.5 < refinements <= _INF and refinements % 1 == 0):
-                return
-        except Exception:   # whatever it is, the checks below name it
-            pass
         _check_sigma(self.sigma)
-        if not (_inside(self.half_width, sys.float_info.max)
+        if not (_inside(self.half_width, _MAX)
                 and self.half_width >= self.sigma):
             raise DomainError(
                 f"half_width must be finite and >= sigma, got {self.half_width!r}"

@@ -1002,7 +1002,7 @@ class TestLonePoint:
             assert isinstance(TestEvaluateMany._one_point(fn, z), QuadratureNodeError), (name, z)
 
     def test_lone_bad_point_is_its_one_point_error(self):
-        # One point: ``_lines`` passes its DomainError through unintegrated.
+        # One point: its DomainError is raised before any line is integrated.
         with pytest.raises(DomainError) as raised:
             recip_gamma(None)
         (many,) = evaluate_many("recip_gamma", [None])

@@ -166,6 +166,11 @@ class TestIdentitySuite:
         with pytest.raises(DomainError):
             run_identity_suite([1 + 0j], checks=("nope",))
 
+    def test_bare_string_of_checks_rejected(self):
+        # Iterated, the string would read as the check names r, e, f, ...
+        with pytest.raises(DomainError, match=r"sequence of check names.*'reflection'"):
+            run_identity_suite([1 + 0j], checks="reflection")
+
     @pytest.mark.parametrize("kind", ["rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, "x"])
     def test_unmeetable_tolerance_rejected(self, kind, value):

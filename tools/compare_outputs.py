@@ -22,8 +22,8 @@ corpus is fixed by its seed:
   though their sums of |f| overflow;
 - lone lines and a chunk whose levels cross the fsum cutover (see
   ``quadrature._pass_sums``) both ways, so every summation route is taken;
-  the chunks call ``quadrature._trapezoid_joint`` in the signature of the
-  checkout they run in;
+  the chunks call ``quadrature._trapezoid_joint`` on one ``_Point`` per
+  point;
 - ``evaluate_many`` batches that put each of five points whose line has
   its sigma capped far below its saddle (no certificate settles it, and
   steps 0.25 and 0.125 alias its crest) amid box points, so the batch path
@@ -63,7 +63,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -142,19 +141,12 @@ def _spec_key(spec) -> str:
 
 
 def _joint(ug, fs, spec, count: int) -> list:
-    """``_trapezoid_joint`` of ``fs`` at ``count`` points on ``spec``'s line, in
-    this checkout's signature: a ``_Point`` per point, or a grid per point
-    and the tolerance once.  Each integral is shown as a QuadratureResult,
-    also where the driver returns its fields in another tuple."""
+    """``_trapezoid_joint`` of ``fs`` at ``count`` points on ``spec``'s line,
+    a ``_Point`` per point."""
     Q = ug.quadrature
     grid = Q._line_grid(spec)
-    if "points" in inspect.signature(Q._trapezoid_joint).parameters:
-        outcomes = Q._trapezoid_joint(fs, [Q._Point(grid, spec.tol) for _ in range(count)],
-                                      spec.max_refinements)
-    else:
-        outcomes = Q._trapezoid_joint(fs, [grid] * count, spec.tol, spec.max_refinements)
-    return [[ug.QuadratureResult(*quad) for quad in outcome]
-            if isinstance(outcome, list) else outcome for outcome in outcomes]
+    return Q._trapezoid_joint(fs, [Q._Point(grid, spec.tol) for _ in range(count)],
+                              spec.max_refinements)
 
 
 def _corpus(ug) -> dict[str, str]:

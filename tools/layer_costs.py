@@ -30,7 +30,8 @@ where the left half-plane is read from the mirror line), as the call does:
   certificate settles, the crest rate), and ``quadrature._trapezoid_joint``
   on it, kernel included;
 - ``reader``: from the line's quadrature to the EvalResult: ``_read``, the
-  route, the function's reader and the EvalResult;
+  route, the function's reader and the EvalResult (``_result``, where the
+  checkout has it);
 - ``recip_gamma``, ``gamma``, ``gamma_sin_pi``, ``digamma`` and ``G``: the
   public call at the input point, each whole.
 
@@ -42,20 +43,22 @@ to level 2 (step 0.0625) and that a level-1 certificate settles at step
 ``readers`` times, at two fixed points, route + read + EvalResult on a line
 already integrated, one figure per function and route (mirrored at
 -3.3+0.7i, direct at 2.5+0.7i; gamma_sin_pi, whose line point is 1 - z,
-the other way round).  The layers call private helpers; the driver's
-follows its signature in this checkout and in the one before the driver
-took its points built (``_trapezoid_joint(fs, grids, tol,
-max_refinements, noise=, certificates=, rates=)``).  ``levels`` gives, per checkout, the
-level each point's line settles on (0 at step 0.25, 1 at 0.125, ...),
-marked "certified" where the checkout's certificate settles it there and
-"Richardson" where the halving does.
+the other way round).  The layers call private helpers as the checkout
+they run in lays them out.  The driver is ``_trapezoid_joint(fs, points,
+max_refinements)`` on points built by ``functions._line_point``.  Where
+``functions._result`` exists, ``_lines`` returns a ``(sigma, truncation,
+results)`` triple per point (Im z >= 0) and its caller reads it with
+``_read(line, flip, tol, max_refinements)``; before that, ``_lines`` read
+its points itself, and ``_read`` took the line's share of tol.  ``levels``
+gives, per checkout, the level each point's line settles on (0 at step
+0.25, 1 at 0.125, ...), marked "certified" where the checkout's
+certificate settles it there and "Richardson" where the halving does.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import math
 import os
@@ -79,6 +82,11 @@ def _points() -> list[complex]:
     return [complex(rng.uniform(-15, 15), rng.uniform(-15, 15)) for _ in range(POINTS)]
 
 
+def _reads_apart(F) -> bool:
+    """Whether ``_lines`` leaves the read to its caller (see the docstring)."""
+    return hasattr(F, "_result")
+
+
 def _number(call) -> int:
     """Calls per timing: about TARGET_NS of them, at least one, from five
     calls timed after three that warm up."""
@@ -98,7 +106,6 @@ def _cases(ug) -> tuple[dict, list[str]]:
 
     F, Q, I = ug.functions, ug.quadrature, ug.integrands
     certify = Q._start_certificate
-    built = "points" in inspect.signature(Q._trapezoid_joint).parameters
     cases: dict = {name: [] for name in ("select_truncation", "certify", "kernel", "kernel_log",
                                          "summation", "driver", "reader", *_FUNCTIONS)}
     tol, max_refinements = 1e-12, 12
@@ -118,17 +125,9 @@ def _cases(ug) -> tuple[dict, list[str]]:
         fs = [lambda t, _, w=w, sigma=sigma: I.g_integrand(w, sigma, t)]
         cases["certify"].append(lambda w=w, sigma=sigma, trunc=trunc: certify(
             w, sigma, trunc, line_tol, False))
-        if built:
-            def drive(fs=fs, w=w, sigma=sigma, trunc=trunc):
-                return Q._trapezoid_joint(fs, [F._line_point(w, sigma, trunc, line_tol, False)],
-                                          max_refinements)
-        else:
-            def drive(fs=fs, w=w, sigma=sigma, trunc=trunc, grid=grid):
-                certificate = certify(w, sigma, trunc, line_tol, False)
-                return Q._trapezoid_joint(
-                    fs, [grid], line_tol, max_refinements,
-                    noise=[F._exponent_noise(w, sigma, trunc)], certificates=[certificate],
-                    rates=[F._rate(w, sigma, certificate)])
+        def drive(fs=fs, w=w, sigma=sigma, trunc=trunc):
+            return Q._trapezoid_joint(fs, [F._line_point(w, sigma, trunc, line_tol, False)],
+                                      max_refinements)
         (quads,) = drive()
         level = round(math.log2(grid.step / quads[0].step_used))
         bound = certify(w, sigma, trunc, line_tol, False)[1]
@@ -144,7 +143,7 @@ def _cases(ug) -> tuple[dict, list[str]]:
         cases["driver"].append(drive)
         line = (sigma, trunc, quads)
         cases["reader"].append(lambda z=z, line=line, flip=flip: reader(
-            z, F._read(line, flip, line_tol, max_refinements)))
+            z, F._read(line, flip, tol if _reads_apart(F) else line_tol, max_refinements)))
         for name in _FUNCTIONS:
             cases[name].append(lambda fn=getattr(F, name), z=z: fn(z))
     return cases, levels
@@ -158,10 +157,17 @@ def _summation(Q, point, values):
 
 
 def _reader(F, name: str):
-    """Route + read + EvalResult of ``name``, as a call ``(z, line)`` on a
-    line already integrated."""
+    """Route + read + EvalResult of ``name``, as a call ``(z, line)`` on the
+    line tuple of a line already integrated."""
     line_point, _, read, may_mirror = F._ENGINE[name]
-    route, result = F._route, F.EvalResult
+    route = F._route
+    if _reads_apart(F):
+        result = F._result
+
+        def call(z, line):
+            return result(read, z, route(line_point(z), may_mirror, None)[1], line)
+        return call
+    result = F.EvalResult
 
     def call(z, line):
         _, mirror = route(line_point(z), may_mirror, None)
@@ -179,7 +185,13 @@ def _reader_cases(ug) -> dict:
             if name == "gamma_sin_pi":
                 z = 1.0 - z
             point, _ = F._route(line_point(z), may_mirror, None)
-            (line,) = F._lines((point,), kernels, None, 1e-12, 12)
+            if _reads_apart(F):
+                flip = point.imag < 0.0
+                (line,) = F._lines((point.conjugate() if flip else point,), kernels, None,
+                                   1e-12, 12)
+                line = F._read(line, flip, 1e-12, 12)
+            else:
+                (line,) = F._lines((point,), kernels, None, 1e-12, 12)
             cases[f"{route} {name}"] = [lambda read=_reader(F, name), z=z, line=line:
                                         read(z, line)]
     return cases
